@@ -1,0 +1,8 @@
+"""Lets the benchmark's own tests import its modules and the package source."""
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
