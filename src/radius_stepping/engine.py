@@ -89,7 +89,8 @@ def relax_batch(
     Candidates are computed against delta as of entry, so processing order
     (controlled here by `reverse`, for the commutativity test) cannot change
     the result.  Returns the vertices whose delta improved and the number of
-    edge relaxations scanned.  Settled vertices never improve; asserted.
+    edge relaxations scanned.  A settled vertex that would improve raises
+    GraphError: its distance was already reported final.
     """
     if not active:
         return [], 0
@@ -112,8 +113,8 @@ def relax_batch(
         old = delta[touched].copy()
         np.minimum.at(delta, dst, cand)
         moved = touched[delta[touched] < old]
-        if moved.size:
-            assert not settled[moved].any(), "settled distance moved"
+        if moved.size and settled[moved].any():
+            raise GraphError(f"settled distance moved at vertex {int(moved[settled[moved]][0])}")
         return moved.tolist(), total_deg
     total_deg = 0
     best: dict[int, int] = {}
@@ -129,7 +130,8 @@ def relax_batch(
     moved_list: list[int] = []
     for v, nd in best.items():
         if nd < delta[v]:
-            assert not settled[v], "settled distance moved"
+            if settled[v]:
+                raise GraphError(f"settled distance moved at vertex {v}")
             delta[v] = nd
             moved_list.append(v)
     return moved_list, total_deg

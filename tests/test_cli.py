@@ -100,6 +100,18 @@ def test_sssp_with_radii_file(tmp_path, capsys):
     assert "steps" in err
 
 
+@pytest.mark.parametrize("bad", ["0 x", "y 3", "0 1.5"])
+def test_sssp_rejects_non_integer_radii_with_line_number(tmp_path, capsys, bad):
+    src = tmp_path / "g.txt"
+    src.write_text(PATH_TEXT)
+    rad = tmp_path / "radii.txt"
+    rad.write_text(f"# radii\n{bad}\n")
+    code, out, err = run(capsys, "sssp", "-i", str(src), "--radii", str(rad), "-s", "0")
+    assert code == 1
+    assert out == ""
+    assert "radii line 2" in err and "Traceback" not in err
+
+
 def test_bench_flags_csv(tmp_path, capsys):
     src = tmp_path / "g.txt"
     code, _, _ = run(

@@ -152,6 +152,21 @@ def test_relax_batch_vector_and_python_paths_agree(monkeypatch):
         assert n_v == n_p
 
 
+@pytest.mark.parametrize("path", ["scalar", "vector"])
+def test_relax_batch_raises_when_a_settled_distance_moves(path):
+    import radius_stepping.engine as eng
+
+    # Vertex 0 is settled at 9, yet every active leaf offers it 1.
+    count = eng._VECTOR_THRESHOLD if path == "vector" else 1
+    g = from_edges(count + 1, [(0, v, 1) for v in range(1, count + 1)])
+    delta = np.zeros(g.n, dtype=np.int64)
+    delta[0] = 9
+    settled = np.zeros(g.n, dtype=bool)
+    settled[0] = True
+    with pytest.raises(GraphError, match="settled distance moved"):
+        relax_batch(g, delta, list(range(1, count + 1)), settled)
+
+
 def test_strict_radii_share_r_rho_and_stay_exact():
     g, s = random_graph(606, n_hi=60, m_cap=180)
     aug_t, radii_t = build_1_rho(g, 4)

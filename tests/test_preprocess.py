@@ -4,13 +4,17 @@ import pytest
 from hypothesis import given, settings
 
 from radius_stepping import (
+    UNREACHED,
+    GeneratorSpec,
     GraphError,
     RadiusAssignment,
+    WeightSpec,
     build_1_rho,
     build_k_rho,
     compute_ball,
     dijkstra,
     from_edges,
+    generate,
     min_hop_ball_tree,
     parse_edge_list,
     parse_radii,
@@ -20,7 +24,8 @@ from radius_stepping import (
     validate_k_rho,
     write_radii,
 )
-from radius_stepping.preprocess import BallTree
+from radius_stepping.baselines import _lex_dijkstra
+from radius_stepping.preprocess import _CHUNK, BallTree
 from conftest import random_graph
 
 PATH = [(0, 1, 2), (1, 2, 3)]
@@ -119,13 +124,13 @@ def test_strict_mode_budget(seed, rho):
 
 def test_min_hop_tree_star():
     g = from_edges(5, STAR)
-    tree = min_hop_ball_tree(compute_ball(g, 0, 5), g)
+    tree = min_hop_ball_tree(compute_ball(g, 0, 5))
     assert all(tree.depth[v] == 1 for v in range(1, 5))
 
 
 def test_min_hop_tree_triangle():
     g = from_edges(3, TRIANGLE)
-    tree = min_hop_ball_tree(compute_ball(g, 0, 3), g)
+    tree = min_hop_ball_tree(compute_ball(g, 0, 3))
     assert tree.parent[1] == 2
     assert tree.depth[1] == 2
 
@@ -151,7 +156,7 @@ def _min_hops_via_dag(g, root, oracle):
 def test_min_hop_tree_depths_match_dag_oracle(seed):
     g, root = random_graph(seed, n_hi=30, m_cap=90)
     ball = compute_ball(g, root, 8)
-    tree = min_hop_ball_tree(ball, g)
+    tree = min_hop_ball_tree(ball)
     oracle = dijkstra(g, root)
     hops = _min_hops_via_dag(g, root, oracle)
     for v, depth in tree.depth.items():
@@ -179,6 +184,14 @@ def test_greedy_all_within_k_empty():
     tree = chain_tree([0, 1, 2])
     assert shortcut_greedy(tree, 2).added_edges == ()
     assert shortcut_dp(tree, 2).added_edges == ()
+
+
+def test_dp_ties_prefer_the_shortcut():
+    # On 0-1-2-3 at k=2 a shortcut to 2 or to 3 costs one edge either way;
+    # the tie goes to shortcutting the shallower node.
+    tree = chain_tree([0, 1, 2, 3])
+    assert shortcut_dp(tree, 2).added_edges == ((2, 2),)
+    assert shortcut_greedy(tree, 2).added_edges == ((3, 3),)
 
 
 def test_dp_pathological_chain_plus_leaves():
@@ -211,10 +224,30 @@ def _tree_reach_within_k(tree, targets, k):
     return all(d <= k for d in depth.values())
 
 
+def _dp_targets_loop(tree, k):
+    # Reference for the batched level pass: the same DP, one tree at a time
+    # over dicts, children before parents and then parents before children.
+    kids = tree.children()
+    cost = {}
+    for u in sorted(tree.depth, key=lambda u: (tree.dist[u], u), reverse=True):
+        if u != tree.root:
+            sc = 1 + sum(cost[w][1] for w in kids[u])
+            cost[u] = [min(sc, sum(cost[w][t + 1] for w in kids[u])) for t in range(k)] + [sc]
+    targets = []
+    stack = [(u, 0) for u in kids[tree.root]]
+    while stack:
+        u, t = stack.pop()
+        cut = t == k or cost[u][k] <= sum(cost[w][t + 1] for w in kids[u])
+        if cut:
+            targets.append(u)
+        stack.extend((w, 1 if cut else t + 1) for w in kids[u])
+    return sorted(targets)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_dp_plan_is_feasible(data):
-    n = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(2, 30))
     parents = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
     parent = {i: p for i, p in enumerate(parents, start=1)}
     depth = {0: 0}
@@ -224,17 +257,70 @@ def test_dp_plan_is_feasible(data):
     for k in (1, 2, 3):
         for plan in (shortcut_dp(tree, k), shortcut_greedy(tree, k)):
             assert _tree_reach_within_k(tree, {t for t, _ in plan.added_edges}, k)
+        assert [t for t, _ in shortcut_dp(tree, k).added_edges] == _dp_targets_loop(tree, k)
 
 
-def test_build_k_rho_k1_degenerates_to_build_1_rho():
-    for seed in (11, 12, 13):
-        g, _ = random_graph(seed, n_hi=50, m_cap=140)
-        aug1, radii1 = build_1_rho(g, 4)
-        for heuristic in ("dp", "greedy"):
-            augk, radiik, added = build_k_rho(g, 1, 4, heuristic=heuristic)
-            assert augk == aug1
-            assert np.array_equal(radiik.r, radii1.r)
-            assert added == aug1.m - g.m
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 4, 8]), st.booleans(), st.sampled_from([3, 100]))
+def test_build_1_rho_joins_every_ball_member_at_its_distance(seed, rho, tie_inclusive, w_hi):
+    g, _ = random_graph(seed, n_hi=50, m_cap=140, w_hi=w_hi)
+    aug, radii = build_1_rho(g, rho, tie_inclusive=tie_inclusive)
+    for v in range(g.n):
+        oracle = dijkstra(g, v)
+        near = sorted((oracle[u], u) for u in range(g.n) if oracle[u] < UNREACHED)
+        r_rho = near[min(rho, len(near)) - 1][0]
+        assert radii.r[v] == r_rho
+        ball = [p for p in near if p[0] <= r_rho] if tie_inclusive else near[:rho]
+        adjacent = dict(zip(*(a.tolist() for a in aug.neighbors(v))))
+        for d, u in ball:
+            assert u == v or adjacent[u] == d
+
+
+def _check_fused_tree(g, center, rho, tie_inclusive, lex):
+    # lex: (dist, hops) from _lex_dijkstra, the fewest hops over shortest paths
+    dist, hops = lex
+    ball = compute_ball(g, center, rho, tie_inclusive)
+    verts = [u for u, _ in ball.members]
+    assert ball.parent[0] == -1 and ball.depth[0] == 0
+    for (u, d), p, depth in zip(ball.members, ball.parent, ball.depth):
+        assert d == dist[u] and depth == hops[u]
+        if u == center:
+            continue
+        preds = [(hops[w], w) for w, wt in zip(*(a.tolist() for a in g.neighbors(u))) if dist[w] + wt == d]
+        assert verts[p] == min(preds)[1]
+
+
+def test_fused_tree_matches_lex_dijkstra_on_acceptance_corpus(acceptance_corpus):
+    for g, s in acceptance_corpus:
+        for center in {s, g.n // 2, g.n - 1}:
+            lex = _lex_dijkstra(g, center)
+            for rho in (2, 5, 12):
+                for tie_inclusive in (True, False):
+                    _check_fused_tree(g, center, rho, tie_inclusive, lex)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 12]), st.booleans())
+def test_fused_tree_matches_lex_dijkstra_under_ties(seed, rho, tie_inclusive):
+    g, _ = random_graph(seed, n_hi=40, m_cap=120, w_hi=3)
+    for center in range(g.n):
+        _check_fused_tree(g, center, rho, tie_inclusive, _lex_dijkstra(g, center))
+
+
+@pytest.mark.parametrize("heuristic", ["dp", "greedy"])
+def test_build_k_rho_chunks_equal_per_vertex_plans(heuristic):
+    # More vertices than one chunk holds, so trees from different chunks
+    # must not mix in the batched plan.
+    g = generate(GeneratorSpec("grid2d", dims=(20, 15), weights=WeightSpec(1, 3, seed=7)))
+    assert g.n > _CHUNK
+    pick = shortcut_dp if heuristic == "dp" else shortcut_greedy
+    want = [(u, v, w) for u in range(g.n) for v, w in zip(*(a.tolist() for a in g.neighbors(u))) if u < v]
+    for v in range(g.n):
+        plan = pick(min_hop_ball_tree(compute_ball(g, v, 6)), 2)
+        want.extend((v, u, w) for u, w in plan.added_edges)
+    aug, _, added = build_k_rho(g, 2, 6, heuristic=heuristic)
+    assert aug == from_edges(g.n, want)
+    assert added == aug.m - g.m > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -248,7 +334,7 @@ def test_dp_adds_no_more_than_greedy_per_tree(seed, k, rho):
         ball = compute_ball(g, v, rho)
         if len(ball.members) <= 1:
             continue
-        tree = min_hop_ball_tree(ball, g)
+        tree = min_hop_ball_tree(ball)
         assert len(shortcut_dp(tree, k).added_edges) <= len(shortcut_greedy(tree, k).added_edges)
 
 
@@ -313,8 +399,6 @@ def test_radii_for_graph_rejects_gaps():
 
 
 def test_radii_inf_roundtrip():
-    from radius_stepping import UNREACHED
-
     g = from_edges(2, [(0, 1, 3)])
     radii = RadiusAssignment.uniform(2, UNREACHED)
     text = write_radii(radii)
