@@ -5,34 +5,31 @@ delta(v) + r(v) over touched unsettled vertices, then runs relaxation
 substeps until no tentative distance at or below d_i moves.  Every substep
 reads the distances as of its start and combines candidate updates by min
 (the batch model of a parallel priority-write), so the outcome of a substep
-does not depend on edge processing order.
+does not depend on edge processing order.  A vertex is relaxed again only
+when its distance has dropped since it was last relaxed: the candidates it
+would offer otherwise are already applied.
 
 Three implementations share that contract:
 
 * radius_step_reference: the executable specification, scanning all
   unsettled vertices each step; O(n) per step, intended for small graphs.
-* radius_step_fast: keeps touched unsettled vertices in two ordered maps,
-  pulls d_i off one and splits the active set off the other.
-* radius_step_unweighted: frontier arrays for unit-weight graphs, no
-  ordered maps at all.
+* radius_step_fast: keeps touched unsettled vertices in one index array
+  and settles runs of steps that cannot interact in a single relaxation.
+* radius_step_unweighted: frontier arrays for unit-weight graphs.
 
-The reference and fast engines produce identical step sequences.
+The reference and fast engines produce identical step sequences and
+relaxation counts.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import DistanceVector, dijkstra
-from .frontier import FrontierIndex
 from .graph import UNREACHED, Graph, GraphError
 from .preprocess import RadiusAssignment
-
-# Active-set size below which a substep relaxes in plain Python; larger
-# batches go through the vectorized path.  Both paths compute the same
-# min-combined result.
-_VECTOR_THRESHOLD = 48
 
 
 @dataclass(frozen=True)
@@ -75,79 +72,87 @@ def _check_inputs(g: Graph, radii: RadiusAssignment, s: int) -> None:
         raise GraphError("radius assignment does not match graph size")
     if len(radii.r) and int(radii.r.min()) < 0:
         raise GraphError("radii must be nonnegative")
+    # delta + r must fit in int64 for every finite delta < UNREACHED.
+    if len(radii.r) and int(radii.r.max()) > UNREACHED:
+        raise GraphError(f"radii must be at most {UNREACHED} (2**62, no cap)")
 
 
 def relax_batch(
     g: Graph,
     delta: np.ndarray,
-    active: list[int],
+    active: np.ndarray,
     settled: np.ndarray,
     reverse: bool = False,
-) -> tuple[list[int], int]:
-    """One substep: min-combine candidates from the active set's edges.
+) -> tuple[np.ndarray, int]:
+    """One substep: min-combine candidates from the active vertices' edges.
 
-    Candidates are computed against delta as of entry, so processing order
-    (controlled here by `reverse`, for the commutativity test) cannot change
-    the result.  Returns the vertices whose delta improved and the number of
+    `active` is an index array of distinct vertices.  Candidates are
+    computed against delta as of entry, so processing order (controlled
+    here by `reverse`, for the commutativity test) cannot change the
+    result.  Returns the vertices whose delta improved and the number of
     edge relaxations scanned.  A settled vertex that would improve raises
     GraphError: its distance was already reported final.
     """
-    if not active:
-        return [], 0
-    if len(active) >= _VECTOR_THRESHOLD:
-        act = np.asarray(active, dtype=np.int64)
-        starts = g.indptr[act]
-        counts = g.indptr[act + 1] - starts
-        total_deg = int(counts.sum())
-        if total_deg == 0:
-            return [], 0
-        base = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        eidx = base + np.arange(total_deg, dtype=np.int64)
-        src = np.repeat(act, counts)
-        if reverse:
-            eidx = eidx[::-1]
-            src = src[::-1]
-        dst = g.nbr[eidx]
-        cand = delta[src] + g.wt[eidx]
-        touched = np.unique(dst)
-        old = delta[touched].copy()
-        np.minimum.at(delta, dst, cand)
-        moved = touched[delta[touched] < old]
-        if moved.size and settled[moved].any():
-            raise GraphError(f"settled distance moved at vertex {int(moved[settled[moved]][0])}")
-        return moved.tolist(), total_deg
-    total_deg = 0
-    best: dict[int, int] = {}
-    for u in (reversed(active) if reverse else active):
-        du = int(delta[u])
-        lo, hi = int(g.indptr[u]), int(g.indptr[u + 1])
-        total_deg += hi - lo
-        for i in (range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)):
-            v = int(g.nbr[i])
-            nd = du + int(g.wt[i])
-            if nd < delta[v] and nd < best.get(v, UNREACHED):
-                best[v] = nd
-    moved_list: list[int] = []
-    for v, nd in best.items():
-        if nd < delta[v]:
-            if settled[v]:
-                raise GraphError(f"settled distance moved at vertex {v}")
-            delta[v] = nd
-            moved_list.append(v)
-    return moved_list, total_deg
+    act = np.asarray(active, dtype=np.int64)
+    starts = g.indptr[act]
+    counts = g.indptr[act + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), 0
+    eidx = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
+    cand = np.repeat(delta[act], counts)
+    if reverse:
+        eidx = eidx[::-1]
+        cand = cand[::-1]
+    dst = g.nbr[eidx]
+    cand = cand + g.wt[eidx]
+    better = cand < delta[dst]
+    dst = dst[better]
+    cand = cand[better]
+    if dst.size == 0:
+        return dst, total
+    order = np.lexsort((cand, dst))
+    dst = dst[order]
+    first = np.empty(dst.size, dtype=bool)
+    first[0] = True
+    np.not_equal(dst[1:], dst[:-1], out=first[1:])
+    moved = dst[first]
+    if settled[moved].any():
+        raise GraphError(f"settled distance moved at vertex {int(moved[settled[moved]][0])}")
+    delta[moved] = cand[order][first]
+    return moved, total
+
+
+def _start(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """delta, settled mask and touched neighbours after settling s."""
+    delta = np.full(g.n, UNREACHED, dtype=np.int64)
+    delta[s] = 0
+    settled = np.zeros(g.n, dtype=bool)
+    settled[s] = True
+    ns, ws = g.neighbors(s)
+    delta[ns] = ws
+    return delta, settled, ns.copy()
+
+
+def _finish(
+    delta: np.ndarray, settled: np.ndarray, s: int, steps: list[StepRecord], relaxations: int
+) -> SsspResult:
+    """Unsettled vertices become UNREACHED; delta is frozen into the result."""
+    delta[~settled] = UNREACHED
+    delta.flags.writeable = False
+    return SsspResult(
+        dist=DistanceVector(source=s, dist=delta),
+        steps=steps,
+        total_relaxations=relaxations,
+    )
 
 
 def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """Literal stepping loop scanning every unsettled vertex per step."""
     _check_inputs(g, radii, s)
     r = radii.r
-    delta = np.full(g.n, UNREACHED, dtype=np.int64)
-    delta[s] = 0
-    settled = np.zeros(g.n, dtype=bool)
-    settled[s] = True
-    ns, ws = g.neighbors(s)
-    for v, w in zip(ns.tolist(), ws.tolist()):
-        delta[v] = min(int(delta[v]), w)
+    delta, settled, _ = _start(g, s)
+    relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
     steps: list[StepRecord] = []
     prefix = 1
     relaxations = 0
@@ -161,11 +166,12 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
         substeps = 0
         while True:
             substeps += 1
-            active = [int(v) for v in frontier.tolist() if delta[v] <= d_i]
+            active = [v for v in frontier.tolist() if delta[v] <= d_i and relaxed_at[v] != delta[v]]
+            relaxed_at[active] = delta[active]
             moved, scanned = relax_batch(g, delta, active, settled)
             relaxations += scanned
             frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
-            if not any(delta[v] <= d_i for v in moved):
+            if not any(delta[v] <= d_i for v in moved.tolist()):
                 break
         active = sorted(int(v) for v in frontier.tolist() if delta[v] <= d_i)
         settled[active] = True
@@ -180,82 +186,98 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
                 active=tuple(active),
             )
         )
-    delta[~settled] = UNREACHED
-    delta.flags.writeable = False
-    return SsspResult(
-        dist=DistanceVector(source=s, dist=delta),
-        steps=steps,
-        total_relaxations=relaxations,
-    )
+    return _finish(delta, settled, s, steps, relaxations)
 
 
-def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int, debug: bool = False) -> SsspResult:
-    """Ordered-map engine: d_i = extract-min of R, active set = split of Q."""
+def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
+    """Index-array engine that settles runs of non-interacting steps at once.
+
+    F holds the touched unsettled vertices.  Each round computes the next
+    threshold d = min(delta + r) over F and the relaxation floor
+    C = min(delta(v) + w_min(v)) over F, where w_min(v) is the first weight
+    of v's CSR row (rows are sorted by weight).
+
+    No relaxation from now on offers a candidate below C.  The first
+    candidate comes from some u in F at its current delta, so it is at least
+    delta(u) + w_min(u) >= C; every distance it lowers therefore ends at or
+    above C, and by induction so does every later candidate.  Hence each v
+    in F with delta(v) < C is final, and each vertex touched or lowered from
+    now on has delta >= C.
+
+    If d >= C the round is one ordinary step: its first substep relaxes
+    F[delta <= d], and each later substep relaxes only the vertices whose
+    delta dropped to <= d in the substep before; the others would only
+    offer candidates that are already applied.
+
+    If d < C, every step with threshold below C is known in advance.  Its
+    active set {v in F : d_prev < delta(v) <= d} lies below C, so its first
+    substep moves nothing to <= d and it ends after one substep.  Vertices
+    touched or lowered by it land at or above C, so they add nothing below
+    C to the next threshold min(delta + r) (r >= 0); below C that threshold
+    is min{delta + r : v in F, delta(v) > d} with delta as it is now, a
+    suffix minimum over F[delta < C] sorted by delta.  Steps are read off
+    that suffix minimum while it stays below C; their active sets are final,
+    so relaxing their union in one call yields the distances and relaxation
+    count of relaxing them one step at a time.
+    """
     _check_inputs(g, radii, s)
     r = radii.r
-    delta = np.full(g.n, UNREACHED, dtype=np.int64)
-    delta[s] = 0
-    settled = np.zeros(g.n, dtype=bool)
-    settled[s] = True
-    fx = FrontierIndex()
-    ns, ws = g.neighbors(s)
-    for v, w in zip(ns.tolist(), ws.tolist()):
-        if w < delta[v]:
-            delta[v] = w
-            fx.upsert(v, w, int(r[v]))
+    delta, settled, F = _start(g, s)
+    touched = settled.copy()
+    touched[F] = True
     steps: list[StepRecord] = []
     prefix = 1
     relaxations = 0
-    i = 0
-    while len(fx):
-        i += 1
-        d_i = fx.r.min_item()[0]
-        active = fx.q.split_leq(d_i)
-        for v in active:
-            fx.r.remove(v)
-        in_active = set(active)
+
+    def relax(active: np.ndarray) -> np.ndarray:
+        """Relax `active` and add the vertices it touches first to F."""
+        nonlocal F, relaxations
+        moved, scanned = relax_batch(g, delta, active, settled)
+        relaxations += scanned
+        new = moved[~touched[moved]]
+        if new.size:
+            touched[new] = True
+            F = np.concatenate((F, new))
+        return moved
+
+    while F.size:
+        dF = delta[F]
+        key = dF + r[F]
+        d = int(key.min())
+        floor = int((dF + g.wt[g.indptr[F]]).min())
+        if d < floor:
+            low = np.flatnonzero(dF < floor)
+            low = low[np.argsort(dF[low])]
+            dists = dF[low].tolist()
+            suffix = np.minimum.accumulate(key[low][::-1])[::-1].tolist()
+            ids = F[low].tolist()
+            pos = 0
+            while d < floor:
+                end = bisect.bisect_right(dists, d, pos)
+                prefix += end - pos
+                members = tuple(sorted(ids[pos:end]))
+                steps.append(StepRecord(len(steps) + 1, d, end - pos, 1, prefix, members))
+                pos = end
+                d = suffix[pos] if pos < len(suffix) else floor
+            union = F[low[:pos]]
+            settled[union] = True
+            relax(union)
+            F = F[~settled[F]]
+            continue
+        active = F[dF <= d]
         substeps = 0
-        while True:
+        while active.size:
             substeps += 1
-            moved, scanned = relax_batch(g, delta, active, settled)
-            relaxations += scanned
-            hit_active = False
-            for v in moved:
-                nd = int(delta[v])
-                if nd <= d_i:
-                    # Pulled at or below the threshold: leave the frontier
-                    # maps and join this step's active set.
-                    hit_active = True
-                    if v not in in_active:
-                        fx.remove(v)
-                        in_active.add(v)
-                        active.append(v)
-                else:
-                    fx.upsert(v, nd, int(r[v]))
-            if debug:
-                fx.assert_synchronized()
-            if not hit_active:
-                break
-        active.sort()
-        settled[active] = True
-        prefix += len(active)
-        steps.append(
-            StepRecord(
-                index=i,
-                d=d_i,
-                active_count=len(active),
-                substeps=substeps,
-                settled_prefix=prefix,
-                active=tuple(active),
-            )
-        )
-    delta[~settled] = UNREACHED
-    delta.flags.writeable = False
-    return SsspResult(
-        dist=DistanceVector(source=s, dist=delta),
-        steps=steps,
-        total_relaxations=relaxations,
-    )
+            moved = relax(active)
+            active = moved[delta[moved] <= d]
+        done = delta[F] <= d
+        settled_now = np.sort(F[done])
+        settled[settled_now] = True
+        F = F[~done]
+        prefix += settled_now.size
+        members = tuple(settled_now.tolist())
+        steps.append(StepRecord(len(steps) + 1, d, len(members), substeps, prefix, members))
+    return _finish(delta, settled, s, steps, relaxations)
 
 
 def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
@@ -358,7 +380,13 @@ def check_bounds(
     vertices inside radius r(v); unless assume_premise is set, that premise
     is verified with per-vertex Dijkstra (small graphs only) and a run on a
     non-qualifying assignment comes back "not checkable" rather than failed.
-    Pass k=None to skip the substep cap (no k applies, e.g. unweighted runs).
+    Pass k=None to skip the substep cap and the work bound (no k applies,
+    e.g. unweighted runs).
+
+    With k given, total_relaxations must also stay within (k+2)*2m.  An
+    engine relaxes a vertex only in substeps of the step that settles it,
+    at most once per substep, so under the substep cap each vertex scans
+    its deg(v) edges at most k+2 times, and the degrees sum to 2m.
     """
     if rho < 1:
         raise GraphError(f"rho must be >= 1, got {rho}")
@@ -394,4 +422,7 @@ def check_bounds(
         for rec in res.steps:
             if rec.substeps > k + 2:
                 violations.append(f"step {rec.index} took {rec.substeps} substeps > {k + 2}")
+        work = (k + 2) * 2 * g.m
+        if res.total_relaxations > work:
+            violations.append(f"{res.total_relaxations} relaxations exceed (k+2)*2m = {work}")
     return BoundsReport(True, "", limit, t, tuple(violations))

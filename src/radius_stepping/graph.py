@@ -14,8 +14,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# Sentinel for "no path" in distance units.  Large enough that
-# sentinel + max_weight never overflows int64.
+# Sentinel for "no path" in distance units.  from_edges keeps every weight
+# and every distance below it, so distance + weight and distance + radius
+# (radii are at most UNREACHED) never overflow int64.
 UNREACHED = 2**62
 
 
@@ -133,7 +134,8 @@ def from_edges(
     """Build a Graph from (u, v, w) triples.
 
     Symmetrizes, drops self-loops, collapses parallel edges to the minimum
-    weight.  Weights must be integers >= 1.
+    weight.  Weights must be integers >= 1, and shortest paths must stay
+    below UNREACHED (see _check_distance_bound).
     """
     if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
         us, vs, ws = (np.asarray(a, dtype=np.int64) for a in edges)
@@ -160,6 +162,7 @@ def from_edges(
         first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
         a, b, ws = a[first], b[first], ws[first]
     m = len(a)
+    _check_distance_bound(n, a, b, ws)
 
     src = np.concatenate([a, b])
     dst = np.concatenate([b, a])
@@ -174,6 +177,46 @@ def from_edges(
     for arr in (indptr, dst, w2):
         arr.flags.writeable = False
     return Graph(n=n, m=m, max_weight=max_weight, indptr=indptr, nbr=dst, wt=w2, labels=labels)
+
+
+def _check_distance_bound(n: int, a: np.ndarray, b: np.ndarray, ws: np.ndarray) -> None:
+    """Reject weights whose shortest paths could reach UNREACHED.
+
+    A shortest path is no longer than the path joining its ends in a
+    minimum spanning forest: at most n-1 edges, none heavier than the
+    forest's heaviest edge B <= L.  So (n-1)*B < UNREACHED keeps every
+    distance exact, and the cheap (n-1)*L < UNREACHED settles almost every
+    graph without building the forest.  Bounding by B rather than L keeps
+    augmented graphs acceptable: a shortcut weighs the distance between its
+    ends, which adding it does not change, so it never raises B.
+    """
+    if not len(ws):
+        return
+    L = int(ws.max())
+    if L >= UNREACHED:
+        raise GraphError(f"edge weight {L} is not below 2**62")
+    if (n - 1) * L < UNREACHED:
+        return
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    us, vs, wl = a.tolist(), b.tolist(), ws.tolist()
+    heaviest = 0
+    for i in np.argsort(ws, kind="stable").tolist():
+        ru, rv = find(us[i]), find(vs[i])
+        if ru != rv:
+            root[ru] = rv
+            heaviest = wl[i]
+    if (n - 1) * heaviest >= UNREACHED:
+        raise GraphError(
+            f"distances could reach 2**62: (n-1)*B = {n - 1}*{heaviest}, where B is "
+            "the heaviest edge of a minimum spanning forest, must stay below 2**62"
+        )
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -212,6 +255,8 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(lineno, "vertex ids must be nonnegative")
         if w <= 0:
             raise GraphError(f"line {lineno}: weight must be >= 1, got {w}")
+        if w >= UNREACHED:
+            raise GraphError(f"line {lineno}: weight must be below 2**62, got {w}")
         us.append(compact(u))
         vs.append(compact(v))
         ws.append(w)

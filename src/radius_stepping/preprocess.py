@@ -146,8 +146,8 @@ def parse_radii(text: str) -> dict[int, int]:
             r = UNREACHED if parts[1] == "inf" else int(parts[1])
         except ValueError:
             raise GraphError(f"radii line {lineno}: expected integers 'v r', got {line!r}") from None
-        if r < 0:
-            raise GraphError(f"radii line {lineno}: radius must be >= 0")
+        if not 0 <= r <= UNREACHED:
+            raise GraphError(f"radii line {lineno}: radius must be in [0, 2**62] or inf, got {r}")
         pairs[v] = r
     if not pairs:
         raise GraphError("empty radii file")

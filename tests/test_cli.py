@@ -100,7 +100,7 @@ def test_sssp_with_radii_file(tmp_path, capsys):
     assert "steps" in err
 
 
-@pytest.mark.parametrize("bad", ["0 x", "y 3", "0 1.5"])
+@pytest.mark.parametrize("bad", ["0 x", "y 3", "0 1.5", f"0 {2**62 + 1}", "0 99999999999999999999"])
 def test_sssp_rejects_non_integer_radii_with_line_number(tmp_path, capsys, bad):
     src = tmp_path / "g.txt"
     src.write_text(PATH_TEXT)
@@ -161,6 +161,49 @@ def test_zero_weight_input_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "sssp", "-i", str(f), "-s", "0")
     assert code == 1
     assert "weight" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"0 1 {2**62}\n",  # the weight is the no-path sentinel itself
+        "0 1 9223372036854775000\n1 2 5000\n",  # the path sum wraps int64
+        "0 1 123456789012345678901\n",  # the weight does not fit int64
+    ],
+)
+def test_sssp_rejects_weights_that_do_not_fit(tmp_path, capsys, text):
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "sssp", "-i", str(f), "-s", "0")
+    assert code == 1
+    assert out == ""
+    assert "line 1" in err and "2**62" in err
+
+
+def test_sssp_rejects_distances_that_could_reach_the_sentinel(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text(f"0 1 {2**61}\n1 2 {2**61}\n")
+    code, out, err = run(capsys, "sssp", "-i", str(f), "-s", "0")
+    assert code == 1
+    assert out == ""
+    assert "(n-1)*B = 2*2305843009213693952" in err
+
+
+def test_heavy_input_survives_preprocess_and_sssp(tmp_path, capsys):
+    # (n-1)*L is 2**61 for the input, but its shortcut 0-2 weighs 2**61, so
+    # (n-1)*L of the augmented graph is 2**62; the forest bound keeps it.
+    src = tmp_path / "g.txt"
+    src.write_text(f"0 1 {2**60}\n1 2 {2**60}\n")
+    aug = tmp_path / "aug.txt"
+    rad = tmp_path / "radii.txt"
+    code, _, _ = run(
+        capsys, "preprocess", "-i", str(src), "--k", "1", "--rho", "3", "-o", str(aug), "--radii", str(rad)
+    )
+    assert code == 0
+    assert f"0 2 {2**61}" in aug.read_text()
+    code, out, _ = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "0")
+    assert code == 0
+    assert out == f"0 0\n1 {2**60}\n2 {2**61}\n"
 
 
 def test_sparse_id_pipeline_keeps_labels(tmp_path, capsys):

@@ -23,7 +23,7 @@ from radius_stepping import (
     reachable_set,
     step_records_csv,
 )
-from radius_stepping.engine import relax_batch
+from radius_stepping.engine import SsspResult, relax_batch
 from conftest import random_graph
 
 PATH = [(0, 1, 2), (1, 2, 3)]
@@ -66,6 +66,28 @@ def test_zero_radii_dijkstra_by_distance_class():
     assert res.dist.same_as(oracle)
 
 
+def test_threshold_at_the_relaxation_floor_takes_an_ordinary_step():
+    # s-a-b with unit weights and r(a) = 1: the threshold delta(a) + r(a) = 2
+    # equals the floor delta(a) + w_min(a) = 2, so relaxing a can still pull
+    # b in at distance 2 and the step needs a second substep.
+    g = from_edges(3, [(0, 1, 1), (1, 2, 1)])
+    radii = RadiusAssignment(r=np.array([0, 1, 0], dtype=np.int64), rho=0, k=0)
+    for engine in (radius_step_reference, radius_step_fast):
+        assert step_signature(engine(g, radii, 0)) == [(2, (1, 2), 2)]
+
+
+def test_heaviest_weight_and_radius_stay_inside_int64():
+    # (n-1)*L reaches 2**62 but the spanning-forest bound (n-1)*B = 2 does
+    # not, so the graph is accepted; delta + w and delta + r then come within
+    # one of the int64 maximum without wrapping.
+    g = from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, UNREACHED - 1)])
+    radii = RadiusAssignment.uniform(3, UNREACHED)
+    for engine in (radius_step_reference, radius_step_fast):
+        assert engine(g, radii, 0).dist.dist.tolist() == [0, 1, 2]
+    with pytest.raises(GraphError, match="radii must be at most"):
+        radius_step_fast(g, RadiusAssignment.uniform(3, UNREACHED + 1), 0)
+
+
 def test_fast_single_edge_explicit_radii():
     g = from_edges(2, [(0, 1, 7)])
     res = radius_step_fast(g, RadiusAssignment.uniform(2, 7), 0)
@@ -78,7 +100,7 @@ def test_engines_equivalent(seed, rho):
     g, s = random_graph(seed, n_hi=60, m_cap=180)
     aug, radii = build_1_rho(g, rho)
     ref = radius_step_reference(aug, radii, s)
-    fast = radius_step_fast(aug, radii, s, debug=True)
+    fast = radius_step_fast(aug, radii, s)
     assert step_signature(ref) == step_signature(fast)
     assert ref.dist.same_as(fast.dist)
     assert ref.total_relaxations == fast.total_relaxations
@@ -132,39 +154,18 @@ def test_substep_commutes_under_edge_reversal():
         assert n_f == n_r
 
 
-def test_relax_batch_vector_and_python_paths_agree(monkeypatch):
-    import radius_stepping.engine as eng
-
-    for seed in range(6):
-        g, s = random_graph(seed + 300, n_hi=120, m_cap=500)
-        oracle = dijkstra(g, s)
-        active = [v for v in range(g.n) if 0 < oracle[v] < UNREACHED]
-        base = np.where(oracle.dist < UNREACHED, oracle.dist + 5, UNREACHED)
-        settled = np.zeros(g.n, dtype=bool)
-        monkeypatch.setattr(eng, "_VECTOR_THRESHOLD", 1)
-        vec = base.copy()
-        moved_v, n_v = relax_batch(g, vec, list(active), settled)
-        monkeypatch.setattr(eng, "_VECTOR_THRESHOLD", 10**9)
-        py = base.copy()
-        moved_p, n_p = relax_batch(g, py, list(active), settled)
-        assert np.array_equal(vec, py)
-        assert sorted(moved_v) == sorted(moved_p)
-        assert n_v == n_p
-
-
 @pytest.mark.parametrize("path", ["scalar", "vector"])
 def test_relax_batch_raises_when_a_settled_distance_moves(path):
-    import radius_stepping.engine as eng
-
-    # Vertex 0 is settled at 9, yet every active leaf offers it 1.
-    count = eng._VECTOR_THRESHOLD if path == "vector" else 1
-    g = from_edges(count + 1, [(0, v, 1) for v in range(1, count + 1)])
+    # Vertex 0 is settled at 9, yet every active leaf offers it 1; the case
+    # runs with one active leaf and with a wide batch of them.
+    leaves = 1 if path == "scalar" else 64
+    g = from_edges(leaves + 1, [(0, v, 1) for v in range(1, leaves + 1)])
     delta = np.zeros(g.n, dtype=np.int64)
     delta[0] = 9
     settled = np.zeros(g.n, dtype=bool)
     settled[0] = True
-    with pytest.raises(GraphError, match="settled distance moved"):
-        relax_batch(g, delta, list(range(1, count + 1)), settled)
+    with pytest.raises(GraphError, match="settled distance moved at vertex 0"):
+        relax_batch(g, delta, np.arange(1, leaves + 1), settled)
 
 
 def test_strict_radii_share_r_rho_and_stay_exact():
@@ -211,22 +212,23 @@ def test_unweighted_rejects_weighted_input():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(0, 10**6))
-def test_engines_exact_under_arbitrary_radii(seed, radii_seed):
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from([3, 100]))
+def test_engines_exact_under_arbitrary_radii(seed, radii_seed, w_hi):
     # The stepping loop settles correct distances for any nonnegative radii;
-    # the radii only shape the step schedule.
+    # the radii only shape the step schedule.  Weights in [1, 3] make ties.
     import random as _random
 
-    g, s = random_graph(seed, n_hi=40, m_cap=120)
+    g, s = random_graph(seed, n_hi=40, m_cap=120, w_hi=w_hi)
     rng = _random.Random(radii_seed)
     values = [rng.choice([0, 1, rng.randint(0, 3 * g.max_weight), UNREACHED]) for _ in range(g.n)]
     radii = RadiusAssignment(r=np.asarray(values, dtype=np.int64), rho=0, k=0)
     oracle = dijkstra(g, s)
     ref = radius_step_reference(g, radii, s)
-    fast = radius_step_fast(g, radii, s, debug=True)
+    fast = radius_step_fast(g, radii, s)
     assert ref.dist.same_as(oracle)
     assert fast.dist.same_as(oracle)
     assert step_signature(ref) == step_signature(fast)
+    assert ref.total_relaxations == fast.total_relaxations
 
 
 def test_check_bounds_without_k_skips_substep_cap():
@@ -247,16 +249,25 @@ def test_disconnected_terminates_with_unreached():
         assert {v for rec in res.steps for v in rec.active} == {1}
 
 
-def test_fast_engine_exact_at_scale():
-    # exercises the vectorized relaxation path with wide active sets
+def test_fast_engine_exact_at_scale(monkeypatch):
+    # Wide active sets; at rho=1 nearly every step is settled by the batch
+    # rule, so relax_batch runs far fewer times than there are steps.
+    import radius_stepping.engine as eng
+
+    calls = []
+    monkeypatch.setattr(eng, "relax_batch", lambda *a: calls.append(1) or relax_batch(*a))
     grid = generate(GeneratorSpec(kind="grid2d", dims=(60, 60), weights=WeightSpec(1, 10_000, seed=3)))
     sparse = generate(GeneratorSpec(kind="random", n=2000, m=6000, seed=8, weights=WeightSpec(1, 500, seed=9)))
-    for g, rho in ((grid, 20), (sparse, 16)):
+    grid_w = generate(GeneratorSpec(kind="grid2d", dims=(50, 50), weights=WeightSpec(1, 100, seed=4)))
+    for g, rho in ((grid, 20), (sparse, 16), (grid_w, 1)):
         aug, radii = build_1_rho(g, rho)
         for s in (0, g.n // 2):
+            calls.clear()
             res = radius_step_fast(aug, radii, s)
             assert res.dist.same_as(dijkstra(aug, s))
             assert check_bounds(res, aug, rho, 1, radii=radii, assume_premise=True).ok
+            if rho == 1:
+                assert 2 * len(calls) < res.step_count
 
 
 def test_check_bounds_on_validated_run():
@@ -266,6 +277,18 @@ def test_check_bounds_on_validated_run():
     report = check_bounds(res, aug, 4, 2, radii=radii)
     assert report.checkable and report.ok
     assert res.step_count <= report.step_limit
+
+
+def test_check_bounds_flags_work_beyond_k_plus_2_per_edge():
+    g, s = random_graph(2024, n_hi=60, m_cap=160)
+    aug, radii, _ = build_k_rho(g, 2, 4, heuristic="dp")
+    res = radius_step_fast(aug, radii, s)
+    limit = 4 * 2 * aug.m
+    assert res.total_relaxations <= limit
+    doctored = SsspResult(dist=res.dist, steps=res.steps, total_relaxations=limit + 1)
+    report = check_bounds(doctored, aug, 4, 2, radii=radii)
+    assert report.violations == (f"{limit + 1} relaxations exceed (k+2)*2m = {limit}",)
+    assert check_bounds(doctored, aug, 4, None, radii=radii).ok
 
 
 def test_check_bounds_zero_radii_not_checkable():

@@ -109,6 +109,10 @@ def test_from_edges_rejects_bad_ids_and_weights():
         from_edges(2, [(0, 5, 1)])
     with pytest.raises(GraphError):
         from_edges(2, [(0, 1, 0)])
+    with pytest.raises(GraphError, match=r"edge weight 4611686018427387904 is not below 2\*\*62"):
+        from_edges(2, [(0, 1, 2**62)])
+    with pytest.raises(GraphError, match=r"\(n-1\)\*B = 2\*2305843009213693952"):
+        from_edges(3, [(0, 1, 2**61), (1, 2, 2**61)])
 
 
 def test_reachable_set_cases():
