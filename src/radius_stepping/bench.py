@@ -1,18 +1,19 @@
 """Experiment harness: sweep (k, rho, heuristic) over a graph, aggregate
 step counts from a shared sample of sources, and emit CSV.
 
-Weighted graphs run the ordered-map engine on the augmented graph;
-unit-weight graphs run the frontier engine on the original graph (its
-radii come from the same ball construction, and the rho=1 baseline then
-degenerates to plain BFS rounds).  Added-edge factors are reported for
-both.  Everything is deterministic in the config seed: equal configs
-produce byte-identical CSV.
+Weighted graphs run radius_step_fast on the augmented graph; unit-weight
+graphs run radius_step_unweighted, the same stepping loop with a
+level-expansion substep, on the original graph (its radii come from the
+same ball construction, and the rho=1 baseline then degenerates to plain
+BFS rounds).  Added-edge factors are reported for both.  Everything is
+deterministic in the config seed: equal configs produce byte-identical
+CSV.
 """
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .baselines import SMALL_GRAPH_CAP
 from .engine import check_bounds, radius_step_fast, radius_step_unweighted
@@ -53,25 +54,67 @@ class ExperimentConfig:
             raise GraphError("source_count must be >= 1")
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# JSON shape expected for each field annotation of the config dataclasses.
+_SHAPES = {
+    "str": ("a string", lambda x: isinstance(x, str)),
+    "str | None": ("a string", lambda x: isinstance(x, str)),
+    "int": ("an integer", _is_int),
+    "tuple[int, ...]": ("a list of integers", lambda x: isinstance(x, list) and all(map(_is_int, x))),
+    "tuple[str, ...]": (
+        "a list of strings",
+        lambda x: isinstance(x, list) and all(isinstance(y, str) for y in x),
+    ),
+}
+
+
+def _spec(cls: type, raw: object, path: str, **given: object) -> object:
+    """cls built from the JSON object `raw` at `path`, checking every field.
+
+    Keys must name fields of cls and values must have their field's shape; a
+    null value stands for the field's default.  Fields in `given` are taken
+    as they are.  Anything else raises GraphError naming the field.
+    """
+    where = f"config field {path!r}" if path else "config"
+    if not isinstance(raw, dict):
+        raise GraphError(f"{where} must be a JSON object")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise GraphError(f"{where} has unknown field {unknown[0]!r}")
+    args = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        name = f"{path}.{f.name}" if path else f.name
+        value = raw.get(f.name)
+        if value is None:
+            if f.default is MISSING:
+                raise GraphError(f"config field {name!r} is required")
+            continue
+        shape, ok = _SHAPES[f.type]
+        if not ok(value):
+            raise GraphError(f"config field {name!r} must be {shape}, got {value!r}")
+        args[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**args)
+
+
 def config_from_json(text: str) -> ExperimentConfig:
-    raw = json.loads(text)
+    """Parse a JSON experiment config; a malformed one raises GraphError."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"config is not valid JSON: {exc}") from None
     gen = None
-    if "generator" in raw:
-        graw = dict(raw["generator"])
-        wraw = graw.pop("weights", None)
-        weights = WeightSpec(**wraw) if wraw else None
-        graw["dims"] = tuple(graw.get("dims", ()))
-        gen = GeneratorSpec(weights=weights, **graw)
-    return ExperimentConfig(
-        label=raw["label"],
-        rhos=tuple(raw["rhos"]),
-        ks=tuple(raw.get("ks", [1])),
-        heuristics=tuple(raw.get("heuristics", ["dp"])),
-        source_count=raw.get("source_count", 20),
-        seed=raw.get("seed", 0),
-        graph_path=raw.get("graph_path"),
-        generator=gen,
-    )
+    if isinstance(raw, dict) and raw.get("generator") is not None:
+        graw = raw["generator"]
+        wraw = graw.get("weights") if isinstance(graw, dict) else None
+        weights = _spec(WeightSpec, wraw, "generator.weights") if wraw else None
+        gen = _spec(GeneratorSpec, graw, "generator", weights=weights)
+    return _spec(ExperimentConfig, raw, "", generator=gen)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,13 @@ def _parse_weights(arg: str | None, seed: int) -> WeightSpec | None:
     return WeightSpec(lo=lo, hi=hi, seed=seed)
 
 
+def _int_list(flag: str, arg: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in arg.split(","))
+    except ValueError:
+        raise GraphError(f"{flag} expects comma-separated integers, got {arg!r}") from None
+
+
 def _gen_spec(args: argparse.Namespace) -> GeneratorSpec:
     weights = _parse_weights(args.weights, args.seed)
     if args.kind == "grid2d":
@@ -126,8 +133,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise GraphError("bench needs --config or --input")
         cfg = ExperimentConfig(
             label=args.label,
-            rhos=tuple(int(x) for x in args.rhos.split(",")),
-            ks=tuple(int(x) for x in args.ks.split(",")),
+            rhos=_int_list("--rhos", args.rhos),
+            ks=_int_list("--ks", args.ks),
             heuristics=tuple(args.heuristics.split(",")),
             source_count=args.sources,
             seed=args.seed,

@@ -9,21 +9,24 @@ does not depend on edge processing order.  A vertex is relaxed again only
 when its distance has dropped since it was last relaxed: the candidates it
 would offer otherwise are already applied.
 
-Three implementations share that contract:
+Two loops implement that contract:
 
 * radius_step_reference: the executable specification, scanning all
   unsettled vertices each step; O(n) per step, intended for small graphs.
-* radius_step_fast: keeps touched unsettled vertices in one index array
-  and settles runs of steps that cannot interact in a single relaxation.
-* radius_step_unweighted: frontier arrays for unit-weight graphs.
+* _stepping: keeps touched unsettled vertices in one index array and
+  settles runs of steps that cannot interact in a single relaxation.  It
+  takes the substep primitive as an argument: radius_step_fast passes
+  relax_batch, and radius_step_unweighted passes _expand, which on a
+  unit-weight graph gives one BFS level's unreached neighbours the next
+  level without a min-combine.
 
-The reference and fast engines produce identical step sequences and
-relaxation counts.
+All engines produce identical step sequences and relaxation counts.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,50 +80,73 @@ def _check_inputs(g: Graph, radii: RadiusAssignment, s: int) -> None:
         raise GraphError(f"radii must be at most {UNREACHED} (2**62, no cap)")
 
 
+def _edge_slots(g: Graph, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR slots of every edge out of `act`, row by row, and the row lengths."""
+    starts = g.indptr[act]
+    counts = g.indptr[act + 1] - starts
+    offsets = starts - (np.cumsum(counts) - counts)
+    return np.repeat(offsets, counts) + np.arange(int(counts.sum())), counts
+
+
+def _check_settled(moved: np.ndarray, settled: np.ndarray) -> None:
+    if settled[moved].any():
+        raise GraphError(f"settled distance moved at vertex {int(moved[settled[moved]][0])}")
+
+
 def relax_batch(
-    g: Graph,
-    delta: np.ndarray,
-    active: np.ndarray,
-    settled: np.ndarray,
-    reverse: bool = False,
+    g: Graph, delta: np.ndarray, active: np.ndarray, settled: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """One substep: min-combine candidates from the active vertices' edges.
 
     `active` is an index array of distinct vertices.  Candidates are
-    computed against delta as of entry, so processing order (controlled
-    here by `reverse`, for the commutativity test) cannot change the
-    result.  Returns the vertices whose delta improved and the number of
-    edge relaxations scanned.  A settled vertex that would improve raises
-    GraphError: its distance was already reported final.
+    computed against delta as of entry and combined by min, so the order of
+    `active` cannot change the result.  Returns the vertices whose delta
+    improved and the number of edge relaxations scanned.  A settled vertex
+    that would improve raises GraphError: its distance was already reported
+    final.
     """
     act = np.asarray(active, dtype=np.int64)
-    starts = g.indptr[act]
-    counts = g.indptr[act + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), 0
-    eidx = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total)
-    cand = np.repeat(delta[act], counts)
-    if reverse:
-        eidx = eidx[::-1]
-        cand = cand[::-1]
+    eidx, counts = _edge_slots(g, act)
     dst = g.nbr[eidx]
-    cand = cand + g.wt[eidx]
+    cand = np.repeat(delta[act], counts) + g.wt[eidx]
     better = cand < delta[dst]
     dst = dst[better]
     cand = cand[better]
     if dst.size == 0:
-        return dst, total
+        return dst, eidx.size
     order = np.lexsort((cand, dst))
     dst = dst[order]
     first = np.empty(dst.size, dtype=bool)
     first[0] = True
     np.not_equal(dst[1:], dst[:-1], out=first[1:])
     moved = dst[first]
-    if settled[moved].any():
-        raise GraphError(f"settled distance moved at vertex {int(moved[settled[moved]][0])}")
+    _check_settled(moved, settled)
     delta[moved] = cand[order][first]
-    return moved, total
+    return moved, eidx.size
+
+
+def _expand(
+    g: Graph, delta: np.ndarray, active: np.ndarray, settled: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """relax_batch for unit weights, where every active vertex is on one level.
+
+    On a unit-weight graph the stepping loop relaxes whole BFS levels, so
+    each candidate is level + 1 and the min-combine reduces to a set of
+    distinct targets.  An active set spanning two levels raises GraphError.
+    """
+    act = np.asarray(active, dtype=np.int64)
+    level = delta[act]
+    if level.size and level.min() != level.max():
+        raise GraphError(f"unit-weight substep spans levels {int(level.min())} and {int(level.max())}")
+    eidx, _ = _edge_slots(g, act)
+    if eidx.size == 0:
+        return eidx, 0
+    nxt = int(level[0]) + 1
+    dst = g.nbr[eidx]
+    moved = np.unique(dst[delta[dst] > nxt])
+    _check_settled(moved, settled)
+    delta[moved] = nxt
+    return moved, eidx.size
 
 
 def _start(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,8 +215,13 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
     return _finish(delta, settled, s, steps, relaxations)
 
 
-def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
-    """Index-array engine that settles runs of non-interacting steps at once.
+def _stepping(
+    g: Graph, radii: RadiusAssignment, s: int, substep: Callable[..., tuple[np.ndarray, int]]
+) -> SsspResult:
+    """Index-array stepping loop that settles runs of non-interacting steps at once.
+
+    `substep(g, delta, active, settled)` relaxes the edges of `active` and
+    returns the vertices it lowered and the number of edges it scanned.
 
     F holds the touched unsettled vertices.  Each round computes the next
     threshold d = min(delta + r) over F and the relaxation floor
@@ -232,7 +263,7 @@ def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     def relax(active: np.ndarray) -> np.ndarray:
         """Relax `active` and add the vertices it touches first to F."""
         nonlocal F, relaxations
-        moved, scanned = relax_batch(g, delta, active, settled)
+        moved, scanned = substep(g, delta, active, settled)
         relaxations += scanned
         new = moved[~touched[moved]]
         if new.size:
@@ -280,70 +311,22 @@ def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     return _finish(delta, settled, s, steps, relaxations)
 
 
-def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
-    """Frontier-array variant for unit-weight graphs.
+def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
+    """The stepping loop with min-combined relaxation, for any positive weights."""
+    return _stepping(g, radii, s, relax_batch)
 
-    All frontier vertices share one tentative distance, so the threshold is
-    a min-reduction of level + r(v) over the frontier and each substep is a
-    plain frontier expansion.  Distances equal BFS hop counts.
+
+def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
+    """The stepping loop with level expansion, for unit-weight graphs.
+
+    With unit weights the loop's first substep of a step relaxes the whole
+    current BFS level and each later one the level it just reached, so
+    every substep acts on one level and _expand replaces the min-combine.
+    Distances equal BFS hop counts.
     """
     if not g.is_unit_weight:
         raise GraphError("unweighted engine requires all edge weights == 1")
-    _check_inputs(g, radii, s)
-    r = radii.r
-    delta = np.full(g.n, UNREACHED, dtype=np.int64)
-    delta[s] = 0
-    seen = np.zeros(g.n, dtype=bool)
-    seen[s] = True
-    frontier = []
-    ns, _ = g.neighbors(s)
-    for v in ns.tolist():
-        if not seen[v]:
-            seen[v] = True
-            delta[v] = 1
-            frontier.append(v)
-    level = 1
-    steps: list[StepRecord] = []
-    prefix = 1
-    relaxations = 0
-    i = 0
-    while frontier:
-        i += 1
-        d_i = min(level + int(r[v]) for v in frontier)
-        substeps = 0
-        active: list[int] = []
-        while frontier and level <= d_i:
-            substeps += 1
-            active.extend(frontier)
-            nxt: list[int] = []
-            for u in frontier:
-                us, _ = g.neighbors(u)
-                relaxations += len(us)
-                for v in us.tolist():
-                    if not seen[v]:
-                        seen[v] = True
-                        delta[v] = level + 1
-                        nxt.append(v)
-            frontier = nxt
-            level += 1
-        active.sort()
-        prefix += len(active)
-        steps.append(
-            StepRecord(
-                index=i,
-                d=d_i,
-                active_count=len(active),
-                substeps=substeps,
-                settled_prefix=prefix,
-                active=tuple(active),
-            )
-        )
-    delta.flags.writeable = False
-    return SsspResult(
-        dist=DistanceVector(source=s, dist=delta),
-        steps=steps,
-        total_relaxations=relaxations,
-    )
+    return _stepping(g, radii, s, _expand)
 
 
 def _ceil_log2(x: int) -> int:

@@ -221,3 +221,38 @@ def test_sparse_id_pipeline_keeps_labels(tmp_path, capsys):
     code, out, _ = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "0")
     assert code == 0
     assert out == "10 0\n20 2\n30 5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--rhos", "1,x"], "--rhos"),
+        (["--ks", "1,x"], "--ks"),
+    ],
+)
+def test_bench_rejects_non_integer_list_flags(tmp_path, capsys, argv, field):
+    src = tmp_path / "g.txt"
+    src.write_text(PATH_TEXT)
+    code, out, err = run(capsys, "bench", "-i", str(src), *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"label": "x", "rhos": [1]', "not valid JSON"),
+        ('{"rhos": [1], "generator": {"kind": "grid2d", "dims": [3, 3]}}', "'label'"),
+        ('{"label": "x", "rhos": [1], "generator": {"kind": "grid2d", "size": 3}}', "'size'"),
+        ('{"label": "x", "rhos": 5, "generator": {"kind": "grid2d", "dims": [3, 3]}}', "'rhos'"),
+    ],
+    ids=["not-json", "no-label", "unknown-generator-key", "rhos-not-a-list"],
+)
+def test_bench_rejects_malformed_config(tmp_path, capsys, text, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "bench", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err and "Traceback" not in err

@@ -23,7 +23,7 @@ from radius_stepping import (
     reachable_set,
     step_records_csv,
 )
-from radius_stepping.engine import SsspResult, relax_batch
+from radius_stepping.engine import SsspResult, _expand, relax_batch
 from conftest import random_graph
 
 PATH = [(0, 1, 2), (1, 2, 3)]
@@ -139,19 +139,23 @@ def test_steps_independent_of_k():
 
 
 def test_substep_commutes_under_edge_reversal():
+    # The same active set, reversed and in seeded shuffles, scans its edges
+    # in other orders; the min-combine must not notice.
     for seed in range(8):
         g, s = random_graph(seed, n_hi=80, m_cap=300)
         oracle = dijkstra(g, s)
-        active = [v for v in range(g.n) if 0 < oracle[v] < UNREACHED][:60]
+        active = np.array([v for v in range(g.n) if 0 < oracle[v] < UNREACHED][:60], dtype=np.int64)
         base = np.where(oracle.dist < UNREACHED, oracle.dist + 3, UNREACHED)
         settled = np.zeros(g.n, dtype=bool)
         fwd = base.copy()
-        rev = base.copy()
-        moved_f, n_f = relax_batch(g, fwd, list(active), settled)
-        moved_r, n_r = relax_batch(g, rev, list(active), settled, reverse=True)
-        assert np.array_equal(fwd, rev)
-        assert sorted(moved_f) == sorted(moved_r)
-        assert n_f == n_r
+        moved_f, n_f = relax_batch(g, fwd, active, settled)
+        rng = np.random.default_rng(seed)
+        for order in [active[::-1]] + [rng.permutation(active) for _ in range(3)]:
+            other = base.copy()
+            moved_o, n_o = relax_batch(g, other, order, settled)
+            assert np.array_equal(fwd, other)
+            assert sorted(moved_f) == sorted(moved_o)
+            assert n_f == n_o
 
 
 @pytest.mark.parametrize("path", ["scalar", "vector"])
@@ -166,6 +170,26 @@ def test_relax_batch_raises_when_a_settled_distance_moves(path):
     settled[0] = True
     with pytest.raises(GraphError, match="settled distance moved at vertex 0"):
         relax_batch(g, delta, np.arange(1, leaves + 1), settled)
+
+
+def test_expand_raises_when_a_settled_distance_moves():
+    # The unit-weight substep keeps relax_batch's guard: vertex 0 is settled
+    # at 9, yet its level-0 leaves would give it 1.
+    g = from_edges(5, [(0, v, 1) for v in range(1, 5)])
+    delta = np.array([9, 0, 0, 0, 0], dtype=np.int64)
+    settled = np.zeros(g.n, dtype=bool)
+    settled[0] = True
+    with pytest.raises(GraphError, match="settled distance moved at vertex 0"):
+        _expand(g, delta, np.arange(1, 5), settled)
+
+
+def test_expand_rejects_an_active_set_spanning_two_levels():
+    g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    delta = np.array([0, 1, 2, UNREACHED], dtype=np.int64)
+    settled = np.zeros(g.n, dtype=bool)
+    with pytest.raises(GraphError, match="spans levels 1 and 2"):
+        _expand(g, delta, np.array([1, 2]), settled)
+    assert delta.tolist() == [0, 1, 2, UNREACHED]
 
 
 def test_strict_radii_share_r_rho_and_stay_exact():
@@ -211,11 +235,12 @@ def test_unweighted_rejects_weighted_input():
         radius_step_unweighted(g, RadiusAssignment.uniform(2, 0), 0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from([3, 100]))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from([1, 3, 100]))
 def test_engines_exact_under_arbitrary_radii(seed, radii_seed, w_hi):
     # The stepping loop settles correct distances for any nonnegative radii;
-    # the radii only shape the step schedule.  Weights in [1, 3] make ties.
+    # the radii only shape the step schedule.  Weights in [1, 3] make ties;
+    # unit weights also run the unweighted engine.
     import random as _random
 
     g, s = random_graph(seed, n_hi=40, m_cap=120, w_hi=w_hi)
@@ -224,11 +249,13 @@ def test_engines_exact_under_arbitrary_radii(seed, radii_seed, w_hi):
     radii = RadiusAssignment(r=np.asarray(values, dtype=np.int64), rho=0, k=0)
     oracle = dijkstra(g, s)
     ref = radius_step_reference(g, radii, s)
-    fast = radius_step_fast(g, radii, s)
     assert ref.dist.same_as(oracle)
-    assert fast.dist.same_as(oracle)
-    assert step_signature(ref) == step_signature(fast)
-    assert ref.total_relaxations == fast.total_relaxations
+    engines = [radius_step_fast] + ([radius_step_unweighted] if w_hi == 1 else [])
+    for engine in engines:
+        res = engine(g, radii, s)
+        assert res.dist.same_as(oracle)
+        assert step_signature(ref) == step_signature(res)
+        assert ref.total_relaxations == res.total_relaxations
 
 
 def test_check_bounds_without_k_skips_substep_cap():
@@ -240,13 +267,19 @@ def test_check_bounds_without_k_skips_substep_cap():
 
 
 def test_disconnected_terminates_with_unreached():
-    g = from_edges(5, [(0, 1, 2), (2, 3, 1), (3, 4, 5)])
-    _, radii = build_1_rho(g, 2)
-    for engine in (radius_step_reference, radius_step_fast):
-        res = engine(g, radii, 0)
-        assert res.dist[2] == UNREACHED
-        assert res.dist[1] == 2
-        assert {v for rec in res.steps for v in rec.active} == {1}
+    weighted = from_edges(5, [(0, 1, 2), (2, 3, 1), (3, 4, 5)])
+    unit = from_edges(6, [(0, 1, 1), (1, 5, 1), (2, 3, 1), (3, 4, 1)])
+    cases = [
+        (weighted, (radius_step_reference, radius_step_fast), {1: 2}),
+        (unit, (radius_step_reference, radius_step_fast, radius_step_unweighted), {1: 1, 5: 2}),
+    ]
+    for g, engines, reached in cases:
+        _, radii = build_1_rho(g, 2)
+        for engine in engines:
+            res = engine(g, radii, 0)
+            assert res.dist[2] == UNREACHED
+            assert {v: res.dist[v] for v in reached} == reached
+            assert {v for rec in res.steps for v in rec.active} == set(reached)
 
 
 def test_fast_engine_exact_at_scale(monkeypatch):
