@@ -20,24 +20,29 @@ Two loops implement that contract:
   unit-weight graph gives one BFS level's unreached neighbours the next
   level without a min-combine.
 
-All engines produce identical step sequences and relaxation counts.
+Both loops write their steps through one _LogWriter into a StepLog, which
+keeps the records as int64 columns plus one flat array of active sets; a
+StepRecord is built only when an element of the log is read.  All engines
+produce identical step logs and relaxation counts.
 """
 from __future__ import annotations
 
-import bisect
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .baselines import DistanceVector, dijkstra
+from .baselines import DistanceVector
 from .graph import UNREACHED, Graph, GraphError
-from .preprocess import RadiusAssignment
+from .preprocess import RadiusAssignment, compute_ball
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One outer step: threshold, what settled, and how many passes it took."""
+    """One outer step: threshold, what settled, how many passes and edge scans it took."""
 
     index: int
     d: int
@@ -45,12 +50,130 @@ class StepRecord:
     substeps: int
     settled_prefix: int
     active: tuple[int, ...]
+    relaxations: int
+
+
+class StepLog(Sequence[StepRecord]):
+    """A run's step records, one read-only int64 array per field.
+
+    Step i (0-based, record index i + 1) has threshold d[i], settled
+    active_count[i] vertices in substeps[i] passes that scanned
+    relaxations[i] edges.  Its active set, sorted by id, is
+    active[offsets[i]:offsets[i + 1]], and settled_prefix[i] counts the
+    source and every vertex settled up to it.  Reading an element builds
+    its StepRecord.
+    """
+
+    __slots__ = ("d", "active_count", "substeps", "relaxations", "active", "offsets")
+
+    def __init__(
+        self,
+        d: ArrayLike,
+        active_count: ArrayLike,
+        substeps: ArrayLike,
+        relaxations: ArrayLike,
+        active: ArrayLike,
+    ) -> None:
+        cols = [np.array(c, dtype=np.int64) for c in (d, active_count, substeps, relaxations, active)]
+        offsets = np.zeros(len(cols[1]) + 1, dtype=np.int64)
+        np.cumsum(cols[1], out=offsets[1:])
+        if len({len(c) for c in cols[:4]}) != 1 or offsets[-1] != len(cols[4]):
+            raise GraphError("step log columns disagree in length")
+        for c in cols + [offsets]:
+            c.flags.writeable = False
+        self.d, self.active_count, self.substeps, self.relaxations, self.active = cols
+        self.offsets = offsets
+
+    @property
+    def settled_prefix(self) -> np.ndarray:
+        return self.offsets[1:] + 1
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def __getitem__(self, i: int) -> StepRecord:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("step index out of range")
+        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
+        return StepRecord(
+            i + 1,
+            int(self.d[i]),
+            hi - lo,
+            int(self.substeps[i]),
+            hi + 1,
+            tuple(self.active[lo:hi].tolist()),
+            int(self.relaxations[i]),
+        )
+
+
+class _LogWriter:
+    """Collects the steps of one run on g into a StepLog.
+
+    An ordinary step arrives alone with its scalars, which wait in lists;
+    a run of one-substep steps arrives as arrays.  log() concatenates every
+    column once and sorts each step's active set by id with one sort over
+    the whole run.  A step of such a run relaxes each vertex it settles
+    once, so log() gives it the sum of their degrees as its relaxations.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.count = 0
+        self.pending: tuple[list[int], ...] = ([], [])  # d, active_count not yet in chunks
+        self.chunks: tuple[list[np.ndarray], ...] = ([], [])  # d, active_count
+        self.active: list[np.ndarray] = []
+        self.ordinary: tuple[list[int], ...] = ([], [], [])  # step, substeps, relaxations
+
+    def step(self, d: int, active: np.ndarray, substeps: int, relaxations: int) -> None:
+        """One step that settled `active`, in any order."""
+        self.pending[0].append(d)
+        self.pending[1].append(active.size)
+        for col, x in zip(self.ordinary, (self.count, substeps, relaxations)):
+            col.append(x)
+        self.active.append(active)
+        self.count += 1
+
+    def batch(self, d: np.ndarray, bounds: list[int], active: np.ndarray) -> None:
+        """One-substep steps: step j settles active[bounds[j]:bounds[j + 1]]
+        at threshold d[bounds[j]]."""
+        cuts = np.array(bounds, dtype=np.int64)
+        first = cuts[:-1]
+        self._flush()
+        self.chunks[0].append(d[first])
+        self.chunks[1].append(cuts[1:] - first)
+        self.active.append(active)
+        self.count += first.size
+
+    def _flush(self) -> None:
+        if self.pending[0]:
+            for chunks, col in zip(self.chunks, self.pending):
+                chunks.append(np.array(col, dtype=np.int64))
+                col.clear()
+
+    def log(self) -> StepLog:
+        self._flush()
+        if not self.count:
+            return StepLog((), (), (), (), ())
+        d, counts = (np.concatenate(chunks) for chunks in self.chunks)
+        # Sort by (step, id) through one key; steps number at most n.
+        step_base = np.repeat(np.arange(self.count, dtype=np.int64) * self.g.n, counts)
+        active = np.sort(step_base + np.concatenate(self.active), kind="stable") - step_base
+        indptr = self.g.indptr
+        relaxations = np.add.reduceat(indptr[active + 1] - indptr[active], np.cumsum(counts) - counts)
+        substeps = np.ones(self.count, dtype=np.int64)
+        index, ordinary_substeps, ordinary_relaxations = self.ordinary
+        substeps[index] = ordinary_substeps
+        relaxations[index] = ordinary_relaxations
+        return StepLog(d, counts, substeps, relaxations, active)
 
 
 @dataclass(frozen=True)
 class SsspResult:
     dist: DistanceVector
-    steps: list[StepRecord]
+    steps: StepLog
     total_relaxations: int
 
     @property
@@ -58,14 +181,15 @@ class SsspResult:
         return len(self.steps)
 
     def total_substeps(self) -> int:
-        return sum(rec.substeps for rec in self.steps)
+        return int(self.steps.substeps.sum())
 
 
 def step_records_csv(res: SsspResult) -> str:
-    lines = ["i,d_i,active_count,substeps,settled_prefix\n"]
-    for rec in res.steps:
-        lines.append(f"{rec.index},{rec.d},{rec.active_count},{rec.substeps},{rec.settled_prefix}\n")
-    return "".join(lines)
+    log = res.steps
+    index = np.arange(1, len(log) + 1, dtype=np.int64)
+    rows = np.column_stack((index, log.d, log.active_count, log.substeps, log.settled_prefix))
+    body = ("%d,%d,%d,%d,%d\n" * len(log)) % tuple(rows.ravel().tolist())
+    return "i,d_i,active_count,substeps,settled_prefix\n" + body
 
 
 def _check_inputs(g: Graph, radii: RadiusAssignment, s: int) -> None:
@@ -161,14 +285,14 @@ def _start(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _finish(
-    delta: np.ndarray, settled: np.ndarray, s: int, steps: list[StepRecord], relaxations: int
+    delta: np.ndarray, settled: np.ndarray, s: int, log: _LogWriter, relaxations: int
 ) -> SsspResult:
     """Unsettled vertices become UNREACHED; delta is frozen into the result."""
     delta[~settled] = UNREACHED
     delta.flags.writeable = False
     return SsspResult(
         dist=DistanceVector(source=s, dist=delta),
-        steps=steps,
+        steps=log.log(),
         total_relaxations=relaxations,
     )
 
@@ -179,40 +303,29 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
     r = radii.r
     delta, settled, _ = _start(g, s)
     relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
-    steps: list[StepRecord] = []
-    prefix = 1
+    log = _LogWriter(g)
     relaxations = 0
-    i = 0
     while True:
         frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
         if frontier.size == 0:
             break
-        i += 1
         d_i = int((delta[frontier] + r[frontier]).min())
         substeps = 0
+        step_relaxations = 0
         while True:
             substeps += 1
             active = [v for v in frontier.tolist() if delta[v] <= d_i and relaxed_at[v] != delta[v]]
             relaxed_at[active] = delta[active]
             moved, scanned = relax_batch(g, delta, active, settled)
-            relaxations += scanned
+            step_relaxations += scanned
             frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
             if not any(delta[v] <= d_i for v in moved.tolist()):
                 break
-        active = sorted(int(v) for v in frontier.tolist() if delta[v] <= d_i)
+        active = frontier[delta[frontier] <= d_i]
         settled[active] = True
-        prefix += len(active)
-        steps.append(
-            StepRecord(
-                index=i,
-                d=d_i,
-                active_count=len(active),
-                substeps=substeps,
-                settled_prefix=prefix,
-                active=tuple(active),
-            )
-        )
-    return _finish(delta, settled, s, steps, relaxations)
+        relaxations += step_relaxations
+        log.step(d_i, active, substeps, step_relaxations)
+    return _finish(delta, settled, s, log, relaxations)
 
 
 def _stepping(
@@ -256,8 +369,7 @@ def _stepping(
     delta, settled, F = _start(g, s)
     touched = settled.copy()
     touched[F] = True
-    steps: list[StepRecord] = []
-    prefix = 1
+    log = _LogWriter(g)
     relaxations = 0
 
     def relax(active: np.ndarray) -> np.ndarray:
@@ -279,36 +391,35 @@ def _stepping(
         if d < floor:
             low = np.flatnonzero(dF < floor)
             low = low[np.argsort(dF[low])]
-            dists = dF[low].tolist()
-            suffix = np.minimum.accumulate(key[low][::-1])[::-1].tolist()
-            ids = F[low].tolist()
-            pos = 0
-            while d < floor:
-                end = bisect.bisect_right(dists, d, pos)
-                prefix += end - pos
-                members = tuple(sorted(ids[pos:end]))
-                steps.append(StepRecord(len(steps) + 1, d, end - pos, 1, prefix, members))
-                pos = end
-                d = suffix[pos] if pos < len(suffix) else floor
-            union = F[low[:pos]]
+            dists = dF[low]
+            suffix = np.minimum.accumulate(key[low][::-1])[::-1]
+            # A step with threshold suffix[p] starting at position p settles
+            # positions p .. nxt[p] - 1; steps start at 0 and run while the
+            # threshold stays below the floor, that is before position cut.
+            nxt = dists.searchsorted(suffix, "right").tolist()
+            cut = int(suffix.searchsorted(floor))
+            bounds = [0]
+            while bounds[-1] < cut:
+                bounds.append(nxt[bounds[-1]])
+            union = F[low[: bounds[-1]]]
             settled[union] = True
             relax(union)
+            log.batch(suffix, bounds, union)
             F = F[~settled[F]]
             continue
         active = F[dF <= d]
         substeps = 0
+        before = relaxations
         while active.size:
             substeps += 1
             moved = relax(active)
             active = moved[delta[moved] <= d]
         done = delta[F] <= d
-        settled_now = np.sort(F[done])
+        settled_now = F[done]
         settled[settled_now] = True
         F = F[~done]
-        prefix += settled_now.size
-        members = tuple(settled_now.tolist())
-        steps.append(StepRecord(len(steps) + 1, d, len(members), substeps, prefix, members))
-    return _finish(delta, settled, s, steps, relaxations)
+        log.step(d, settled_now, substeps, relaxations - before)
+    return _finish(delta, settled, s, log, relaxations)
 
 
 def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
@@ -355,14 +466,15 @@ def check_bounds(
     k: int | None,
     radii: RadiusAssignment | None = None,
     assume_premise: bool = False,
-    cap: int = 400,
 ) -> BoundsReport:
     """Verify the run against the rho/L step budget and the k+2 substep cap.
 
     The bounds only hold when every vertex has at least min(rho, component)
     vertices inside radius r(v); unless assume_premise is set, that premise
-    is verified with per-vertex Dijkstra (small graphs only) and a run on a
-    non-qualifying assignment comes back "not checkable" rather than failed.
+    is verified and a run on a non-qualifying assignment comes back "not
+    checkable" rather than failed.  The premise is r(v) >= r_rho(v), the
+    distance to v's rho-th closest vertex (or its eccentricity in a smaller
+    component), which one truncated compute_ball search per vertex finds.
     Pass k=None to skip the substep cap and the work bound (no k applies,
     e.g. unweighted runs).
 
@@ -378,12 +490,10 @@ def check_bounds(
             return BoundsReport(False, "premise unknown: no radii supplied", None, None, ())
         if rho > 1 and int(radii.r.max(initial=0)) == 0:
             return BoundsReport(False, "premise fails: all radii zero with rho > 1", None, None, ())
-        if g.n > cap:
-            return BoundsReport(False, f"premise not verifiable above cap {cap}", None, None, ())
-        for v in range(g.n):
-            dv = dijkstra(g, v)
-            need = min(rho, dv.reached_count())
-            if int((dv.dist <= int(radii.r[v])).sum()) < need:
+        for v, rv in enumerate(radii.r.tolist()):
+            ball = compute_ball(g, v, rho)
+            if rv < ball.r_rho:
+                need = min(rho, len(ball.members))
                 return BoundsReport(
                     False, f"premise fails: |B({v}, r)| below {need}", None, None, ()
                 )
@@ -391,20 +501,20 @@ def check_bounds(
     t = 1 + _ceil_log2(rho * g.max_weight)
     limit = -(-n_reach // rho) * t
     violations: list[str] = []
+    log = res.steps
     total = res.step_count
     if total > limit:
         violations.append(f"{total} steps exceed limit {limit}")
-    prefix = [1] + [rec.settled_prefix for rec in res.steps]
-    for start in range(0, total - t):
-        gained = prefix[start + t] - prefix[start]
-        if gained < rho:
-            violations.append(
-                f"window of {t} steps after step {start} settled {gained} < {rho}"
-            )
+    # prefix[j] counts the vertices settled after j steps; each window of t
+    # steps that ends before the last step must settle at least rho.
+    prefix = log.offsets + 1
+    windows = max(total - t, 0)
+    gained = prefix[t : t + windows] - prefix[:windows]
+    for start in np.flatnonzero(gained < rho).tolist():
+        violations.append(f"window of {t} steps after step {start} settled {int(gained[start])} < {rho}")
     if k is not None:
-        for rec in res.steps:
-            if rec.substeps > k + 2:
-                violations.append(f"step {rec.index} took {rec.substeps} substeps > {k + 2}")
+        for i in np.flatnonzero(log.substeps > k + 2).tolist():
+            violations.append(f"step {i + 1} took {int(log.substeps[i])} substeps > {k + 2}")
         work = (k + 2) * 2 * g.m
         if res.total_relaxations > work:
             violations.append(f"{res.total_relaxations} relaxations exceed (k+2)*2m = {work}")

@@ -1,5 +1,8 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from radius_stepping import UNREACHED, dijkstra, parse_edge_list
 from radius_stepping.cli import main
 
 PATH_TEXT = "0 1 2\n1 2 3\n"
@@ -256,3 +259,59 @@ def test_bench_rejects_malformed_config(tmp_path, capsys, text, field):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+@st.composite
+def edge_list_inputs(draw):
+    """Edge-list text, either from `gen --kind random` or drawn directly over
+    sparse labels.  Every other drawn edge comes again reversed with another
+    weight (parallel edges), and weights come from a narrow range (ties).
+    There are no self-loops: a vertex with only a self-loop is isolated, and
+    the augmented edge list that preprocess writes cannot carry it."""
+    w_hi = draw(st.sampled_from([1, 3, 40]))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 30))
+        m = draw(st.integers(n - 1, min(3 * n, n * (n - 1) // 2)))
+        seed = draw(st.integers(0, 10**6))
+        return ["--kind", "random", "--n", str(n), "--m", str(m), "--weights", f"1:{w_hi}",
+                "--seed", str(seed)]
+    labels = draw(st.lists(st.integers(0, 10**9), min_size=2, max_size=25, unique=True))
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(st.tuples(pairs, st.integers(1, w_hi)), min_size=1, max_size=60))
+    edges += [((v, u), w % w_hi + 1) for (u, v), w in edges[::2]]
+    return "".join(f"{u} {v} {w}\n" for (u, v), w in edges)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edge_list_inputs(), st.integers(1, 2), st.sampled_from([1, 2, 5]), st.sampled_from(["fast", "ref"]), st.data()
+)
+def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given_input, k, rho, engine, data):
+    src, aug, rad, stats = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt", "steps.csv"))
+    if isinstance(given_input, list):
+        code, _, _ = run(capsys, "gen", *given_input, "-o", str(src))
+        assert code == 0
+    else:
+        src.write_text(given_input)
+    code, _, _ = run(
+        capsys, "preprocess", "-i", str(src), "--k", str(k), "--rho", str(rho),
+        "-o", str(aug), "--radii", str(rad),
+    )
+    assert code == 0
+    g = parse_edge_list(src.read_text())
+    s = data.draw(st.integers(0, g.n - 1))
+    code, out, err = run(
+        capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", str(s),
+        "--engine", engine, "--stats", str(stats),
+    )
+    assert code == 0, err
+    # -s is a dense id of the graph sssp reads: the augmented file's order.
+    source_label = parse_edge_list(aug.read_text()).labels[s]
+    oracle = dijkstra(g, g.labels.index(source_label))
+    dists = oracle.dist.tolist()
+    expected = {str(g.label_of(v)): "inf" if d >= UNREACHED else str(d) for v, d in enumerate(dists)}
+    assert dict(line.split() for line in out.splitlines()) == expected
+    step_count = int(err.split()[0])
+    rows = stats.read_text().splitlines()
+    assert rows[0] == "i,d_i,active_count,substeps,settled_prefix"
+    assert len(rows) == 1 + step_count

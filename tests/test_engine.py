@@ -23,8 +23,8 @@ from radius_stepping import (
     reachable_set,
     step_records_csv,
 )
-from radius_stepping.engine import SsspResult, _expand, relax_batch
-from conftest import random_graph
+from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, _expand, relax_batch
+from conftest import corpus, random_graph
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 
@@ -351,3 +351,175 @@ def test_step_records_csv_shape():
     assert lines[0] == "i,d_i,active_count,substeps,settled_prefix"
     assert lines[1] == "1,4,1,1,2"
     assert lines[2] == "2,8,1,1,3"
+
+
+def records_from_columns(log):
+    """The records a StepLog stands for, rebuilt field by field from its columns."""
+    records = []
+    prefix = 1
+    for i in range(len(log.d)):
+        lo, hi = int(log.offsets[i]), int(log.offsets[i + 1])
+        active = tuple(int(v) for v in log.active[lo:hi])
+        assert list(active) == sorted(active) and len(active) == log.active_count[i]
+        prefix += len(active)
+        substeps, relaxations = int(log.substeps[i]), int(log.relaxations[i])
+        records.append(StepRecord(i + 1, int(log.d[i]), len(active), substeps, prefix, active, relaxations))
+    return records
+
+
+def csv_by_records(res):
+    """step_records_csv as one f-string per StepRecord."""
+    lines = ["i,d_i,active_count,substeps,settled_prefix\n"]
+    for rec in res.steps:
+        lines.append(f"{rec.index},{rec.d},{rec.active_count},{rec.substeps},{rec.settled_prefix}\n")
+    return "".join(lines)
+
+
+def violations_by_records(res, g, rho, k):
+    """check_bounds' step, window and substep checks as a loop over StepRecords."""
+    t = 1 + _ceil_log2(rho * g.max_weight)
+    limit = -(-res.dist.reached_count() // rho) * t
+    records = list(res.steps)
+    violations = []
+    if len(records) > limit:
+        violations.append(f"{len(records)} steps exceed limit {limit}")
+    prefix = [1] + [rec.settled_prefix for rec in records]
+    for start in range(0, len(records) - t):
+        gained = prefix[start + t] - prefix[start]
+        if gained < rho:
+            violations.append(f"window of {t} steps after step {start} settled {gained} < {rho}")
+    for rec in records:
+        if rec.substeps > k + 2:
+            violations.append(f"step {rec.index} took {rec.substeps} substeps > {k + 2}")
+    return tuple(violations)
+
+
+def check_step_logs(g, radii, s):
+    """Every engine that applies to g: consistent logs, equal step by step."""
+    engines = [radius_step_reference, radius_step_fast]
+    if g.is_unit_weight:
+        engines.append(radius_step_unweighted)
+    runs = [engine(g, radii, s) for engine in engines]
+    for res in runs:
+        log = res.steps
+        records = list(log)
+        assert records_from_columns(log) == records
+        assert len(log) == len(records) == res.step_count
+        assert [log[i] for i in range(-len(log), 0)] == records
+        if records:
+            assert log[-1] == records[-1] and log[0] == records[0]
+        with pytest.raises(IndexError):
+            log[len(log)]
+        assert step_records_csv(res) == csv_by_records(res)
+        assert int(log.relaxations.sum()) == res.total_relaxations
+        assert res.total_substeps() == sum(rec.substeps for rec in records)
+    for res in runs[1:]:
+        assert list(res.steps) == list(runs[0].steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 3, 100]))
+def test_step_log_columns_match_records(seed, rho, w_hi):
+    g, s = random_graph(seed, n_hi=60, m_cap=180, w_hi=w_hi)
+    _, radii = build_1_rho(g, rho)
+    check_step_logs(g, radii, s)
+
+
+def test_step_log_columns_match_records_on_corpus():
+    for g, s in corpus(12, seed=515151, n_hi=80, m_cap=240):
+        for k, rho in ((1, 1), (2, 4), (1, 8)):
+            aug, radii, _ = build_k_rho(g, k, rho)
+            check_step_logs(aug, radii, s)
+    unit = generate(GeneratorSpec(kind="grid2d", dims=(12, 9)))
+    for rho in (1, 3, 10):
+        _, radii = build_1_rho(unit, rho)
+        check_step_logs(unit, radii, 5)
+
+
+def test_step_log_is_a_read_only_sequence():
+    g = from_edges(3, PATH)
+    _, radii = build_1_rho(g, 2)
+    log = radius_step_fast(g, radii, 0).steps
+    assert log[-1] == StepRecord(2, 8, 1, 1, 3, (2,), 1)
+    assert log[0].relaxations == 2
+    with pytest.raises(TypeError):
+        log[0:1]
+    with pytest.raises(ValueError):
+        log.d[0] = 5
+    with pytest.raises(GraphError, match="disagree"):
+        StepLog([1, 2], [1, 1], [1], [1, 1], [4, 5])
+    empty = StepLog((), (), (), (), ())
+    assert len(empty) == 0 and list(empty) == []
+
+
+def doctored_logs(log, k, t):
+    """The log with one step over the k+2 cap, and with a window of t steps
+    emptied into the step after it; both keep the same vertices."""
+    substeps = log.substeps.copy()
+    substeps[len(log) // 2] = k + 3
+    yield StepLog(log.d, log.active_count, substeps, log.relaxations, log.active)
+    if len(log) >= t + 2:
+        counts = log.active_count.copy()
+        counts[t + 1] += counts[1 : t + 1].sum()
+        counts[1 : t + 1] = 0
+        yield StepLog(log.d, counts, log.substeps, log.relaxations, log.active)
+
+
+def test_check_bounds_columns_match_record_loop():
+    kinds = set()
+    for g, s in corpus(10, seed=626262, n_lo=30, n_hi=80, m_cap=240, w_hi=4):
+        for k, rho in ((1, 2), (2, 4), (1, 8)):
+            aug, radii, _ = build_k_rho(g, k, rho)
+            res = radius_step_fast(aug, radii, s)
+            t = 1 + _ceil_log2(rho * aug.max_weight)
+            for log in [res.steps, *doctored_logs(res.steps, k, t)]:
+                doctored = SsspResult(dist=res.dist, steps=log, total_relaxations=res.total_relaxations)
+                expected = violations_by_records(doctored, aug, rho, k)
+                report = check_bounds(doctored, aug, rho, k, radii=radii, assume_premise=True)
+                assert report.violations == expected
+                kinds |= {v.split()[0] for v in expected}
+    assert kinds == {"window", "step"}
+
+
+def premise_by_dijkstra(g, radii, rho):
+    """The premise check as one full Dijkstra per vertex: the failure reason, or ''."""
+    for v in range(g.n):
+        dv = dijkstra(g, v)
+        need = min(rho, dv.reached_count())
+        if int((dv.dist <= int(radii.r[v])).sum()) < need:
+            return f"premise fails: |B({v}, r)| below {need}"
+    return ""
+
+
+def test_premise_check_matches_dijkstra_loop():
+    outcomes = set()
+    for g, s in corpus(12, seed=737373, n_hi=70, m_cap=200, w_hi=5):
+        for rho in (2, 4, 8):
+            aug, radii = build_1_rho(g, rho)
+            res = radius_step_fast(aug, radii, s)
+            shrunk = radii.r.copy()
+            positive = np.flatnonzero(shrunk > 0)
+            if positive.size:
+                shrunk[positive[len(positive) // 2]] -= 1
+            for r in (radii.r, shrunk, np.zeros_like(shrunk) + 1):
+                assignment = RadiusAssignment(r=r, rho=rho, k=1)
+                expected = premise_by_dijkstra(aug, assignment, rho)
+                report = check_bounds(res, aug, rho, 1, radii=assignment)
+                if report.reason != "premise fails: all radii zero with rho > 1":
+                    assert report.checkable == (expected == "")
+                    assert report.reason == expected
+                    outcomes.add(expected == "")
+    assert outcomes == {True, False}
+
+
+def test_check_bounds_verifies_premise_on_a_large_grid():
+    g = generate(GeneratorSpec(kind="grid2d", dims=(100, 100), weights=WeightSpec(1, 10_000, seed=7)))
+    aug, radii, _ = build_k_rho(g, 2, 10)
+    res = radius_step_fast(aug, radii, 0)
+    report = check_bounds(res, aug, 10, 2, radii=radii)
+    assert report.checkable and report.ok
+    shrunk = radii.r.copy()
+    shrunk[g.n - 1] -= 1
+    report = check_bounds(res, aug, 10, 2, radii=RadiusAssignment(r=shrunk, rho=10, k=2))
+    assert not report.checkable
+    assert report.reason == f"premise fails: |B({g.n - 1}, r)| below 10"
