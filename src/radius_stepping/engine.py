@@ -37,7 +37,7 @@ from numpy.typing import ArrayLike
 
 from .baselines import DistanceVector
 from .graph import UNREACHED, Graph, GraphError
-from .preprocess import RadiusAssignment, compute_ball
+from .preprocess import RadiusAssignment, ball_radii
 
 
 @dataclass(frozen=True)
@@ -474,7 +474,7 @@ def check_bounds(
     is verified and a run on a non-qualifying assignment comes back "not
     checkable" rather than failed.  The premise is r(v) >= r_rho(v), the
     distance to v's rho-th closest vertex (or its eccentricity in a smaller
-    component), which one truncated compute_ball search per vertex finds.
+    component), which one batched ball search over all vertices finds.
     Pass k=None to skip the substep cap and the work bound (no k applies,
     e.g. unweighted runs).
 
@@ -490,13 +490,12 @@ def check_bounds(
             return BoundsReport(False, "premise unknown: no radii supplied", None, None, ())
         if rho > 1 and int(radii.r.max(initial=0)) == 0:
             return BoundsReport(False, "premise fails: all radii zero with rho > 1", None, None, ())
-        for v, rv in enumerate(radii.r.tolist()):
-            ball = compute_ball(g, v, rho)
-            if rv < ball.r_rho:
-                need = min(rho, len(ball.members))
-                return BoundsReport(
-                    False, f"premise fails: |B({v}, r)| below {need}", None, None, ()
-                )
+        r_rho, size = ball_radii(g, range(g.n), rho)
+        short = np.flatnonzero(radii.r < r_rho)
+        if len(short):
+            v = int(short[0])
+            need = min(rho, int(size[v]))
+            return BoundsReport(False, f"premise fails: |B({v}, r)| below {need}", None, None, ())
     n_reach = res.dist.reached_count()
     t = 1 + _ceil_log2(rho * g.max_weight)
     limit = -(-n_reach // rho) * t

@@ -223,8 +223,10 @@ def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" or "u v w" lines into a Graph.
 
     '#' starts a comment line; blank lines are skipped; missing weights
-    default to 1.  Vertex ids are compacted to 0..n-1 in first-appearance
-    order, with the original ids kept as the graph's labels.
+    default to 1.  A line "u" alone names a vertex, which keeps a vertex
+    with no edge (as write_edge_list writes one) in the graph.  Vertex ids
+    are compacted to 0..n-1 in first-appearance order, with the original
+    ids kept as the graph's labels.
     """
     id_map: dict[int, int] = {}
     us: list[int] = []
@@ -243,16 +245,19 @@ def parse_edge_list(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) not in (2, 3):
-            raise EdgeListParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
+        if len(parts) > 3:
+            raise EdgeListParseError(lineno, f"expected 1, 2 or 3 fields, got {len(parts)}")
         try:
             u = int(parts[0])
-            v = int(parts[1])
+            v = int(parts[1]) if len(parts) > 1 else u
             w = int(parts[2]) if len(parts) == 3 else 1
         except ValueError:
             raise EdgeListParseError(lineno, f"malformed token in {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListParseError(lineno, "vertex ids must be nonnegative")
+        if len(parts) == 1:
+            compact(u)
+            continue
         if w <= 0:
             raise GraphError(f"line {lineno}: weight must be >= 1, got {w}")
         if w >= UNREACHED:
@@ -261,7 +266,7 @@ def parse_edge_list(text: str) -> Graph:
         vs.append(compact(v))
         ws.append(w)
 
-    if not us:
+    if not id_map:
         raise GraphError("empty edge list")
     n = len(id_map)
     labels = tuple(id_map.keys())
@@ -275,10 +280,11 @@ def parse_edge_list(text: str) -> Graph:
 def write_edge_list(g: Graph) -> str:
     """Render each undirected edge once as "u v w\\n" with u < v, sorted by (u, v).
 
-    Ids are the graph's labels (the retained input ids), so the text is a
-    pure function of the labeled value: parsing it back and re-writing
-    reproduces the same bytes, which makes parse/write idempotent after the
-    first parse.
+    A vertex with no edge gets a line "u\\n" of its own, in label order
+    among the edge lines.  Ids are the graph's labels (the retained input
+    ids), so the text is a pure function of the labeled value: parsing it
+    back and re-writing reproduces the same bytes, which makes parse/write
+    idempotent after the first parse.
     """
     rows = []
     for u, v, w in g.iter_undirected_edges():
@@ -286,8 +292,10 @@ def write_edge_list(g: Graph) -> str:
         if lu > lv:
             lu, lv = lv, lu
         rows.append((lu, lv, w))
+    # Weight 0 marks a vertex with no edge; no edge row shares its label.
+    rows.extend((g.label_of(u), 0, 0) for u in np.flatnonzero(np.diff(g.indptr) == 0).tolist())
     rows.sort()
-    return "".join(f"{u} {v} {w}\n" for u, v, w in rows)
+    return "".join(f"{u} {v} {w}\n" if w else f"{u}\n" for u, v, w in rows)
 
 
 def reachable_set(g: Graph, s: int) -> set[int]:

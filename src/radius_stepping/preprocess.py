@@ -6,6 +6,18 @@ over it; a heuristic picks edges from v into the tree so that every ball
 member sits within k hops.  Shortcut weights are exact ball distances, so
 augmentation never changes any shortest-path distance.
 
+compute_ball is that search for one vertex, with a Python heap.
+ball_arrays runs it for many vertices at once in lockstep numpy rounds:
+each source keeps a dense pool row of candidates, and every round pops
+each row's nearest candidate, so rho rounds (plus one step for the
+tie-inclusive tail) find every ball of a chunk.  Sources are chunked so
+that a chunk's pool holds at most about 2**18 entries, and at large rho
+the pool rows are compacted to one candidate per vertex as they fill.
+build_k_rho plans each chunk's shortcuts as it comes, and ball_radii
+(check_bounds' premise) keeps only each ball's r_rho and size;
+compute_ball stays as the one-ball API and as the oracle the batched
+search is tested against.
+
 Ball counting includes the center: the first "closest vertex" of v is v
 itself at distance 0, so rho=1 always yields the trivial ball {v} with
 radius 0 and adds nothing.
@@ -14,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -104,6 +115,228 @@ def compute_ball(g: Graph, v: int, rho: int, tie_inclusive: bool = True) -> Ball
                 elif nd == old and tag < via[w]:
                     via[w] = tag
     return Ball(center=v, members=tuple(members), r_rho=r_rho, parent=tuple(parent), depth=tuple(depth))
+
+
+# Pool entries one chunk of the batched search may hold: sources per chunk
+# is min(1024, _POOL_ENTRIES // width).  On a 100x100 grid at rho=10,
+# chunks of 1,024 sources ran as fast as larger ones; the entry cap keeps
+# peak RSS flat where the pool is wide (1,601-vertex ladder at rho=10:
+# width 721, 363 sources per chunk).
+_POOL_ENTRIES = 2**18
+_EMPTY = np.iinfo(np.int64).max  # distance of an empty pool slot
+# A compaction pays off only if enough rounds are left to scan the
+# narrower pool: on 100x100 grids and a 1,601-vertex ladder it was a net
+# loss at rho=10 and a gain from rho=25 up (1.7x at rho=50 on a grid
+# augmented at k=2).
+_COMPACT_ROUNDS = 10
+
+
+def _pool_plan(g: Graph, rho: int) -> tuple[np.ndarray, int, int]:
+    """Per-vertex scan budgets, the widest of them, and sources per chunk.
+
+    A vertex's budget is compute_ball's: its lightest rho edges, extended
+    through ties with the rho-th weight.  Adjacency is sorted by weight, so
+    the ties past the rho-th edge are the next slots of its row.
+    """
+    deg = np.diff(g.indptr)
+    budget = np.minimum(deg, rho)
+    heavy = np.flatnonzero(deg > rho)
+    if len(heavy):
+        kth = g.indptr[heavy] + rho - 1  # slot of each heavy row's rho-th edge
+        past = deg[heavy] - rho
+        row = np.repeat(np.arange(len(heavy)), past)
+        slot = np.repeat(kth + 1 - (np.cumsum(past) - past), past) + np.arange(len(row))
+        budget[heavy] += np.bincount(row[g.wt[slot] == g.wt[kth][row]], minlength=len(heavy))
+    widest = int(budget.max(initial=0))
+    width = 1 + (rho - 1) * widest
+    return budget, widest, max(1, min(1024, _POOL_ENTRIES // width))
+
+
+def _tags(r, p, member, mdepth, n):
+    """Depth and parent tag of slots in rows r written from ball position p.
+
+    The tag is the writing member's (depth, id), compared as depth * n +
+    id; the source's own slot (p = -1) has depth 0 and the least tag.
+    """
+    dep = np.where(p >= 0, mdepth[r, p] + 1, 0)
+    return dep, dep * n + np.where(p >= 0, member[r, p], -1)
+
+
+def _by_tag(r, c, vert, owner, member, mdepth, n):
+    """Pool slots (rows r, columns c) sorted by (row, vertex, parent tag).
+
+    Returns rows, vertices, parent positions and depths.
+    """
+    v, p = vert[r, c], owner[r, c]
+    dep, tag = _tags(r, p, member, mdepth, n)
+    if not (r[1:] == r[:-1]).any():  # one slot per row: nothing to order
+        return r, v, p, dep
+    order = np.lexsort((tag, v, r))
+    return r[order], v[order], p[order], dep[order]
+
+
+def _firsts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal keys."""
+    first = np.ones(len(keys[0]), dtype=bool)
+    first[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return first
+
+
+def _compact(dist, vert, owner, member, mdepth, used, n) -> int:
+    """Pack each pool row to the left, keeping one slot per vertex.
+
+    A pop of a vertex takes only its slot with the least (distance,
+    parent tag), so every other slot of it (and every empty slot) goes.
+    Returns the new width.
+    """
+    r, c = np.nonzero(dist[:, :used] < _EMPTY)
+    key = r * n + vert[r, c]
+    order = np.argsort(key)
+    r, c, key = r[order], c[order], key[order]
+    starts = np.flatnonzero(_firsts(key))
+    runs = np.diff(np.append(starts, len(key)))
+    d = dist[r, c]
+    best = d == np.repeat(np.minimum.reduceat(d, starts), runs)
+    tag = np.where(best, _tags(r, owner[r, c], member, mdepth, n)[1], _EMPTY)
+    keep = tag == np.repeat(np.minimum.reduceat(tag, starts), runs)  # a vertex's tags differ
+    r, c = r[keep], c[keep]
+    count = np.bincount(r, minlength=len(dist))
+    at = np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count)
+    cols = dist[r, c], vert[r, c], owner[r, c]
+    for col, fill, got in zip((dist, vert, owner), (_EMPTY, -1, -1), cols):
+        col[:, :used] = fill
+        col[r, at] = got
+    return int(count.max(initial=1))
+
+
+def _lockstep(
+    g: Graph, budget: np.ndarray, widest: int, src: np.ndarray, rho: int, tie_inclusive: bool
+) -> list[np.ndarray]:
+    """compute_ball for every source at once, one pop per source per round.
+
+    Row i of the pool holds source i's candidates: slot 0 the source, then
+    one block of `widest` slots per expanded pop, holding that member's
+    budget edges with the vertices already in the ball left empty; owner
+    holds the ball position of the member that wrote a slot (-1 for slot 0).
+    A pop takes the row's (distance, id) minimum and, of that vertex's
+    slots, the one with the smallest parent tag; then it empties every slot
+    of that vertex.  Once the written width is four times what the last
+    compaction left (plus two blocks), and at least _COMPACT_ROUNDS rounds
+    remain, _compact drops the empty slots and the duplicates no pop can
+    take, so a round scans about the distinct candidates, not every slot
+    written so far (on a 1,601-vertex ladder at rho=50, about 110 against
+    3,900).  After rho pops the heap of compute_ball is frozen, so its
+    tie-inclusive tail is every pool vertex at exactly r_rho, in id order.
+    Returns the vertices, distances, ball-local parent positions and depths
+    of every ball entry, in ball order.
+    """
+    n, rows = g.n, np.arange(len(src))
+    dist = np.full((len(src), 1 + (rho - 1) * widest), _EMPTY, dtype=np.int64)
+    vert = np.full(dist.shape, -1, dtype=np.int64)
+    owner = np.full(dist.shape, -1, dtype=np.int64)
+    dist[:, 0] = 0
+    vert[:, 0] = src
+    member = np.full((len(src), rho), n, dtype=np.int64)  # n: no member
+    mdist, mparent, mdepth = (np.zeros((len(src), rho), dtype=np.int64) for _ in range(3))
+    count = np.zeros(len(src), dtype=np.int64)
+    budget = np.append(budget, 0)
+    slots = np.arange(widest)
+    used = packed = 1  # slots written so far; width after the last compaction
+    for j in range(rho):
+        if rho - j >= _COMPACT_ROUNDS and used >= 4 * packed + 2 * widest:
+            used = packed = _compact(dist, vert, owner, member, mdepth, used, n)
+        D, V = dist[:, :used], vert[:, :used]
+        d = D.min(axis=1)
+        live = d < _EMPTY  # a row whose pool is empty holds a whole component
+        if not live.any():
+            break
+        at_d = D == np.where(live, d, -1)[:, None]
+        v = np.where(at_d, V, n).min(axis=1)
+        same = V == v[:, None]
+        r, _, p, dep = _by_tag(*np.nonzero(at_d & same), V, owner, member, mdepth, n)
+        first = _firsts(r)
+        r, p, dep = r[first], p[first], dep[first]
+        if (member[r, :j] == v[r, None]).any():
+            raise GraphError("ball search popped a vertex already in its ball")
+        member[r, j], mdist[r, j], mparent[r, j], mdepth[r, j] = v[r], d[r], p, dep
+        count[r] += 1
+        D[same] = _EMPTY
+        if j < rho - 1:
+            ok = slots < budget[v][:, None]
+            edge = np.where(ok, g.indptr[v][:, None] + slots, 0)
+            nbr = g.nbr[edge]
+            for k in range(j + 1):  # leave out the vertices already in the ball
+                ok &= nbr != member[:, k, None]
+            dist[:, used : used + widest] = np.where(ok, mdist[:, j, None] + g.wt[edge], _EMPTY)
+            vert[:, used : used + widest] = nbr
+            owner[:, used : used + widest] = j
+            used += widest
+    keep = np.arange(rho) < count[:, None]
+    cols = [np.repeat(rows, count), member[keep], mdist[keep], mparent[keep], mdepth[keep]]
+    if tie_inclusive:
+        r_rho = mdist[rows, count - 1]
+        r, v, p, dep = _by_tag(*np.nonzero(dist[:, :used] == r_rho[:, None]), vert, owner, member, mdepth, n)
+        first = _firsts(r, v)
+        tail = [r[first], v[first], r_rho[r[first]], p[first], dep[first]]
+        order = np.argsort(np.concatenate([cols[0], tail[0]]), kind="stable")
+        cols = [np.concatenate(pair)[order] for pair in zip(cols, tail)]
+    return cols[1:]
+
+
+def _ball_chunks(g: Graph, src: np.ndarray, rho: int, tie_inclusive: bool):
+    """The balls of src, one pool-sized chunk of sources at a time.
+
+    Yields each chunk's r_rho and size per ball and its ball_arrays
+    columns, parent positions counted from the chunk's first entry.
+    """
+    if rho == 1:  # every ball is its center alone
+        zero = np.zeros_like(src)
+        yield zero, zero + 1, (src, src.copy(), zero.copy(), zero - 1, zero.copy())
+        return
+    budget, widest, step = _pool_plan(g, rho)
+    for lo in range(0, max(len(src), 1), step):  # no source: one empty chunk
+        chunk = src[lo : lo + step]
+        vertex, dist, parent, depth = _lockstep(g, budget, widest, chunk, rho, tie_inclusive)
+        starts = np.flatnonzero(parent < 0)
+        size = np.diff(np.append(starts, len(parent)))
+        parent = np.where(parent >= 0, parent + np.repeat(starts, size), -1)  # ball-local -> flat
+        yield dist[starts + size - 1], size, (np.repeat(chunk, size), vertex, dist, parent, depth)
+
+
+def _sources(g: Graph, sources, rho: int) -> np.ndarray:
+    """The sources as an int64 array, checked against g and rho."""
+    if rho < 1:
+        raise GraphError(f"rho must be >= 1, got {rho}")
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    if len(src) and (src.min() < 0 or src.max() >= g.n):
+        raise GraphError(f"vertex out of range for n={g.n}")
+    return src
+
+
+def ball_arrays(
+    g: Graph, sources, rho: int, tie_inclusive: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """compute_ball for many sources at once, as flat columns.
+
+    Returns (center, vertex, dist, parent, depth), one entry per ball
+    member: the balls in the order of sources, each in compute_ball's
+    member order.  parent is a position in these columns, -1 for a
+    center.  The sources are searched in lockstep chunks (see _lockstep),
+    sized so that a chunk's pool holds at most about _POOL_ENTRIES
+    candidates.
+    """
+    parts = [cols for _, _, cols in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive)]
+    sizes = [len(cols[0]) for cols in parts]
+    shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    center, vertex, dist, parent, depth = (np.concatenate(col) for col in zip(*parts))
+    return center, vertex, dist, np.where(parent >= 0, parent + shift, -1), depth
+
+
+def ball_radii(g: Graph, sources, rho: int, tie_inclusive: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """r_rho and member count of each source's ball, by the batched search."""
+    parts = [(r_rho, size) for r_rho, size, _ in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive)]
+    r_rho, size = (np.concatenate(col) for col in zip(*parts))
+    return r_rho, size
 
 
 @dataclass(frozen=True)
@@ -273,25 +506,6 @@ def _augment(g: Graph, extra: list[list[np.ndarray]]) -> Graph:
     return from_edges(g.n, cols, labels=g.labels)
 
 
-# Balls whose shortcuts are picked together, to bound memory: all n at once
-# raised the benchmark's peak RSS by 28% (100x100 grid, rho=10) and 19%
-# (1,601-vertex ladder), chunks of this size by under 1%.
-_CHUNK = 256
-
-
-def _chunk_shortcuts(balls: list[Ball], k: int, heuristic: str) -> list[np.ndarray]:
-    """Centers, targets and weights of every shortcut the balls' trees need."""
-    sizes = np.array([len(b.members) for b in balls], dtype=np.int64)
-    flat = chain.from_iterable
-    members = np.fromiter(flat(flat(b.members for b in balls)), np.int64).reshape(-1, 2)
-    parent = np.fromiter(flat(b.parent for b in balls), np.int64)
-    depth = np.fromiter(flat(b.depth for b in balls), np.int64)
-    parent = np.where(parent >= 0, parent + np.repeat(np.cumsum(sizes) - sizes, sizes), -1)
-    cut = _shortcut_targets(parent, depth, k, heuristic)
-    centers = np.repeat(np.array([b.center for b in balls], dtype=np.int64), sizes)
-    return [centers[cut], members[cut, 0], members[cut, 1]]
-
-
 def build_1_rho(g: Graph, rho: int, tie_inclusive: bool = True) -> tuple[Graph, RadiusAssignment]:
     """Add direct edges from every vertex to its ball members: build_k_rho at
     k = 1, where both heuristics skip a member joined by an equally light
@@ -310,22 +524,25 @@ def build_k_rho(
 ) -> tuple[Graph, RadiusAssignment, int]:
     """Per-vertex ball and min-hop tree -> shortcut plan, unioned into g.
 
-    Each chunk of balls has its plans picked at once.  Returns the augmented
-    graph, the radius assignment r(v) = r_rho(v), and the number of
-    undirected edges the union actually added.
+    Balls come from the batched search one chunk of sources at a time,
+    and each chunk's plans are picked at once; chunking also bounds the
+    plan's memory.  Returns the augmented graph, the radius assignment
+    r(v) = r_rho(v), and the number of undirected edges the union
+    actually added.
     """
     if heuristic not in ("greedy", "dp"):
         raise GraphError(f"unknown heuristic {heuristic!r}")
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    r = np.zeros(g.n, dtype=np.int64)
+    if rho < 1:
+        raise GraphError(f"rho must be >= 1, got {rho}")
+    radius: list[np.ndarray] = []
     extra: list[list[np.ndarray]] = []
-    for lo in range(0, g.n, _CHUNK):
-        balls = [compute_ball(g, v, rho, tie_inclusive) for v in range(lo, min(lo + _CHUNK, g.n))]
-        r[lo : lo + len(balls)] = [b.r_rho for b in balls]
-        balls = [b for b in balls if len(b.members) > 1]
-        if balls:
-            extra.append(_chunk_shortcuts(balls, k, heuristic))
+    for r_rho, _, (center, vertex, dist, parent, depth) in _ball_chunks(g, np.arange(g.n), rho, tie_inclusive):
+        cut = _shortcut_targets(parent, depth, k, heuristic)
+        radius.append(r_rho)
+        extra.append([center[cut], vertex[cut], dist[cut]])
+    r = np.concatenate(radius)
     r.flags.writeable = False
     aug = _augment(g, extra)
     radii = RadiusAssignment(r=r, rho=rho, k=k, tie_inclusive=tie_inclusive)

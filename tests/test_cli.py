@@ -44,6 +44,18 @@ def test_gen_grid3d_and_adversarial(tmp_path, capsys):
     assert all(5 <= int(line.split()[2]) <= 9 for line in fw.read_text().splitlines())
 
 
+def test_isolated_vertex_survives_preprocess_and_sssp(tmp_path, capsys):
+    src, aug, rad = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt"))
+    src.write_text("10 20 2\n20 30 3\n40 40 1\n")
+    code, _, err = run(capsys, "preprocess", "-i", str(src), "--k", "1", "--rho", "2",
+                       "-o", str(aug), "--radii", str(rad))
+    assert code == 0, err
+    assert aug.read_text().splitlines()[-1] == "40"
+    code, out, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "0")
+    assert code == 0, err
+    assert out == "10 0\n20 2\n30 5\n40 inf\n"
+
+
 def test_gen_missing_dims_is_domain_error(capsys):
     code, _, err = run(capsys, "gen", "--kind", "grid2d", "--w", "3")
     assert code == 1 and "grid2d" in err
@@ -266,8 +278,7 @@ def edge_list_inputs(draw):
     """Edge-list text, either from `gen --kind random` or drawn directly over
     sparse labels.  Every other drawn edge comes again reversed with another
     weight (parallel edges), and weights come from a narrow range (ties).
-    There are no self-loops: a vertex with only a self-loop is isolated, and
-    the augmented edge list that preprocess writes cannot carry it."""
+    Self-loops are drawn too, so a vertex with only self-loops is isolated."""
     w_hi = draw(st.sampled_from([1, 3, 40]))
     if draw(st.booleans()):
         n = draw(st.integers(2, 30))
@@ -276,7 +287,7 @@ def edge_list_inputs(draw):
         return ["--kind", "random", "--n", str(n), "--m", str(m), "--weights", f"1:{w_hi}",
                 "--seed", str(seed)]
     labels = draw(st.lists(st.integers(0, 10**9), min_size=2, max_size=25, unique=True))
-    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels)).filter(lambda p: p[0] != p[1])
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
     edges = draw(st.lists(st.tuples(pairs, st.integers(1, w_hi)), min_size=1, max_size=60))
     edges += [((v, u), w % w_hi + 1) for (u, v), w in edges[::2]]
     return "".join(f"{u} {v} {w}\n" for (u, v), w in edges)

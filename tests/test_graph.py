@@ -68,11 +68,30 @@ def test_write_edge_list_canonical():
     assert write_edge_list(plain) == "0 1 1\n1 2 4\n"
 
 
+def test_isolated_vertex_written_and_parsed_back():
+    # 40 has only a self-loop, 7 only a bare line: both stay as vertices.
+    g = parse_edge_list("10 20 2\n20 30 3\n40 40 1\n7\n")
+    assert (g.n, g.m) == (5, 2)
+    text = write_edge_list(g)
+    assert text == "7\n10 20 2\n20 30 3\n40\n"
+    again = parse_edge_list(text)
+    assert sorted(again.labels) == [7, 10, 20, 30, 40]
+    assert write_edge_list(again) == text
+    assert write_edge_list(parse_edge_list("5\n")) == "5\n"
+
+
+def test_parse_rejects_four_fields_with_line_number():
+    with pytest.raises(EdgeListParseError, match="expected 1, 2 or 3 fields, got 4") as err:
+        parse_edge_list("0 1 5\n3\n1 2 3 4\n")
+    assert err.value.lineno == 3
+
+
+# Self-loops are drawn too: a vertex with only self-loops is isolated.
 edge_lists = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 9)),
     min_size=1,
     max_size=40,
-).filter(lambda es: any(u != v for u, v, _ in es))
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,7 +103,8 @@ def test_parse_write_roundtrip_idempotent(edges):
     g3 = parse_edge_list(write_edge_list(g2))
     assert g2 == g3
     assert write_edge_list(g2) == write_edge_list(g3)
-    assert (g1.m, g1.max_weight) == (g2.m, g2.max_weight)
+    assert (g1.n, g1.m, g1.max_weight) == (g2.n, g2.m, g2.max_weight)
+    assert sorted(g1.labels) == sorted(g2.labels)
     g1.validate()
     g2.validate()
 

@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from radius_stepping import (
     GraphError,
     RadiusAssignment,
     WeightSpec,
+    ball_arrays,
+    ball_radii,
     build_1_rho,
     build_k_rho,
     compute_ball,
@@ -25,7 +29,8 @@ from radius_stepping import (
     write_radii,
 )
 from radius_stepping.baselines import _lex_dijkstra
-from radius_stepping.preprocess import _CHUNK, BallTree
+import radius_stepping.preprocess as preprocess
+from radius_stepping.preprocess import BallTree
 from conftest import random_graph
 
 PATH = [(0, 1, 2), (1, 2, 3)]
@@ -308,19 +313,31 @@ def test_fused_tree_matches_lex_dijkstra_under_ties(seed, rho, tie_inclusive):
 
 
 @pytest.mark.parametrize("heuristic", ["dp", "greedy"])
-def test_build_k_rho_chunks_equal_per_vertex_plans(heuristic):
-    # More vertices than one chunk holds, so trees from different chunks
-    # must not mix in the batched plan.
-    g = generate(GeneratorSpec("grid2d", dims=(20, 15), weights=WeightSpec(1, 3, seed=7)))
-    assert g.n > _CHUNK
+def test_build_k_rho_chunks_equal_per_vertex_plans(heuristic, monkeypatch):
+    # Balls and plans made one vertex at a time, against build_k_rho over
+    # several chunks, so trees from different chunks must not mix in the
+    # batched plan: a weighted grid and the tie-heavy corpus, both tie modes.
+    grid = generate(GeneratorSpec("grid2d", dims=(20, 15), weights=WeightSpec(1, 3, seed=7)))
+    monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 1000)
+    assert grid.n > preprocess._pool_plan(grid, 6)[2]
+    corpus = _tie_heavy_corpus()
+    cases = [(grid, 2, 6)] + [(g, k, rho) for g in corpus[::3] + corpus[-2:] for k, rho in ((1, 3), (2, 5), (3, 16))]
     pick = shortcut_dp if heuristic == "dp" else shortcut_greedy
-    want = [(u, v, w) for u in range(g.n) for v, w in zip(*(a.tolist() for a in g.neighbors(u))) if u < v]
-    for v in range(g.n):
-        plan = pick(min_hop_ball_tree(compute_ball(g, v, 6)), 2)
-        want.extend((v, u, w) for u, w in plan.added_edges)
-    aug, _, added = build_k_rho(g, 2, 6, heuristic=heuristic)
-    assert aug == from_edges(g.n, want)
-    assert added == aug.m - g.m > 0
+    grid_added = 0
+    for g, k, rho in cases:
+        for tie_inclusive in (True, False):
+            want = [(u, v, w) for u in range(g.n) for v, w in zip(*(a.tolist() for a in g.neighbors(u))) if u < v]
+            r = []
+            for v in range(g.n):
+                ball = compute_ball(g, v, rho, tie_inclusive)
+                r.append(ball.r_rho)
+                want.extend((v, u, w) for u, w in pick(min_hop_ball_tree(ball), k).added_edges)
+            aug, radii, added = build_k_rho(g, k, rho, heuristic=heuristic, tie_inclusive=tie_inclusive)
+            assert aug == from_edges(g.n, want), (g.n, k, rho, tie_inclusive)
+            assert radii.r.tolist() == r
+            assert added == aug.m - g.m
+            grid_added += added if g is grid else 0
+    assert grid_added > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -336,6 +353,96 @@ def test_dp_adds_no_more_than_greedy_per_tree(seed, k, rho):
             continue
         tree = min_hop_ball_tree(ball)
         assert len(shortcut_dp(tree, k).added_edges) <= len(shortcut_greedy(tree, k).added_edges)
+
+
+def _split_balls(columns):
+    """ball_arrays' flat columns as one (center, members, r_rho, parent, depth)
+    tuple per ball, with parent positions made local to the ball again."""
+    center, vertex, dist, parent, depth = (a.tolist() for a in columns)
+    starts = [i for i, p in enumerate(parent) if p < 0]
+    balls = []
+    for lo, hi in zip(starts, starts[1:] + [len(parent)]):
+        assert set(center[lo:hi]) == {center[lo]}
+        balls.append((
+            center[lo],
+            tuple(zip(vertex[lo:hi], dist[lo:hi])),
+            dist[hi - 1],
+            tuple(p - lo if p >= 0 else -1 for p in parent[lo:hi]),
+            tuple(depth[lo:hi]),
+        ))
+    return balls
+
+
+def _as_tuple(ball):
+    return (ball.center, ball.members, ball.r_rho, ball.parent, ball.depth)
+
+
+def _tie_heavy_corpus():
+    """Seeded sparse graphs with weights 1-3 (or all 1): many ties, isolated
+    vertices, and components smaller than most rho; plus a weighted grid and
+    a small ladder."""
+    rng = random.Random(20261018)
+    graphs = []
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        w_hi = rng.choice([1, 3])
+        m = rng.randint(0, 2 * n)
+        graphs.append(from_edges(n, [(rng.randrange(n), rng.randrange(n), rng.randint(1, w_hi)) for _ in range(m)]))
+    graphs.append(generate(GeneratorSpec("grid2d", dims=(9, 7), weights=WeightSpec(1, 3, seed=3))))
+    graphs.append(generate(GeneratorSpec("adversarial", ladder=4)))
+    return graphs
+
+
+RHOS = (1, 2, 3, 5, 8, 16)
+
+
+@pytest.mark.parametrize("compact_always", [False, True])
+@pytest.mark.parametrize("tie_inclusive", [True, False])
+def test_ball_arrays_equal_compute_ball_on_tie_heavy_corpus(tie_inclusive, compact_always, monkeypatch):
+    # compact_always lets the pool be compacted however few rounds remain,
+    # so the small graphs of the corpus go through _compact too.
+    compactions = []
+    if compact_always:
+        monkeypatch.setattr(preprocess, "_COMPACT_ROUNDS", 1)
+        real = preprocess._compact
+        monkeypatch.setattr(preprocess, "_compact", lambda *a: compactions.append(1) or real(*a))
+    isolated = small = 0
+    for g in _tie_heavy_corpus():
+        for rho in RHOS:
+            got = _split_balls(ball_arrays(g, range(g.n), rho, tie_inclusive))
+            want = [_as_tuple(compute_ball(g, v, rho, tie_inclusive)) for v in range(g.n)]
+            assert got == want, (g.n, rho)
+            r_rho, size = ball_radii(g, range(g.n), rho, tie_inclusive)
+            assert (r_rho.tolist(), size.tolist()) == ([b[2] for b in want], [len(b[1]) for b in want])
+            isolated += sum(len(b[1]) == 1 for b in want) if rho > 1 else 0
+            small += sum(1 < len(b[1]) < rho for b in want)
+    assert isolated > 0 and small > 0  # the corpus covers both cases
+    if compact_always:
+        assert compactions  # the lowered gate let _compact run
+
+
+@pytest.mark.parametrize("tie_inclusive", [True, False])
+def test_ball_arrays_across_chunks(tie_inclusive, monkeypatch):
+    # A pool budget of a few rows splits the sources into many chunks; the
+    # sources also come out of order and with a repeat.
+    g = generate(GeneratorSpec("grid2d", dims=(8, 6), weights=WeightSpec(1, 3, seed=11)))
+    sources = [47, 3, 3, 20, *range(30), 0]
+    want = [_as_tuple(compute_ball(g, v, 5, tie_inclusive)) for v in sources]
+    monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 3 * (1 + 4 * 4))
+    assert preprocess._pool_plan(g, 5)[2] == 3
+    assert _split_balls(ball_arrays(g, sources, 5, tie_inclusive)) == want
+
+
+def test_ball_arrays_edge_cases():
+    g = from_edges(3, PATH)
+    assert all(len(col) == 0 for col in ball_arrays(g, [], 4))
+    assert all(len(col) == 0 for col in ball_radii(g, [], 4))
+    lone = from_edges(1, [])
+    assert _split_balls(ball_arrays(lone, [0], 3)) == [(0, ((0, 0),), 0, (-1,), (0,))]
+    with pytest.raises(GraphError):
+        ball_arrays(g, [3], 2)
+    with pytest.raises(GraphError):
+        ball_arrays(g, [0], 0)
 
 
 def test_post_shortcut_k_hop_reachability():
