@@ -1,5 +1,9 @@
-"""Sequential reference algorithms: the correctness oracles everything else
-is tested against.
+"""Reference algorithms and baselines.
+
+dijkstra and bellman_ford are the independent correctness oracles that
+everything else is tested against.  delta_stepping is the Delta rule
+(Meyer and Sanders) on the engine's stepping core, a baseline that differs
+from radius stepping only in how a step's threshold is picked.
 
 All functions are pure in (graph, arguments) and deterministic.  Distances
 are exact integers; dijkstra, bellman_ford and delta_stepping must agree
@@ -144,56 +148,27 @@ class DeltaSteppingRun:
 
 
 def delta_stepping(g: Graph, s: int, delta: int) -> DeltaSteppingRun:
-    """Fixed-width bucket SSSP.
+    """Fixed-width bucket SSSP on the engine's stepping core.
 
-    One step processes the lowest nonempty bucket [j*delta, (j+1)*delta);
-    inside it, relaxation passes over the bucket's members repeat until no
-    tentative distance lands in the bucket anymore.  Each pass reads the
-    distances as of the pass start and combines updates by min, so the pass
-    outcome is independent of edge order.
+    One step processes the lowest nonempty bucket [j*delta, (j+1)*delta):
+    its threshold is the bucket's last value, and relaxation passes over the
+    bucket's members repeat until no tentative distance lands in the bucket
+    anymore.  Each pass reads the distances as of the pass start and
+    combines updates by min, so the pass outcome is independent of edge
+    order.  The core settles s before its first step; the counts include
+    the pass that relaxes s, and the bucket of s as a step of its own when
+    no other vertex lies in it.
     """
+    from .engine import _stepping, relax_batch  # engine imports this module
+
     _check_source(g, s)
     if delta < 1:
         raise GraphError(f"delta must be >= 1, got {delta}")
-    dist = [UNREACHED] * g.n
-    dist[s] = 0
-    settled = [False] * g.n
-    buckets: dict[int, set[int]] = {0: {s}}
-    steps = 0
-    substeps = 0
-    while buckets:
-        j = min(buckets)
-        hi = (j + 1) * delta
-        active = {v for v in buckets.pop(j) if not settled[v]}
-        if not active:
-            continue
-        steps += 1
-        frontier = set(active)
-        while frontier:
-            substeps += 1
-            updates: dict[int, int] = {}
-            for u in frontier:
-                du = dist[u]
-                ns, ws = g.neighbors(u)
-                for v, w in zip(ns.tolist(), ws.tolist()):
-                    nd = du + w
-                    if nd < dist[v] and nd < updates.get(v, UNREACHED):
-                        updates[v] = nd
-            frontier = set()
-            for v, nd in updates.items():
-                if nd >= dist[v]:
-                    continue
-                dist[v] = nd
-                if nd < hi:
-                    active.add(v)
-                    frontier.add(v)
-                else:
-                    buckets.setdefault(nd // delta, set()).add(v)
-        for v in active:
-            settled[v] = True
-    arr = np.asarray(dist, dtype=np.int64)
-    arr.flags.writeable = False
-    return DeltaSteppingRun(dist=DistanceVector(source=s, dist=arr), steps=steps, substeps=substeps)
+    w = min(delta, UNREACHED)  # every distance lies in bucket 0 of a wider delta
+    res = _stepping(g, s, lambda dF, F: dF // w * w + (w - 1), relax_batch)
+    log = res.steps
+    own_bucket = len(log) == 0 or int(log.d[0]) != w - 1
+    return DeltaSteppingRun(dist=res.dist, steps=len(log) + own_bucket, substeps=int(log.substeps.sum()) + 1)
 
 
 def _lex_dijkstra(g: Graph, s: int) -> tuple[list[int], list[int]]:

@@ -15,10 +15,12 @@ Two loops implement that contract:
   unsettled vertices each step; O(n) per step, intended for small graphs.
 * _stepping: keeps touched unsettled vertices in one index array and
   settles runs of steps that cannot interact in a single relaxation.  It
-  takes the substep primitive as an argument: radius_step_fast passes
-  relax_batch, and radius_step_unweighted passes _expand, which on a
-  unit-weight graph gives one BFS level's unreached neighbours the next
-  level without a min-combine.
+  takes the threshold rule and the substep primitive as arguments.  The
+  radius engines pick min(delta + r); baselines.delta_stepping picks the
+  end of the bucket of min(delta), so Delta-stepping runs on the same
+  core.  radius_step_fast passes relax_batch, and radius_step_unweighted
+  passes _expand, which on a unit-weight graph gives one BFS level's
+  unreached neighbours the next level without a min-combine.
 
 Both loops write their steps through one _LogWriter into a StepLog, which
 keeps the records as int64 columns plus one flat array of active sets; a
@@ -329,15 +331,22 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
 
 
 def _stepping(
-    g: Graph, radii: RadiusAssignment, s: int, substep: Callable[..., tuple[np.ndarray, int]]
+    g: Graph,
+    s: int,
+    key: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    substep: Callable[..., tuple[np.ndarray, int]],
 ) -> SsspResult:
     """Index-array stepping loop that settles runs of non-interacting steps at once.
 
+    `key(dF, F)` gives each frontier vertex v in F, at dF = delta[F], its
+    threshold candidate key(v): delta + r for radius stepping, the end of
+    delta's bucket for Delta-stepping.  The batching below needs only
+    key(v) >= delta(v).  The caller checks s and keeps key within int64.
     `substep(g, delta, active, settled)` relaxes the edges of `active` and
     returns the vertices it lowered and the number of edges it scanned.
 
     F holds the touched unsettled vertices.  Each round computes the next
-    threshold d = min(delta + r) over F and the relaxation floor
+    threshold d = min key over F and the relaxation floor
     C = min(delta(v) + w_min(v)) over F, where w_min(v) is the first weight
     of v's CSR row (rows are sorted by weight).
 
@@ -357,15 +366,13 @@ def _stepping(
     active set {v in F : d_prev < delta(v) <= d} lies below C, so its first
     substep moves nothing to <= d and it ends after one substep.  Vertices
     touched or lowered by it land at or above C, so they add nothing below
-    C to the next threshold min(delta + r) (r >= 0); below C that threshold
-    is min{delta + r : v in F, delta(v) > d} with delta as it is now, a
+    C to the next threshold min key (key >= delta); below C that threshold
+    is min{key(v) : v in F, delta(v) > d} with delta as it is now, a
     suffix minimum over F[delta < C] sorted by delta.  Steps are read off
     that suffix minimum while it stays below C; their active sets are final,
     so relaxing their union in one call yields the distances and relaxation
     count of relaxing them one step at a time.
     """
-    _check_inputs(g, radii, s)
-    r = radii.r
     delta, settled, F = _start(g, s)
     touched = settled.copy()
     touched[F] = True
@@ -385,14 +392,14 @@ def _stepping(
 
     while F.size:
         dF = delta[F]
-        key = dF + r[F]
-        d = int(key.min())
+        keys = key(dF, F)
+        d = int(keys.min())
         floor = int((dF + g.wt[g.indptr[F]]).min())
         if d < floor:
             low = np.flatnonzero(dF < floor)
             low = low[np.argsort(dF[low])]
             dists = dF[low]
-            suffix = np.minimum.accumulate(key[low][::-1])[::-1]
+            suffix = np.minimum.accumulate(keys[low][::-1])[::-1]
             # A step with threshold suffix[p] starting at position p settles
             # positions p .. nxt[p] - 1; steps start at 0 and run while the
             # threshold stays below the floor, that is before position cut.
@@ -424,7 +431,8 @@ def _stepping(
 
 def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """The stepping loop with min-combined relaxation, for any positive weights."""
-    return _stepping(g, radii, s, relax_batch)
+    _check_inputs(g, radii, s)
+    return _stepping(g, s, lambda dF, F: dF + radii.r[F], relax_batch)
 
 
 def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
@@ -437,7 +445,8 @@ def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspRes
     """
     if not g.is_unit_weight:
         raise GraphError("unweighted engine requires all edge weights == 1")
-    return _stepping(g, radii, s, _expand)
+    _check_inputs(g, radii, s)
+    return _stepping(g, s, lambda dF, F: dF + radii.r[F], _expand)
 
 
 def _ceil_log2(x: int) -> int:

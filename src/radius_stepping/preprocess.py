@@ -233,7 +233,7 @@ def _lockstep(
     n, rows = g.n, np.arange(len(src))
     dist = np.full((len(src), 1 + (rho - 1) * widest), _EMPTY, dtype=np.int64)
     vert = np.full(dist.shape, -1, dtype=np.int64)
-    owner = np.full(dist.shape, -1, dtype=np.int64)
+    owner = np.full(dist.shape, -1, dtype=np.int32)  # ball positions, below rho
     dist[:, 0] = 0
     vert[:, 0] = src
     member = np.full((len(src), rho), n, dtype=np.int64)  # n: no member
@@ -381,6 +381,8 @@ def parse_radii(text: str) -> dict[int, int]:
             raise GraphError(f"radii line {lineno}: expected integers 'v r', got {line!r}") from None
         if not 0 <= r <= UNREACHED:
             raise GraphError(f"radii line {lineno}: radius must be in [0, 2**62] or inf, got {r}")
+        if v in pairs:
+            raise GraphError(f"radii line {lineno}: vertex {v} listed twice")
         pairs[v] = r
     if not pairs:
         raise GraphError("empty radii file")
@@ -569,6 +571,8 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment, cap: int = SMALL_GRAPH_CAP
     Uses the brute-force k-radius and full Dijkstra oracles, so g must be at
     most cap vertices.
     """
+    if radii.rho < 1:
+        raise GraphError(f"rho must be >= 1, got {radii.rho}")
     rbar = k_radius_bruteforce(g, radii.k, cap=cap)
     violations: list[str] = []
     for v in range(g.n):

@@ -92,11 +92,31 @@ def test_delta_stepping_unit_path_buckets():
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([1, 2, "L", "nL"]))
-def test_delta_stepping_exact_across_delta_sweep(seed, delta_kind):
-    g, s = random_graph(seed, n_hi=40, m_cap=120)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, "L", "nL", 2**70]), st.sampled_from([3, 100]))
+def test_delta_stepping_exact_across_delta_sweep(seed, delta_kind, w_hi):
+    g, s = random_graph(seed, n_hi=40, m_cap=120, w_hi=w_hi)
     delta = {"L": g.max_weight, "nL": g.n * g.max_weight}.get(delta_kind, delta_kind)
     assert delta_stepping(g, s, delta).dist.same_as(dijkstra(g, s))
+
+
+@pytest.mark.parametrize(
+    "edges,delta,steps,substeps",
+    [
+        # s has no edge: its bucket is the only step, its pass the only substep
+        ([(1, 2, 4)], 3, 1, 1),
+        # s's lightest edge is >= delta: buckets {0}, [4, 6) and [6, 8)
+        ([(0, 1, 5), (1, 2, 1), (0, 3, 7)], 2, 3, 3),
+        # distances near 2**61 all lie in the one bucket of delta = 2**70
+        ([(0, 1, 2**60), (1, 2, 2**60), (2, 3, 2**60 - 1)], 2**70, 1, 4),
+    ],
+)
+def test_delta_stepping_counts_the_source_bucket(edges, delta, steps, substeps):
+    # The core settles s before its first step; the run still counts the
+    # bucket of s and the pass that relaxes s, as a bucket loop does.
+    g = from_edges(1 + max(max(u, v) for u, v, _ in edges), edges)
+    run = delta_stepping(g, 0, delta)
+    assert (run.steps, run.substeps) == (steps, substeps)
+    assert run.dist.same_as(dijkstra(g, 0))
 
 
 @settings(max_examples=25, deadline=None)

@@ -115,7 +115,10 @@ def test_sssp_with_radii_file(tmp_path, capsys):
     assert "steps" in err
 
 
-@pytest.mark.parametrize("bad", ["0 x", "y 3", "0 1.5", f"0 {2**62 + 1}", "0 99999999999999999999"])
+@pytest.mark.parametrize(
+    "bad",
+    ["0 x", "y 3", "0 1.5", f"0 {2**62 + 1}", "0 99999999999999999999", "0 0\n1 0\n2 0\n0 99"],
+)
 def test_sssp_rejects_non_integer_radii_with_line_number(tmp_path, capsys, bad):
     src = tmp_path / "g.txt"
     src.write_text(PATH_TEXT)
@@ -124,7 +127,19 @@ def test_sssp_rejects_non_integer_radii_with_line_number(tmp_path, capsys, bad):
     code, out, err = run(capsys, "sssp", "-i", str(src), "--radii", str(rad), "-s", "0")
     assert code == 1
     assert out == ""
-    assert "radii line 2" in err and "Traceback" not in err
+    assert f"radii line {1 + len(bad.splitlines())}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rho", ["0", "-3"])
+def test_validate_rejects_rho_below_one(tmp_path, capsys, rho):
+    src = tmp_path / "g.txt"
+    src.write_text(PATH_TEXT)
+    rad = tmp_path / "radii.txt"
+    rad.write_text("0 0\n1 0\n2 0\n")
+    code, out, err = run(capsys, "validate", "-i", str(src), "--radii", str(rad), "--k", "1", "--rho", rho)
+    assert code == 1
+    assert out == ""
+    assert f"rho must be >= 1, got {rho}" in err
 
 
 def test_bench_flags_csv(tmp_path, capsys):
