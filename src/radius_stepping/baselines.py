@@ -159,13 +159,13 @@ def delta_stepping(g: Graph, s: int, delta: int) -> DeltaSteppingRun:
     the pass that relaxes s, and the bucket of s as a step of its own when
     no other vertex lies in it.
     """
-    from .engine import _stepping, relax_batch  # engine imports this module
+    from .engine import _stepping  # engine imports this module
 
     _check_source(g, s)
     if delta < 1:
         raise GraphError(f"delta must be >= 1, got {delta}")
     w = min(delta, UNREACHED)  # every distance lies in bucket 0 of a wider delta
-    res = _stepping(g, s, lambda dF, F: dF // w * w + (w - 1), relax_batch)
+    res = _stepping(g, s, lambda dF, F: dF // w * w + (w - 1))
     log = res.steps
     own_bucket = len(log) == 0 or int(log.d[0]) != w - 1
     return DeltaSteppingRun(dist=res.dist, steps=len(log) + own_bucket, substeps=int(log.substeps.sum()) + 1)

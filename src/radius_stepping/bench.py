@@ -2,10 +2,10 @@
 step counts from a shared sample of sources, and emit CSV.
 
 Weighted graphs run radius_step_fast on the augmented graph; unit-weight
-graphs run radius_step_unweighted, the same stepping loop with a
-level-expansion substep, on the original graph (its radii come from the
-same ball construction, and the rho=1 baseline then degenerates to plain
-BFS rounds).  Added-edge factors are reported for both.  Everything is
+graphs run radius_step_unweighted, the same stepping loop and relax_batch
+substep restricted to unit weights, on the original graph (its radii come
+from the same ball construction, and the rho=1 baseline then degenerates
+to plain BFS rounds).  Added-edge factors are reported for both.  Everything is
 deterministic in the config seed: equal configs produce byte-identical
 CSV.
 """

@@ -15,12 +15,11 @@ Two loops implement that contract:
   unsettled vertices each step; O(n) per step, intended for small graphs.
 * _stepping: keeps touched unsettled vertices in one index array and
   settles runs of steps that cannot interact in a single relaxation.  It
-  takes the threshold rule and the substep primitive as arguments.  The
-  radius engines pick min(delta + r); baselines.delta_stepping picks the
-  end of the bucket of min(delta), so Delta-stepping runs on the same
-  core.  radius_step_fast passes relax_batch, and radius_step_unweighted
-  passes _expand, which on a unit-weight graph gives one BFS level's
-  unreached neighbours the next level without a min-combine.
+  takes the threshold rule as an argument.  The radius engines pick
+  min(delta + r); baselines.delta_stepping picks the end of the bucket of
+  min(delta), so Delta-stepping runs on the same core.  Every substep of
+  every engine is one relax_batch call; radius_step_unweighted is
+  radius_step_fast restricted to unit-weight graphs.
 
 Both loops write their steps through one _LogWriter into a StepLog, which
 keeps the records as int64 columns plus one flat array of active sets; a
@@ -214,11 +213,6 @@ def _edge_slots(g: Graph, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(offsets, counts) + np.arange(int(counts.sum())), counts
 
 
-def _check_settled(moved: np.ndarray, settled: np.ndarray) -> None:
-    if settled[moved].any():
-        raise GraphError(f"settled distance moved at vertex {int(moved[settled[moved]][0])}")
-
-
 def relax_batch(
     g: Graph, delta: np.ndarray, active: np.ndarray, settled: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -246,32 +240,9 @@ def relax_batch(
     first[0] = True
     np.not_equal(dst[1:], dst[:-1], out=first[1:])
     moved = dst[first]
-    _check_settled(moved, settled)
+    if settled[moved].any():
+        raise GraphError(f"settled distance moved at vertex {int(moved[settled[moved]][0])}")
     delta[moved] = cand[order][first]
-    return moved, eidx.size
-
-
-def _expand(
-    g: Graph, delta: np.ndarray, active: np.ndarray, settled: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """relax_batch for unit weights, where every active vertex is on one level.
-
-    On a unit-weight graph the stepping loop relaxes whole BFS levels, so
-    each candidate is level + 1 and the min-combine reduces to a set of
-    distinct targets.  An active set spanning two levels raises GraphError.
-    """
-    act = np.asarray(active, dtype=np.int64)
-    level = delta[act]
-    if level.size and level.min() != level.max():
-        raise GraphError(f"unit-weight substep spans levels {int(level.min())} and {int(level.max())}")
-    eidx, _ = _edge_slots(g, act)
-    if eidx.size == 0:
-        return eidx, 0
-    nxt = int(level[0]) + 1
-    dst = g.nbr[eidx]
-    moved = np.unique(dst[delta[dst] > nxt])
-    _check_settled(moved, settled)
-    delta[moved] = nxt
     return moved, eidx.size
 
 
@@ -334,7 +305,6 @@ def _stepping(
     g: Graph,
     s: int,
     key: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    substep: Callable[..., tuple[np.ndarray, int]],
 ) -> SsspResult:
     """Index-array stepping loop that settles runs of non-interacting steps at once.
 
@@ -342,8 +312,7 @@ def _stepping(
     threshold candidate key(v): delta + r for radius stepping, the end of
     delta's bucket for Delta-stepping.  The batching below needs only
     key(v) >= delta(v).  The caller checks s and keeps key within int64.
-    `substep(g, delta, active, settled)` relaxes the edges of `active` and
-    returns the vertices it lowered and the number of edges it scanned.
+    Every substep is one relax_batch call, looked up at call time.
 
     F holds the touched unsettled vertices.  Each round computes the next
     threshold d = min key over F and the relaxation floor
@@ -382,7 +351,7 @@ def _stepping(
     def relax(active: np.ndarray) -> np.ndarray:
         """Relax `active` and add the vertices it touches first to F."""
         nonlocal F, relaxations
-        moved, scanned = substep(g, delta, active, settled)
+        moved, scanned = relax_batch(g, delta, active, settled)
         relaxations += scanned
         new = moved[~touched[moved]]
         if new.size:
@@ -432,21 +401,14 @@ def _stepping(
 def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """The stepping loop with min-combined relaxation, for any positive weights."""
     _check_inputs(g, radii, s)
-    return _stepping(g, s, lambda dF, F: dF + radii.r[F], relax_batch)
+    return _stepping(g, s, lambda dF, F: dF + radii.r[F])
 
 
 def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
-    """The stepping loop with level expansion, for unit-weight graphs.
-
-    With unit weights the loop's first substep of a step relaxes the whole
-    current BFS level and each later one the level it just reached, so
-    every substep acts on one level and _expand replaces the min-combine.
-    Distances equal BFS hop counts.
-    """
+    """radius_step_fast restricted to unit-weight graphs, where distances are BFS hop counts."""
     if not g.is_unit_weight:
         raise GraphError("unweighted engine requires all edge weights == 1")
-    _check_inputs(g, radii, s)
-    return _stepping(g, s, lambda dF, F: dF + radii.r[F], _expand)
+    return radius_step_fast(g, radii, s)
 
 
 def _ceil_log2(x: int) -> int:
@@ -497,8 +459,6 @@ def check_bounds(
     if not assume_premise:
         if radii is None:
             return BoundsReport(False, "premise unknown: no radii supplied", None, None, ())
-        if rho > 1 and int(radii.r.max(initial=0)) == 0:
-            return BoundsReport(False, "premise fails: all radii zero with rho > 1", None, None, ())
         r_rho, size = ball_radii(g, range(g.n), rho)
         short = np.flatnonzero(radii.r < r_rho)
         if len(short):

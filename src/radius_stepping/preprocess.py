@@ -16,7 +16,9 @@ the pool rows are compacted to one candidate per vertex as they fill.
 build_k_rho plans each chunk's shortcuts as it comes, and ball_radii
 (check_bounds' premise) keeps only each ball's r_rho and size;
 compute_ball stays as the one-ball API and as the oracle the batched
-search is tested against.
+search is tested against.  Both heuristics run on the tree's parent and
+depth arrays alone: build_k_rho hands them a chunk's flat columns, and
+shortcut_greedy and shortcut_dp hand them one Ball's.
 
 Ball counting includes the center: the first "closest vertex" of v is v
 itself at distance 0, so rho=1 always yields the trivial ball {v} with
@@ -50,9 +52,6 @@ class Ball:
     r_rho: int
     parent: tuple[int, ...]
     depth: tuple[int, ...]
-
-    def member_set(self) -> dict[int, int]:
-        return dict(self.members)
 
 
 def compute_ball(g: Graph, v: int, rho: int, tie_inclusive: bool = True) -> Ball:
@@ -405,7 +404,7 @@ def radii_for_graph(pairs: dict[int, int], g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BallTree:
-    """Shortest-path tree over a ball with minimal per-member hop counts.
+    """A ball's min-hop shortest-path tree keyed by vertex.
 
     parent maps each non-root member to its tree parent; depth is the hop
     count from the root (minimal over all shortest-path trees); dist is the
@@ -417,29 +416,12 @@ class BallTree:
     depth: dict[int, int]
     dist: dict[int, int]
 
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {u: [] for u in self.depth}
-        for u, p in self.parent.items():
-            out[p].append(u)
-        for kids in out.values():
-            kids.sort()
-        return out
-
 
 def min_hop_ball_tree(ball: Ball) -> BallTree:
     """The min-hop tree compute_ball recorded, keyed by vertex."""
     verts = [u for u, _ in ball.members]
     parent = {u: verts[p] for u, p in zip(verts, ball.parent) if p >= 0}
-    return BallTree(ball.center, parent, dict(zip(verts, ball.depth)), ball.member_set())
-
-
-@dataclass(frozen=True)
-class ShortcutPlan:
-    """Edges to add from one source so its ball fits within k hops."""
-
-    source: int
-    added_edges: tuple[tuple[int, int], ...]  # (target, weight = ball distance)
-    heuristic: str
+    return BallTree(ball.center, parent, dict(zip(verts, ball.depth)), dict(ball.members))
 
 
 def _shortcut_targets(parent: np.ndarray, depth: np.ndarray, k: int, heuristic: str) -> np.ndarray:
@@ -473,26 +455,25 @@ def _shortcut_targets(parent: np.ndarray, depth: np.ndarray, k: int, heuristic: 
     return target
 
 
-def _plan_tree(tree: BallTree, k: int, heuristic: str) -> ShortcutPlan:
+def _shortcuts(ball: Ball, k: int, heuristic: str) -> tuple[tuple[int, int], ...]:
     if k < 1:
         raise GraphError(f"k must be >= 1, got {k}")
-    nodes = sorted(tree.depth)
-    index = {u: i for i, u in enumerate(nodes)}
-    parent = np.array([index[tree.parent[u]] if u in tree.parent else -1 for u in nodes], dtype=np.int64)
-    depth = np.array([tree.depth[u] for u in nodes], dtype=np.int64)
+    parent = np.array(ball.parent, dtype=np.int64)
+    depth = np.array(ball.depth, dtype=np.int64)
     target = _shortcut_targets(parent, depth, k, heuristic)
-    edges = tuple((u, tree.dist[u]) for u, cut in zip(nodes, target.tolist()) if cut)
-    return ShortcutPlan(source=tree.root, added_edges=edges, heuristic=heuristic)
+    return tuple(ball.members[i] for i in np.flatnonzero(target).tolist())
 
 
-def shortcut_greedy(tree: BallTree, k: int) -> ShortcutPlan:
-    """Shortcut to every member at hop depth k+1, 2k+1, 3k+1, ..."""
-    return _plan_tree(tree, k, "greedy")
+def shortcut_greedy(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
+    """(target, ball distance) edges from the center to every member at hop
+    depth k+1, 2k+1, 3k+1, ... of its min-hop tree, in member order."""
+    return _shortcuts(ball, k, "greedy")
 
 
-def shortcut_dp(tree: BallTree, k: int) -> ShortcutPlan:
-    """Fewest root shortcuts bringing every tree member within k hops."""
-    return _plan_tree(tree, k, "dp")
+def shortcut_dp(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
+    """The fewest (target, ball distance) edges from the center that bring
+    every member within k hops of its min-hop tree, in member order."""
+    return _shortcuts(ball, k, "dp")
 
 
 def _half_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

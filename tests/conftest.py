@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from radius_stepping import GeneratorSpec, WeightSpec, generate
+from radius_stepping import Ball, GeneratorSpec, WeightSpec, generate
 
 
 def random_graph(seed, n_lo=2, n_hi=150, m_cap=600, w_lo=1, w_hi=100):
@@ -19,6 +19,30 @@ def random_graph(seed, n_lo=2, n_hi=150, m_cap=600, w_lo=1, w_hi=100):
         weights=WeightSpec(w_lo, w_hi, seed=rng.randrange(2**30)),
     )
     return generate(spec), rng.randrange(n)
+
+
+def tree_ball(parent, depth):
+    """A Ball over the tree rooted at 0 with the given parent and depth maps,
+    each node's depth doubling as its ball distance."""
+    order = sorted(depth, key=lambda u: (depth[u], u))
+    pos = {u: i for i, u in enumerate(order)}
+    return Ball(
+        center=0,
+        members=tuple((u, depth[u]) for u in order),
+        r_rho=depth[order[-1]],
+        parent=tuple(pos[parent[u]] if u in parent else -1 for u in order),
+        depth=tuple(depth[u] for u in order),
+    )
+
+
+def children(ball):
+    """Each member's tree children, sorted by id."""
+    verts = [u for u, _ in ball.members]
+    kids = {u: [] for u in verts}
+    for u, p in zip(verts, ball.parent):
+        if p >= 0:
+            kids[verts[p]].append(u)
+    return {u: sorted(c) for u, c in kids.items()}
 
 
 def corpus(count, seed, **kw):

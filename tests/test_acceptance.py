@@ -33,8 +33,7 @@ from radius_stepping import (
     shortcut_greedy,
     validate_k_rho,
 )
-from radius_stepping.preprocess import BallTree
-from conftest import corpus
+from conftest import children, corpus, tree_ball
 
 
 class Budget:
@@ -121,7 +120,7 @@ def test_criterion_04_step_bound_and_window():
 
 
 def _rooted_trees(max_nodes):
-    yield BallTree(root=0, parent={}, depth={0: 0}, dist={0: 0})
+    yield tree_ball({}, {0: 0})
     for n in range(2, max_nodes + 1):
         for free in nx.nonisomorphic_trees(n):
             for root in free.nodes():
@@ -133,16 +132,16 @@ def _rooted_trees(max_nodes):
                 relabel = {old: i for i, old in enumerate(sorted(depth, key=lambda x: (depth[x], x)))}
                 p = {relabel[v]: relabel[u] for v, u in parent.items()}
                 d = {relabel[v]: dep for v, dep in depth.items()}
-                yield BallTree(root=0, parent=p, depth=d, dist=dict(d))
+                yield tree_ball(p, d)
 
 
 def _min_shortcuts_bruteforce(tree, k):
-    nodes = sorted(v for v in tree.depth if v != tree.root)
-    kids = tree.children()
+    nodes = sorted(v for v, _ in tree.members[1:])
+    kids = children(tree)
 
     def feasible(targets):
-        depth = {tree.root: 0}
-        stack = [tree.root]
+        depth = {tree.center: 0}
+        stack = [tree.center]
         while stack:
             u = stack.pop()
             for w in kids[u]:
@@ -165,8 +164,8 @@ def test_criterion_05_dp_optimality_and_dominance():
         for tree in _rooted_trees(10):
             trees += 1
             for k in (1, 2, 3):
-                dp = len(shortcut_dp(tree, k).added_edges)
-                greedy = len(shortcut_greedy(tree, k).added_edges)
+                dp = len(shortcut_dp(tree, k))
+                greedy = len(shortcut_greedy(tree, k))
                 assert dp == _min_shortcuts_bruteforce(tree, k)
                 assert dp <= greedy
         assert trees >= 1000  # every rooted tree on <= 10 nodes, roots x free trees
@@ -179,9 +178,9 @@ def test_criterion_05_dp_optimality_and_dominance():
                 for j in range(leaves):
                     parent[k + 1 + j] = k
                     depth[k + 1 + j] = k + 1
-                tree = BallTree(root=0, parent=parent, depth=depth, dist=dict(depth))
-                assert len(shortcut_greedy(tree, k).added_edges) == leaves
-                assert len(shortcut_dp(tree, k).added_edges) == 1
+                tree = tree_ball(parent, depth)
+                assert len(shortcut_greedy(tree, k)) == leaves
+                assert len(shortcut_dp(tree, k)) == 1
 
 
 def test_criterion_06_weighted_trend(tmp_path):

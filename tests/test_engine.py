@@ -23,7 +23,7 @@ from radius_stepping import (
     reachable_set,
     step_records_csv,
 )
-from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, _expand, relax_batch
+from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, relax_batch
 from conftest import corpus, random_graph
 
 PATH = [(0, 1, 2), (1, 2, 3)]
@@ -170,26 +170,6 @@ def test_relax_batch_raises_when_a_settled_distance_moves(path):
     settled[0] = True
     with pytest.raises(GraphError, match="settled distance moved at vertex 0"):
         relax_batch(g, delta, np.arange(1, leaves + 1), settled)
-
-
-def test_expand_raises_when_a_settled_distance_moves():
-    # The unit-weight substep keeps relax_batch's guard: vertex 0 is settled
-    # at 9, yet its level-0 leaves would give it 1.
-    g = from_edges(5, [(0, v, 1) for v in range(1, 5)])
-    delta = np.array([9, 0, 0, 0, 0], dtype=np.int64)
-    settled = np.zeros(g.n, dtype=bool)
-    settled[0] = True
-    with pytest.raises(GraphError, match="settled distance moved at vertex 0"):
-        _expand(g, delta, np.arange(1, 5), settled)
-
-
-def test_expand_rejects_an_active_set_spanning_two_levels():
-    g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    delta = np.array([0, 1, 2, UNREACHED], dtype=np.int64)
-    settled = np.zeros(g.n, dtype=bool)
-    with pytest.raises(GraphError, match="spans levels 1 and 2"):
-        _expand(g, delta, np.array([1, 2]), settled)
-    assert delta.tolist() == [0, 1, 2, UNREACHED]
 
 
 def test_strict_radii_share_r_rho_and_stay_exact():
@@ -492,8 +472,11 @@ def premise_by_dijkstra(g, radii, rho):
 
 
 def test_premise_check_matches_dijkstra_loop():
+    # The edgeless graph's radii are all zero, and so are its r_rho: the
+    # premise holds there although rho > 1.
     outcomes = set()
-    for g, s in corpus(12, seed=737373, n_hi=70, m_cap=200, w_hi=5):
+    edgeless = (from_edges(3, []), 1)
+    for g, s in corpus(12, seed=737373, n_hi=70, m_cap=200, w_hi=5) + [edgeless]:
         for rho in (2, 4, 8):
             aug, radii = build_1_rho(g, rho)
             res = radius_step_fast(aug, radii, s)
@@ -501,15 +484,14 @@ def test_premise_check_matches_dijkstra_loop():
             positive = np.flatnonzero(shrunk > 0)
             if positive.size:
                 shrunk[positive[len(positive) // 2]] -= 1
-            for r in (radii.r, shrunk, np.zeros_like(shrunk) + 1):
+            for r in (radii.r, shrunk, np.zeros_like(shrunk), np.zeros_like(shrunk) + 1):
                 assignment = RadiusAssignment(r=r, rho=rho, k=1)
                 expected = premise_by_dijkstra(aug, assignment, rho)
                 report = check_bounds(res, aug, rho, 1, radii=assignment)
-                if report.reason != "premise fails: all radii zero with rho > 1":
-                    assert report.checkable == (expected == "")
-                    assert report.reason == expected
-                    outcomes.add(expected == "")
-    assert outcomes == {True, False}
+                assert report.checkable == (expected == "")
+                assert report.reason == expected
+                outcomes.add((g is edgeless[0], expected == ""))
+    assert outcomes == {(False, True), (False, False), (True, True)}
 
 
 def test_check_bounds_verifies_premise_on_a_large_grid():

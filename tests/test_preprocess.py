@@ -30,8 +30,7 @@ from radius_stepping import (
 )
 from radius_stepping.baselines import _lex_dijkstra
 import radius_stepping.preprocess as preprocess
-from radius_stepping.preprocess import BallTree
-from conftest import random_graph
+from conftest import children, random_graph, tree_ball
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 STAR = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]
@@ -129,15 +128,25 @@ def test_strict_mode_budget(seed, rho):
 
 def test_min_hop_tree_star():
     g = from_edges(5, STAR)
-    tree = min_hop_ball_tree(compute_ball(g, 0, 5))
-    assert all(tree.depth[v] == 1 for v in range(1, 5))
+    ball = compute_ball(g, 0, 5)
+    assert ball.depth == (0, 1, 1, 1, 1)
 
 
 def test_min_hop_tree_triangle():
     g = from_edges(3, TRIANGLE)
+    ball = compute_ball(g, 0, 3)
+    assert ball.members == ((0, 0), (2, 1), (1, 2))
+    assert ball.parent[2] == 1
+    assert ball.depth[2] == 2
+
+
+def test_min_hop_ball_tree_keys_the_ball_tree_by_vertex():
+    g = from_edges(3, TRIANGLE)
     tree = min_hop_ball_tree(compute_ball(g, 0, 3))
-    assert tree.parent[1] == 2
-    assert tree.depth[1] == 2
+    assert tree.root == 0
+    assert tree.parent == {2: 0, 1: 2}
+    assert tree.depth == {0: 0, 2: 1, 1: 2}
+    assert tree.dist == {0: 0, 2: 1, 1: 2}
 
 
 def _min_hops_via_dag(g, root, oracle):
@@ -161,12 +170,13 @@ def _min_hops_via_dag(g, root, oracle):
 def test_min_hop_tree_depths_match_dag_oracle(seed):
     g, root = random_graph(seed, n_hi=30, m_cap=90)
     ball = compute_ball(g, root, 8)
-    tree = min_hop_ball_tree(ball)
     oracle = dijkstra(g, root)
     hops = _min_hops_via_dag(g, root, oracle)
-    for v, depth in tree.depth.items():
+    verts = [u for u, _ in ball.members]
+    for v, depth in zip(verts, ball.depth):
         assert depth == hops[v]
-    for v, p in tree.parent.items():
+    for v, i in zip(verts[1:], ball.parent[1:]):
+        p = verts[i]
         assert oracle[p] + dict(zip(*[a.tolist() for a in g.neighbors(v)]))[p] == oracle[v]
 
 
@@ -176,27 +186,26 @@ def chain_tree(depths):
     for i in range(1, len(depths)):
         parent[i] = i - 1
         depth[i] = depths[i]
-    return BallTree(root=0, parent=parent, depth=depth, dist=dict(depth))
+    return tree_ball(parent, depth)
 
 
 def test_greedy_chain_targets():
     tree = chain_tree(list(range(6)))
-    plan = shortcut_greedy(tree, 2)
-    assert [t for t, _ in plan.added_edges] == [3, 5]
+    assert [t for t, _ in shortcut_greedy(tree, 2)] == [3, 5]
 
 
 def test_greedy_all_within_k_empty():
     tree = chain_tree([0, 1, 2])
-    assert shortcut_greedy(tree, 2).added_edges == ()
-    assert shortcut_dp(tree, 2).added_edges == ()
+    assert shortcut_greedy(tree, 2) == ()
+    assert shortcut_dp(tree, 2) == ()
 
 
 def test_dp_ties_prefer_the_shortcut():
     # On 0-1-2-3 at k=2 a shortcut to 2 or to 3 costs one edge either way;
     # the tie goes to shortcutting the shallower node.
     tree = chain_tree([0, 1, 2, 3])
-    assert shortcut_dp(tree, 2).added_edges == ((2, 2),)
-    assert shortcut_greedy(tree, 2).added_edges == ((3, 3),)
+    assert shortcut_dp(tree, 2) == ((2, 2),)
+    assert shortcut_greedy(tree, 2) == ((3, 3),)
 
 
 def test_dp_pathological_chain_plus_leaves():
@@ -210,17 +219,17 @@ def test_dp_pathological_chain_plus_leaves():
             parent[nxt] = k
             depth[nxt] = k + 1
             nxt += 1
-        tree = BallTree(root=0, parent=parent, depth=depth, dist=dict(depth))
-        assert len(shortcut_greedy(tree, k).added_edges) == leaves
+        tree = tree_ball(parent, depth)
+        assert len(shortcut_greedy(tree, k)) == leaves
         dp = shortcut_dp(tree, k)
-        assert len(dp.added_edges) == 1
-        assert _tree_reach_within_k(tree, {t for t, _ in dp.added_edges}, k)
+        assert len(dp) == 1
+        assert _tree_reach_within_k(tree, {t for t, _ in dp}, k)
 
 
 def _tree_reach_within_k(tree, targets, k):
-    kids = tree.children()
-    depth = {tree.root: 0}
-    stack = [tree.root]
+    kids = children(tree)
+    depth = {tree.center: 0}
+    stack = [tree.center]
     while stack:
         u = stack.pop()
         for w in kids[u]:
@@ -232,14 +241,13 @@ def _tree_reach_within_k(tree, targets, k):
 def _dp_targets_loop(tree, k):
     # Reference for the batched level pass: the same DP, one tree at a time
     # over dicts, children before parents and then parents before children.
-    kids = tree.children()
+    kids = children(tree)
     cost = {}
-    for u in sorted(tree.depth, key=lambda u: (tree.dist[u], u), reverse=True):
-        if u != tree.root:
-            sc = 1 + sum(cost[w][1] for w in kids[u])
-            cost[u] = [min(sc, sum(cost[w][t + 1] for w in kids[u])) for t in range(k)] + [sc]
+    for u, _ in reversed(tree.members[1:]):
+        sc = 1 + sum(cost[w][1] for w in kids[u])
+        cost[u] = [min(sc, sum(cost[w][t + 1] for w in kids[u])) for t in range(k)] + [sc]
     targets = []
-    stack = [(u, 0) for u in kids[tree.root]]
+    stack = [(u, 0) for u in kids[tree.center]]
     while stack:
         u, t = stack.pop()
         cut = t == k or cost[u][k] <= sum(cost[w][t + 1] for w in kids[u])
@@ -258,11 +266,11 @@ def test_dp_plan_is_feasible(data):
     depth = {0: 0}
     for i, p in enumerate(parents, start=1):
         depth[i] = depth[p] + 1
-    tree = BallTree(root=0, parent=parent, depth=depth, dist=dict(depth))
+    tree = tree_ball(parent, depth)
     for k in (1, 2, 3):
         for plan in (shortcut_dp(tree, k), shortcut_greedy(tree, k)):
-            assert _tree_reach_within_k(tree, {t for t, _ in plan.added_edges}, k)
-        assert [t for t, _ in shortcut_dp(tree, k).added_edges] == _dp_targets_loop(tree, k)
+            assert _tree_reach_within_k(tree, {t for t, _ in plan}, k)
+        assert sorted(t for t, _ in shortcut_dp(tree, k)) == _dp_targets_loop(tree, k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -331,7 +339,7 @@ def test_build_k_rho_chunks_equal_per_vertex_plans(heuristic, monkeypatch):
             for v in range(g.n):
                 ball = compute_ball(g, v, rho, tie_inclusive)
                 r.append(ball.r_rho)
-                want.extend((v, u, w) for u, w in pick(min_hop_ball_tree(ball), k).added_edges)
+                want.extend((v, u, w) for u, w in pick(ball, k))
             aug, radii, added = build_k_rho(g, k, rho, heuristic=heuristic, tie_inclusive=tie_inclusive)
             assert aug == from_edges(g.n, want), (g.n, k, rho, tie_inclusive)
             assert radii.r.tolist() == r
@@ -351,8 +359,7 @@ def test_dp_adds_no_more_than_greedy_per_tree(seed, k, rho):
         ball = compute_ball(g, v, rho)
         if len(ball.members) <= 1:
             continue
-        tree = min_hop_ball_tree(ball)
-        assert len(shortcut_dp(tree, k).added_edges) <= len(shortcut_greedy(tree, k).added_edges)
+        assert len(shortcut_dp(ball, k)) <= len(shortcut_greedy(ball, k))
 
 
 def _split_balls(columns):
@@ -521,3 +528,6 @@ def test_bad_arguments():
         build_k_rho(g, 0, 2)
     with pytest.raises(GraphError):
         build_k_rho(g, 1, 2, heuristic="magic")
+    for pick in (shortcut_dp, shortcut_greedy):
+        with pytest.raises(GraphError, match="k must be >= 1"):
+            pick(compute_ball(g, 0, 3), 0)
