@@ -6,6 +6,15 @@ Parallel edges collapse to the minimum weight and self-loops are dropped:
 a Graph is always simple and symmetric.  Per-vertex adjacency is sorted
 ascending by (weight, neighbor id), which the ball-building code relies on
 to scan only the lightest edges of each vertex.
+
+Edge-list text is read by numpy: each block of about 64 KB of whole lines
+becomes a uint8 array, whitespace and token starts give every line's
+fields, and the digits are summed into int64 values; ids are compacted
+with np.unique.  Text the tokenizer cannot read exactly (non-ASCII bytes,
+signs other than a leading '+', tokens over 18 digits, more than 3
+fields, any line that would be rejected) goes to the line-by-line reader,
+which decides it.  Ids must be below 2**63, so labels fit int64, and the
+writer formats every row through one %-template.
 """
 from __future__ import annotations
 
@@ -219,15 +228,45 @@ def _check_distance_bound(n: int, a: np.ndarray, b: np.ndarray, ws: np.ndarray) 
         )
 
 
+# Text is tokenized in blocks of about this many bytes, each cut after a
+# newline, so the per-byte scratch arrays stay small.
+_BLOCK = 1 << 16
+# The ASCII bytes str.split() takes for whitespace; then those and the digits.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_PLAIN = _SPACE.copy()
+_PLAIN[ord("0") : ord("9") + 1] = True
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" or "u v w" lines into a Graph.
 
     '#' starts a comment line; blank lines are skipped; missing weights
     default to 1.  A line "u" alone names a vertex, which keeps a vertex
     with no edge (as write_edge_list writes one) in the graph.  Vertex ids
-    are compacted to 0..n-1 in first-appearance order, with the original
-    ids kept as the graph's labels.
+    must be below 2**63; they are compacted to 0..n-1 in first-appearance
+    order, with the original ids kept as the graph's labels (so labels
+    fit int64).
+
+    ASCII text is read by a numpy tokenizer, one block of whole lines at a
+    time.  It takes only what it can read exactly: tokens of at most 18
+    digits with an optional leading '+', at most 3 fields per line, and no
+    zero weight.  Any other text goes whole to the line-by-line reader,
+    which decides it and reports every parse error with its line number.
+    Both give the same columns, which go to from_edges.
     """
+    cols = _block_columns(text) if text.isascii() else None
+    n, us, vs, ws, labels = cols if cols is not None else _line_columns(text)
+    return from_edges(n, (us, vs, ws), labels=labels)
+
+
+_Columns = tuple[int, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
+
+
+def _line_columns(text: str) -> _Columns:
+    """parse_edge_list's (n, u, v, w, labels) one line at a time: the reader
+    that decides every input."""
     id_map: dict[int, int] = {}
     us: list[int] = []
     vs: list[int] = []
@@ -255,6 +294,8 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(lineno, f"malformed token in {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListParseError(lineno, "vertex ids must be nonnegative")
+        if u >= 2**63 or v >= 2**63:
+            raise EdgeListParseError(lineno, "vertex ids must be below 2**63")
         if len(parts) == 1:
             compact(u)
             continue
@@ -268,13 +309,97 @@ def parse_edge_list(text: str) -> Graph:
 
     if not id_map:
         raise GraphError("empty edge list")
-    n = len(id_map)
-    labels = tuple(id_map.keys())
-    return from_edges(
-        n,
-        (np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=np.int64)),
-        labels=labels,
-    )
+    cols = [np.asarray(col, dtype=np.int64) for col in (us, vs, ws)]
+    return (len(id_map), *cols, tuple(id_map.keys()))
+
+
+def _block_columns(text: str) -> _Columns | None:
+    """_line_columns of ASCII text by numpy, or None where a block is not
+    plainly valid (or no line names a vertex), leaving it to _line_columns."""
+    values, fields = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int8)]
+    at = 0
+    while at < len(text):
+        cut = text.find("\n", min(at + _BLOCK, len(text)) - 1)
+        cut = len(text) if cut < 0 else cut + 1
+        block = _block_tokens(text[at:cut].encode("ascii"))
+        if block is None:
+            return None
+        values.append(block[0])
+        fields.append(block[1])
+        at = cut
+    value, field = np.concatenate(values), np.concatenate(fields)
+    if not len(value):
+        return None
+    heads = np.flatnonzero(field == 0)
+    count = np.diff(heads, append=len(field))
+    edge = heads[count > 1]
+    w = np.ones(len(edge), dtype=np.int64)
+    three = count[count > 1] == 3
+    w[three] = value[edge[three] + 2]
+    if not w.all():  # a zero weight
+        return None
+    named = field < 2
+    raw, first, inverse = np.unique(value[named], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    dense = np.empty(len(order), dtype=np.int64)
+    dense[order] = np.arange(len(order))
+    dense = dense[inverse]
+    u = np.cumsum(named)[edge] - 1  # position of each edge's u among the ids
+    return len(raw), dense[u], dense[u + 1], w, tuple(raw[order].tolist())
+
+
+def _block_tokens(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Values and field numbers (0, 1 or 2) of the tokens on the data lines
+    of one block of whole lines, or None if a byte, token or line is not
+    plainly valid."""
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    b = np.frombuffer(raw, dtype=np.uint8)
+    space = _SPACE[b]
+    start = ~space
+    start[1:] &= space[:-1]
+    end = ~space
+    end[:-1] &= space[1:]
+    s = np.flatnonzero(start)
+    e = np.flatnonzero(end) + 1
+    line = np.searchsorted(np.flatnonzero(b == ord("\n")), s)
+    heads = np.flatnonzero(np.diff(line, prepend=-1))
+    count = np.diff(heads, append=len(s))
+    field = np.arange(len(s)) - np.repeat(heads, count)
+    note = np.repeat(b[s[heads]] == ord("#"), count)  # the token is on a comment line
+    odd = np.flatnonzero(~_PLAIN[b])
+    if len(odd):
+        # Outside comments, the only other byte allowed is a '+' that leads a token.
+        t = np.searchsorted(s, odd, side="right") - 1
+        sign = (b[odd] == ord("+")) & (s[t] == odd) & (e[t] - odd > 1)
+        if not (note[t] | sign).all():
+            return None
+    data = ~note
+    s, e, field = s[data], e[data], field[data]
+    if not len(s):
+        return s, field.astype(np.int8)
+    s += b[s] == ord("+")
+    size = e - s
+    if field.max() > 2 or size.max() > 18:
+        return None
+    field = field.astype(np.int8)
+    first = np.cumsum(size) - size
+    at = np.repeat(s - first, size) + np.arange(int(size.sum()))  # every digit, token by token
+    digit = (b[at] - ord("0")).astype(np.int64) * _POW10[np.repeat(e - 1, size) - at]
+    return np.add.reduceat(digit, first), field
+
+
+def _half_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each undirected edge once as columns (u, v, w), u < v, sorted by u."""
+    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    mask = src < g.nbr
+    return src[mask], g.nbr[mask], g.wt[mask]
+
+
+def _render(rows: np.ndarray, brief: np.ndarray, full: str, short: str) -> str:
+    """Integer rows through one %-template: `full` for each row, `short` where
+    brief.  Both take every column; "%.0s" takes one and prints nothing."""
+    return "".join(map((full, short).__getitem__, brief.tolist())) % tuple(rows.ravel().tolist())
 
 
 def write_edge_list(g: Graph) -> str:
@@ -282,20 +407,21 @@ def write_edge_list(g: Graph) -> str:
 
     A vertex with no edge gets a line "u\\n" of its own, in label order
     among the edge lines.  Ids are the graph's labels (the retained input
-    ids), so the text is a pure function of the labeled value: parsing it
-    back and re-writing reproduces the same bytes, which makes parse/write
-    idempotent after the first parse.
+    ids, distinct and within int64), so the text is a pure function of the
+    labeled value: parsing it back and re-writing reproduces the same
+    bytes, which makes parse/write idempotent after the first parse.
     """
-    rows = []
-    for u, v, w in g.iter_undirected_edges():
-        lu, lv = g.label_of(u), g.label_of(v)
-        if lu > lv:
-            lu, lv = lv, lu
-        rows.append((lu, lv, w))
+    u, v, w = _half_edges(g)
+    lone = np.flatnonzero(np.diff(g.indptr) == 0)
+    if g.labels is not None:
+        label = np.asarray(g.labels, dtype=np.int64)
+        u, v, lone = np.minimum(label[u], label[v]), np.maximum(label[u], label[v]), label[lone]
     # Weight 0 marks a vertex with no edge; no edge row shares its label.
-    rows.extend((g.label_of(u), 0, 0) for u in np.flatnonzero(np.diff(g.indptr) == 0).tolist())
-    rows.sort()
-    return "".join(f"{u} {v} {w}\n" if w else f"{u}\n" for u, v, w in rows)
+    rows = np.zeros((len(u) + len(lone), 3), dtype=np.int64)
+    rows[: len(u)] = np.column_stack((u, v, w))
+    rows[len(u) :, 0] = lone
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    return _render(rows, rows[:, 2] == 0, "%d %d %d\n", "%d%.0s%.0s\n")
 
 
 def reachable_set(g: Graph, s: int) -> set[int]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import SMALL_GRAPH_CAP, dijkstra, k_radius_bruteforce
-from .graph import UNREACHED, Graph, GraphError, from_edges
+from .graph import UNREACHED, Graph, GraphError, _half_edges, _render, from_edges
 
 
 @dataclass(frozen=True)
@@ -356,12 +356,10 @@ class RadiusAssignment:
 
 def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) -> str:
     """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap."""
-    rows = []
-    for v, r in enumerate(radii.r.tolist()):
-        lab = labels[v] if labels is not None else v
-        rows.append((lab, "inf" if r >= UNREACHED else str(r)))
-    rows.sort()
-    return "".join(f"{lab} {r}\n" for lab, r in rows)
+    label = np.arange(len(radii.r), dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
+    order = np.argsort(label, kind="stable")
+    rows = np.column_stack((label[order], radii.r[order]))
+    return _render(rows, rows[:, 1] >= UNREACHED, "%d %d\n", "%d inf%.0s\n")
 
 
 def parse_radii(text: str) -> dict[int, int]:
@@ -390,16 +388,29 @@ def parse_radii(text: str) -> dict[int, int]:
 
 def radii_for_graph(pairs: dict[int, int], g: Graph) -> np.ndarray:
     """Align parsed (label, radius) pairs to a graph's dense vertex ids."""
-    arr = np.empty(g.n, dtype=np.int64)
-    for v in range(g.n):
-        lab = g.label_of(v)
-        if lab not in pairs:
-            raise GraphError(f"radii file is missing vertex {lab}")
-        arr[v] = pairs[lab]
+    label = np.arange(g.n, dtype=np.int64) if g.labels is None else np.asarray(g.labels, dtype=np.int64)
+    try:
+        key, radius = _columns(pairs)
+    except OverflowError:
+        # Labels fit int64, so an id outside it names no vertex; it still
+        # counts toward the file's size below.
+        key, radius = _columns({v: r for v, r in pairs.items() if -(2**63) <= v < 2**63})
+    missing = np.flatnonzero(~np.isin(label, key))
+    if len(missing):
+        raise GraphError(f"radii file is missing vertex {int(label[missing[0]])}")
     if len(pairs) != g.n:
         raise GraphError(f"radii file covers {len(pairs)} vertices, graph has {g.n}")
+    order = np.argsort(key)
+    arr = radius[order][np.searchsorted(key, label, sorter=order)]
     arr.flags.writeable = False
     return arr
+
+
+def _columns(pairs: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.fromiter(pairs.keys(), dtype=np.int64, count=len(pairs)),
+        np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs)),
+    )
 
 
 @dataclass(frozen=True)
@@ -476,16 +487,12 @@ def shortcut_dp(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
     return _shortcuts(ball, k, "dp")
 
 
-def _half_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    mask = src < g.nbr
-    return src[mask], g.nbr[mask], g.wt[mask]
-
-
 def _augment(g: Graph, extra: list[list[np.ndarray]]) -> Graph:
-    cols = _half_edges(g)
-    if extra:
-        cols = tuple(np.concatenate([col, *parts]) for col, parts in zip(cols, zip(*extra)))
+    """g with the (center, vertex, distance) shortcut columns unioned in;
+    g itself when there are none, since rebuilding would change nothing."""
+    if not sum(len(part[0]) for part in extra):
+        return g
+    cols = tuple(np.concatenate([col, *parts]) for col, parts in zip(_half_edges(g), zip(*extra)))
     return from_edges(g.n, cols, labels=g.labels)
 
 
@@ -509,7 +516,8 @@ def build_k_rho(
 
     Balls come from the batched search one chunk of sources at a time,
     and each chunk's plans are picked at once; chunking also bounds the
-    plan's memory.  Returns the augmented graph, the radius assignment
+    plan's memory.  Returns the augmented graph (g itself when no
+    shortcut is planned, as at rho=1), the radius assignment
     r(v) = r_rho(v), and the number of undirected edges the union
     actually added.
     """

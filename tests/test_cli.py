@@ -210,6 +210,16 @@ def test_sssp_rejects_weights_that_do_not_fit(tmp_path, capsys, text):
     assert "line 1" in err and "2**62" in err
 
 
+def test_preprocess_rejects_ids_beyond_int64_with_line_number(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text("0 1 5\n18446744073709551616 1 5\n")
+    code, out, err = run(capsys, "preprocess", "-i", str(f), "--rho", "2",
+                         "-o", str(tmp_path / "aug.txt"), "--radii", str(tmp_path / "radii.txt"))
+    assert code == 1
+    assert out == ""
+    assert "line 2" in err and "2**63" in err
+
+
 def test_sssp_rejects_distances_that_could_reach_the_sentinel(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text(f"0 1 {2**61}\n1 2 {2**61}\n")

@@ -1,15 +1,21 @@
+import random
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import radius_stepping.graph as graph
 from radius_stepping import (
+    UNREACHED,
     EdgeListParseError,
     GraphError,
+    RadiusAssignment,
     from_edges,
     parse_edge_list,
     reachable_set,
     write_edge_list,
+    write_radii,
 )
 
 
@@ -148,3 +154,156 @@ def test_graph_is_immutable():
     g = from_edges(2, [(0, 1, 3)])
     with pytest.raises(ValueError):
         g.wt[0] = 9
+
+
+def test_ids_must_fit_int64():
+    g = parse_edge_list(f"{2**63 - 1} 1 5\n")
+    assert g.labels == (2**63 - 1, 1)
+    with pytest.raises(EdgeListParseError, match=r"vertex ids must be below 2\*\*63") as err:
+        parse_edge_list(f"0 1 5\n# note\n1 {2**64} 5\n")
+    assert err.value.lineno == 3
+
+
+# Separators str.split() takes for whitespace, besides the plain space.
+SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r"]
+# Tokens the numpy reader leaves to the line reader, accepted or not there.
+ODD_TOKENS = [
+    str(2**63 - 1),  # 19 digits, still a valid id
+    str(2**63),
+    "0" * 19 + "7",
+    "1_0",
+    "-0",
+    "-3",
+    "+",
+    "++1",
+    "1+",
+    "x",
+    "\u0663",  # ARABIC-INDIC DIGIT THREE: int() reads it
+    "5\xa0",  # NO-BREAK SPACE: str.split() splits on it
+    "#",
+]
+
+
+def _token(rng):
+    small, large = rng.randint(0, 30), rng.randint(0, 10**6)
+    value = rng.choice([small, small, small, large, 10**17 + rng.randint(0, 10**17), 10**18 - 1])
+    text = str(value).zfill(rng.choice([0, 0, 0, 3, 18]))
+    return ("+" if rng.random() < 0.1 else "") + text
+
+
+def _plain_line(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(["", " ", "\t\x0b"])
+    if roll < 0.2:
+        return rng.choice(["", "  ", "\x1c"]) + "# " + rng.choice(["note", "1 2 3 4", "x_y"])
+    fields = [_token(rng) for _ in range(rng.choice([1, 2, 2, 3, 3, 3]))]
+    gap = rng.choice([" ", " ", rng.choice(SEPARATORS), "  \t"])
+    pad = rng.choice(["", "", " ", rng.choice(SEPARATORS)])
+    return pad + gap.join(fields) + pad
+
+
+def _odd_line(rng):
+    fields = [_token(rng) for _ in range(3)]
+    roll = rng.random()
+    if roll < 0.1:
+        return "# caf\xe9 \u2003 1 2"
+    if roll < 0.2:
+        return " ".join(fields + ["1"])
+    if roll < 0.3:
+        return " ".join(fields[:2] + [rng.choice(["0", "00", "+0"])])
+    fields[rng.randrange(rng.randint(1, 3))] = rng.choice(ODD_TOKENS)
+    return " ".join(fields)
+
+
+def _edge_text(rng):
+    """A seeded edge list: plain lines, and in some cases one odd line."""
+    lines = [_plain_line(rng) for _ in range(rng.randint(0, 12))]
+    if rng.random() < 0.4:
+        lines.insert(rng.randint(0, len(lines)), _odd_line(rng))
+    ending = rng.choice(["\n", "\n", "\r\n"])
+    text = ending.join(lines)
+    return text + ending if rng.random() < 0.8 else text
+
+
+def _by_lines(text):
+    n, us, vs, ws, labels = graph._line_columns(text)
+    return from_edges(n, (us, vs, ws), labels=labels)
+
+
+def _outcome(read, text):
+    try:
+        return "ok", read(text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want):
+    if got[0] != "ok" or want[0] != "ok":
+        return got == want
+    g, h = got[1], want[1]
+    return g == h and g.labels == h.labels
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+def test_fast_reader_equals_line_reader(block, monkeypatch):
+    """The numpy reader either declines or returns exactly the line reader's
+    columns; parse_edge_list gives the line reader's Graph or error."""
+    monkeypatch.setattr(graph, "_BLOCK", block)
+    rng = random.Random(9000 + block)
+    taken = 0
+    for case in range(800):
+        text = _edge_text(rng)
+        assert _same(_outcome(parse_edge_list, text), _outcome(_by_lines, text)), (case, text)
+        cols = graph._block_columns(text) if text.isascii() else None
+        if cols is None:
+            continue
+        taken += 1
+        want = graph._line_columns(text)
+        assert cols[0] == want[0] and cols[4] == want[4], (case, text)
+        for got_col, want_col in zip(cols[1:4], want[1:4]):
+            assert np.array_equal(got_col, want_col), (case, text)
+    assert taken >= 350  # about half the cases exercise the numpy reader
+
+
+def old_write_edge_list(g):
+    """write_edge_list as one formatted row per edge: the oracle."""
+    rows = []
+    for u, v, w in g.iter_undirected_edges():
+        lu, lv = g.label_of(u), g.label_of(v)
+        if lu > lv:
+            lu, lv = lv, lu
+        rows.append((lu, lv, w))
+    rows.extend((g.label_of(u), 0, 0) for u in np.flatnonzero(np.diff(g.indptr) == 0).tolist())
+    rows.sort()
+    return "".join(f"{u} {v} {w}\n" if w else f"{u}\n" for u, v, w in rows)
+
+
+def old_write_radii(radii, labels=None):
+    """write_radii as one formatted row per vertex: the oracle."""
+    rows = []
+    for v, r in enumerate(radii.r.tolist()):
+        lab = labels[v] if labels is not None else v
+        rows.append((lab, "inf" if r >= UNREACHED else str(r)))
+    rows.sort()
+    return "".join(f"{lab} {r}\n" for lab, r in rows)
+
+
+def test_writers_equal_per_row_formatting():
+    rng = random.Random(77)
+    for case in range(300):
+        n = rng.randint(1, 40)
+        edges = [
+            (rng.randrange(n), rng.randrange(n), rng.choice([1, rng.randint(1, 10**6), 2**40]))
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        labels = None
+        if rng.random() < 0.6:  # sparse labels, out of order, up to 2**63 - 1
+            pool = rng.sample(range(50), n) if rng.random() < 0.5 else [rng.randrange(2**63) for _ in range(n)]
+            labels = tuple(pool)
+        g = from_edges(n, edges, labels=labels)
+        assert write_edge_list(g) == old_write_edge_list(g), case
+        r = np.array([rng.choice([0, 3, rng.randrange(UNREACHED), UNREACHED, UNREACHED + 5]) for _ in range(n)])
+        radii = RadiusAssignment(r=r, rho=1, k=1)
+        assert write_radii(radii, g.labels) == old_write_radii(radii, g.labels), case
+        assert write_radii(radii) == old_write_radii(radii), case

@@ -85,6 +85,16 @@ def test_build_1_rho_trivial_rho():
     assert (radii.r == 0).all()
 
 
+def test_build_k_rho_without_shortcuts_returns_the_input():
+    # rho=1 balls are trivial, and a complete unit graph is within one hop.
+    sparse = parse_edge_list("10 20 2\n20 30 3\n40\n")
+    complete = from_edges(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
+    for g, k, rho in ((sparse, 1, 1), (complete, 1, 4), (complete, 2, 3)):
+        aug, _, added = build_k_rho(g, k, rho)
+        assert aug is g and aug.labels == g.labels
+        assert added == 0
+
+
 def test_build_1_rho_path_adds_far_edge():
     g = from_edges(3, PATH)
     aug, radii = build_1_rho(g, 3)
@@ -510,6 +520,14 @@ def test_radii_for_graph_rejects_gaps():
     g = from_edges(3, PATH)
     with pytest.raises(GraphError):
         radii_for_graph(parse_radii("0 1\n2 4\n"), g)
+
+
+def test_radii_for_graph_ids_beyond_int64_name_no_vertex():
+    g = parse_edge_list("7 3 2\n3 9 5\n")
+    with pytest.raises(GraphError, match="radii file covers 4 vertices, graph has 3"):
+        radii_for_graph({3: 1, 7: 2, 9: 3, 2**70: 4}, g)
+    with pytest.raises(GraphError, match="radii file is missing vertex 7"):
+        radii_for_graph({3: 1, -(2**64): 2, 9: 3}, g)
 
 
 def test_radii_inf_roundtrip():
