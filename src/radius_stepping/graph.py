@@ -144,7 +144,8 @@ def from_edges(
 
     Symmetrizes, drops self-loops, collapses parallel edges to the minimum
     weight.  Weights must be integers >= 1, and shortest paths must stay
-    below UNREACHED (see _check_distance_bound).
+    below UNREACHED (see _check_distance_bound).  Labels, if given, must
+    fit int64, which the edge-list and radii writers rely on.
     """
     if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
         us, vs, ws = (np.asarray(a, dtype=np.int64) for a in edges)
@@ -159,6 +160,11 @@ def from_edges(
         raise GraphError("vertex id out of range")
     if len(ws) and ws.min() < 1:
         raise GraphError("edge weight must be a positive integer")
+    if labels is not None:
+        try:
+            np.asarray(labels, dtype=np.int64)
+        except OverflowError:
+            raise GraphError("vertex labels must fit int64") from None
 
     keep = us != vs
     us, vs, ws = us[keep], vs[keep], ws[keep]

@@ -376,6 +376,8 @@ def parse_radii(text: str) -> dict[int, int]:
             r = UNREACHED if parts[1] == "inf" else int(parts[1])
         except ValueError:
             raise GraphError(f"radii line {lineno}: expected integers 'v r', got {line!r}") from None
+        if not -(2**63) <= v < 2**63:
+            raise GraphError(f"radii line {lineno}: vertex ids must fit int64, got {v}")
         if not 0 <= r <= UNREACHED:
             raise GraphError(f"radii line {lineno}: radius must be in [0, 2**62] or inf, got {r}")
         if v in pairs:
@@ -388,29 +390,16 @@ def parse_radii(text: str) -> dict[int, int]:
 
 def radii_for_graph(pairs: dict[int, int], g: Graph) -> np.ndarray:
     """Align parsed (label, radius) pairs to a graph's dense vertex ids."""
-    label = np.arange(g.n, dtype=np.int64) if g.labels is None else np.asarray(g.labels, dtype=np.int64)
-    try:
-        key, radius = _columns(pairs)
-    except OverflowError:
-        # Labels fit int64, so an id outside it names no vertex; it still
-        # counts toward the file's size below.
-        key, radius = _columns({v: r for v, r in pairs.items() if -(2**63) <= v < 2**63})
-    missing = np.flatnonzero(~np.isin(label, key))
-    if len(missing):
-        raise GraphError(f"radii file is missing vertex {int(label[missing[0]])}")
+    arr = np.empty(g.n, dtype=np.int64)
+    for v in range(g.n):
+        lab = g.label_of(v)
+        if lab not in pairs:
+            raise GraphError(f"radii file is missing vertex {lab}")
+        arr[v] = pairs[lab]
     if len(pairs) != g.n:
         raise GraphError(f"radii file covers {len(pairs)} vertices, graph has {g.n}")
-    order = np.argsort(key)
-    arr = radius[order][np.searchsorted(key, label, sorter=order)]
     arr.flags.writeable = False
     return arr
-
-
-def _columns(pairs: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.fromiter(pairs.keys(), dtype=np.int64, count=len(pairs)),
-        np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs)),
-    )
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,14 @@ def test_parse_rejects_four_fields_with_line_number():
     assert err.value.lineno == 3
 
 
+def test_from_edges_rejects_labels_beyond_int64():
+    g = from_edges(2, [(0, 1, 4)], labels=(-(2**63), 2**63 - 1))
+    assert write_edge_list(g) == f"{-(2**63)} {2**63 - 1} 4\n"
+    for label in (2**63, -(2**63) - 1):
+        with pytest.raises(GraphError, match="vertex labels must fit int64"):
+            from_edges(2, [(0, 1, 4)], labels=(0, label))
+
+
 # Self-loops are drawn too: a vertex with only self-loops is isolated.
 edge_lists = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 9)),

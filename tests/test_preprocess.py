@@ -530,6 +530,12 @@ def test_radii_for_graph_ids_beyond_int64_name_no_vertex():
         radii_for_graph({3: 1, -(2**64): 2, 9: 3}, g)
 
 
+def test_parse_radii_rejects_ids_beyond_int64():
+    assert parse_radii(f"{-(2**63)} 1\n{2**63 - 1} inf\n") == {-(2**63): 1, 2**63 - 1: UNREACHED}
+    with pytest.raises(GraphError, match=r"radii line 3: vertex ids must fit int64, got 18446744073709551616"):
+        parse_radii(f"0 1\n# note\n{2**64} 2\n")
+
+
 def test_radii_inf_roundtrip():
     g = from_edges(2, [(0, 1, 3)])
     radii = RadiusAssignment.uniform(2, UNREACHED)
