@@ -5,7 +5,9 @@ lengths are exact and every distance comparison is integer arithmetic.
 Parallel edges collapse to the minimum weight and self-loops are dropped:
 a Graph is always simple and symmetric.  Per-vertex adjacency is sorted
 ascending by (weight, neighbor id), which the ball-building code relies on
-to scan only the lightest edges of each vertex.
+to scan only the lightest edges of each vertex.  Both that order and the
+writer's row order come from unstable argsorts of packed int64 keys, so n
+is bounded: n*max(n, 2*edges) < 2**63.
 
 Edge-list text is read by numpy: each block of about 64 KB of whole lines
 becomes a uint8 array, whitespace and token starts give every line's
@@ -18,6 +20,8 @@ writer formats every row through one %-template.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,6 +31,7 @@ import numpy as np
 # and every distance below it, so distance + weight and distance + radius
 # (radii are at most UNREACHED) never overflow int64.
 UNREACHED = 2**62
+_INT64_MAX = 2**63 - 1
 
 
 class GraphError(ValueError):
@@ -140,58 +145,120 @@ def from_edges(
     edges: Iterable[tuple[int, int, int]] | tuple[np.ndarray, np.ndarray, np.ndarray],
     labels: tuple[int, ...] | None = None,
 ) -> Graph:
-    """Build a Graph from (u, v, w) triples.
+    """Build a Graph from (u, v, w) triples or from three columns (u, v, w).
 
     Symmetrizes, drops self-loops, collapses parallel edges to the minimum
-    weight.  Weights must be integers >= 1, and shortest paths must stay
-    below UNREACHED (see _check_distance_bound).  Labels, if given, must
-    fit int64, which the edge-list and radii writers rely on.
+    weight.  Input is taken only where it is exact: columns must be 1-D
+    integer arrays (not bool) of equal length, triples must hold three
+    integers (not bool), every value must fit int64, and n must be a
+    nonnegative int with n*max(n, 2*len(edges)) < 2**63, the bound on the
+    packed sort keys.  Weights must be >= 1, and shortest paths must stay
+    below UNREACHED (see _check_distance_bound).  Labels, if given, must be
+    n distinct ids that fit int64, which the edge-list and radii writers
+    rely on.  All of this is checked before anything of size n is allocated.
+
+    Both sorts are unstable argsorts of packed int64 keys, each below
+    n*max(n, 2*len(edges)): one groups parallel edges, two give the CSR
+    order (src, weight, dst).
     """
-    if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
-        us, vs, ws = (np.asarray(a, dtype=np.int64) for a in edges)
-    else:
-        triples = list(edges)
-        if triples:
-            arr = np.asarray(triples, dtype=np.int64)
-            us, vs, ws = arr[:, 0], arr[:, 1], arr[:, 2]
-        else:
-            us = vs = ws = np.empty(0, dtype=np.int64)
+    n, us, vs, ws = _edge_columns(n, edges)
     if len(us) and ((us < 0).any() or (vs < 0).any() or (us >= n).any() or (vs >= n).any()):
         raise GraphError("vertex id out of range")
     if len(ws) and ws.min() < 1:
         raise GraphError("edge weight must be a positive integer")
     if labels is not None:
         try:
-            np.asarray(labels, dtype=np.int64)
+            label = np.asarray(labels, dtype=np.int64)
         except OverflowError:
             raise GraphError("vertex labels must fit int64") from None
+        if label.shape != (n,) or len(set(labels)) != n:
+            raise GraphError(f"vertex labels must be {n} distinct ids")
 
+    # Parallel edges share the key min(u,v)*n + max(u,v); the minimum over a
+    # run of equal keys does not depend on the order within it.
     keep = us != vs
     us, vs, ws = us[keep], vs[keep], ws[keep]
-    a = np.minimum(us, vs)
-    b = np.maximum(us, vs)
-    if len(a):
-        order = np.lexsort((ws, b, a))
-        a, b, ws = a[order], b[order], ws[order]
-        first = np.ones(len(a), dtype=bool)
-        first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        a, b, ws = a[first], b[first], ws[first]
+    key = np.minimum(us, vs)
+    key *= n
+    key += np.maximum(us, vs)
+    del us, vs
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    ws = np.minimum.reduceat(ws[order], first)
+    a, b = np.divmod(key[first], n)
+    del key, order, first
     m = len(a)
     _check_distance_bound(n, a, b, ws)
 
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    w2 = np.concatenate([ws, ws])
-    order = np.lexsort((dst, w2, src))
-    src, dst, w2 = src[order], dst[order], w2[order]
+    # Half-edge i < m runs a[i] -> b[i], and m + i runs back.  Sort them by
+    # (weight rank, dst), then by (src, position in that order).  Within one
+    # src the pairs (weight, dst) are distinct, so the first sort's ties fall
+    # only between rows; the second sort's keys are distinct and separate
+    # them, so its unstable order is the one (src, weight, dst) order.
+    key = np.concatenate((np.unique(ws, return_inverse=True)[1],) * 2)
+    key *= n
+    key[:m] += b
+    key[m:] += a
+    order = np.argsort(key)
+    key[order] = np.arange(2 * m)
+    key[:m] += a * (2 * m)
+    key[m:] += b * (2 * m)
+    order = np.argsort(key)
+    del key
+    dst = np.concatenate((b, a))[order]
+    w2 = np.concatenate((ws, ws))[order]
+    del order
     indptr = np.zeros(n + 1, dtype=np.int64)
-    if m:
-        np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n), out=indptr[1:])
     max_weight = int(ws.max()) if m else 1
     for arr in (indptr, dst, w2):
         arr.flags.writeable = False
     return Graph(n=n, m=m, max_weight=max_weight, indptr=indptr, nbr=dst, wt=w2, labels=labels)
+
+
+def _edge_columns(n: object, edges: object) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """from_edges' n and int64 (u, v, w) columns, or GraphError for input
+    that cannot be taken exactly; nothing of size n is allocated here."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise GraphError(f"vertex count must be an integer, got {n!r}") from None
+    if n < 0:
+        raise GraphError(f"vertex count must be nonnegative, got {n}")
+    if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
+        cols = [np.asarray(col) for col in edges]
+        if any(col.ndim != 1 or len(col) != len(cols[0]) for col in cols):
+            raise GraphError("edge columns must be 1-D arrays of equal length")
+        if any(col.dtype.kind not in "iu" for col in cols):
+            kinds = ", ".join(str(col.dtype) for col in cols)
+            raise GraphError(f"edge columns must have an integer dtype, got {kinds}")
+        if any(col.dtype.kind == "u" and len(col) and col.max() > _INT64_MAX for col in cols):
+            raise GraphError("edge values must fit int64")
+        us, vs, ws = (col.astype(np.int64, copy=False) for col in cols)
+    else:
+        triples = list(edges)
+        try:
+            sizes = set(map(len, triples))
+        except TypeError:
+            sizes = {None}
+        if sizes - {3}:
+            raise GraphError("each edge must be a (u, v, w) triple")
+        kinds = set(map(type, itertools.chain.from_iterable(triples)))
+        odd = [t for t in kinds if not issubclass(t, (int, np.integer)) or issubclass(t, bool)]
+        if odd:
+            names = ", ".join(sorted(t.__name__ for t in odd))
+            raise GraphError(f"edge values must be integers, got {names}")
+        values = itertools.chain.from_iterable(triples)
+        try:
+            us, vs, ws = np.fromiter(values, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3).T
+        except OverflowError:
+            raise GraphError("edge values must fit int64") from None
+    if n * max(n, 2 * len(us)) > _INT64_MAX:
+        raise GraphError(
+            f"graph too large: n*max(n, 2*edges) = {n}*{max(n, 2 * len(us))} must stay below 2**63"
+        )
+    return n, us, vs, ws
 
 
 def _check_distance_bound(n: int, a: np.ndarray, b: np.ndarray, ws: np.ndarray) -> None:
@@ -417,17 +484,35 @@ def write_edge_list(g: Graph) -> str:
     labeled value: parsing it back and re-writing reproduces the same
     bytes, which makes parse/write idempotent after the first parse.
     """
+    rows = _edge_rows(g)
+    return _render(rows, rows[:, 2] == 0, "%d %d %d\n", "%d%.0s%.0s\n")
+
+
+def _edge_rows(g: Graph) -> np.ndarray:
+    """write_edge_list's rows (lesser label, greater label, weight) in
+    order, with (label, any, 0) for a vertex with no edge.  A function of
+    its own, so its scratch arrays are freed before the text is built."""
     u, v, w = _half_edges(g)
     lone = np.flatnonzero(np.diff(g.indptr) == 0)
-    if g.labels is not None:
-        label = np.asarray(g.labels, dtype=np.int64)
-        u, v, lone = np.minimum(label[u], label[v]), np.maximum(label[u], label[v]), label[lone]
-    # Weight 0 marks a vertex with no edge; no edge row shares its label.
-    rows = np.zeros((len(u) + len(lone), 3), dtype=np.int64)
-    rows[: len(u)] = np.column_stack((u, v, w))
-    rows[len(u) :, 0] = lone
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-    return _render(rows, rows[:, 2] == 0, "%d %d %d\n", "%d%.0s%.0s\n")
+    label = np.arange(g.n, dtype=np.int64) if g.labels is None else np.asarray(g.labels, dtype=np.int64)
+    by_rank = np.argsort(label)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[by_rank] = np.arange(g.n)
+    label = label[by_rank]
+    # Labels are distinct, so ordering by label rank is ordering by label.
+    # Rows sort by (lesser rank, greater rank) packed as lo*n + hi, and a
+    # vertex with no edge as rank*n, which no edge row shares: the graph is
+    # simple, so the keys are distinct and the unstable sort is exact.
+    u, v = rank[u], rank[v]
+    key = np.concatenate((np.minimum(u, v), rank[lone]))
+    key *= g.n
+    key[: len(u)] += np.maximum(u, v)
+    order = np.argsort(key)
+    rows = np.zeros((len(key), 3), dtype=np.int64)
+    lo, hi = np.divmod(key[order], g.n)
+    rows[:, 0], rows[:, 1] = label[lo], label[hi]
+    rows[:, 2] = np.concatenate((w, np.zeros(len(lone), dtype=np.int64)))[order]
+    return rows
 
 
 def reachable_set(g: Graph, s: int) -> set[int]:

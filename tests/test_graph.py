@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 
 import radius_stepping.graph as graph
+import radius_stepping.preprocess as preprocess
 from radius_stepping import (
     UNREACHED,
     EdgeListParseError,
+    GeneratorSpec,
     GraphError,
     RadiusAssignment,
+    WeightSpec,
+    build_k_rho,
     from_edges,
+    generate,
     parse_edge_list,
     reachable_set,
     write_edge_list,
@@ -147,6 +152,157 @@ def test_from_edges_rejects_bad_ids_and_weights():
         from_edges(2, [(0, 1, 2**62)])
     with pytest.raises(GraphError, match=r"\(n-1\)\*B = 2\*2305843009213693952"):
         from_edges(3, [(0, 1, 2**61), (1, 2, 2**61)])
+
+
+def _cols(*cols):
+    return tuple(np.asarray(col) for col in cols)
+
+
+@pytest.mark.parametrize(
+    "n, edges, labels, message",
+    [
+        (3, _cols([0, 1], [1, 2], [1.5, 2.7]), None, "integer dtype, got int64, int64, float64"),
+        (3, [(0, 1, 1.5), (1, 2, 2.7)], None, "must be integers, got float"),
+        (3, [(0.9, 1, 2)], None, "must be integers, got float"),
+        (3, [(0, 1, "5")], None, "must be integers, got str"),
+        (3, [(0, 1, True), (1, 2, 3)], None, "must be integers, got bool"),
+        (3, _cols([0], [1], [True]), None, "integer dtype, got int64, int64, bool"),
+        (3, _cols([0], [1], ["5"]), None, "integer dtype"),
+        (3, _cols([0], [1], np.array([5], dtype=object)), None, "integer dtype"),
+        (3, [(0, 1, np.float64(2))], None, "must be integers, got float64"),
+        (-1, [], None, "vertex count must be nonnegative, got -1"),
+        (3.0, [(0, 1, 2)], None, "vertex count must be an integer, got 3.0"),
+        (2**62, [], None, r"graph too large: n\*max\(n, 2\*edges\)"),
+        (2**62 + 5, [(0, 1, 1)], None, "graph too large"),
+        (3, _cols([0, 1], [1, 2], [4]), None, "1-D arrays of equal length"),
+        (3, _cols([[0]], [[1]], [[4]]), None, "1-D arrays of equal length"),
+        (3, [(0, 1)], None, r"\(u, v, w\) triple"),
+        (3, [(0, 1, 2), (0, 1, 2, 3)], None, r"\(u, v, w\) triple"),
+        (3, [7], None, r"\(u, v, w\) triple"),
+        (3, [(0, 1, 2**70)], None, "edge values must fit int64"),
+        (3, [(0, 1, -(2**63) - 1)], None, "edge values must fit int64"),
+        (3, _cols([0], [1], np.array([2**63], dtype=np.uint64)), None, "edge values must fit int64"),
+        (3, [(0, 1, 2)], (5, 6), "vertex labels must be 3 distinct ids"),
+        (3, [(0, 1, 2)], (5, 6, 5), "vertex labels must be 3 distinct ids"),
+    ],
+)
+def test_from_edges_rejects_inexact_input(n, edges, labels, message):
+    with pytest.raises(GraphError, match=message):
+        from_edges(n, edges, labels=labels)
+
+
+def test_from_edges_takes_every_integer_type():
+    want = from_edges(3, [(0, 1, 2), (1, 2, 5)])
+    assert from_edges(np.int32(3), [(np.int16(0), np.uint8(1), 2), [1, 2, np.int64(5)]]) == want
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+        cols = (np.array([0, 1], dtype=dtype), np.array([1, 2], dtype=dtype), np.array([2, 5], dtype=dtype))
+        assert from_edges(3, cols) == want
+    assert from_edges(0, []).n == 0
+
+
+def _reference_csr(n, triples):
+    """The CSR arrays of from_edges by plain Python: the lightest weight per
+    unordered pair, no self-loops, each row sorted by (weight, id)."""
+    best = {}
+    for u, v, w in triples:
+        if u != v:
+            pair = (min(u, v), max(u, v))
+            best[pair] = min(w, best.get(pair, w))
+    rows = [[] for _ in range(n)]
+    for (u, v), w in best.items():
+        rows[u].append((w, v))
+        rows[v].append((w, u))
+    indptr, nbr, wt = [0], [], []
+    for row in rows:
+        row.sort()
+        nbr += [v for _, v in row]
+        wt += [w for w, _ in row]
+        indptr.append(len(nbr))
+    return indptr, nbr, wt, len(best), max(best.values(), default=1)
+
+
+def _csr_corpus(rng):
+    """Seeded (n, triples): isolated vertices, parallel edges both ways with
+    tied and distinct weights, self-loops, and sorted, reversed or shuffled
+    input."""
+    n = rng.randint(0, 60)
+    if n == 2 and rng.random() < 0.5:
+        heavy = [1, 2**62 - 1, 2**61, rng.randrange(1, 2**62)]
+        return n, [(rng.randrange(2), rng.randrange(2), rng.choice(heavy)) for _ in range(rng.randint(0, 6))]
+    hi = rng.choice([3, 3, 10**6])
+    triples = []
+    for _ in range(rng.randint(0, 3 * n) if n else 0):
+        u, v, w = rng.randrange(n), rng.randrange(n), rng.randint(1, hi)
+        triples.append((u, v, w))
+        roll = rng.random()
+        if roll < 0.2:
+            triples.append((v, u, w))
+        elif roll < 0.4:
+            triples.append((rng.choice([(u, v), (v, u)]) + (rng.randint(1, hi),)))
+    order = rng.choice(["sorted", "reversed", "shuffled"])
+    if order == "shuffled":
+        rng.shuffle(triples)
+    else:
+        triples.sort(reverse=order == "reversed")
+    return n, triples
+
+
+def test_from_edges_equals_python_reference():
+    rng = random.Random(4242)
+    for case in range(400):
+        n, triples = _csr_corpus(rng)
+        want = _reference_csr(n, triples)
+        columns = _cols(*zip(*triples)) if triples else _cols([], [], [])
+        for edges in (triples, tuple(col.astype(np.int64) for col in columns)):
+            g = from_edges(n, edges)
+            got = g.indptr.tolist(), g.nbr.tolist(), g.wt.tolist(), g.m, g.max_weight
+            assert got == want, (case, n, triples)
+
+
+def _lexsort_csr(n, us, vs, ws):
+    """from_edges' CSR arrays by two 3-key np.lexsort passes."""
+    keep = us != vs
+    a, b, w = np.minimum(us, vs)[keep], np.maximum(us, vs)[keep], ws[keep]
+    order = np.lexsort((w, b, a))
+    a, b, w = a[order], b[order], w[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    a, b, w = a[first], b[first], w[first]
+    src, dst, w2 = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w))
+    order = np.lexsort((dst, w2, src))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return indptr, dst[order], w2[order]
+
+
+# The benchmark's inputs at seed 1, their (k, rho), and the from_edges calls
+# of one set-up: the parse, and the augmentation where shortcuts are added.
+BENCHMARK_INPUTS = [
+    (GeneratorSpec("grid2d", dims=(100, 100), weights=WeightSpec(1, 10000, seed=1)), 2, 10, 2),
+    (GeneratorSpec("random", n=10000, m=30000, seed=1, weights=WeightSpec(1, 10000, seed=1)), 1, 1, 1),
+    (GeneratorSpec("adversarial", ladder=40), 1, 10, 1),
+]
+
+
+@pytest.mark.parametrize("spec, k, rho, count", BENCHMARK_INPUTS, ids=["grid2d-w", "random-w-rho1", "ladder-u"])
+def test_from_edges_equals_lexsort_on_benchmark_inputs(spec, k, rho, count, monkeypatch):
+    """Every from_edges call of a benchmark set-up gives the lexsort
+    construction's arrays."""
+    calls = []
+
+    def recording(n, edges, labels=None):
+        g = from_edges(n, edges, labels=labels)
+        calls.append((n, edges, g))
+        return g
+
+    text = write_edge_list(generate(spec))
+    monkeypatch.setattr(graph, "from_edges", recording)
+    monkeypatch.setattr(preprocess, "from_edges", recording)
+    build_k_rho(parse_edge_list(text), k, rho, heuristic="dp")
+    assert len(calls) == count
+    for n, cols, g in calls:
+        want = _lexsort_csr(n, *cols)
+        for got_arr, want_arr in zip((g.indptr, g.nbr, g.wt), want):
+            assert got_arr.dtype == np.int64 and np.array_equal(got_arr, want_arr)
 
 
 def test_reachable_set_cases():
@@ -297,20 +453,43 @@ def old_write_radii(radii, labels=None):
     return "".join(f"{lab} {r}\n" for lab, r in rows)
 
 
+def _writer_labels(rng, n):
+    """None, or n distinct int64 labels: small or wide, with negatives and
+    both int64 ends, in increasing, decreasing or random order."""
+    kind = rng.choice(["none", "small", "wide", "signed"])
+    if kind == "none":
+        return None
+    if kind == "small":
+        pool = rng.sample(range(50), n)
+    else:
+        lo, ends = (0, [2**63 - 1]) if kind == "wide" else (-(2**63), [-(2**63), 2**63 - 1, -1, 0])
+        pool = list(dict.fromkeys(ends + [rng.randrange(lo, 2**63) for _ in range(n)]))[:n]
+    order = rng.choice(["increasing", "decreasing", "random"])
+    if order == "random":
+        rng.shuffle(pool)
+    else:
+        pool.sort(reverse=order == "decreasing")
+    return tuple(pool)
+
+
 def test_writers_equal_per_row_formatting():
     rng = random.Random(77)
-    for case in range(300):
+    for case in range(400):
         n = rng.randint(1, 40)
         edges = [
             (rng.randrange(n), rng.randrange(n), rng.choice([1, rng.randint(1, 10**6), 2**40]))
             for _ in range(rng.randint(0, 2 * n))
         ]
-        labels = None
-        if rng.random() < 0.6:  # sparse labels, out of order, up to 2**63 - 1
-            pool = rng.sample(range(50), n) if rng.random() < 0.5 else [rng.randrange(2**63) for _ in range(n)]
-            labels = tuple(pool)
-        g = from_edges(n, edges, labels=labels)
-        assert write_edge_list(g) == old_write_edge_list(g), case
+        if rng.random() < 0.15:  # isolated vertices only: no edge, or only self-loops
+            edges = [(u, u, w) for u, _, w in edges[: rng.randint(0, 3)]]
+        g = from_edges(n, edges, labels=_writer_labels(rng, n))
+        text = write_edge_list(g)
+        assert text == old_write_edge_list(g), case
+        if g.labels is None or min(g.labels) >= 0:
+            assert write_edge_list(parse_edge_list(text)) == text, case
+        else:  # negative labels are written, but no edge list reads them
+            with pytest.raises(EdgeListParseError, match="vertex ids must be nonnegative"):
+                parse_edge_list(text)
         r = np.array([rng.choice([0, 3, rng.randrange(UNREACHED), UNREACHED, UNREACHED + 5]) for _ in range(n)])
         radii = RadiusAssignment(r=r, rho=1, k=1)
         assert write_radii(radii, g.labels) == old_write_radii(radii, g.labels), case
