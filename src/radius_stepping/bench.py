@@ -5,7 +5,9 @@ Weighted graphs run radius_step_fast on the augmented graph; unit-weight
 graphs run radius_step_unweighted, the same stepping loop and relax_batch
 substep restricted to unit weights, on the original graph (its radii come
 from the same ball construction, and the rho=1 baseline then degenerates
-to plain BFS rounds).  Added-edge factors are reported for both.  Everything is
+to plain BFS rounds).  Added-edge factors are reported for both.  Every
+cell's augmentation must pass validate_k_rho, at any graph size, and every
+run must pass check_bounds; a failure raises BenchError.  Everything is
 deterministic in the config seed: equal configs produce byte-identical
 CSV.
 """
@@ -15,7 +17,6 @@ import json
 import random
 from dataclasses import MISSING, dataclass, fields
 
-from .baselines import SMALL_GRAPH_CAP
 from .engine import check_bounds, radius_step_fast, radius_step_unweighted
 from .generate import GeneratorSpec, WeightSpec, generate
 from .graph import Graph, GraphError, parse_edge_list
@@ -147,12 +148,9 @@ def _load_graph(cfg: ExperimentConfig) -> Graph:
 
 def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) -> _CellStats:
     aug, radii, added = build_k_rho(g, k, rho, heuristic=heuristic)
-    if g.n <= SMALL_GRAPH_CAP:
-        report = validate_k_rho(aug, radii)
-        if not report.ok:
-            raise BenchError(
-                f"(k={k}, rho={rho}, {heuristic}) failed validation: {report.violations[:3]}"
-            )
+    report = validate_k_rho(aug, radii)
+    if not report.ok:
+        raise BenchError(f"(k={k}, rho={rho}, {heuristic}) failed validation: {report.violations[:3]}")
     unit = g.is_unit_weight
     steps = 0
     substeps = 0

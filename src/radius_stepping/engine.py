@@ -37,8 +37,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .baselines import DistanceVector
-from .graph import UNREACHED, Graph, GraphError
-from .preprocess import RadiusAssignment, ball_radii
+from .graph import UNREACHED, Graph, GraphError, _edge_slots
+from .preprocess import RadiusAssignment, _check_size, ball_radii
 
 
 @dataclass(frozen=True)
@@ -196,21 +196,12 @@ def step_records_csv(res: SsspResult) -> str:
 def _check_inputs(g: Graph, radii: RadiusAssignment, s: int) -> None:
     if not 0 <= s < g.n:
         raise GraphError(f"source {s} out of range for n={g.n}")
-    if len(radii.r) != g.n:
-        raise GraphError("radius assignment does not match graph size")
+    _check_size(g, radii)
     if len(radii.r) and int(radii.r.min()) < 0:
         raise GraphError("radii must be nonnegative")
     # delta + r must fit in int64 for every finite delta < UNREACHED.
     if len(radii.r) and int(radii.r.max()) > UNREACHED:
         raise GraphError(f"radii must be at most {UNREACHED} (2**62, no cap)")
-
-
-def _edge_slots(g: Graph, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR slots of every edge out of `act`, row by row, and the row lengths."""
-    starts = g.indptr[act]
-    counts = g.indptr[act + 1] - starts
-    offsets = starts - (np.cumsum(counts) - counts)
-    return np.repeat(offsets, counts) + np.arange(int(counts.sum())), counts
 
 
 def relax_batch(
@@ -456,6 +447,8 @@ def check_bounds(
     """
     if rho < 1:
         raise GraphError(f"rho must be >= 1, got {rho}")
+    if radii is not None:
+        _check_size(g, radii)
     if not assume_premise:
         if radii is None:
             return BoundsReport(False, "premise unknown: no radii supplied", None, None, ())

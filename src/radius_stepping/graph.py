@@ -469,6 +469,14 @@ def _half_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return src[mask], g.nbr[mask], g.wt[mask]
 
 
+def _edge_slots(g: Graph, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR slots of every edge out of `act`, row by row, and the row lengths."""
+    starts = g.indptr[act]
+    counts = g.indptr[act + 1] - starts
+    offsets = starts - (np.cumsum(counts) - counts)
+    return np.repeat(offsets, counts) + np.arange(int(counts.sum())), counts
+
+
 def _render(rows: np.ndarray, brief: np.ndarray, full: str, short: str) -> str:
     """Integer rows through one %-template: `full` for each row, `short` where
     brief.  Both take every column; "%.0s" takes one and prints nothing."""

@@ -18,7 +18,8 @@ build_k_rho plans each chunk's shortcuts as it comes, and ball_radii
 compute_ball stays as the one-ball API and as the oracle the batched
 search is tested against.  Both heuristics run on the tree's parent and
 depth arrays alone: build_k_rho hands them a chunk's flat columns, and
-shortcut_greedy and shortcut_dp hand them one Ball's.
+shortcut_greedy and shortcut_dp hand them one Ball's.  validate_k_rho
+checks the (k, rho) property of any radii exactly, at any graph size.
 
 Ball counting includes the center: the first "closest vertex" of v is v
 itself at distance 0, so rho=1 always yields the trivial ball {v} with
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SMALL_GRAPH_CAP, dijkstra, k_radius_bruteforce
-from .graph import UNREACHED, Graph, GraphError, _half_edges, _render, from_edges
+from .graph import UNREACHED, Graph, GraphError, _edge_slots, _half_edges, _render, from_edges
 
 
 @dataclass(frozen=True)
@@ -288,6 +288,7 @@ def _ball_chunks(g: Graph, src: np.ndarray, rho: int, tie_inclusive: bool):
     Yields each chunk's r_rho and size per ball and its ball_arrays
     columns, parent positions counted from the chunk's first entry.
     """
+    rho = min(rho, max(g.n, 1))  # a ball holds at most n vertices, in both tie modes
     if rho == 1:  # every ball is its center alone
         zero = np.zeros_like(src)
         yield zero, zero + 1, (src, src.copy(), zero.copy(), zero - 1, zero.copy())
@@ -352,6 +353,11 @@ class RadiusAssignment:
         arr = np.full(n, value, dtype=np.int64)
         arr.flags.writeable = False
         return cls(r=arr, rho=rho, k=k)
+
+
+def _check_size(g: Graph, radii: RadiusAssignment) -> None:
+    if len(radii.r) != g.n:
+        raise GraphError("radius assignment does not match graph size")
 
 
 def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) -> str:
@@ -531,7 +537,7 @@ def build_k_rho(
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the brute-force ball-property check."""
+    """Outcome of the (k, rho) ball-property check, one line per violation."""
 
     rho: int
     k: int
@@ -543,24 +549,88 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_k_rho(g: Graph, radii: RadiusAssignment, cap: int = SMALL_GRAPH_CAP) -> ValidationReport:
+# Entries one chunk of validate_k_rho may hold: each of its sources keeps a
+# dense row of n distances, and a round relaxes at most this many edges at
+# once (or one vertex's edges, if more).
+_CHECK_ENTRIES = 2**21
+
+
+def _hop_round(
+    g: Graph, best: np.ndarray, mark: np.ndarray, key: np.ndarray, val: np.ndarray, cap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round of validate_k_rho: each pair (row, u) = divmod(key, n),
+    lowered to val in the round before, offers val + wt(u, x) to (row, x),
+    kept if at most cap[row] and below best.  Offers come from val, so
+    relaxing them in slices changes nothing; `mark` (False between rounds)
+    lists a key lowered by two slices once.  Returns the keys lowered and
+    their new values."""
+    row, u = np.divmod(key, g.n)
+    span = max(1, _CHECK_ENTRIES // int((g.indptr[u + 1] - g.indptr[u]).max(initial=1)))
+    lowered = [key[:0]]
+    for lo in range(0, len(key), span):
+        eidx, counts = _edge_slots(g, u[lo : lo + span])
+        at = np.repeat(row[lo : lo + span], counts)
+        offer = np.repeat(val[lo : lo + span], counts) + g.wt[eidx]
+        ok = offer <= cap[at]
+        at = at * g.n + g.nbr[eidx]
+        ok &= offer < best[at]
+        at = at[ok]
+        np.minimum.at(best, at, offer[ok])
+        lowered.append(np.unique(at[~mark[at]]))
+        mark[lowered[-1]] = True
+    key = np.concatenate(lowered)
+    mark[key] = False
+    return key, best[key]
+
+
+def validate_k_rho(g: Graph, radii: RadiusAssignment) -> ValidationReport:
     """Check r(v) <= k-radius(v) and |B(v, r(v))| >= min(rho, component size).
 
-    Uses the brute-force k-radius and full Dijkstra oracles, so g must be at
-    most cap vertices.
+    The k-radius of v is the least distance to a vertex with no shortest
+    path of k hops or fewer (UNREACHED if there is none).  Chunk by chunk
+    of sources, k+1 rounds of _hop_round give each pair (v, u) the least
+    weight of a path of at most h hops, where it is <= r(v).  A pair
+    lowered in round k+1 has no shortest path of k hops, so its value is
+    at least the k-radius; a nearest such u has a min-hop shortest path of
+    exactly k+1 hops (on a longer one, the vertex k+1 hops in would be
+    nearer), so round k+1 lowers it to the k-radius if that is <= r(v).
+    Hence r(v) exceeds the k-radius iff it exceeds the least value lowered
+    there.  On a row that passes, the pairs kept are exactly B(v, r(v));
+    a row that fails or keeps fewer than rho pairs takes |B(v, r)| and
+    min(rho, component) from its ball_arrays ball.
     """
-    if radii.rho < 1:
-        raise GraphError(f"rho must be >= 1, got {radii.rho}")
-    rbar = k_radius_bruteforce(g, radii.k, cap=cap)
+    n, k, rho, r = g.n, radii.k, radii.rho, radii.r
+    if rho < 1:
+        raise GraphError(f"rho must be >= 1, got {rho}")
+    if k < 1:
+        raise GraphError(f"k must be >= 1, got {k}")
+    _check_size(g, radii)
+    kradius = np.full(n, UNREACHED, dtype=np.int64)
+    kept = np.zeros(n, dtype=np.int64)
+    step = max(1, _CHECK_ENTRIES // max(n, 1))
+    best = np.full(min(step, n) * n, _EMPTY, dtype=np.int64)
+    mark = np.zeros(len(best), dtype=bool)
+    for lo in range(0, n, step):
+        src = np.arange(lo, min(lo + step, n))
+        key = (np.arange(len(src)) * n + src)[r[src] >= 0]  # each source at distance 0
+        best[key] = 0
+        val = np.zeros(len(key), dtype=np.int64)
+        seen = [key]
+        for _ in range(k + 1):
+            key, val = _hop_round(g, best, mark, key, val, r[src])
+            seen.append(key)
+        np.minimum.at(kradius, src[key // n], val)
+        touched = np.unique(np.concatenate(seen))
+        kept[src] = np.bincount(touched // n, minlength=len(src))
+        best[touched] = _EMPTY
+    over = r > kradius
+    center, _, dist, _, _ = ball_arrays(g, np.flatnonzero(over | (kept < rho)), rho)
+    inside = np.bincount(center[dist <= r[center]], minlength=n)  # |B(v, r)| of each vertex searched
+    need = np.minimum(np.bincount(center, minlength=n), rho)
     violations: list[str] = []
-    for v in range(g.n):
-        rv = int(radii.r[v])
-        if rv > int(rbar[v]):
-            violations.append(f"vertex {v}: r={rv} exceeds k-radius {int(rbar[v])}")
-        dv = dijkstra(g, v)
-        comp = dv.reached_count()
-        ball_size = int((dv.dist <= rv).sum())
-        need = min(radii.rho, comp)
-        if ball_size < need:
-            violations.append(f"vertex {v}: |B(v,{rv})|={ball_size} below {need}")
-    return ValidationReport(rho=radii.rho, k=radii.k, checked=g.n, violations=tuple(violations))
+    for v in np.flatnonzero(over | (inside < need)).tolist():
+        if over[v]:
+            violations.append(f"vertex {v}: r={int(r[v])} exceeds k-radius {int(kradius[v])}")
+        if inside[v] < need[v]:
+            violations.append(f"vertex {v}: |B(v,{int(r[v])})|={int(inside[v])} below {int(need[v])}")
+    return ValidationReport(rho=rho, k=k, checked=n, violations=tuple(violations))

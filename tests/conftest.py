@@ -1,8 +1,28 @@
 import random
 
+import numpy as np
 import pytest
 
+import radius_stepping.preprocess as preprocess
 from radius_stepping import Ball, GeneratorSpec, WeightSpec, generate
+
+# A 900-vertex weighted grid, above the old 400-vertex brute-force cap.  At
+# (k=1, rho=10) build_k_rho plans shortcut MUTANT_DROP from vertex 0, and
+# without it vertex 0 has a ball member more than one hop away.
+MUTANT_GRID = GeneratorSpec(kind="grid2d", dims=(30, 30), weights=WeightSpec(1, 100, seed=3))
+MUTANT_DROP = 2
+
+
+def drop_planned_shortcut(monkeypatch, index=MUTANT_DROP):
+    """Make build_k_rho leave out the index-th shortcut it plans."""
+    real = preprocess._augment
+
+    def augment(g, extra):
+        cols = [np.concatenate(col) for col in zip(*extra)]
+        keep = np.arange(len(cols[0])) != index
+        return real(g, [[col[keep] for col in cols]])
+
+    monkeypatch.setattr(preprocess, "_augment", augment)
 
 
 def random_graph(seed, n_lo=2, n_hi=150, m_cap=600, w_lo=1, w_hi=100):

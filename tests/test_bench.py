@@ -3,6 +3,7 @@ import json
 import pytest
 
 from radius_stepping import (
+    BenchError,
     ExperimentConfig,
     GeneratorSpec,
     GraphError,
@@ -13,6 +14,7 @@ from radius_stepping import (
     run_experiment,
 )
 from radius_stepping.bench import CSV_HEADER
+from conftest import MUTANT_GRID, drop_planned_shortcut
 
 
 def small_cfg(**overrides):
@@ -155,3 +157,13 @@ def test_single_vertex_graph_degenerates_gracefully():
     assert row.mean_steps == 0.0
     assert row.reduction_factor == 1.0
     assert row.added_edge_factor == 0.0
+
+
+def test_every_cell_is_validated_above_the_old_cap(monkeypatch):
+    # 900 vertices: the (k, rho) check runs in every cell, so a shortcut
+    # left out of the build stops the sweep.
+    cfg = small_cfg(label="mutant", rhos=(10,), source_count=2, generator=MUTANT_GRID)
+    assert run_experiment(cfg)
+    drop_planned_shortcut(monkeypatch)
+    with pytest.raises(BenchError, match=r"\(k=1, rho=10, dp\) failed validation: \('vertex 0: r=149 exceeds"):
+        run_experiment(cfg)

@@ -313,6 +313,15 @@ def test_check_bounds_zero_radii_not_checkable():
     assert "premise" in report.reason
 
 
+def test_check_bounds_rejects_radii_of_the_wrong_length():
+    g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    res = radius_step_fast(g, RadiusAssignment.uniform(4, 1), 0)
+    for n in (3, 5):  # radii for too few or too many vertices
+        radii = RadiusAssignment.uniform(n, 1, rho=2, k=1)
+        with pytest.raises(GraphError, match="radius assignment does not match graph size"):
+            check_bounds(res, g, 2, 1, radii=radii)
+
+
 def test_check_bounds_small_radii_not_checkable():
     # radii too small for rho: flagged as unverifiable, not a bound failure
     g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])

@@ -19,6 +19,7 @@ from radius_stepping import (
     dijkstra,
     from_edges,
     generate,
+    k_radius_bruteforce,
     min_hop_ball_tree,
     parse_edge_list,
     parse_radii,
@@ -26,11 +27,12 @@ from radius_stepping import (
     shortcut_dp,
     shortcut_greedy,
     validate_k_rho,
+    write_edge_list,
     write_radii,
 )
 from radius_stepping.baselines import _lex_dijkstra
 import radius_stepping.preprocess as preprocess
-from conftest import children, random_graph, tree_ball
+from conftest import MUTANT_GRID, children, drop_planned_shortcut, random_graph, tree_ball
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 STAR = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]
@@ -503,6 +505,95 @@ def test_validate_k_rho_rho1_zero_radius_valid():
     assert validate_k_rho(g, radii).ok
 
 
+def _bruteforce_violations(g, radii, rbar, dists):
+    """validate_k_rho's violations from the brute-force k-radius rbar and one
+    full Dijkstra per vertex."""
+    out = []
+    for v, dv in enumerate(dists):
+        rv = int(radii.r[v])
+        if rv > int(rbar[v]):
+            out.append(f"vertex {v}: r={rv} exceeds k-radius {int(rbar[v])}")
+        size, need = int((dv.dist <= rv).sum()), min(radii.rho, dv.reached_count())
+        if size < need:
+            out.append(f"vertex {v}: |B(v,{rv})|={size} below {need}")
+    return tuple(out)
+
+
+@pytest.mark.parametrize("tie_inclusive", [True, False])
+def test_validate_k_rho_equals_bruteforce_oracle(tie_inclusive):
+    # Connected graphs and the tie-heavy corpus (isolated vertices, small
+    # components), on g and on each augmented graph, with the radii as
+    # built, one less, one more, and one vertex uncapped.
+    graphs = [random_graph(seed, n_hi=30, m_cap=80)[0] for seed in range(4)] + _tie_heavy_corpus()[::8]
+    assert any(np.diff(g.indptr).min(initial=1) == 0 for g in graphs)
+    kinds = set()
+    for g in graphs:
+        for k in (1, 2, 3):
+            on_g = (k_radius_bruteforce(g, k), [dijkstra(g, v) for v in range(g.n)])
+            for rho in (1, 3, 8, g.n + 5):
+                aug, radii, _ = build_k_rho(g, k, rho, tie_inclusive=tie_inclusive)
+                on_aug = on_g if aug is g else (k_radius_bruteforce(aug, k), [dijkstra(aug, v) for v in range(g.n)])
+                uncapped = np.where(np.arange(g.n) == g.n // 2, UNREACHED, radii.r)
+                for h, oracle in ((g, on_g), (aug, on_aug)):
+                    for r in (radii.r, radii.r - 1, radii.r + 1, uncapped):
+                        checked = RadiusAssignment(r, rho, k, tie_inclusive)
+                        got = validate_k_rho(h, checked).violations
+                        assert got == _bruteforce_violations(h, checked, *oracle), (g.n, k, rho, r)
+                        kinds.update({line.split()[3] for line in got} or {"ok"})
+    assert kinds == {"exceeds", "below", "ok"}
+
+
+def test_validate_k_rho_across_chunks_and_slices(monkeypatch):
+    # An entry budget of 7 puts a source or two in each chunk and relaxes a
+    # round's pairs a few at a time, so two slices of one round lower the
+    # same pair; the report must not change.
+    cases = []
+    for g in [random_graph(seed, n_hi=30, m_cap=80, w_hi=3)[0] for seed in range(3)] + _tie_heavy_corpus()[::12]:
+        for k, rho in ((1, 4), (3, 9)):
+            aug, radii, _ = build_k_rho(g, k, rho)
+            for r in (radii.r + 1, np.full(g.n, UNREACHED)):
+                checked = RadiusAssignment(r, rho, k)
+                cases.append((g, checked, validate_k_rho(g, checked)))
+    monkeypatch.setattr(preprocess, "_CHECK_ENTRIES", 7)
+    assert any(not report.ok for _, _, report in cases)
+    for g, checked, report in cases:
+        assert validate_k_rho(g, checked) == report
+
+
+def test_validate_k_rho_flags_a_dropped_shortcut_above_the_old_cap(monkeypatch):
+    g = generate(MUTANT_GRID)
+    assert g.n > 400
+    aug, radii, _ = build_k_rho(g, 1, 10)
+    assert validate_k_rho(aug, radii).ok
+    drop_planned_shortcut(monkeypatch)
+    mutant, mutant_radii, _ = build_k_rho(g, 1, 10)
+    assert mutant.m == aug.m - 1 and np.array_equal(mutant_radii.r, radii.r)
+    report = validate_k_rho(mutant, mutant_radii)
+    assert report.violations[0].startswith("vertex 0: r=149 exceeds k-radius")
+
+
+def test_rho_above_n_searches_as_rho_n(monkeypatch):
+    # A ball holds at most n vertices, so rho = 50n must give rho = n's
+    # balls, shortcuts and radii, from pool chunks of the same size.
+    g = from_edges(33, [(i, j, 1 + (i * j) % 5) for i in range(30) for j in range(i + 1, 30)] + [(30, 31, 2)])
+    chunks = []
+    real = preprocess._lockstep
+
+    def lockstep(g, budget, widest, src, *rest):
+        chunks.append(len(src))
+        return real(g, budget, widest, src, *rest)
+
+    monkeypatch.setattr(preprocess, "_lockstep", lockstep)
+    for tie_inclusive in (True, False):
+        got = []
+        for rho in (g.n, 50 * g.n):
+            chunks.clear()
+            aug, radii, added = build_k_rho(g, 2, rho, tie_inclusive=tie_inclusive)
+            balls = [col.tolist() for col in ball_arrays(g, range(g.n), rho, tie_inclusive)]
+            got.append((write_edge_list(aug), radii.r.tolist(), added, balls, list(chunks)))
+        assert got[0] == got[1]
+
+
 def test_radii_roundtrip():
     g, _ = random_graph(5, n_hi=30, m_cap=60)
     _, radii = build_1_rho(g, 3)
@@ -552,6 +643,12 @@ def test_bad_arguments():
         build_k_rho(g, 0, 2)
     with pytest.raises(GraphError):
         build_k_rho(g, 1, 2, heuristic="magic")
+    for rho, k in ((0, 1), (2, 0)):
+        with pytest.raises(GraphError):
+            validate_k_rho(g, RadiusAssignment(np.zeros(3, dtype=np.int64), rho, k))
+    for n in (2, 4):  # radii for too few or too many vertices
+        with pytest.raises(GraphError, match="radius assignment does not match graph size"):
+            validate_k_rho(g, RadiusAssignment(np.zeros(n, dtype=np.int64), 2, 1))
     for pick in (shortcut_dp, shortcut_greedy):
         with pytest.raises(GraphError, match="k must be >= 1"):
             pick(compute_ball(g, 0, 3), 0)
