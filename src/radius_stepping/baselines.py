@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHED, Graph, GraphError
+from .engine import _stepping
+from .graph import UNREACHED, DistanceVector, Graph, _check_count, _check_vertex
 
-# Brute-force helpers refuse graphs above this size unless overridden.
+# Brute-force helpers refuse graphs above this size.
 SMALL_GRAPH_CAP = 400
 
 
@@ -27,31 +28,9 @@ class SizeCapError(ValueError):
     """Brute-force oracle invoked on a graph above its size cap."""
 
 
-@dataclass(frozen=True)
-class DistanceVector:
-    """Per-vertex distances from a source; UNREACHED marks no path."""
-
-    source: int
-    dist: np.ndarray
-
-    def __getitem__(self, v: int) -> int:
-        return int(self.dist[v])
-
-    def reached_count(self) -> int:
-        return int((self.dist < UNREACHED).sum())
-
-    def same_as(self, other: "DistanceVector") -> bool:
-        return self.source == other.source and np.array_equal(self.dist, other.dist)
-
-
-def _check_source(g: Graph, s: int) -> None:
-    if not 0 <= s < g.n:
-        raise GraphError(f"source {s} out of range for n={g.n}")
-
-
 def dijkstra(g: Graph, s: int) -> DistanceVector:
     """Binary-heap Dijkstra; the oracle for every other distance computation."""
-    _check_source(g, s)
+    _check_vertex(g, s)
     dist = np.full(g.n, UNREACHED, dtype=np.int64)
     dist[s] = 0
     heap = [(0, s)]
@@ -71,7 +50,7 @@ def dijkstra(g: Graph, s: int) -> DistanceVector:
 
 def bellman_ford(g: Graph, s: int) -> DistanceVector:
     """Full relaxation passes until fixpoint; agrees exactly with dijkstra."""
-    _check_source(g, s)
+    _check_vertex(g, s)
     dist = np.full(g.n, UNREACHED, dtype=np.int64)
     dist[s] = 0
     src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
@@ -98,7 +77,7 @@ class BfsResult:
 
 
 def bfs(g: Graph, s: int) -> BfsResult:
-    _check_source(g, s)
+    _check_vertex(g, s)
     dist = np.full(g.n, UNREACHED, dtype=np.int64)
     dist[s] = 0
     q = deque([s])
@@ -122,7 +101,7 @@ def bfs_settle_scans(g: Graph, s: int) -> list[int]:
     Entry j is the number of edge scans performed by BFS up to the moment
     the (j+1)-th vertex got its distance (the source settles at 0 scans).
     """
-    _check_source(g, s)
+    _check_vertex(g, s)
     seen = np.zeros(g.n, dtype=bool)
     seen[s] = True
     scans = 0
@@ -159,11 +138,8 @@ def delta_stepping(g: Graph, s: int, delta: int) -> DeltaSteppingRun:
     the pass that relaxes s, and the bucket of s as a step of its own when
     no other vertex lies in it.
     """
-    from .engine import _stepping  # engine imports this module
-
-    _check_source(g, s)
-    if delta < 1:
-        raise GraphError(f"delta must be >= 1, got {delta}")
+    _check_vertex(g, s)
+    _check_count("delta", delta)
     w = min(delta, UNREACHED)  # every distance lies in bucket 0 of a wider delta
     res = _stepping(g, s, lambda dF, F: dF // w * w + (w - 1))
     log = res.steps
@@ -191,39 +167,30 @@ def _lex_dijkstra(g: Graph, s: int) -> tuple[list[int], list[int]]:
     return dist, hops
 
 
-def _check_cap(g: Graph, cap: int) -> None:
-    if g.n > cap:
-        raise SizeCapError(f"graph has {g.n} vertices, brute-force cap is {cap}")
+def _check_cap(g: Graph) -> None:
+    if g.n > SMALL_GRAPH_CAP:
+        raise SizeCapError(f"graph has {g.n} vertices, brute-force cap is {SMALL_GRAPH_CAP}")
 
 
-@dataclass(frozen=True)
-class HopMatrix:
-    """Pairwise hop distances: edges on the min-weight path with fewest edges."""
-
-    hops: np.ndarray
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        return int(self.hops[pair])
-
-
-def hop_matrix(g: Graph, cap: int = SMALL_GRAPH_CAP) -> HopMatrix:
-    _check_cap(g, cap)
+def hop_matrix(g: Graph) -> np.ndarray:
+    """Read-only pairwise hop distances: edges on the min-weight path with
+    fewest edges, UNREACHED between components."""
+    _check_cap(g)
     out = np.full((g.n, g.n), UNREACHED, dtype=np.int64)
     for u in range(g.n):
         _, hops = _lex_dijkstra(g, u)
         out[u] = hops
     out.flags.writeable = False
-    return HopMatrix(hops=out)
+    return out
 
 
-def k_radius_bruteforce(g: Graph, k: int, cap: int = SMALL_GRAPH_CAP) -> np.ndarray:
+def k_radius_bruteforce(g: Graph, k: int) -> np.ndarray:
     """Exact per-vertex closest distance among vertices more than k hops away.
 
     UNREACHED where every other vertex is within k hops.
     """
-    _check_cap(g, cap)
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
+    _check_cap(g)
+    _check_count("k", k)
     out = np.full(g.n, UNREACHED, dtype=np.int64)
     for u in range(g.n):
         dist, hops = _lex_dijkstra(g, u)

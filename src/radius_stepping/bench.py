@@ -1,12 +1,12 @@
 """Experiment harness: sweep (k, rho, heuristic) over a graph, aggregate
 step counts from a shared sample of sources, and emit CSV.
 
-Weighted graphs run radius_step_fast on the augmented graph; unit-weight
-graphs run radius_step_unweighted, the same stepping loop and relax_batch
-substep restricted to unit weights, on the original graph (its radii come
-from the same ball construction, and the rho=1 baseline then degenerates
-to plain BFS rounds).  Added-edge factors are reported for both.  Every
-cell's augmentation must pass validate_k_rho, at any graph size, and every
+Every run is one radius_step_fast call.  A weighted graph runs on its
+augmented graph, checked with the cell's k.  A unit-weight graph runs on
+the original graph with no k, which is all radius_step_unweighted does;
+its radii come from the same ball construction, and the rho=1 baseline
+then degenerates to plain BFS rounds.  Added-edge factors are reported
+for both.  Every cell's augmentation must pass validate_k_rho, at any graph size, and every
 run must pass check_bounds; a failure raises BenchError.  Everything is
 deterministic in the config seed: equal configs produce byte-identical
 CSV.
@@ -17,9 +17,9 @@ import json
 import random
 from dataclasses import MISSING, dataclass, fields
 
-from .engine import check_bounds, radius_step_fast, radius_step_unweighted
+from .engine import check_bounds, radius_step_fast
 from .generate import GeneratorSpec, WeightSpec, generate
-from .graph import Graph, GraphError, parse_edge_list
+from .graph import Graph, GraphError, _is_int, parse_edge_list
 from .preprocess import build_k_rho, validate_k_rho
 
 CSV_HEADER = "graph,n,m,k,rho,heuristic,added_edge_factor,mean_steps,mean_substeps,reduction_factor"
@@ -53,10 +53,6 @@ class ExperimentConfig:
             raise GraphError("heuristics must come from {dp, greedy}")
         if self.source_count < 1:
             raise GraphError("source_count must be >= 1")
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # JSON shape expected for each field annotation of the config dataclasses.
@@ -151,16 +147,13 @@ def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) ->
     report = validate_k_rho(aug, radii)
     if not report.ok:
         raise BenchError(f"(k={k}, rho={rho}, {heuristic}) failed validation: {report.violations[:3]}")
-    unit = g.is_unit_weight
+    # A unit-weight graph runs on g itself, where no k applies.
+    h, hk = (g, None) if g.is_unit_weight else (aug, k)
     steps = 0
     substeps = 0
     for s in sources:
-        if unit:
-            res = radius_step_unweighted(g, radii, s)
-            bounds = check_bounds(res, g, rho, k=None, radii=radii, assume_premise=True)
-        else:
-            res = radius_step_fast(aug, radii, s)
-            bounds = check_bounds(res, aug, rho, k=k, radii=radii, assume_premise=True)
+        res = radius_step_fast(h, radii, s)
+        bounds = check_bounds(res, h, rho, k=hk, radii=radii, assume_premise=True)
         if not bounds.ok:
             raise BenchError(
                 f"(k={k}, rho={rho}, {heuristic}, s={s}) bound check: {bounds.violations[:3]}"

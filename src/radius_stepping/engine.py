@@ -36,8 +36,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .baselines import DistanceVector
-from .graph import UNREACHED, Graph, GraphError, _edge_slots
+from .graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex, _edge_slots
 from .preprocess import RadiusAssignment, _check_size, ball_radii
 
 
@@ -175,11 +174,14 @@ class _LogWriter:
 class SsspResult:
     dist: DistanceVector
     steps: StepLog
-    total_relaxations: int
 
     @property
     def step_count(self) -> int:
         return len(self.steps)
+
+    @property
+    def total_relaxations(self) -> int:
+        return int(self.steps.relaxations.sum())
 
     def total_substeps(self) -> int:
         return int(self.steps.substeps.sum())
@@ -194,8 +196,7 @@ def step_records_csv(res: SsspResult) -> str:
 
 
 def _check_inputs(g: Graph, radii: RadiusAssignment, s: int) -> None:
-    if not 0 <= s < g.n:
-        raise GraphError(f"source {s} out of range for n={g.n}")
+    _check_vertex(g, s)
     _check_size(g, radii)
     if len(radii.r) and int(radii.r.min()) < 0:
         raise GraphError("radii must be nonnegative")
@@ -248,17 +249,11 @@ def _start(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return delta, settled, ns.copy()
 
 
-def _finish(
-    delta: np.ndarray, settled: np.ndarray, s: int, log: _LogWriter, relaxations: int
-) -> SsspResult:
+def _finish(delta: np.ndarray, settled: np.ndarray, s: int, log: _LogWriter) -> SsspResult:
     """Unsettled vertices become UNREACHED; delta is frozen into the result."""
     delta[~settled] = UNREACHED
     delta.flags.writeable = False
-    return SsspResult(
-        dist=DistanceVector(source=s, dist=delta),
-        steps=log.log(),
-        total_relaxations=relaxations,
-    )
+    return SsspResult(dist=DistanceVector(source=s, dist=delta), steps=log.log())
 
 
 def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
@@ -268,7 +263,6 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
     delta, settled, _ = _start(g, s)
     relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
     log = _LogWriter(g)
-    relaxations = 0
     while True:
         frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
         if frontier.size == 0:
@@ -287,9 +281,8 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
                 break
         active = frontier[delta[frontier] <= d_i]
         settled[active] = True
-        relaxations += step_relaxations
         log.step(d_i, active, substeps, step_relaxations)
-    return _finish(delta, settled, s, log, relaxations)
+    return _finish(delta, settled, s, log)
 
 
 def _stepping(
@@ -337,18 +330,16 @@ def _stepping(
     touched = settled.copy()
     touched[F] = True
     log = _LogWriter(g)
-    relaxations = 0
 
-    def relax(active: np.ndarray) -> np.ndarray:
+    def relax(active: np.ndarray) -> tuple[np.ndarray, int]:
         """Relax `active` and add the vertices it touches first to F."""
-        nonlocal F, relaxations
+        nonlocal F
         moved, scanned = relax_batch(g, delta, active, settled)
-        relaxations += scanned
         new = moved[~touched[moved]]
         if new.size:
             touched[new] = True
             F = np.concatenate((F, new))
-        return moved
+        return moved, scanned
 
     while F.size:
         dF = delta[F]
@@ -375,18 +366,18 @@ def _stepping(
             F = F[~settled[F]]
             continue
         active = F[dF <= d]
-        substeps = 0
-        before = relaxations
+        substeps = relaxations = 0
         while active.size:
             substeps += 1
-            moved = relax(active)
+            moved, scanned = relax(active)
+            relaxations += scanned
             active = moved[delta[moved] <= d]
         done = delta[F] <= d
         settled_now = F[done]
         settled[settled_now] = True
         F = F[~done]
-        log.step(d, settled_now, substeps, relaxations - before)
-    return _finish(delta, settled, s, log, relaxations)
+        log.step(d, settled_now, substeps, relaxations)
+    return _finish(delta, settled, s, log)
 
 
 def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
@@ -445,8 +436,9 @@ def check_bounds(
     at most once per substep, so under the substep cap each vertex scans
     its deg(v) edges at most k+2 times, and the degrees sum to 2m.
     """
-    if rho < 1:
-        raise GraphError(f"rho must be >= 1, got {rho}")
+    _check_count("rho", rho)
+    if k is not None:
+        _check_count("k", k)
     if radii is not None:
         _check_size(g, radii)
     if not assume_premise:
@@ -459,7 +451,7 @@ def check_bounds(
             need = min(rho, int(size[v]))
             return BoundsReport(False, f"premise fails: |B({v}, r)| below {need}", None, None, ())
     n_reach = res.dist.reached_count()
-    t = 1 + _ceil_log2(rho * g.max_weight)
+    t = 1 + _ceil_log2(int(rho) * g.max_weight)
     limit = -(-n_reach // rho) * t
     violations: list[str] = []
     log = res.steps

@@ -6,10 +6,11 @@ list, so two specs that differ only in weights share a topology.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, from_edges
+from .graph import Graph, GraphError, _check_graph_size, from_edges
 
 # The ladder construction places its designated start vertex at id 0.
 ADVERSARIAL_START = 0
@@ -46,15 +47,18 @@ class GeneratorSpec:
     weights: WeightSpec | None = None
 
     def validate(self) -> None:
-        if self.kind == "grid2d":
-            if len(self.dims) != 2 or min(self.dims) < 1:
-                raise GraphError(f"grid2d needs dims (w, h) >= 1, got {self.dims}")
-        elif self.kind == "grid3d":
-            if len(self.dims) != 3 or min(self.dims) < 1:
-                raise GraphError(f"grid3d needs dims (x, y, z) >= 1, got {self.dims}")
+        """Check the spec, and that from_edges can take the graph's size,
+        before generate builds any edge."""
+        axes = {"grid2d": "(w, h)", "grid3d": "(x, y, z)"}.get(self.kind)
+        if axes is not None:
+            if len(self.dims) != axes.count(",") + 1 or min(self.dims) < 1:
+                raise GraphError(f"{self.kind} needs dims {axes} >= 1, got {self.dims}")
+            n = math.prod(self.dims)
+            edges = sum(n // d * (d - 1) for d in self.dims)
         elif self.kind == "adversarial":
             if self.ladder < 2:
                 raise GraphError(f"adversarial needs d >= 2, got {self.ladder}")
+            n, edges = self.ladder**2 + 1, self.ladder + (self.ladder - 1) * self.ladder**2
         elif self.kind == "random":
             if self.n < 1:
                 raise GraphError("random graph needs n >= 1")
@@ -62,41 +66,27 @@ class GeneratorSpec:
             hi = self.n * (self.n - 1) // 2
             if not lo <= self.m <= hi:
                 raise GraphError(f"random graph with n={self.n} needs m in [{lo}, {hi}]")
+            n, edges = self.n, self.m
         else:
             raise GraphError(f"unknown generator kind {self.kind!r}")
+        _check_graph_size(n, edges)
         if self.weights is not None:
             self.weights.validate()
 
 
-def _grid2d_edges(w: int, h: int) -> tuple[int, list[tuple[int, int]]]:
-    def vid(x: int, y: int) -> int:
-        return y * w + x
-
+def _grid_edges(dims: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    # Vertex (x0, x1, ...) is x0 + d0*(x1 + d1*(...)), so a unit step along
+    # axis a adds stride = d0*...*d(a-1).  Ids fall in blocks of stride*d_a
+    # sharing the higher coordinates; all but the block's last stride ids
+    # (x_a = d_a - 1) have the step.
+    n = math.prod(dims)
     edges = []
-    for y in range(h):
-        for x in range(w):
-            if x + 1 < w:
-                edges.append((vid(x, y), vid(x + 1, y)))
-            if y + 1 < h:
-                edges.append((vid(x, y), vid(x, y + 1)))
-    return w * h, edges
-
-
-def _grid3d_edges(nx: int, ny: int, nz: int) -> tuple[int, list[tuple[int, int]]]:
-    def vid(x: int, y: int, z: int) -> int:
-        return (z * ny + y) * nx + x
-
-    edges = []
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                if x + 1 < nx:
-                    edges.append((vid(x, y, z), vid(x + 1, y, z)))
-                if y + 1 < ny:
-                    edges.append((vid(x, y, z), vid(x, y + 1, z)))
-                if z + 1 < nz:
-                    edges.append((vid(x, y, z), vid(x, y, z + 1)))
-    return nx * ny * nz, edges
+    stride = 1
+    for d in dims:
+        block = stride * d
+        edges.extend((v, v + stride) for lo in range(0, n, block) for v in range(lo, lo + block - stride))
+        stride = block
+    return n, edges
 
 
 def _adversarial_edges(d: int) -> tuple[int, list[tuple[int, int]]]:
@@ -134,10 +124,8 @@ def _random_connected_edges(n: int, m: int, seed: int) -> tuple[int, list[tuple[
 def generate(spec: GeneratorSpec) -> Graph:
     """Build the graph described by spec; deterministic in all seeds."""
     spec.validate()
-    if spec.kind == "grid2d":
-        n, edges = _grid2d_edges(*spec.dims)
-    elif spec.kind == "grid3d":
-        n, edges = _grid3d_edges(*spec.dims)
+    if spec.kind in ("grid2d", "grid3d"):
+        n, edges = _grid_edges(spec.dims)
     elif spec.kind == "adversarial":
         n, edges = _adversarial_edges(spec.ladder)
     else:

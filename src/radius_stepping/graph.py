@@ -38,6 +38,49 @@ class GraphError(ValueError):
     """Domain error on graph input: bad weight, empty input, bad ids."""
 
 
+@dataclass(frozen=True)
+class DistanceVector:
+    """Per-vertex distances from a source; UNREACHED marks no path."""
+
+    source: int
+    dist: np.ndarray
+
+    def __getitem__(self, v: int) -> int:
+        return int(self.dist[v])
+
+    def reached_count(self) -> int:
+        return int((self.dist < UNREACHED).sum())
+
+    def same_as(self, other: "DistanceVector") -> bool:
+        return self.source == other.source and np.array_equal(self.dist, other.dist)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_count(name: str, value: object) -> None:
+    """rho, k and delta are integers >= 1; anything else raises GraphError."""
+    if not _is_int(value):
+        raise GraphError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise GraphError(f"{name} must be >= 1, got {value}")
+
+
+def _check_vertex(g: Graph, v: object, what: str = "source") -> None:
+    """A source (or a ball's center) is an integer id of g, not a bool."""
+    if not _is_int(v):
+        raise GraphError(f"{what} must be an integer vertex id, got {v!r}")
+    if not 0 <= v < g.n:
+        raise GraphError(f"{what} {v} out of range for n={g.n}")
+
+
+def _check_graph_size(n: int, edges: int) -> None:
+    """The bound of from_edges' packed sort keys: n*max(n, 2*edges) < 2**63."""
+    if n * max(n, 2 * edges) > _INT64_MAX:
+        raise GraphError(f"graph too large: n*max(n, 2*edges) = {n}*{max(n, 2 * edges)} must stay below 2**63")
+
+
 class EdgeListParseError(GraphError):
     """Malformed edge-list text; carries the 1-based line number."""
 
@@ -254,10 +297,7 @@ def _edge_columns(n: object, edges: object) -> tuple[int, np.ndarray, np.ndarray
             us, vs, ws = np.fromiter(values, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3).T
         except OverflowError:
             raise GraphError("edge values must fit int64") from None
-    if n * max(n, 2 * len(us)) > _INT64_MAX:
-        raise GraphError(
-            f"graph too large: n*max(n, 2*edges) = {n}*{max(n, 2 * len(us))} must stay below 2**63"
-        )
+    _check_graph_size(n, len(us))
     return n, us, vs, ws
 
 
@@ -525,8 +565,7 @@ def _edge_rows(g: Graph) -> np.ndarray:
 
 def reachable_set(g: Graph, s: int) -> set[int]:
     """Vertices reachable from s, including s."""
-    if not 0 <= s < g.n:
-        raise GraphError(f"source {s} out of range for n={g.n}")
+    _check_vertex(g, s)
     seen = {s}
     stack = [s]
     while stack:

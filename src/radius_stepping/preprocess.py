@@ -32,7 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHED, Graph, GraphError, _edge_slots, _half_edges, _render, from_edges
+from .graph import (
+    _INT64_MAX,
+    UNREACHED,
+    Graph,
+    GraphError,
+    _check_count,
+    _check_vertex,
+    _edge_slots,
+    _half_edges,
+    _render,
+    from_edges,
+)
 
 
 @dataclass(frozen=True)
@@ -73,10 +84,8 @@ def compute_ball(g: Graph, v: int, rho: int, tie_inclusive: bool = True) -> Ball
       wt(w, x) < wt(w, u), hence d(x) < d(u).  That forces r_rho < d(u),
       contradicting u being a member.  So depths are fewest-hop in all of g.
     """
-    if rho < 1:
-        raise GraphError(f"rho must be >= 1, got {rho}")
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range for n={g.n}")
+    _check_count("rho", rho)
+    _check_vertex(g, v, "vertex")
     if rho == 1:  # weights are >= 1, so nothing ties with v at distance 0
         return Ball(v, ((v, 0),), 0, (-1,), (0,))
     best = {v: 0}
@@ -305,9 +314,11 @@ def _ball_chunks(g: Graph, src: np.ndarray, rho: int, tie_inclusive: bool):
 
 def _sources(g: Graph, sources, rho: int) -> np.ndarray:
     """The sources as an int64 array, checked against g and rho."""
-    if rho < 1:
-        raise GraphError(f"rho must be >= 1, got {rho}")
-    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    _check_count("rho", rho)
+    src = np.asarray(sources).reshape(-1)
+    if len(src) and src.dtype.kind not in "iu":
+        raise GraphError(f"vertices must be integer ids, got {src.dtype}")
+    src = src.astype(np.int64, copy=False)
     if len(src) and (src.min() < 0 or src.max() >= g.n):
         raise GraphError(f"vertex out of range for n={g.n}")
     return src
@@ -341,18 +352,28 @@ def ball_radii(g: Graph, sources, rho: int, tie_inclusive: bool = True) -> tuple
 
 @dataclass(frozen=True)
 class RadiusAssignment:
-    """Per-vertex step radii plus the (rho, k) they were built for."""
+    """Per-vertex step radii plus the (rho, k) they were built for.
+
+    r must be a 1-D integer array (not bool) of int64 values; it is stored
+    as a read-only int64 copy.  Its range is checked where it is used.
+    """
 
     r: np.ndarray
     rho: int
     k: int
-    tie_inclusive: bool = True
+
+    def __post_init__(self) -> None:
+        r = np.asarray(self.r)
+        wide = r.dtype.kind == "u" and r.size and r.max() > _INT64_MAX
+        if r.ndim != 1 or r.dtype.kind not in "iu" or wide:
+            raise GraphError(f"radii must be a 1-D array of int64 values, got {r.dtype} of shape {r.shape}")
+        r = r.astype(np.int64)
+        r.flags.writeable = False
+        object.__setattr__(self, "r", r)
 
     @classmethod
-    def uniform(cls, n: int, value: int, rho: int = 0, k: int = 0) -> "RadiusAssignment":
-        arr = np.full(n, value, dtype=np.int64)
-        arr.flags.writeable = False
-        return cls(r=arr, rho=rho, k=k)
+    def uniform(cls, n: int, value: int) -> "RadiusAssignment":
+        return cls(r=np.full(n, value, dtype=np.int64), rho=0, k=0)
 
 
 def _check_size(g: Graph, radii: RadiusAssignment) -> None:
@@ -362,6 +383,8 @@ def _check_size(g: Graph, radii: RadiusAssignment) -> None:
 
 def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) -> str:
     """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap."""
+    if labels is not None and len(labels) != len(radii.r):
+        raise GraphError(f"{len(labels)} labels for {len(radii.r)} radii")
     label = np.arange(len(radii.r), dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
     order = np.argsort(label, kind="stable")
     rows = np.column_stack((label[order], radii.r[order]))
@@ -404,7 +427,6 @@ def radii_for_graph(pairs: dict[int, int], g: Graph) -> np.ndarray:
         arr[v] = pairs[lab]
     if len(pairs) != g.n:
         raise GraphError(f"radii file covers {len(pairs)} vertices, graph has {g.n}")
-    arr.flags.writeable = False
     return arr
 
 
@@ -462,8 +484,7 @@ def _shortcut_targets(parent: np.ndarray, depth: np.ndarray, k: int, heuristic: 
 
 
 def _shortcuts(ball: Ball, k: int, heuristic: str) -> tuple[tuple[int, int], ...]:
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
+    _check_count("k", k)
     parent = np.array(ball.parent, dtype=np.int64)
     depth = np.array(ball.depth, dtype=np.int64)
     target = _shortcut_targets(parent, depth, k, heuristic)
@@ -518,21 +539,16 @@ def build_k_rho(
     """
     if heuristic not in ("greedy", "dp"):
         raise GraphError(f"unknown heuristic {heuristic!r}")
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
-    if rho < 1:
-        raise GraphError(f"rho must be >= 1, got {rho}")
+    _check_count("k", k)
+    _check_count("rho", rho)
     radius: list[np.ndarray] = []
     extra: list[list[np.ndarray]] = []
     for r_rho, _, (center, vertex, dist, parent, depth) in _ball_chunks(g, np.arange(g.n), rho, tie_inclusive):
         cut = _shortcut_targets(parent, depth, k, heuristic)
         radius.append(r_rho)
         extra.append([center[cut], vertex[cut], dist[cut]])
-    r = np.concatenate(radius)
-    r.flags.writeable = False
     aug = _augment(g, extra)
-    radii = RadiusAssignment(r=r, rho=rho, k=k, tie_inclusive=tie_inclusive)
-    return aug, radii, aug.m - g.m
+    return aug, RadiusAssignment(r=np.concatenate(radius), rho=rho, k=k), aug.m - g.m
 
 
 @dataclass(frozen=True)
@@ -600,10 +616,8 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment) -> ValidationReport:
     min(rho, component) from its ball_arrays ball.
     """
     n, k, rho, r = g.n, radii.k, radii.rho, radii.r
-    if rho < 1:
-        raise GraphError(f"rho must be >= 1, got {rho}")
-    if k < 1:
-        raise GraphError(f"k must be >= 1, got {k}")
+    _check_count("rho", rho)
+    _check_count("k", k)
     _check_size(g, radii)
     kradius = np.full(n, UNREACHED, dtype=np.int64)
     kept = np.zeros(n, dtype=np.int64)

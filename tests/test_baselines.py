@@ -1,7 +1,14 @@
+import ast
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import radius_stepping
+import radius_stepping.baselines as baselines
+import radius_stepping.engine as engine
+import radius_stepping.graph as graph
 from radius_stepping import (
     UNREACHED,
     SizeCapError,
@@ -139,7 +146,7 @@ def test_hop_matrix_triangle():
     # the two-hop path 0-2-1 has weight 2, beating the direct weight-5 edge
     assert hm[0, 1] == 2 and hm[1, 0] == 2
     assert hm[0, 0] == 0
-    assert (hm.hops == hm.hops.T).all()
+    assert (hm == hm.T).all()
 
 
 def test_k_radius_path():
@@ -166,11 +173,11 @@ def test_k_radius_antitone_in_k(seed):
 
 
 def test_size_cap_enforced():
-    g = generate(GeneratorSpec(kind="grid2d", dims=(3, 3)))
+    g = generate(GeneratorSpec(kind="grid2d", dims=(21, 20)))  # 420 vertices, above the cap of 400
     with pytest.raises(SizeCapError):
-        hop_matrix(g, cap=4)
+        hop_matrix(g)
     with pytest.raises(SizeCapError):
-        k_radius_bruteforce(g, 1, cap=4)
+        k_radius_bruteforce(g, 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -178,3 +185,18 @@ def test_size_cap_enforced():
 def test_bfs_equals_dijkstra_on_unit_weights(seed):
     g, s = random_graph(seed, n_hi=40, m_cap=100, w_lo=1, w_hi=1)
     assert bfs(g, s).dist.same_as(dijkstra(g, s))
+
+
+def test_engine_and_baselines_import_without_a_cycle():
+    # DistanceVector lives in graph, so engine needs nothing from baselines,
+    # and baselines imports engine at module level.
+    def imports(module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        every = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        return every, [node for node in tree.body if node in every]
+
+    every, _ = imports(engine)
+    assert "baselines" not in {node.module for node in every if isinstance(node, ast.ImportFrom)}
+    every, top = imports(baselines)
+    assert every == top  # no import inside a function
+    assert baselines.DistanceVector is graph.DistanceVector is radius_stepping.DistanceVector

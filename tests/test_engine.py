@@ -9,10 +9,14 @@ from radius_stepping import (
     WeightSpec,
     RadiusAssignment,
     UNREACHED,
+    bellman_ford,
     bfs,
+    bfs_settle_scans,
     build_1_rho,
     build_k_rho,
     check_bounds,
+    compute_ball,
+    delta_stepping,
     dijkstra,
     from_edges,
     generate,
@@ -50,7 +54,7 @@ def test_infinite_radii_single_step_bellman_ford():
     assert res.dist.same_as(dijkstra(g, s))
     # N(s) is relaxed at init, so the substeps are exactly the max hop count:
     # hops 2..H to converge, one more to observe the fixpoint.
-    hops = hop_matrix(g).hops[s]
+    hops = hop_matrix(g)[s]
     finite = hops < UNREACHED
     assert res.steps[0].substeps == int(hops[finite].max())
 
@@ -298,7 +302,10 @@ def test_check_bounds_flags_work_beyond_k_plus_2_per_edge():
     res = radius_step_fast(aug, radii, s)
     limit = 4 * 2 * aug.m
     assert res.total_relaxations <= limit
-    doctored = SsspResult(dist=res.dist, steps=res.steps, total_relaxations=limit + 1)
+    log = res.steps
+    relaxations = log.relaxations.copy()
+    relaxations[-1] += limit + 1 - res.total_relaxations
+    doctored = SsspResult(res.dist, StepLog(log.d, log.active_count, log.substeps, relaxations, log.active))
     report = check_bounds(doctored, aug, 4, 2, radii=radii)
     assert report.violations == (f"{limit + 1} relaxations exceed (k+2)*2m = {limit}",)
     assert check_bounds(doctored, aug, 4, None, radii=radii).ok
@@ -317,7 +324,7 @@ def test_check_bounds_rejects_radii_of_the_wrong_length():
     g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     res = radius_step_fast(g, RadiusAssignment.uniform(4, 1), 0)
     for n in (3, 5):  # radii for too few or too many vertices
-        radii = RadiusAssignment.uniform(n, 1, rho=2, k=1)
+        radii = RadiusAssignment.uniform(n, 1)
         with pytest.raises(GraphError, match="radius assignment does not match graph size"):
             check_bounds(res, g, 2, 1, radii=radii)
 
@@ -462,7 +469,7 @@ def test_check_bounds_columns_match_record_loop():
             res = radius_step_fast(aug, radii, s)
             t = 1 + _ceil_log2(rho * aug.max_weight)
             for log in [res.steps, *doctored_logs(res.steps, k, t)]:
-                doctored = SsspResult(dist=res.dist, steps=log, total_relaxations=res.total_relaxations)
+                doctored = SsspResult(dist=res.dist, steps=log)
                 expected = violations_by_records(doctored, aug, rho, k)
                 report = check_bounds(doctored, aug, rho, k, radii=radii, assume_premise=True)
                 assert report.violations == expected
@@ -514,3 +521,41 @@ def test_check_bounds_verifies_premise_on_a_large_grid():
     report = check_bounds(res, aug, 10, 2, radii=RadiusAssignment(r=shrunk, rho=10, k=2))
     assert not report.checkable
     assert report.reason == f"premise fails: |B({g.n - 1}, r)| below 10"
+
+
+def test_check_bounds_rejects_non_integer_counts():
+    # rho=2.5 must raise GraphError, not AttributeError from the step limit's bit_length.
+    g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    radii = RadiusAssignment.uniform(4, 1)
+    res = radius_step_fast(g, radii, 0)
+    for rho, k, message in ((2.5, 1, "rho must be an integer, got 2.5"), (2, 1.5, "k must be an integer, got 1.5"),
+                            (True, 1, "rho must be an integer, got True"), (2, 0, "k must be >= 1, got 0")):
+        with pytest.raises(GraphError, match=message):
+            check_bounds(res, g, rho, k, radii=radii, assume_premise=True)
+    assert check_bounds(res, g, np.int64(2), None, radii=radii, assume_premise=True).checkable
+
+
+def test_sources_must_be_integer_vertex_ids():
+    # Bools and floats are not vertex ids, though numpy would take some as indices.
+    g = from_edges(3, [(0, 1, 1), (1, 2, 1)])
+    radii = RadiusAssignment.uniform(3, 1)
+    takes_source = (
+        lambda s: radius_step_reference(g, radii, s),
+        lambda s: radius_step_fast(g, radii, s),
+        lambda s: radius_step_unweighted(g, radii, s),
+        lambda s: dijkstra(g, s),
+        lambda s: bellman_ford(g, s),
+        lambda s: bfs(g, s),
+        lambda s: bfs_settle_scans(g, s),
+        lambda s: delta_stepping(g, s, 1),
+        lambda s: reachable_set(g, s),
+    )
+    for call in takes_source:
+        for s in (True, 1.0, np.float64(1), "1"):
+            with pytest.raises(GraphError, match="source must be an integer vertex id"):
+                call(s)
+        with pytest.raises(GraphError, match="source 3 out of range for n=3"):
+            call(3)
+        call(np.int32(1))
+    with pytest.raises(GraphError, match="vertex must be an integer vertex id"):
+        compute_ball(g, True, 2)

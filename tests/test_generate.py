@@ -1,3 +1,6 @@
+import importlib
+import re
+
 import pytest
 
 from radius_stepping import (
@@ -92,3 +95,41 @@ def test_unweighted_bfs_equals_weighted_distance():
 def test_invalid_specs_rejected(spec):
     with pytest.raises(GraphError):
         generate(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, sizes",
+    [
+        (GeneratorSpec(kind="grid2d", dims=(2**32, 2**32)), f"{2**64}*{2**66 - 2**34}"),
+        (GeneratorSpec(kind="grid3d", dims=(2**21, 2**21, 2**21)), f"{2**63}*{3 * 2**64 - 3 * 2**43}"),
+        (GeneratorSpec(kind="adversarial", ladder=2**13), f"{2**26 + 1}*{2 * (2**13 + (2**13 - 1) * 2**26)}"),
+        (GeneratorSpec(kind="random", n=10**12, m=10**12), f"{10**12}*{2 * 10**12}"),
+    ],
+)
+def test_validate_bounds_the_graph_size(spec, sizes):
+    # Only validate runs: generate would build a Python edge list of this
+    # size before from_edges could reject it.
+    message = f"graph too large: n*max(n, 2*edges) = {sizes} must stay below 2**63"
+    with pytest.raises(GraphError, match=re.escape(message)):
+        spec.validate()
+
+
+def test_validate_sizes_the_graph_generate_builds(monkeypatch):
+    seen = []
+    gen = importlib.import_module("radius_stepping.generate")  # the package's `generate` is the function
+    monkeypatch.setattr(gen, "_check_graph_size", lambda n, edges: seen.append((n, edges)))
+    specs = [
+        GeneratorSpec(kind="grid2d", dims=(1, 1)),
+        GeneratorSpec(kind="grid2d", dims=(7, 1)),
+        GeneratorSpec(kind="grid2d", dims=(4, 6)),
+        GeneratorSpec(kind="grid3d", dims=(1, 1, 1)),
+        GeneratorSpec(kind="grid3d", dims=(5, 1, 3)),
+        GeneratorSpec(kind="grid3d", dims=(3, 4, 2)),
+        GeneratorSpec(kind="adversarial", ladder=5),
+        GeneratorSpec(kind="random", n=30, m=60, seed=3),
+    ]
+    for spec in specs:
+        g = generate(spec)
+        assert seen.pop() == (g.n, g.m), spec
+    # One below the bound passes validate; it is not generated.
+    GeneratorSpec(kind="random", n=10**9, m=10**9).validate()

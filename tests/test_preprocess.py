@@ -536,7 +536,7 @@ def test_validate_k_rho_equals_bruteforce_oracle(tie_inclusive):
                 uncapped = np.where(np.arange(g.n) == g.n // 2, UNREACHED, radii.r)
                 for h, oracle in ((g, on_g), (aug, on_aug)):
                     for r in (radii.r, radii.r - 1, radii.r + 1, uncapped):
-                        checked = RadiusAssignment(r, rho, k, tie_inclusive)
+                        checked = RadiusAssignment(r, rho, k)
                         got = validate_k_rho(h, checked).violations
                         assert got == _bruteforce_violations(h, checked, *oracle), (g.n, k, rho, r)
                         kinds.update({line.split()[3] for line in got} or {"ok"})
@@ -652,3 +652,62 @@ def test_bad_arguments():
     for pick in (shortcut_dp, shortcut_greedy):
         with pytest.raises(GraphError, match="k must be >= 1"):
             pick(compute_ball(g, 0, 3), 0)
+
+
+def test_ball_search_rejects_non_integer_sources():
+    # A float source must not be truncated to a vertex id: 0.7 and 1.9 would
+    # search the balls of vertices 0 and 1.
+    g = from_edges(3, PATH)
+    for search, sources in ((ball_arrays, [0.7]), (ball_radii, [1.9]), (ball_arrays, [True]), (ball_radii, np.ones(2))):
+        with pytest.raises(GraphError, match="vertices must be integer ids"):
+            search(g, sources, 2)
+    assert all(len(col) == 0 for col in ball_radii(g, [], 4))  # an empty list is float-typed
+    small = np.array([2, 0], dtype=np.uint8)
+    assert [col.tolist() for col in ball_radii(g, small, 2)] == [col.tolist() for col in ball_radii(g, [2, 0], 2)]
+
+
+def test_counts_must_be_integers():
+    # A float count must be rejected, not compared against member counts.
+    g = from_edges(3, PATH)
+    radii = RadiusAssignment(np.zeros(3, dtype=np.int64), 2, 1)
+    takes_rho = (
+        lambda x: compute_ball(g, 0, x),
+        lambda x: ball_arrays(g, [0], x),
+        lambda x: build_k_rho(g, 1, x),
+        lambda x: validate_k_rho(g, RadiusAssignment(radii.r, x, 1)),
+    )
+    takes_k = (
+        lambda x: build_k_rho(g, x, 2),
+        lambda x: shortcut_dp(compute_ball(g, 0, 3), x),
+        lambda x: validate_k_rho(g, RadiusAssignment(radii.r, 2, x)),
+    )
+    for name, calls in (("rho", takes_rho), ("k", takes_k)):
+        for value in (2.5, True, np.float64(2), "2"):
+            for call in calls:
+                with pytest.raises(GraphError, match=f"{name} must be an integer, got"):
+                    call(value)
+    assert compute_ball(g, 0, np.int32(2)) == compute_ball(g, 0, 2)
+
+
+def test_radius_assignment_takes_only_integer_radii():
+    # A float r would reach the engine, whose int(keys.min()) truncates thresholds.
+    for r in (np.array([0.5, 1.5, 2.5]), [0.0, 1.0, 2.0], np.ones(3, dtype=bool), np.zeros((3, 1), dtype=np.int64)):
+        with pytest.raises(GraphError, match="radii must be a 1-D array of int64 values"):
+            RadiusAssignment(r, 2, 1)
+    with pytest.raises(GraphError, match="radii must be a 1-D array of int64 values"):
+        RadiusAssignment(np.array([2**63], dtype=np.uint64), 2, 1)
+    mine = np.array([1, 2, 3], dtype=np.int32)
+    radii = RadiusAssignment(mine, 2, 1)
+    mine[0] = 9  # the assignment keeps its own read-only copy
+    assert radii.r.tolist() == [1, 2, 3] and radii.r.dtype == np.int64 and not radii.r.flags.writeable
+    # Ranges are checked where radii are used: validate_k_rho takes these.
+    assert RadiusAssignment([-1, UNREACHED + 5, 0], 2, 1).r.tolist() == [-1, UNREACHED + 5, 0]
+
+
+def test_write_radii_rejects_the_wrong_number_of_labels():
+    # Three radii with labels (5,) would write "5 1\n" alone and drop two radii.
+    radii = RadiusAssignment.uniform(3, 1)
+    for labels in ((5,), (5, 6, 7, 8)):
+        with pytest.raises(GraphError, match=f"{len(labels)} labels for 3 radii"):
+            write_radii(radii, labels=labels)
+    assert write_radii(radii, labels=(7, 5, 6)) == "5 1\n6 1\n7 1\n"
