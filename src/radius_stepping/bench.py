@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from .engine import check_bounds, radius_step_fast
 from .generate import GeneratorSpec, WeightSpec, generate
-from .graph import Graph, GraphError, _is_int, parse_edge_list
+from .graph import Graph, GraphError, _check_count, _is_int, _read_text, parse_edge_list
 from .preprocess import build_k_rho, validate_k_rho
 
 CSV_HEADER = "graph,n,m,k,rho,heuristic,added_edge_factor,mean_steps,mean_substeps,reduction_factor"
@@ -51,8 +51,14 @@ class ExperimentConfig:
             raise GraphError("ks must be a nonempty list of positive counts")
         if not self.heuristics or any(h not in ("dp", "greedy") for h in self.heuristics):
             raise GraphError("heuristics must come from {dp, greedy}")
-        if self.source_count < 1:
-            raise GraphError("source_count must be >= 1")
+        _check_count("source_count", self.source_count)
+        _check_label(self.label)
+
+
+def _check_label(label: str) -> None:
+    """A label goes into CSV rows as it is: no comma, double quote, CR or LF."""
+    if not isinstance(label, str) or not set(label).isdisjoint(',"\r\n'):
+        raise GraphError(f"label must be a string without a comma, double quote, CR or LF, got {label!r}")
 
 
 # JSON shape expected for each field annotation of the config dataclasses.
@@ -138,8 +144,7 @@ class _CellStats:
 def _load_graph(cfg: ExperimentConfig) -> Graph:
     if cfg.generator is not None:
         return generate(cfg.generator)
-    with open(cfg.graph_path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(_read_text(cfg.graph_path))
 
 
 def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) -> _CellStats:
@@ -224,6 +229,7 @@ def emit_csv(rows: list[ExperimentRow]) -> str:
         raise GraphError("no rows to emit")
     lines = [CSV_HEADER + "\n"]
     for r in rows:
+        _check_label(r.graph)
         lines.append(
             f"{r.graph},{r.n},{r.m},{r.k},{r.rho},{r.heuristic},"
             f"{_fmt(r.added_edge_factor)},{_fmt(r.mean_steps)},"
@@ -233,27 +239,8 @@ def emit_csv(rows: list[ExperimentRow]) -> str:
 
 
 def emit_summary(rows: list[ExperimentRow]) -> str:
-    if not rows:
-        raise GraphError("no rows to emit")
+    """emit_csv's rows as right-aligned columns under a short header."""
     header = ("graph", "n", "m", "k", "rho", "heur", "added/m", "steps", "substeps", "reduction")
-    table = [header]
-    for r in rows:
-        table.append(
-            (
-                r.graph,
-                str(r.n),
-                str(r.m),
-                str(r.k),
-                str(r.rho),
-                r.heuristic,
-                _fmt(r.added_edge_factor),
-                _fmt(r.mean_steps),
-                _fmt(r.mean_substeps),
-                _fmt(r.reduction_factor),
-            )
-        )
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    out = []
-    for row in table:
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
-    return "".join(out)
+    table = [header, *(line.split(",") for line in emit_csv(rows).splitlines()[1:])]
+    widths = [max(map(len, col)) for col in zip(*table)]
+    return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n" for row in table)

@@ -11,7 +11,7 @@ import sys
 from .bench import ExperimentConfig, config_from_json, emit_csv, emit_summary, run_experiment
 from .engine import radius_step_fast, radius_step_reference, radius_step_unweighted, step_records_csv
 from .generate import GeneratorSpec, WeightSpec, generate
-from .graph import UNREACHED, Graph, GraphError, parse_edge_list, write_edge_list
+from .graph import Graph, GraphError, _label_ids, _read_text, _render_labeled, parse_edge_list, write_edge_list
 from .preprocess import (
     RadiusAssignment,
     build_k_rho,
@@ -23,8 +23,11 @@ from .preprocess import (
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(_read_text(path))
+
+
+def _read_radii(path: str, g: Graph, rho: int, k: int) -> RadiusAssignment:
+    return RadiusAssignment(r=radii_for_graph(parse_radii(_read_text(path)), g), rho=rho, k=k)
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -95,9 +98,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 def _cmd_sssp(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     if args.radii is not None:
-        with open(args.radii, "r", encoding="ascii") as fh:
-            arr = radii_for_graph(parse_radii(fh.read()), g)
-        radii = RadiusAssignment(r=arr, rho=0, k=0)
+        radii = _read_radii(args.radii, g, 0, 0)
     else:
         aug, radii, _ = build_k_rho(g, 1, args.rho, heuristic="dp")
         if args.engine != "unweighted":
@@ -110,11 +111,7 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
         "unweighted": radius_step_unweighted,
     }[args.engine]
     res = engine(g, radii, args.source)
-    lines = []
-    for v in range(g.n):
-        d = res.dist[v]
-        lines.append(f"{g.label_of(v)} {'inf' if d >= UNREACHED else d}\n")
-    sys.stdout.write("".join(lines))
+    sys.stdout.write(_render_labeled(_label_ids(g.labels, g.n), res.dist.dist))
     if args.stats is not None:
         _write_out(args.stats, step_records_csv(res))
     print(f"{res.step_count} steps, {res.total_substeps()} substeps", file=sys.stderr)
@@ -125,8 +122,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.config is not None and args.input is not None:
         raise GraphError("--config and --input are mutually exclusive")
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = config_from_json(fh.read())
+        cfg = config_from_json(_read_text(args.config, "utf-8"))
     else:
         if args.input is None:
             raise GraphError("bench needs --config or --input")
@@ -147,9 +143,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    with open(args.radii, "r", encoding="ascii") as fh:
-        arr = radii_for_graph(parse_radii(fh.read()), g)
-    radii = RadiusAssignment(r=arr, rho=args.rho, k=args.k)
+    radii = _read_radii(args.radii, g, args.rho, args.k)
     report = validate_k_rho(g, radii)
     if report.ok:
         print(f"ok: {report.checked} vertices satisfy the ({args.k},{args.rho}) ball property")
@@ -224,10 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex, _edge_slots
-from .preprocess import RadiusAssignment, _check_size, ball_radii
+from .preprocess import RadiusAssignment, _ball_premise, _check_size
 
 
 @dataclass(frozen=True)
@@ -417,19 +417,17 @@ def check_bounds(
     g: Graph,
     rho: int,
     k: int | None,
-    radii: RadiusAssignment | None = None,
+    radii: RadiusAssignment,
     assume_premise: bool = False,
 ) -> BoundsReport:
     """Verify the run against the rho/L step budget and the k+2 substep cap.
 
     The bounds only hold when every vertex has at least min(rho, component)
     vertices inside radius r(v); unless assume_premise is set, that premise
-    is verified and a run on a non-qualifying assignment comes back "not
-    checkable" rather than failed.  The premise is r(v) >= r_rho(v), the
-    distance to v's rho-th closest vertex (or its eccentricity in a smaller
-    component), which one batched ball search over all vertices finds.
-    Pass k=None to skip the substep cap and the work bound (no k applies,
-    e.g. unweighted runs).
+    is verified by preprocess._ball_premise (validate_k_rho's check too)
+    over all vertices, and a run on a non-qualifying assignment comes back
+    "not checkable" rather than failed.  Pass k=None to skip the substep
+    cap and the work bound (no k applies, e.g. unweighted runs).
 
     With k given, total_relaxations must also stay within (k+2)*2m.  An
     engine relaxes a vertex only in substeps of the step that settles it,
@@ -439,17 +437,12 @@ def check_bounds(
     _check_count("rho", rho)
     if k is not None:
         _check_count("k", k)
-    if radii is not None:
-        _check_size(g, radii)
+    _check_size(g, radii)
     if not assume_premise:
-        if radii is None:
-            return BoundsReport(False, "premise unknown: no radii supplied", None, None, ())
-        r_rho, size = ball_radii(g, range(g.n), rho)
-        short = np.flatnonzero(radii.r < r_rho)
+        inside, need = _ball_premise(g, radii.r, np.arange(g.n), rho)
+        short = np.flatnonzero(inside < need)
         if len(short):
-            v = int(short[0])
-            need = min(rho, int(size[v]))
-            return BoundsReport(False, f"premise fails: |B({v}, r)| below {need}", None, None, ())
+            return BoundsReport(False, f"premise fails: |B({short[0]}, r)| below {need[short[0]]}", None, None, ())
     n_reach = res.dist.reached_count()
     t = 1 + _ceil_log2(int(rho) * g.max_weight)
     limit = -(-n_reach // rho) * t

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, _check_graph_size, from_edges
+from .graph import Graph, GraphError, _check_graph_size, _is_int, from_edges
 
 # The ladder construction places its designated start vertex at id 0.
 ADVERSARIAL_START = 0
@@ -25,8 +25,8 @@ class WeightSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lo < 1 or self.hi < self.lo:
-            raise GraphError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
+        if not (_is_int(self.lo) and _is_int(self.hi)) or self.lo < 1 or self.hi < self.lo:
+            raise GraphError(f"need integers 1 <= lo <= hi, got [{self.lo!r}, {self.hi!r}]")
 
 
 @dataclass(frozen=True)
@@ -51,21 +51,21 @@ class GeneratorSpec:
         before generate builds any edge."""
         axes = {"grid2d": "(w, h)", "grid3d": "(x, y, z)"}.get(self.kind)
         if axes is not None:
-            if len(self.dims) != axes.count(",") + 1 or min(self.dims) < 1:
-                raise GraphError(f"{self.kind} needs dims {axes} >= 1, got {self.dims}")
+            if len(self.dims) != axes.count(",") + 1 or not all(_is_int(d) and d >= 1 for d in self.dims):
+                raise GraphError(f"{self.kind} needs integer dims {axes} >= 1, got {self.dims}")
             n = math.prod(self.dims)
             edges = sum(n // d * (d - 1) for d in self.dims)
         elif self.kind == "adversarial":
-            if self.ladder < 2:
-                raise GraphError(f"adversarial needs d >= 2, got {self.ladder}")
+            if not _is_int(self.ladder) or self.ladder < 2:
+                raise GraphError(f"adversarial needs an integer d >= 2, got {self.ladder!r}")
             n, edges = self.ladder**2 + 1, self.ladder + (self.ladder - 1) * self.ladder**2
         elif self.kind == "random":
-            if self.n < 1:
-                raise GraphError("random graph needs n >= 1")
+            if not _is_int(self.n) or self.n < 1:
+                raise GraphError(f"random graph needs an integer n >= 1, got {self.n!r}")
             lo = max(0, self.n - 1)
             hi = self.n * (self.n - 1) // 2
-            if not lo <= self.m <= hi:
-                raise GraphError(f"random graph with n={self.n} needs m in [{lo}, {hi}]")
+            if not _is_int(self.m) or not lo <= self.m <= hi:
+                raise GraphError(f"random graph with n={self.n} needs integer m in [{lo}, {hi}], got {self.m!r}")
             n, edges = self.n, self.m
         else:
             raise GraphError(f"unknown generator kind {self.kind!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -197,8 +197,9 @@ def from_edges(
     nonnegative int with n*max(n, 2*len(edges)) < 2**63, the bound on the
     packed sort keys.  Weights must be >= 1, and shortest paths must stay
     below UNREACHED (see _check_distance_bound).  Labels, if given, must be
-    n distinct ids that fit int64, which the edge-list and radii writers
-    rely on.  All of this is checked before anything of size n is allocated.
+    n distinct integers (not bool) that fit int64, which the edge-list and
+    radii writers rely on; the graph keeps them as a tuple.  All of this is
+    checked before anything of size n is allocated.
 
     Both sorts are unstable argsorts of packed int64 keys, each below
     n*max(n, 2*len(edges)): one groups parallel edges, two give the CSR
@@ -210,11 +211,9 @@ def from_edges(
     if len(ws) and ws.min() < 1:
         raise GraphError("edge weight must be a positive integer")
     if labels is not None:
-        try:
-            label = np.asarray(labels, dtype=np.int64)
-        except OverflowError:
-            raise GraphError("vertex labels must fit int64") from None
-        if label.shape != (n,) or len(set(labels)) != n:
+        labels = tuple(labels)
+        label = np.sort(_int64s("vertex labels", lambda: iter(labels), len(labels)))
+        if len(label) != n or (label[1:] == label[:-1]).any():
             raise GraphError(f"vertex labels must be {n} distinct ids")
 
     # Parallel edges share the key min(u,v)*n + max(u,v); the minimum over a
@@ -287,18 +286,22 @@ def _edge_columns(n: object, edges: object) -> tuple[int, np.ndarray, np.ndarray
             sizes = {None}
         if sizes - {3}:
             raise GraphError("each edge must be a (u, v, w) triple")
-        kinds = set(map(type, itertools.chain.from_iterable(triples)))
-        odd = [t for t in kinds if not issubclass(t, (int, np.integer)) or issubclass(t, bool)]
-        if odd:
-            names = ", ".join(sorted(t.__name__ for t in odd))
-            raise GraphError(f"edge values must be integers, got {names}")
-        values = itertools.chain.from_iterable(triples)
-        try:
-            us, vs, ws = np.fromiter(values, dtype=np.int64, count=3 * len(triples)).reshape(-1, 3).T
-        except OverflowError:
-            raise GraphError("edge values must fit int64") from None
+        values = _int64s("edge values", lambda: itertools.chain.from_iterable(triples), 3 * len(triples))
+        us, vs, ws = values.reshape(-1, 3).T
     _check_graph_size(n, len(us))
     return n, us, vs, ws
+
+
+def _int64s(what: str, values: Callable[[], Iterator], count: int) -> np.ndarray:
+    """The `count` items values() yields (it is called twice) as int64, or
+    GraphError unless each is an integer (not bool) that fits int64."""
+    odd = [t for t in set(map(type, values())) if not issubclass(t, (int, np.integer)) or issubclass(t, bool)]
+    if odd:
+        raise GraphError(f"{what} must be integers, got {', '.join(sorted(t.__name__ for t in odd))}")
+    try:
+        return np.fromiter(values(), dtype=np.int64, count=count)
+    except OverflowError:
+        raise GraphError(f"{what} must fit int64") from None
 
 
 def _check_distance_bound(n: int, a: np.ndarray, b: np.ndarray, ws: np.ndarray) -> None:
@@ -413,9 +416,9 @@ def _line_columns(text: str) -> _Columns:
             compact(u)
             continue
         if w <= 0:
-            raise GraphError(f"line {lineno}: weight must be >= 1, got {w}")
+            raise EdgeListParseError(lineno, f"weight must be >= 1, got {w}")
         if w >= UNREACHED:
-            raise GraphError(f"line {lineno}: weight must be below 2**62, got {w}")
+            raise EdgeListParseError(lineno, f"weight must be below 2**62, got {w}")
         us.append(compact(u))
         vs.append(compact(v))
         ws.append(w)
@@ -523,6 +526,29 @@ def _render(rows: np.ndarray, brief: np.ndarray, full: str, short: str) -> str:
     return "".join(map((full, short).__getitem__, brief.tolist())) % tuple(rows.ravel().tolist())
 
 
+def _label_ids(labels: tuple[int, ...] | None, n: int) -> np.ndarray:
+    """The labels as int64, or the ids 0..n-1 where there are none."""
+    return np.arange(n, dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
+
+
+def _render_labeled(label: np.ndarray, value: np.ndarray) -> str:
+    """One "label value\\n" line per entry, with "inf" for UNREACHED or more."""
+    return _render(np.column_stack((label, value)), value >= UNREACHED, "%d %d\n", "%d inf%.0s\n")
+
+
+def _read_text(path: str, encoding: str = "ascii") -> str:
+    """A file's text with newlines translated as open() does (no ASCII or
+    UTF-8 character but CR and LF holds their bytes), or GraphError naming
+    the file and the line of the first byte that does not decode."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not {encoding}") from None
+
+
 def write_edge_list(g: Graph) -> str:
     """Render each undirected edge once as "u v w\\n" with u < v, sorted by (u, v).
 
@@ -542,7 +568,7 @@ def _edge_rows(g: Graph) -> np.ndarray:
     its own, so its scratch arrays are freed before the text is built."""
     u, v, w = _half_edges(g)
     lone = np.flatnonzero(np.diff(g.indptr) == 0)
-    label = np.arange(g.n, dtype=np.int64) if g.labels is None else np.asarray(g.labels, dtype=np.int64)
+    label = _label_ids(g.labels, g.n)
     by_rank = np.argsort(label)
     rank = np.empty(g.n, dtype=np.int64)
     rank[by_rank] = np.arange(g.n)

@@ -13,13 +13,14 @@ each row's nearest candidate, so rho rounds (plus one step for the
 tie-inclusive tail) find every ball of a chunk.  Sources are chunked so
 that a chunk's pool holds at most about 2**18 entries, and at large rho
 the pool rows are compacted to one candidate per vertex as they fill.
-build_k_rho plans each chunk's shortcuts as it comes, and ball_radii
-(check_bounds' premise) keeps only each ball's r_rho and size;
-compute_ball stays as the one-ball API and as the oracle the batched
-search is tested against.  Both heuristics run on the tree's parent and
-depth arrays alone: build_k_rho hands them a chunk's flat columns, and
-shortcut_greedy and shortcut_dp hand them one Ball's.  validate_k_rho
-checks the (k, rho) property of any radii exactly, at any graph size.
+build_k_rho plans each chunk's shortcuts as it comes, and _ball_premise
+(the premise of check_bounds and of validate_k_rho) keeps two counts
+per ball; compute_ball stays as the one-ball API and as the oracle the
+batched search is tested against.  Both heuristics run on the tree's
+parent and depth arrays alone: build_k_rho hands them a chunk's flat
+columns, and shortcut_greedy and shortcut_dp hand them one Ball's.
+validate_k_rho checks the (k, rho) property of any radii exactly, at any
+graph size.
 
 Ball counting includes the center: the first "closest vertex" of v is v
 itself at distance 0, so rho=1 always yields the trivial ball {v} with
@@ -41,7 +42,8 @@ from .graph import (
     _check_vertex,
     _edge_slots,
     _half_edges,
-    _render,
+    _label_ids,
+    _render_labeled,
     from_edges,
 )
 
@@ -86,8 +88,6 @@ def compute_ball(g: Graph, v: int, rho: int, tie_inclusive: bool = True) -> Ball
     """
     _check_count("rho", rho)
     _check_vertex(g, v, "vertex")
-    if rho == 1:  # weights are >= 1, so nothing ties with v at distance 0
-        return Ball(v, ((v, 0),), 0, (-1,), (0,))
     best = {v: 0}
     via = {v: (-1, -1, -1)}  # (depth, id, position) of the best predecessor so far
     members: list[tuple[int, int]] = []
@@ -343,11 +343,15 @@ def ball_arrays(
     return center, vertex, dist, np.where(parent >= 0, parent + shift, -1), depth
 
 
-def ball_radii(g: Graph, sources, rho: int, tie_inclusive: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """r_rho and member count of each source's ball, by the batched search."""
-    parts = [(r_rho, size) for r_rho, size, _ in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive)]
-    r_rho, size = (np.concatenate(col) for col in zip(*parts))
-    return r_rho, size
+def _ball_premise(g: Graph, r: np.ndarray, sources, rho: int) -> tuple[np.ndarray, np.ndarray]:
+    """|B(v, r(v))| and min(rho, component size) of each source v; the
+    paper's bounds assume the first is at least the second.  Counted chunk
+    by chunk, so no column outlives its chunk; |B| is exact where short."""
+    inside, need = [], []
+    for _, size, (center, _, dist, _, _) in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive=True):
+        inside.append(np.add.reduceat(dist <= r[center], np.cumsum(size) - size))
+        need.append(np.minimum(size, rho))
+    return np.concatenate(inside), np.concatenate(need)
 
 
 @dataclass(frozen=True)
@@ -373,7 +377,7 @@ class RadiusAssignment:
 
     @classmethod
     def uniform(cls, n: int, value: int) -> "RadiusAssignment":
-        return cls(r=np.full(n, value, dtype=np.int64), rho=0, k=0)
+        return cls(r=np.full(n, value), rho=0, k=0)
 
 
 def _check_size(g: Graph, radii: RadiusAssignment) -> None:
@@ -385,10 +389,9 @@ def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) 
     """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap."""
     if labels is not None and len(labels) != len(radii.r):
         raise GraphError(f"{len(labels)} labels for {len(radii.r)} radii")
-    label = np.arange(len(radii.r), dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
+    label = _label_ids(labels, len(radii.r))
     order = np.argsort(label, kind="stable")
-    rows = np.column_stack((label[order], radii.r[order]))
-    return _render(rows, rows[:, 1] >= UNREACHED, "%d %d\n", "%d inf%.0s\n")
+    return _render_labeled(label[order], radii.r[order])
 
 
 def parse_radii(text: str) -> dict[int, int]:
@@ -611,9 +614,9 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment) -> ValidationReport:
     exactly k+1 hops (on a longer one, the vertex k+1 hops in would be
     nearer), so round k+1 lowers it to the k-radius if that is <= r(v).
     Hence r(v) exceeds the k-radius iff it exceeds the least value lowered
-    there.  On a row that passes, the pairs kept are exactly B(v, r(v));
-    a row that fails or keeps fewer than rho pairs takes |B(v, r)| and
-    min(rho, component) from its ball_arrays ball.
+    there.  Every pair kept lies in B(v, r(v)), so a row that keeps rho
+    pairs meets the ball premise; a row that keeps fewer takes |B(v, r)|
+    and min(rho, component) from _ball_premise.
     """
     n, k, rho, r = g.n, radii.k, radii.rho, radii.r
     _check_count("rho", rho)
@@ -638,9 +641,9 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment) -> ValidationReport:
         kept[src] = np.bincount(touched // n, minlength=len(src))
         best[touched] = _EMPTY
     over = r > kradius
-    center, _, dist, _, _ = ball_arrays(g, np.flatnonzero(over | (kept < rho)), rho)
-    inside = np.bincount(center[dist <= r[center]], minlength=n)  # |B(v, r)| of each vertex searched
-    need = np.minimum(np.bincount(center, minlength=n), rho)
+    search = np.flatnonzero(kept < rho)
+    inside, need = np.zeros((2, n), dtype=np.int64)
+    inside[search], need[search] = _ball_premise(g, r, search, rho)
     violations: list[str] = []
     for v in np.flatnonzero(over | (inside < need)).tolist():
         if over[v]:

@@ -5,6 +5,7 @@ import pytest
 from radius_stepping import (
     BenchError,
     ExperimentConfig,
+    ExperimentRow,
     GeneratorSpec,
     GraphError,
     WeightSpec,
@@ -13,6 +14,7 @@ from radius_stepping import (
     emit_summary,
     run_experiment,
 )
+import radius_stepping.bench as bench
 from radius_stepping.bench import CSV_HEADER
 from conftest import MUTANT_GRID, drop_planned_shortcut
 
@@ -126,6 +128,27 @@ def test_config_validation():
         ExperimentConfig(
             label="x", rhos=(1,), graph_path="a", generator=small_cfg().generator
         ).validate()
+
+
+def test_source_count_must_be_an_integer():
+    # True sampled one source, and 2.5 raised a bare TypeError.
+    for count in (True, 2.5):
+        with pytest.raises(GraphError, match=f"source_count must be an integer, got {count}"):
+            small_cfg(source_count=count).validate()
+
+
+@pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_labels_that_would_break_a_csv_row_are_rejected(label, monkeypatch):
+    # "a,b" wrote 11-field rows under the 10-field header, and a newline
+    # split a row in two.
+    cells = []
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
+    with pytest.raises(GraphError, match="label must be a string without a comma"):
+        run_experiment(small_cfg(label=label))
+    assert cells == []  # rejected before any cell ran
+    row = ExperimentRow(label, 1, 0, 1, 1, "dp", 0.0, 0.0, 0.0, 1.0)
+    with pytest.raises(GraphError, match="label must be a string without a comma"):
+        emit_csv([row])
 
 
 def test_emit_empty_rejected():

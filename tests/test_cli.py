@@ -1,3 +1,5 @@
+import json
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -296,6 +298,57 @@ def test_bench_rejects_malformed_config(tmp_path, capsys, text, field):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bad, line",
+    [(b"0 1 5\n1 2 \xc3\xa9\n", 2), (b"\xef\xbb\xbf0 1 5\n", 1), (b"0 1 5\r2 \xc3 1\r", 2)],
+    ids=["utf8-byte", "bom", "cr-lines"],
+)
+def test_input_files_that_are_not_ascii_name_the_file_and_line(tmp_path, capsys, bad, line):
+    # Each of these ended in a UnicodeDecodeError traceback.  A lone CR ends
+    # a line, as it does for the parser.
+    good, radii, f = tmp_path / "g.txt", tmp_path / "r.txt", tmp_path / "bad.txt"
+    good.write_text(PATH_TEXT)
+    radii.write_text("0 0\n1 0\n2 0\n")
+    f.write_bytes(bad)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"label": "x", "rhos": [1], "graph_path": str(f)}))
+    runs = [
+        ("sssp", "-i", str(f), "-s", "0"),
+        ("sssp", "-i", str(good), "--radii", str(f), "-s", "0"),
+        ("validate", "-i", str(good), "--radii", str(f), "--k", "1", "--rho", "1"),
+        ("preprocess", "-i", str(f), "--rho", "2", "-o", str(tmp_path / "a"), "--radii", str(tmp_path / "r")),
+        ("bench", "-i", str(f)),
+        ("bench", "--config", str(cfg)),
+    ]
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"error: {f}: line {line}: byte 0x") and "is not ascii" in err, (argv, err)
+
+
+def test_cr_and_crlf_line_ends_read_as_newlines(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    for text in (b"0 1 2\r1 2 3\r", b"0 1 2\r\n1 2 3\r\n"):
+        f.write_bytes(text)
+        assert run(capsys, "sssp", "-i", str(f), "-s", "0", "--rho", "1")[:2] == (0, "0 0\n1 2\n2 5\n")
+
+
+def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'\xff{"label": "x"}')
+    code, out, err = run(capsys, "bench", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}: line 1: byte 0xff is not utf-8\n"
+
+
+def test_bench_rejects_a_label_that_would_break_the_csv(tmp_path, capsys):
+    src = tmp_path / "g.txt"
+    src.write_text(PATH_TEXT)
+    code, out, err = run(capsys, "bench", "-i", str(src), "--label", "a,b")
+    assert (code, out) == (1, "")
+    assert "label must be a string without a comma" in err
 
 
 @st.composite

@@ -98,6 +98,27 @@ def test_invalid_specs_rejected(spec):
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        (GeneratorSpec(kind="grid2d", dims=(2.5, 3)), "needs integer dims"),
+        (GeneratorSpec(kind="grid2d", dims=(True, 3)), "needs integer dims"),
+        (GeneratorSpec(kind="grid3d", dims=(2, 2, 2.0)), "needs integer dims"),
+        (GeneratorSpec(kind="adversarial", ladder=2.5), "needs an integer d"),
+        (GeneratorSpec(kind="random", n=4.0, m=3), "needs an integer n"),
+        (GeneratorSpec(kind="random", n=4, m=3.0), "needs integer m"),
+        (GeneratorSpec(kind="grid2d", dims=(2, 2), weights=WeightSpec(1.5, 3)), "need integers 1 <= lo <= hi"),
+        (GeneratorSpec(kind="grid2d", dims=(2, 2), weights=WeightSpec(1.0, 3.0)), "need integers 1 <= lo <= hi"),
+        (GeneratorSpec(kind="grid2d", dims=(2, 2), weights=WeightSpec(True, True)), "need integers 1 <= lo <= hi"),
+    ],
+)
+def test_sizes_and_weights_must_be_integers(spec, message):
+    # These raised a bare TypeError or ValueError, built a 1x3 grid from
+    # dims=(True, 3), or drew weights from float bounds.
+    with pytest.raises(GraphError, match=message):
+        generate(spec)
+
+
+@pytest.mark.parametrize(
     "spec, sizes",
     [
         (GeneratorSpec(kind="grid2d", dims=(2**32, 2**32)), f"{2**64}*{2**66 - 2**34}"),

@@ -105,6 +105,28 @@ def test_from_edges_rejects_labels_beyond_int64():
             from_edges(2, [(0, 1, 4)], labels=(0, label))
 
 
+
+def test_labels_must_be_integers():
+    # Floats were truncated, so (1.5, 1.7) collapsed to one label and the
+    # edge read back as a self-loop; bools and strings were converted too.
+    for labels in ((1.5, 1.7), (True, False), (True, 2), ("3", "4"), np.array([1.0, 2.0])):
+        with pytest.raises(GraphError, match="vertex labels must be integers"):
+            from_edges(2, [(0, 1, 5)], labels=labels)
+    mine = [7, 3]
+    g = from_edges(2, [(0, 1, 5)], labels=mine)
+    mine[0] = 3  # the graph keeps its own tuple, not the caller's list
+    assert g.labels == (7, 3) and write_edge_list(g) == "3 7 5\n"
+    assert from_edges(2, [(0, 1, 5)], labels=np.array([9, 4], dtype=np.uint16)).labels == (9, 4)
+
+
+def test_line_reader_weight_errors_carry_the_line_number():
+    for text, lineno, message in (("0 1 2\n\n1 2 0\n", 3, "weight must be >= 1, got 0"),
+                                  (f"0 1 2\n1 2 {2**62}\n", 2, r"weight must be below 2\*\*62")):
+        with pytest.raises(EdgeListParseError, match=f"line {lineno}: {message}") as err:
+            parse_edge_list(text)
+        assert err.value.lineno == lineno
+
+
 # Self-loops are drawn too: a vertex with only self-loops is isolated.
 edge_lists = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(1, 9)),

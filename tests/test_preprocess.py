@@ -1,4 +1,5 @@
 import random
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,9 +13,9 @@ from radius_stepping import (
     RadiusAssignment,
     WeightSpec,
     ball_arrays,
-    ball_radii,
     build_1_rho,
     build_k_rho,
+    check_bounds,
     compute_ball,
     dijkstra,
     from_edges,
@@ -24,6 +25,7 @@ from radius_stepping import (
     parse_edge_list,
     parse_radii,
     radii_for_graph,
+    radius_step_fast,
     shortcut_dp,
     shortcut_greedy,
     validate_k_rho,
@@ -431,8 +433,6 @@ def test_ball_arrays_equal_compute_ball_on_tie_heavy_corpus(tie_inclusive, compa
             got = _split_balls(ball_arrays(g, range(g.n), rho, tie_inclusive))
             want = [_as_tuple(compute_ball(g, v, rho, tie_inclusive)) for v in range(g.n)]
             assert got == want, (g.n, rho)
-            r_rho, size = ball_radii(g, range(g.n), rho, tie_inclusive)
-            assert (r_rho.tolist(), size.tolist()) == ([b[2] for b in want], [len(b[1]) for b in want])
             isolated += sum(len(b[1]) == 1 for b in want) if rho > 1 else 0
             small += sum(1 < len(b[1]) < rho for b in want)
     assert isolated > 0 and small > 0  # the corpus covers both cases
@@ -455,7 +455,6 @@ def test_ball_arrays_across_chunks(tie_inclusive, monkeypatch):
 def test_ball_arrays_edge_cases():
     g = from_edges(3, PATH)
     assert all(len(col) == 0 for col in ball_arrays(g, [], 4))
-    assert all(len(col) == 0 for col in ball_radii(g, [], 4))
     lone = from_edges(1, [])
     assert _split_balls(ball_arrays(lone, [0], 3)) == [(0, ((0, 0),), 0, (-1,), (0,))]
     with pytest.raises(GraphError):
@@ -560,6 +559,39 @@ def test_validate_k_rho_across_chunks_and_slices(monkeypatch):
         assert validate_k_rho(g, checked) == report
 
 
+def test_premise_verdicts_agree_across_chunks(monkeypatch):
+    # A pool budget of 256 entries spreads the premise's ball search over
+    # chunks of a few sources.  check_bounds must find the premise
+    # failing exactly where validate_k_rho reports a |B( line, and name the
+    # same first vertex and the same need.
+    cases = []
+    for g in _tie_heavy_corpus():
+        for rho in (3, 8):
+            aug, radii, _ = build_k_rho(g, 1, rho)
+            lowered = radii.r.copy()
+            positive = np.flatnonzero(lowered > 0)
+            lowered[positive[len(positive) // 2 :][:1]] -= 1
+            res = radius_step_fast(aug, radii, 0)
+            for r in (radii.r, lowered, np.zeros(g.n, dtype=np.int64)):
+                cases.append((aug, rho, res, RadiusAssignment(r, rho, 1)))
+    monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 256)
+    chunks = []
+    real = preprocess._lockstep
+    monkeypatch.setattr(preprocess, "_lockstep", lambda g, *rest: chunks.append(len(rest[2])) or real(g, *rest))
+    verdicts, spread = set(), 0
+    for aug, rho, res, checked in cases:
+        before = len(chunks)
+        report = check_bounds(res, aug, rho, 1, radii=checked)
+        spread += len(chunks) - before > 1
+        short = [line for line in validate_k_rho(aug, checked).violations if "|B(" in line]
+        assert report.checkable == (not short), (aug.n, rho)
+        if short:
+            v, need = re.fullmatch(r"vertex (\d+): \|B\(v,\d+\)\|=\d+ below (\d+)", short[0]).groups()
+            assert report.reason == f"premise fails: |B({v}, r)| below {need}"
+        verdicts.add(report.checkable)
+    assert verdicts == {True, False} and spread > 0
+
+
 def test_validate_k_rho_flags_a_dropped_shortcut_above_the_old_cap(monkeypatch):
     g = generate(MUTANT_GRID)
     assert g.n > 400
@@ -658,12 +690,12 @@ def test_ball_search_rejects_non_integer_sources():
     # A float source must not be truncated to a vertex id: 0.7 and 1.9 would
     # search the balls of vertices 0 and 1.
     g = from_edges(3, PATH)
-    for search, sources in ((ball_arrays, [0.7]), (ball_radii, [1.9]), (ball_arrays, [True]), (ball_radii, np.ones(2))):
+    for sources in ([0.7], [1.9], [True], np.ones(2)):
         with pytest.raises(GraphError, match="vertices must be integer ids"):
-            search(g, sources, 2)
-    assert all(len(col) == 0 for col in ball_radii(g, [], 4))  # an empty list is float-typed
+            ball_arrays(g, sources, 2)
+    assert all(len(col) == 0 for col in ball_arrays(g, [], 4))  # an empty list is float-typed
     small = np.array([2, 0], dtype=np.uint8)
-    assert [col.tolist() for col in ball_radii(g, small, 2)] == [col.tolist() for col in ball_radii(g, [2, 0], 2)]
+    assert [col.tolist() for col in ball_arrays(g, small, 2)] == [col.tolist() for col in ball_arrays(g, [2, 0], 2)]
 
 
 def test_counts_must_be_integers():
@@ -702,6 +734,15 @@ def test_radius_assignment_takes_only_integer_radii():
     assert radii.r.tolist() == [1, 2, 3] and radii.r.dtype == np.int64 and not radii.r.flags.writeable
     # Ranges are checked where radii are used: validate_k_rho takes these.
     assert RadiusAssignment([-1, UNREACHED + 5, 0], 2, 1).r.tolist() == [-1, UNREACHED + 5, 0]
+
+
+def test_uniform_radii_must_be_integers():
+    # 2.5 was truncated to 2 and True read as 1; 2**63 raised a bare OverflowError.
+    for value in (2.5, True, 2**63, np.float64(1), "1"):
+        with pytest.raises(GraphError, match="radii must be a 1-D array of int64 values"):
+            RadiusAssignment.uniform(3, value)
+    assert RadiusAssignment.uniform(3, UNREACHED).r.tolist() == [UNREACHED] * 3
+    assert RadiusAssignment.uniform(2, np.int32(4)).r.tolist() == [4, 4]
 
 
 def test_write_radii_rejects_the_wrong_number_of_labels():
