@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -126,6 +127,12 @@ class DeltaSteppingRun:
     substeps: int  # relaxation passes across all buckets
 
 
+def _bucket_end(w: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Delta-stepping's threshold rule: the last value of each distance's
+    bucket of width w <= UNREACHED."""
+    return lambda dF, F: dF // w * w + (w - 1)
+
+
 def delta_stepping(g: Graph, s: int, delta: int) -> DeltaSteppingRun:
     """Fixed-width bucket SSSP on the engine's stepping core.
 
@@ -141,7 +148,7 @@ def delta_stepping(g: Graph, s: int, delta: int) -> DeltaSteppingRun:
     _check_vertex(g, s)
     _check_count("delta", delta)
     w = min(delta, UNREACHED)  # every distance lies in bucket 0 of a wider delta
-    res = _stepping(g, s, lambda dF, F: dF // w * w + (w - 1))
+    res = _stepping(g, s, _bucket_end(w))
     log = res.steps
     own_bucket = len(log) == 0 or int(log.d[0]) != w - 1
     return DeltaSteppingRun(dist=res.dist, steps=len(log) + own_bucket, substeps=int(log.substeps.sum()) + 1)

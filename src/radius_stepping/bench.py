@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from .engine import check_bounds, radius_step_fast
 from .generate import GeneratorSpec, WeightSpec, generate
-from .graph import Graph, GraphError, _check_count, _is_int, _read_text, parse_edge_list
+from .graph import Graph, GraphError, _check_count, _check_seed, _is_int, _read_text, parse_edge_list
 from .preprocess import build_k_rho, validate_k_rho
 
 CSV_HEADER = "graph,n,m,k,rho,heuristic,added_edge_factor,mean_steps,mean_substeps,reduction_factor"
@@ -52,6 +52,7 @@ class ExperimentConfig:
         if not self.heuristics or any(h not in ("dp", "greedy") for h in self.heuristics):
             raise GraphError("heuristics must come from {dp, greedy}")
         _check_count("source_count", self.source_count)
+        _check_seed(self.seed)
         _check_label(self.label)
 
 
@@ -181,7 +182,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """
     cfg.validate()
     g = _load_graph(cfg)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(int(cfg.seed))
     sources = sorted(rng.sample(range(g.n), min(cfg.source_count, g.n)))
 
     cache: dict[tuple[int, int, str], _CellStats] = {}

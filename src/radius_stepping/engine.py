@@ -13,6 +13,8 @@ Two loops implement that contract:
 
 * radius_step_reference: the executable specification, scanning all
   unsettled vertices each step; O(n) per step, intended for small graphs.
+  Its loop, _reference, takes the same threshold rule as _stepping, so
+  the tests hold Delta-stepping's batching to it too.
 * _stepping: keeps touched unsettled vertices in one index array and
   settles runs of steps that cannot interact in a single relaxation.  It
   takes the threshold rule as an argument.  The radius engines pick
@@ -259,7 +261,16 @@ def _finish(delta: np.ndarray, settled: np.ndarray, s: int, log: _LogWriter) -> 
 def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """Literal stepping loop scanning every unsettled vertex per step."""
     _check_inputs(g, radii, s)
-    r = radii.r
+    return _reference(g, s, lambda dF, F: dF + radii.r[F])
+
+
+def _reference(
+    g: Graph,
+    s: int,
+    key: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> SsspResult:
+    """The literal loop under _stepping's threshold rule: each step's
+    threshold is min key(delta[F], F) over the touched unsettled F."""
     delta, settled, _ = _start(g, s)
     relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
     log = _LogWriter(g)
@@ -267,7 +278,7 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
         frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
         if frontier.size == 0:
             break
-        d_i = int((delta[frontier] + r[frontier]).min())
+        d_i = int(key(delta[frontier], frontier).min())
         substeps = 0
         step_relaxations = 0
         while True:
@@ -300,15 +311,23 @@ def _stepping(
 
     F holds the touched unsettled vertices.  Each round computes the next
     threshold d = min key over F and the relaxation floor
-    C = min(delta(v) + w_min(v)) over F, where w_min(v) is the first weight
-    of v's CSR row (rows are sorted by weight).
+    C = min(delta(v) + w_min(v)) over F.  All the proof below needs is that
+    w_min(v) bounds the weight of every edge from v to an unsettled vertex.
+    w_min(v) starts as the first weight of v's CSR row; rows are sorted by
+    weight, so once the first edge's far end near(v) has settled, the second
+    weight bounds the rest, and UNREACHED does when there is no second edge.
+    Settled vertices stay settled, so the bound holds from then on.  The
+    raise is applied to F after s settles and to the vertices each batch
+    below moves; raising it in ordinary substeps saves no round.
 
-    No relaxation from now on offers a candidate below C.  The first
-    candidate comes from some u in F at its current delta, so it is at least
-    delta(u) + w_min(u) >= C; every distance it lowers therefore ends at or
-    above C, and by induction so does every later candidate.  Hence each v
-    in F with delta(v) < C is final, and each vertex touched or lowered from
-    now on has delta >= C.
+    No relaxation from now on lowers a distance below C.  A candidate sent
+    from u to a settled x never passes cand < delta[x], because
+    delta(u) + w >= dist(u) + w >= dist(x) = delta(x).  The first candidate
+    sent to an unsettled vertex comes from some u in F at its current delta,
+    so it is at least delta(u) + w_min(u) >= C; every distance it lowers
+    therefore ends at or above C, and by induction so does every later
+    candidate.  Hence each v in F with delta(v) < C is final, and each
+    vertex touched or lowered from now on has delta >= C.
 
     If d >= C the round is one ordinary step: its first substep relaxes
     F[delta <= d], and each later substep relaxes only the vertices whose
@@ -330,6 +349,22 @@ def _stepping(
     touched = settled.copy()
     touched[F] = True
     log = _LogWriter(g)
+    if not F.size:  # s has no edge, and the graph may have none to gather from
+        return _finish(delta, settled, s, log)
+    # Each row's first slot, clamped: a vertex without edges never enters F,
+    # and one with a single edge gets w_next = UNREACHED.
+    top = g.nbr.size - 1
+    head = np.minimum(g.indptr[:-1], top)
+    near = g.nbr[head]
+    w_min = g.wt[head]
+    w_next = np.where(np.diff(g.indptr) > 1, g.wt[np.minimum(head + 1, top)], UNREACHED)
+
+    def raise_floor(vs: np.ndarray) -> None:
+        """w_min steps past the edge to near[v] once near[v] has settled."""
+        up = vs[settled[near[vs]]]
+        w_min[up] = w_next[up]
+
+    raise_floor(F)
 
     def relax(active: np.ndarray) -> tuple[np.ndarray, int]:
         """Relax `active` and add the vertices it touches first to F."""
@@ -345,7 +380,7 @@ def _stepping(
         dF = delta[F]
         keys = key(dF, F)
         d = int(keys.min())
-        floor = int((dF + g.wt[g.indptr[F]]).min())
+        floor = int((dF + w_min[F]).min())
         if d < floor:
             low = np.flatnonzero(dF < floor)
             low = low[np.argsort(dF[low])]
@@ -361,7 +396,7 @@ def _stepping(
                 bounds.append(nxt[bounds[-1]])
             union = F[low[: bounds[-1]]]
             settled[union] = True
-            relax(union)
+            raise_floor(relax(union)[0])
             log.batch(suffix, bounds, union)
             F = F[~settled[F]]
             continue

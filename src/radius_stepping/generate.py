@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, _check_graph_size, _is_int, from_edges
+from .graph import Graph, GraphError, _check_graph_size, _check_seed, _is_int, from_edges
 
 # The ladder construction places its designated start vertex at id 0.
 ADVERSARIAL_START = 0
@@ -27,6 +27,7 @@ class WeightSpec:
     def validate(self) -> None:
         if not (_is_int(self.lo) and _is_int(self.hi)) or self.lo < 1 or self.hi < self.lo:
             raise GraphError(f"need integers 1 <= lo <= hi, got [{self.lo!r}, {self.hi!r}]")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ class GeneratorSpec:
         else:
             raise GraphError(f"unknown generator kind {self.kind!r}")
         _check_graph_size(n, edges)
+        _check_seed(self.seed)
         if self.weights is not None:
             self.weights.validate()
 
@@ -129,12 +131,12 @@ def generate(spec: GeneratorSpec) -> Graph:
     elif spec.kind == "adversarial":
         n, edges = _adversarial_edges(spec.ladder)
     else:
-        n, edges = _random_connected_edges(spec.n, spec.m, spec.seed)
+        n, edges = _random_connected_edges(spec.n, spec.m, int(spec.seed))
 
     canonical = sorted((u, v) if u < v else (v, u) for u, v in edges)
     if spec.weights is None:
         triples = [(u, v, 1) for u, v in canonical]
     else:
-        wrng = random.Random(spec.weights.seed)
+        wrng = random.Random(int(spec.weights.seed))
         triples = [(u, v, wrng.randint(spec.weights.lo, spec.weights.hi)) for u, v in canonical]
     return from_edges(n, triples)

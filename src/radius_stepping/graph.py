@@ -67,6 +67,12 @@ def _check_count(name: str, value: object) -> None:
         raise GraphError(f"{name} must be >= 1, got {value}")
 
 
+def _check_seed(seed: object) -> None:
+    """A seed is an integer: random.Random would take True as 1 and 2.5 as a float seed."""
+    if not _is_int(seed):
+        raise GraphError(f"seed must be an integer, got {seed!r}")
+
+
 def _check_vertex(g: Graph, v: object, what: str = "source") -> None:
     """A source (or a ball's center) is an integer id of g, not a bool."""
     if not _is_int(v):

@@ -106,6 +106,21 @@ def test_delta_stepping_exact_across_delta_sweep(seed, delta_kind, w_hi):
     assert delta_stepping(g, s, delta).dist.same_as(dijkstra(g, s))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(["1", "L/3", "L", "nL"]))
+def test_delta_stepping_core_matches_the_literal_loop(seed, delta_kind):
+    # The relaxation floor decides how the core batches Delta-stepping's
+    # buckets; the literal loop under the same key must see the same steps.
+    g, s = random_graph(seed, n_hi=60, m_cap=180)
+    L = g.max_weight
+    delta = {"1": 1, "L/3": -(-L // 3), "L": L, "nL": g.n * L}[delta_kind]
+    key = baselines._bucket_end(delta)
+    fast, ref = engine._stepping(g, s, key), engine._reference(g, s, key)
+    signature = [(rec.d, rec.active, rec.substeps, rec.relaxations) for rec in fast.steps]
+    assert signature == [(rec.d, rec.active, rec.substeps, rec.relaxations) for rec in ref.steps]
+    assert fast.dist.same_as(ref.dist) and fast.dist.same_as(dijkstra(g, s))
+
+
 @pytest.mark.parametrize(
     "edges,delta,steps,substeps",
     [

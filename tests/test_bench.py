@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from radius_stepping import (
@@ -135,6 +136,22 @@ def test_source_count_must_be_an_integer():
     for count in (True, 2.5):
         with pytest.raises(GraphError, match=f"source_count must be an integer, got {count}"):
             small_cfg(source_count=count).validate()
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, 2.5])
+def test_seed_must_be_an_integer(seed, monkeypatch):
+    # True sampled the sources of seed 1, and 2.5 ran.
+    cells = []
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
+    with pytest.raises(GraphError, match=f"seed must be an integer, got {seed!r}"):
+        run_experiment(small_cfg(seed=seed))
+    assert cells == []
+
+
+def test_numpy_integer_seed_samples_like_the_int():
+    # random.Random refuses numpy integers; the config passes the seed on as an int.
+    runs = [run_experiment(small_cfg(rhos=(2,), source_count=3, seed=seed)) for seed in (5, np.int64(5))]
+    assert emit_csv(runs[0]) == emit_csv(runs[1])
 
 
 @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"])

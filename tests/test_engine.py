@@ -80,6 +80,28 @@ def test_threshold_at_the_relaxation_floor_takes_an_ordinary_step():
         assert step_signature(engine(g, radii, 0)) == [(2, (1, 2), 2)]
 
 
+def test_floor_steps_past_edges_into_settled_vertices(monkeypatch):
+    # Each vertex's lightest edge leads back to the vertex that reached it.
+    # A floor of delta + first weight settles 1, 2, 3 and {4, 5} in four
+    # batches; stepped past those edges it settles {1, 2}, {3, 4} and {5}.
+    # 4 and 5 have one edge each, so their floor term becomes UNREACHED.
+    import radius_stepping.engine as eng
+
+    calls = []
+    monkeypatch.setattr(eng, "relax_batch", lambda *a: calls.append(1) or relax_batch(*a))
+    g = from_edges(6, [(0, 1, 1), (0, 2, 5), (1, 3, 10), (3, 5, 40), (2, 4, 30)])
+    radii = RadiusAssignment.uniform(6, 0)
+    fast = radius_step_fast(g, radii, 0)
+    assert len(calls) == 3
+    assert list(fast.steps) == list(radius_step_reference(g, radii, 0).steps)
+    assert fast.dist.dist.tolist() == [0, 1, 5, 11, 35, 51]
+    # No edge at all: the floor has no row to read.
+    empty = from_edges(3, [])
+    assert radius_step_fast(empty, RadiusAssignment.uniform(3, 0), 1).dist.dist.tolist() == [UNREACHED, 0, UNREACHED]
+    run = delta_stepping(empty, 1, 2)
+    assert (run.steps, run.substeps, run.dist.dist.tolist()) == (1, 1, [UNREACHED, 0, UNREACHED])
+
+
 def test_heaviest_weight_and_radius_stay_inside_int64():
     # (n-1)*L reaches 2**62 but the spanning-forest bound (n-1)*B = 2 does
     # not, so the graph is accepted; delta + w and delta + r then come within

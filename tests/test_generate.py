@@ -1,6 +1,8 @@
+import hashlib
 import importlib
 import re
 
+import numpy as np
 import pytest
 
 from radius_stepping import (
@@ -11,6 +13,7 @@ from radius_stepping import (
     bfs,
     generate,
     reachable_set,
+    write_edge_list,
 )
 
 
@@ -154,3 +157,26 @@ def test_validate_sizes_the_graph_generate_builds(monkeypatch):
         assert seen.pop() == (g.n, g.m), spec
     # One below the bound passes validate; it is not generated.
     GeneratorSpec(kind="random", n=10**9, m=10**9).validate()
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, 2.5])
+def test_seeds_must_be_integers(seed):
+    # random.Random took True as 1 and 1.0 as 1, and ran on 2.5.
+    message = f"seed must be an integer, got {seed!r}"
+    for spec in (
+        GeneratorSpec(kind="random", n=30, m=40, seed=seed),
+        GeneratorSpec(kind="grid2d", dims=(3, 3), seed=seed),
+        GeneratorSpec(kind="grid2d", dims=(3, 3), weights=WeightSpec(1, 9, seed=seed)),
+    ):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            generate(spec)
+    with pytest.raises(GraphError, match=re.escape(message)):
+        WeightSpec(1, 9, seed=seed).validate()
+
+
+def test_integer_seeds_generate_the_same_bytes():
+    digest = "f404be6ee9da73b38c98820f5870152598479346f38a90621ad7d3cfddacffc5"
+    for seed, wseed in ((7, 3), (np.int64(7), np.int32(3))):
+        spec = GeneratorSpec(kind="random", n=30, m=40, seed=seed, weights=WeightSpec(1, 9, seed=wseed))
+        text = write_edge_list(generate(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
