@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import _stepping
+from .engine import SsspResult, _stepping
 from .graph import UNREACHED, DistanceVector, Graph, _check_count, _check_vertex
 
 # Brute-force helpers refuse graphs above this size.
@@ -75,56 +75,31 @@ def bellman_ford(g: Graph, s: int) -> DistanceVector:
 class BfsResult:
     dist: DistanceVector  # hop units
     rounds: int  # eccentricity of the source within its component
+    scans: tuple[int, ...]  # per vertex in discovery order: edge scans made before it got its distance
 
 
 def bfs(g: Graph, s: int) -> BfsResult:
+    """Hop distances from s, their largest value, and the scan profile:
+    scans[j] counts the adjacency entries scanned up to the moment the
+    (j+1)-th vertex got its distance (the source at 0 scans)."""
     _check_vertex(g, s)
     dist = np.full(g.n, UNREACHED, dtype=np.int64)
     dist[s] = 0
     q = deque([s])
-    rounds = 0
+    rounds = scanned = 0
+    scans = [0]
     while q:
         u = q.popleft()
         du = int(dist[u])
         ns, _ = g.neighbors(u)
         for v in ns.tolist():
+            scanned += 1
             if dist[v] == UNREACHED:
-                dist[v] = du + 1
-                rounds = max(rounds, du + 1)
+                dist[v] = rounds = du + 1
+                scans.append(scanned)
                 q.append(v)
     dist.flags.writeable = False
-    return BfsResult(dist=DistanceVector(source=s, dist=dist), rounds=rounds)
-
-
-def bfs_settle_scans(g: Graph, s: int) -> list[int]:
-    """Cumulative adjacency entries scanned when each vertex settles.
-
-    Entry j is the number of edge scans performed by BFS up to the moment
-    the (j+1)-th vertex got its distance (the source settles at 0 scans).
-    """
-    _check_vertex(g, s)
-    seen = np.zeros(g.n, dtype=bool)
-    seen[s] = True
-    scans = 0
-    profile = [0]
-    q = deque([s])
-    while q:
-        u = q.popleft()
-        ns, _ = g.neighbors(u)
-        for v in ns.tolist():
-            scans += 1
-            if not seen[v]:
-                seen[v] = True
-                profile.append(scans)
-                q.append(v)
-    return profile
-
-
-@dataclass(frozen=True)
-class DeltaSteppingRun:
-    dist: DistanceVector
-    steps: int  # buckets processed
-    substeps: int  # relaxation passes across all buckets
+    return BfsResult(dist=DistanceVector(source=s, dist=dist), rounds=rounds, scans=tuple(scans))
 
 
 def _bucket_end(w: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -133,7 +108,7 @@ def _bucket_end(w: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     return lambda dF, F: dF // w * w + (w - 1)
 
 
-def delta_stepping(g: Graph, s: int, delta: int) -> DeltaSteppingRun:
+def delta_stepping(g: Graph, s: int, delta: int) -> SsspResult:
     """Fixed-width bucket SSSP on the engine's stepping core.
 
     One step processes the lowest nonempty bucket [j*delta, (j+1)*delta):
@@ -141,17 +116,14 @@ def delta_stepping(g: Graph, s: int, delta: int) -> DeltaSteppingRun:
     bucket's members repeat until no tentative distance lands in the bucket
     anymore.  Each pass reads the distances as of the pass start and
     combines updates by min, so the pass outcome is independent of edge
-    order.  The core settles s before its first step; the counts include
-    the pass that relaxes s, and the bucket of s as a step of its own when
-    no other vertex lies in it.
+    order.  As in every engine, s settles before step 1: the pass that
+    relaxes s is no substep, and the bucket of s is a step only when
+    another vertex lies in it.
     """
     _check_vertex(g, s)
     _check_count("delta", delta)
-    w = min(delta, UNREACHED)  # every distance lies in bucket 0 of a wider delta
-    res = _stepping(g, s, _bucket_end(w))
-    log = res.steps
-    own_bucket = len(log) == 0 or int(log.d[0]) != w - 1
-    return DeltaSteppingRun(dist=res.dist, steps=len(log) + own_bucket, substeps=int(log.substeps.sum()) + 1)
+    # Every distance lies in bucket 0 of a delta wider than UNREACHED.
+    return _stepping(g, s, _bucket_end(min(delta, UNREACHED)))
 
 
 def _lex_dijkstra(g: Graph, s: int) -> tuple[list[int], list[int]]:

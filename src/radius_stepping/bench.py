@@ -45,10 +45,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if (self.graph_path is None) == (self.generator is None):
             raise GraphError("config needs exactly one of graph_path or generator")
-        if not self.rhos or min(self.rhos) < 1:
-            raise GraphError("rhos must be a nonempty list of positive counts")
-        if not self.ks or min(self.ks) < 1:
-            raise GraphError("ks must be a nonempty list of positive counts")
+        for name, counts in (("rho", self.rhos), ("k", self.ks)):
+            if not counts:
+                raise GraphError(f"{name}s must be a nonempty list of positive counts")
+            for count in counts:
+                _check_count(name, count)
         if not self.heuristics or any(h not in ("dp", "greedy") for h in self.heuristics):
             raise GraphError("heuristics must come from {dp, greedy}")
         _check_count("source_count", self.source_count)
@@ -150,7 +151,7 @@ def _load_graph(cfg: ExperimentConfig) -> Graph:
 
 def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) -> _CellStats:
     aug, radii, added = build_k_rho(g, k, rho, heuristic=heuristic)
-    report = validate_k_rho(aug, radii)
+    report = validate_k_rho(aug, radii, k, rho)
     if not report.ok:
         raise BenchError(f"(k={k}, rho={rho}, {heuristic}) failed validation: {report.violations[:3]}")
     # A unit-weight graph runs on g itself, where no k applies.

@@ -26,8 +26,8 @@ def _read_graph(path: str) -> Graph:
     return parse_edge_list(_read_text(path))
 
 
-def _read_radii(path: str, g: Graph, rho: int, k: int) -> RadiusAssignment:
-    return RadiusAssignment(r=radii_for_graph(parse_radii(_read_text(path)), g), rho=rho, k=k)
+def _read_radii(path: str, g: Graph) -> RadiusAssignment:
+    return RadiusAssignment(r=radii_for_graph(parse_radii(_read_text(path)), g))
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -98,7 +98,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 def _cmd_sssp(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     if args.radii is not None:
-        radii = _read_radii(args.radii, g, 0, 0)
+        radii = _read_radii(args.radii, g)
     else:
         aug, radii, _ = build_k_rho(g, 1, args.rho, heuristic="dp")
         if args.engine != "unweighted":
@@ -143,8 +143,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    radii = _read_radii(args.radii, g, args.rho, args.k)
-    report = validate_k_rho(g, radii)
+    report = validate_k_rho(g, _read_radii(args.radii, g), args.k, args.rho)
     if report.ok:
         print(f"ok: {report.checked} vertices satisfy the ({args.k},{args.rho}) ball property")
         return 0

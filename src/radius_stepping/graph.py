@@ -594,17 +594,3 @@ def _edge_rows(g: Graph) -> np.ndarray:
     rows[:, 2] = np.concatenate((w, np.zeros(len(lone), dtype=np.int64)))[order]
     return rows
 
-
-def reachable_set(g: Graph, s: int) -> set[int]:
-    """Vertices reachable from s, including s."""
-    _check_vertex(g, s)
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        ns, _ = g.neighbors(u)
-        for v in ns.tolist():
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen

@@ -350,21 +350,19 @@ def _ball_premise(g: Graph, r: np.ndarray, sources, rho: int) -> tuple[np.ndarra
     inside, need = [], []
     for _, size, (center, _, dist, _, _) in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive=True):
         inside.append(np.add.reduceat(dist <= r[center], np.cumsum(size) - size))
-        need.append(np.minimum(size, rho))
+        need.append(np.minimum(size, min(rho, g.n)))  # size <= n, and rho may exceed int64
     return np.concatenate(inside), np.concatenate(need)
 
 
 @dataclass(frozen=True)
 class RadiusAssignment:
-    """Per-vertex step radii plus the (rho, k) they were built for.
+    """Per-vertex step radii.
 
     r must be a 1-D integer array (not bool) of int64 values; it is stored
     as a read-only int64 copy.  Its range is checked where it is used.
     """
 
     r: np.ndarray
-    rho: int
-    k: int
 
     def __post_init__(self) -> None:
         r = np.asarray(self.r)
@@ -377,7 +375,7 @@ class RadiusAssignment:
 
     @classmethod
     def uniform(cls, n: int, value: int) -> "RadiusAssignment":
-        return cls(r=np.full(n, value), rho=0, k=0)
+        return cls(r=np.full(n, value))
 
 
 def _check_size(g: Graph, radii: RadiusAssignment) -> None:
@@ -466,7 +464,10 @@ def _shortcut_targets(parent: np.ndarray, depth: np.ndarray, k: int, heuristic: 
     forced (children restart at 1); below k it is the cheaper of
     shortcutting u or letting the subtree ride at t+1, ties going to the
     shortcut.  Costs go up the depth levels, choices come back down.
+    Neither shortcuts a node within k hops, so k above the deepest node
+    acts as that depth.
     """
+    k = min(k, max(1, depth.max(initial=0)))
     if heuristic == "greedy":
         return (depth > k) & ((depth - 1) % k == 0)
     levels = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])[1:]
@@ -551,7 +552,7 @@ def build_k_rho(
         radius.append(r_rho)
         extra.append([center[cut], vertex[cut], dist[cut]])
     aug = _augment(g, extra)
-    return aug, RadiusAssignment(r=np.concatenate(radius), rho=rho, k=k), aug.m - g.m
+    return aug, RadiusAssignment(r=np.concatenate(radius)), aug.m - g.m
 
 
 @dataclass(frozen=True)
@@ -602,7 +603,7 @@ def _hop_round(
     return key, best[key]
 
 
-def validate_k_rho(g: Graph, radii: RadiusAssignment) -> ValidationReport:
+def validate_k_rho(g: Graph, radii: RadiusAssignment, k: int, rho: int) -> ValidationReport:
     """Check r(v) <= k-radius(v) and |B(v, r(v))| >= min(rho, component size).
 
     The k-radius of v is the least distance to a vertex with no shortest
@@ -616,9 +617,10 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment) -> ValidationReport:
     Hence r(v) exceeds the k-radius iff it exceeds the least value lowered
     there.  Every pair kept lies in B(v, r(v)), so a row that keeps rho
     pairs meets the ball premise; a row that keeps fewer takes |B(v, r)|
-    and min(rho, component) from _ball_premise.
+    and min(rho, component) from _ball_premise.  A round that lowers no
+    pair leaves nothing to offer, so the rounds stop there.
     """
-    n, k, rho, r = g.n, radii.k, radii.rho, radii.r
+    n, r = g.n, radii.r
     _check_count("rho", rho)
     _check_count("k", k)
     _check_size(g, radii)
@@ -636,6 +638,8 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment) -> ValidationReport:
         for _ in range(k + 1):
             key, val = _hop_round(g, best, mark, key, val, r[src])
             seen.append(key)
+            if not len(key):
+                break
         np.minimum.at(kradius, src[key // n], val)
         touched = np.unique(np.concatenate(seen))
         kept[src] = np.bincount(touched // n, minlength=len(src))

@@ -17,7 +17,6 @@ from radius_stepping import (
     WeightSpec,
     bellman_ford,
     bfs,
-    bfs_settle_scans,
     build_1_rho,
     build_k_rho,
     check_bounds,
@@ -97,7 +96,7 @@ def _validated_runs():
             for k in (1, 2, 3):
                 for rho in (2, 4, 8):
                     aug, radii, _ = build_k_rho(g, k, rho, heuristic="dp")
-                    report = validate_k_rho(aug, radii)
+                    report = validate_k_rho(aug, radii, k, rho)
                     res = radius_step_fast(aug, radii, s)
                     _VALIDATED_RUNS.append((aug, radii, k, rho, report, res))
         assert len(_VALIDATED_RUNS) >= 100
@@ -227,7 +226,7 @@ def test_criterion_08_adversarial_scan_floor():
     with Budget(8, "ladder graph forces >= d^2/2 scans before 3d settle", 5):
         d = 10
         g = generate(GeneratorSpec(kind="adversarial", ladder=d))
-        profile = bfs_settle_scans(g, ADVERSARIAL_START)
+        profile = bfs(g, ADVERSARIAL_START).scans
         scans_at_3d = profile[3 * d - 1]
         assert scans_at_3d >= d * d / 2, scans_at_3d
 

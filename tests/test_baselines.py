@@ -85,17 +85,24 @@ def test_bfs_path_middle():
 def test_delta_stepping_degenerate_single_bucket():
     g, s = random_graph(77, n_hi=40, m_cap=120)
     run = delta_stepping(g, s, g.n * g.max_weight)
-    assert run.steps == 1
+    assert run.step_count == 1
     assert run.dist.same_as(dijkstra(g, s))
 
 
+def same_run(run, g, s, delta):
+    """run equals the literal loop's under Delta-stepping's key for delta."""
+    ref = engine._reference(g, s, baselines._bucket_end(delta))
+    return list(run.steps) == list(ref.steps) and run.dist.same_as(ref.dist)
+
+
 def test_delta_stepping_unit_path_buckets():
-    # unit path 0-1-2 with delta=1: buckets {0}, {1}, {2}; the two beyond
-    # the source make it 3 processed buckets in total
+    # unit path 0-1-2 with delta=1: buckets {0}, {1}, {2}; s settles before
+    # step 1, so the two buckets beyond it are the steps
     g = from_edges(3, [(0, 1, 1), (1, 2, 1)])
     run = delta_stepping(g, 0, 1)
-    assert run.steps == 3
+    assert (run.step_count, run.total_substeps()) == (2, 2)
     assert run.dist.dist.tolist() == [0, 1, 2]
+    assert same_run(run, g, 0, 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -124,21 +131,22 @@ def test_delta_stepping_core_matches_the_literal_loop(seed, delta_kind):
 @pytest.mark.parametrize(
     "edges,delta,steps,substeps",
     [
-        # s has no edge: its bucket is the only step, its pass the only substep
-        ([(1, 2, 4)], 3, 1, 1),
-        # s's lightest edge is >= delta: buckets {0}, [4, 6) and [6, 8)
-        ([(0, 1, 5), (1, 2, 1), (0, 3, 7)], 2, 3, 3),
+        # s has no edge: it settles before step 1 and nothing is left
+        ([(1, 2, 4)], 3, 0, 0),
+        # s's lightest edge is >= delta: buckets [4, 6) and [6, 8)
+        ([(0, 1, 5), (1, 2, 1), (0, 3, 7)], 2, 2, 2),
         # distances near 2**61 all lie in the one bucket of delta = 2**70
-        ([(0, 1, 2**60), (1, 2, 2**60), (2, 3, 2**60 - 1)], 2**70, 1, 4),
+        ([(0, 1, 2**60), (1, 2, 2**60), (2, 3, 2**60 - 1)], 2**70, 1, 3),
     ],
 )
 def test_delta_stepping_counts_the_source_bucket(edges, delta, steps, substeps):
-    # The core settles s before its first step; the run still counts the
-    # bucket of s and the pass that relaxes s, as a bucket loop does.
+    # As in every engine, s settles before step 1: the bucket of s is a
+    # step only with another vertex in it, and the pass over s no substep.
     g = from_edges(1 + max(max(u, v) for u, v, _ in edges), edges)
     run = delta_stepping(g, 0, delta)
-    assert (run.steps, run.substeps) == (steps, substeps)
+    assert (run.step_count, run.total_substeps()) == (steps, substeps)
     assert run.dist.same_as(dijkstra(g, 0))
+    assert same_run(run, g, 0, min(delta, UNREACHED))
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,3 +223,10 @@ def test_engine_and_baselines_import_without_a_cycle():
     every, top = imports(baselines)
     assert every == top  # no import inside a function
     assert baselines.DistanceVector is graph.DistanceVector is radius_stepping.DistanceVector
+
+
+def test_every_export_resolves_once():
+    names = radius_stepping.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(radius_stepping, name) is not None

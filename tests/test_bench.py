@@ -138,6 +138,21 @@ def test_source_count_must_be_an_integer():
             small_cfg(source_count=count).validate()
 
 
+
+def test_every_rho_and_k_must_be_a_count(monkeypatch):
+    # Only min() >= 1 was checked: rhos=(1.0,) wrote 1.0 into the CSV's k
+    # and rho columns, and rhos=(1, True) merged into one row.
+    cells = []
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
+    cases = (((1.0,), "an integer, got 1.0"), ((1, True), "an integer, got True"),
+             ((2, 2.5), "an integer, got 2.5"), ((3, 0), ">= 1, got 0"))
+    for field, name in (("rhos", "rho"), ("ks", "k")):
+        for counts, rule in cases:
+            with pytest.raises(GraphError, match=f"^{name} must be {rule}$"):
+                run_experiment(small_cfg(**{field: counts}))
+    assert cells == []
+    small_cfg(rhos=(np.int64(2), 3), ks=(np.int32(1),)).validate()
+
 @pytest.mark.parametrize("seed", [True, 1.0, 2.5])
 def test_seed_must_be_an_integer(seed, monkeypatch):
     # True sampled the sources of seed 1, and 2.5 ran.

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import radius_stepping.preprocess as preprocess
 from radius_stepping import UNREACHED, dijkstra, parse_edge_list
 from radius_stepping.cli import main
 
@@ -404,3 +405,48 @@ def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given
     rows = stats.read_text().splitlines()
     assert rows[0] == "i,d_i,active_count,substeps,settled_prefix"
     assert len(rows) == 1 + step_count
+
+
+def test_huge_k_and_rho_preprocess_and_bench_as_n(tmp_path, capsys):
+    # preprocess --k 2**70 and bench --rhos 2**70 exited with an
+    # OverflowError traceback; k or rho above n acts as n.
+    src, aug, rad = tmp_path / "g.txt", tmp_path / "aug.txt", tmp_path / "radii.txt"
+    code, _, _ = run(capsys, "gen", "--kind", "grid2d", "--w", "6", "--h", "6", "--weights", "1:50", "--seed", "5", "-o", str(src))
+    assert code == 0
+
+    def preprocess_files(k, heuristic):
+        argv = ("preprocess", "-i", str(src), "--k", str(k), "--rho", "8", "--heuristic", heuristic)
+        code, _, err = run(capsys, *argv, "-o", str(aug), "--radii", str(rad))
+        assert code == 0, err
+        return aug.read_text(), rad.read_text()
+
+    def bench_rows(flag, value):
+        code, out, err = run(capsys, "bench", "-i", str(src), flag, str(value), "--sources", "4")
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()]
+        col = rows[0].index(flag[2:-1])  # the column that holds the value itself
+        return [row[:col] + row[col + 1 :] for row in rows]
+
+    for huge in (2**62, 2**70):
+        for heuristic in ("dp", "greedy"):
+            assert preprocess_files(huge, heuristic) == preprocess_files(36, heuristic)
+        assert bench_rows("--rhos", huge) == bench_rows("--rhos", 36)
+        assert bench_rows("--ks", huge) == bench_rows("--ks", 36)
+
+
+def test_validate_stops_once_a_round_lowers_nothing(tmp_path, capsys, monkeypatch):
+    # validate --k 2000 made 2,001 relaxation rounds on a 3-vertex path.  A
+    # round after one that lowers nothing cannot lower a pair either.
+    src, rad = tmp_path / "g.txt", tmp_path / "radii.txt"
+    src.write_text(PATH_TEXT)
+    rad.write_text("0 5\n1 0\n2 5\n")  # |B(1, 0)| = 1 is below rho = 3
+    calls = []
+    real = preprocess._hop_round
+    monkeypatch.setattr(preprocess, "_hop_round", lambda *args: calls.append(1) or real(*args))
+    outputs = []
+    for k in (2000, 3, 2**70):
+        calls.clear()
+        outputs.append(run(capsys, "validate", "-i", str(src), "--radii", str(rad), "--k", str(k), "--rho", "3"))
+        assert 1 <= len(calls) <= 4, (k, len(calls))
+    assert outputs[0][0] == 1 and "vertex 1: |B(v,0)|=1 below 3" in outputs[0][2]
+    assert outputs == [outputs[0]] * 3

@@ -11,7 +11,6 @@ from radius_stepping import (
     UNREACHED,
     bellman_ford,
     bfs,
-    bfs_settle_scans,
     build_1_rho,
     build_k_rho,
     check_bounds,
@@ -24,7 +23,6 @@ from radius_stepping import (
     radius_step_fast,
     radius_step_reference,
     radius_step_unweighted,
-    reachable_set,
     step_records_csv,
 )
 from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, relax_batch
@@ -75,7 +73,7 @@ def test_threshold_at_the_relaxation_floor_takes_an_ordinary_step():
     # equals the floor delta(a) + w_min(a) = 2, so relaxing a can still pull
     # b in at distance 2 and the step needs a second substep.
     g = from_edges(3, [(0, 1, 1), (1, 2, 1)])
-    radii = RadiusAssignment(r=np.array([0, 1, 0], dtype=np.int64), rho=0, k=0)
+    radii = RadiusAssignment(r=np.array([0, 1, 0], dtype=np.int64))
     for engine in (radius_step_reference, radius_step_fast):
         assert step_signature(engine(g, radii, 0)) == [(2, (1, 2), 2)]
 
@@ -99,7 +97,7 @@ def test_floor_steps_past_edges_into_settled_vertices(monkeypatch):
     empty = from_edges(3, [])
     assert radius_step_fast(empty, RadiusAssignment.uniform(3, 0), 1).dist.dist.tolist() == [UNREACHED, 0, UNREACHED]
     run = delta_stepping(empty, 1, 2)
-    assert (run.steps, run.substeps, run.dist.dist.tolist()) == (1, 1, [UNREACHED, 0, UNREACHED])
+    assert (run.step_count, run.total_substeps(), run.dist.dist.tolist()) == (0, 0, [UNREACHED, 0, UNREACHED])
 
 
 def test_heaviest_weight_and_radius_stay_inside_int64():
@@ -150,7 +148,7 @@ def test_monotone_settlement_and_active_union(seed):
         assert rec.settled_prefix == prefix
         assert not settled & set(rec.active)
         settled |= set(rec.active)
-    assert settled == reachable_set(g, s)
+    assert settled == set(np.flatnonzero(bfs(g, s).dist.dist < UNREACHED).tolist())
 
 
 def test_steps_independent_of_k():
@@ -252,7 +250,7 @@ def test_engines_exact_under_arbitrary_radii(seed, radii_seed, w_hi):
     g, s = random_graph(seed, n_hi=40, m_cap=120, w_hi=w_hi)
     rng = _random.Random(radii_seed)
     values = [rng.choice([0, 1, rng.randint(0, 3 * g.max_weight), UNREACHED]) for _ in range(g.n)]
-    radii = RadiusAssignment(r=np.asarray(values, dtype=np.int64), rho=0, k=0)
+    radii = RadiusAssignment(r=np.asarray(values, dtype=np.int64))
     oracle = dijkstra(g, s)
     ref = radius_step_reference(g, radii, s)
     assert ref.dist.same_as(oracle)
@@ -354,7 +352,7 @@ def test_check_bounds_rejects_radii_of_the_wrong_length():
 def test_check_bounds_small_radii_not_checkable():
     # radii too small for rho: flagged as unverifiable, not a bound failure
     g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    radii = RadiusAssignment(r=np.array([1, 1, 1, 1], dtype=np.int64), rho=4, k=1)
+    radii = RadiusAssignment(r=np.array([1, 1, 1, 1], dtype=np.int64))
     res = radius_step_fast(g, radii, 0)
     report = check_bounds(res, g, 4, 1, radii=radii)
     assert not report.checkable
@@ -523,7 +521,7 @@ def test_premise_check_matches_dijkstra_loop():
             if positive.size:
                 shrunk[positive[len(positive) // 2]] -= 1
             for r in (radii.r, shrunk, np.zeros_like(shrunk), np.zeros_like(shrunk) + 1):
-                assignment = RadiusAssignment(r=r, rho=rho, k=1)
+                assignment = RadiusAssignment(r=r)
                 expected = premise_by_dijkstra(aug, assignment, rho)
                 report = check_bounds(res, aug, rho, 1, radii=assignment)
                 assert report.checkable == (expected == "")
@@ -540,7 +538,7 @@ def test_check_bounds_verifies_premise_on_a_large_grid():
     assert report.checkable and report.ok
     shrunk = radii.r.copy()
     shrunk[g.n - 1] -= 1
-    report = check_bounds(res, aug, 10, 2, radii=RadiusAssignment(r=shrunk, rho=10, k=2))
+    report = check_bounds(res, aug, 10, 2, radii=RadiusAssignment(r=shrunk))
     assert not report.checkable
     assert report.reason == f"premise fails: |B({g.n - 1}, r)| below 10"
 
@@ -568,9 +566,7 @@ def test_sources_must_be_integer_vertex_ids():
         lambda s: dijkstra(g, s),
         lambda s: bellman_ford(g, s),
         lambda s: bfs(g, s),
-        lambda s: bfs_settle_scans(g, s),
         lambda s: delta_stepping(g, s, 1),
-        lambda s: reachable_set(g, s),
     )
     for call in takes_source:
         for s in (True, 1.0, np.float64(1), "1"):

@@ -12,7 +12,6 @@ from radius_stepping import (
     WeightSpec,
     bfs,
     generate,
-    reachable_set,
     write_edge_list,
 )
 
@@ -46,14 +45,14 @@ def test_adversarial_structure():
     assert g.n == 17
     assert g.m == 4 + 3 * 16
     assert g.degree(ADVERSARIAL_START) == 4
-    assert reachable_set(g, ADVERSARIAL_START) == set(range(g.n))
+    assert bfs(g, ADVERSARIAL_START).dist.reached_count() == g.n
 
 
 def test_random_connected_and_exact_m():
     spec = GeneratorSpec(kind="random", n=40, m=70, seed=9)
     g = generate(spec)
     assert (g.n, g.m) == (40, 70)
-    assert len(reachable_set(g, 0)) == 40
+    assert bfs(g, 0).dist.reached_count() == 40
     g.validate()
 
 

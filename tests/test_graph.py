@@ -14,11 +14,11 @@ from radius_stepping import (
     GraphError,
     RadiusAssignment,
     WeightSpec,
+    bfs,
     build_k_rho,
     from_edges,
     generate,
     parse_edge_list,
-    reachable_set,
     write_edge_list,
     write_radii,
 )
@@ -328,6 +328,10 @@ def test_from_edges_equals_lexsort_on_benchmark_inputs(spec, k, rho, count, monk
 
 
 def test_reachable_set_cases():
+    # The reachable set is the finite entries of bfs's hop distances.
+    def reachable_set(g, s):
+        return set(np.flatnonzero(bfs(g, s).dist.dist < UNREACHED).tolist())
+
     lone = from_edges(1, [])
     assert reachable_set(lone, 0) == {0}
     path = from_edges(3, [(0, 1, 1), (1, 2, 1)])
@@ -513,6 +517,6 @@ def test_writers_equal_per_row_formatting():
             with pytest.raises(EdgeListParseError, match="vertex ids must be nonnegative"):
                 parse_edge_list(text)
         r = np.array([rng.choice([0, 3, rng.randrange(UNREACHED), UNREACHED, UNREACHED + 5]) for _ in range(n)])
-        radii = RadiusAssignment(r=r, rho=1, k=1)
+        radii = RadiusAssignment(r=r)
         assert write_radii(radii, g.labels) == old_write_radii(radii, g.labels), case
         assert write_radii(radii) == old_write_radii(radii), case

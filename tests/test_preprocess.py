@@ -487,24 +487,24 @@ def test_validate_k_rho_accepts_build_output():
     g, _ = random_graph(31337, n_hi=60, m_cap=160)
     aug, radii, _ = build_k_rho(g, 2, 4, heuristic="dp")
     aug.validate()  # augmentation preserves every structural invariant
-    assert validate_k_rho(aug, radii).ok
+    assert validate_k_rho(aug, radii, 2, 4).ok
 
 
 def test_validate_k_rho_flags_oversized_radius():
     g = from_edges(3, PATH)
-    radii = RadiusAssignment(r=np.array([99, 99, 99], dtype=np.int64), rho=2, k=1)
-    report = validate_k_rho(g, radii)
+    radii = RadiusAssignment(r=np.array([99, 99, 99], dtype=np.int64))
+    report = validate_k_rho(g, radii, 1, 2)
     assert not report.ok
     assert any("exceeds k-radius" in v for v in report.violations)
 
 
 def test_validate_k_rho_rho1_zero_radius_valid():
     g = from_edges(3, PATH)
-    radii = RadiusAssignment(r=np.zeros(3, dtype=np.int64), rho=1, k=1)
-    assert validate_k_rho(g, radii).ok
+    radii = RadiusAssignment(r=np.zeros(3, dtype=np.int64))
+    assert validate_k_rho(g, radii, 1, 1).ok
 
 
-def _bruteforce_violations(g, radii, rbar, dists):
+def _bruteforce_violations(g, radii, rho, rbar, dists):
     """validate_k_rho's violations from the brute-force k-radius rbar and one
     full Dijkstra per vertex."""
     out = []
@@ -512,7 +512,7 @@ def _bruteforce_violations(g, radii, rbar, dists):
         rv = int(radii.r[v])
         if rv > int(rbar[v]):
             out.append(f"vertex {v}: r={rv} exceeds k-radius {int(rbar[v])}")
-        size, need = int((dv.dist <= rv).sum()), min(radii.rho, dv.reached_count())
+        size, need = int((dv.dist <= rv).sum()), min(rho, dv.reached_count())
         if size < need:
             out.append(f"vertex {v}: |B(v,{rv})|={size} below {need}")
     return tuple(out)
@@ -535,9 +535,9 @@ def test_validate_k_rho_equals_bruteforce_oracle(tie_inclusive):
                 uncapped = np.where(np.arange(g.n) == g.n // 2, UNREACHED, radii.r)
                 for h, oracle in ((g, on_g), (aug, on_aug)):
                     for r in (radii.r, radii.r - 1, radii.r + 1, uncapped):
-                        checked = RadiusAssignment(r, rho, k)
-                        got = validate_k_rho(h, checked).violations
-                        assert got == _bruteforce_violations(h, checked, *oracle), (g.n, k, rho, r)
+                        checked = RadiusAssignment(r)
+                        got = validate_k_rho(h, checked, k, rho).violations
+                        assert got == _bruteforce_violations(h, checked, rho, *oracle), (g.n, k, rho, r)
                         kinds.update({line.split()[3] for line in got} or {"ok"})
     assert kinds == {"exceeds", "below", "ok"}
 
@@ -551,12 +551,12 @@ def test_validate_k_rho_across_chunks_and_slices(monkeypatch):
         for k, rho in ((1, 4), (3, 9)):
             aug, radii, _ = build_k_rho(g, k, rho)
             for r in (radii.r + 1, np.full(g.n, UNREACHED)):
-                checked = RadiusAssignment(r, rho, k)
-                cases.append((g, checked, validate_k_rho(g, checked)))
+                checked = RadiusAssignment(r)
+                cases.append((g, checked, k, rho, validate_k_rho(g, checked, k, rho)))
     monkeypatch.setattr(preprocess, "_CHECK_ENTRIES", 7)
-    assert any(not report.ok for _, _, report in cases)
-    for g, checked, report in cases:
-        assert validate_k_rho(g, checked) == report
+    assert any(not report.ok for *_, report in cases)
+    for g, checked, k, rho, report in cases:
+        assert validate_k_rho(g, checked, k, rho) == report
 
 
 def test_premise_verdicts_agree_across_chunks(monkeypatch):
@@ -573,7 +573,7 @@ def test_premise_verdicts_agree_across_chunks(monkeypatch):
             lowered[positive[len(positive) // 2 :][:1]] -= 1
             res = radius_step_fast(aug, radii, 0)
             for r in (radii.r, lowered, np.zeros(g.n, dtype=np.int64)):
-                cases.append((aug, rho, res, RadiusAssignment(r, rho, 1)))
+                cases.append((aug, rho, res, RadiusAssignment(r)))
     monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 256)
     chunks = []
     real = preprocess._lockstep
@@ -583,7 +583,7 @@ def test_premise_verdicts_agree_across_chunks(monkeypatch):
         before = len(chunks)
         report = check_bounds(res, aug, rho, 1, radii=checked)
         spread += len(chunks) - before > 1
-        short = [line for line in validate_k_rho(aug, checked).violations if "|B(" in line]
+        short = [line for line in validate_k_rho(aug, checked, 1, rho).violations if "|B(" in line]
         assert report.checkable == (not short), (aug.n, rho)
         if short:
             v, need = re.fullmatch(r"vertex (\d+): \|B\(v,\d+\)\|=\d+ below (\d+)", short[0]).groups()
@@ -596,12 +596,35 @@ def test_validate_k_rho_flags_a_dropped_shortcut_above_the_old_cap(monkeypatch):
     g = generate(MUTANT_GRID)
     assert g.n > 400
     aug, radii, _ = build_k_rho(g, 1, 10)
-    assert validate_k_rho(aug, radii).ok
+    assert validate_k_rho(aug, radii, 1, 10).ok
     drop_planned_shortcut(monkeypatch)
     mutant, mutant_radii, _ = build_k_rho(g, 1, 10)
     assert mutant.m == aug.m - 1 and np.array_equal(mutant_radii.r, radii.r)
-    report = validate_k_rho(mutant, mutant_radii)
+    report = validate_k_rho(mutant, mutant_radii, 1, 10)
     assert report.violations[0].startswith("vertex 0: r=149 exceeds k-radius")
+
+
+def test_huge_k_and_rho_build_and_check_as_n():
+    # At k = 2**62, dp's table of k+1 columns could not be allocated, and
+    # at 2**70 greedy's modulo raised OverflowError; rho = 2**70 overflowed
+    # the premise's np.minimum.  No tree node is more than n hops deep and
+    # no ball holds more than n vertices, so n gives the same outputs.
+    g = generate(GeneratorSpec(kind="grid2d", dims=(6, 6), weights=WeightSpec(1, 50, seed=5)))
+
+    def built(k, rho, heuristic):
+        aug, radii, added = build_k_rho(g, k, rho, heuristic=heuristic)
+        return write_edge_list(aug), radii.r.tolist(), added
+
+    for huge in (2**62, 2**70):
+        for heuristic in ("dp", "greedy"):
+            assert built(huge, 8, heuristic) == built(g.n, 8, heuristic)
+            assert built(2, huge, heuristic) == built(2, g.n, heuristic)
+        aug, radii, _ = build_k_rho(g, 2, 8)
+        for r in (radii.r, radii.r // 2):
+            want = validate_k_rho(aug, RadiusAssignment(r), 2, g.n).violations
+            assert validate_k_rho(aug, RadiusAssignment(r), 2, huge).violations == want
+            want = validate_k_rho(aug, RadiusAssignment(r), g.n, 8).violations
+            assert validate_k_rho(aug, RadiusAssignment(r), huge, 8).violations == want
 
 
 def test_rho_above_n_searches_as_rho_n(monkeypatch):
@@ -677,10 +700,10 @@ def test_bad_arguments():
         build_k_rho(g, 1, 2, heuristic="magic")
     for rho, k in ((0, 1), (2, 0)):
         with pytest.raises(GraphError):
-            validate_k_rho(g, RadiusAssignment(np.zeros(3, dtype=np.int64), rho, k))
+            validate_k_rho(g, RadiusAssignment(np.zeros(3, dtype=np.int64)), k, rho)
     for n in (2, 4):  # radii for too few or too many vertices
         with pytest.raises(GraphError, match="radius assignment does not match graph size"):
-            validate_k_rho(g, RadiusAssignment(np.zeros(n, dtype=np.int64), 2, 1))
+            validate_k_rho(g, RadiusAssignment(np.zeros(n, dtype=np.int64)), 1, 2)
     for pick in (shortcut_dp, shortcut_greedy):
         with pytest.raises(GraphError, match="k must be >= 1"):
             pick(compute_ball(g, 0, 3), 0)
@@ -701,17 +724,17 @@ def test_ball_search_rejects_non_integer_sources():
 def test_counts_must_be_integers():
     # A float count must be rejected, not compared against member counts.
     g = from_edges(3, PATH)
-    radii = RadiusAssignment(np.zeros(3, dtype=np.int64), 2, 1)
+    radii = RadiusAssignment(np.zeros(3, dtype=np.int64))
     takes_rho = (
         lambda x: compute_ball(g, 0, x),
         lambda x: ball_arrays(g, [0], x),
         lambda x: build_k_rho(g, 1, x),
-        lambda x: validate_k_rho(g, RadiusAssignment(radii.r, x, 1)),
+        lambda x: validate_k_rho(g, radii, 1, x),
     )
     takes_k = (
         lambda x: build_k_rho(g, x, 2),
         lambda x: shortcut_dp(compute_ball(g, 0, 3), x),
-        lambda x: validate_k_rho(g, RadiusAssignment(radii.r, 2, x)),
+        lambda x: validate_k_rho(g, radii, x, 2),
     )
     for name, calls in (("rho", takes_rho), ("k", takes_k)):
         for value in (2.5, True, np.float64(2), "2"):
@@ -725,15 +748,15 @@ def test_radius_assignment_takes_only_integer_radii():
     # A float r would reach the engine, whose int(keys.min()) truncates thresholds.
     for r in (np.array([0.5, 1.5, 2.5]), [0.0, 1.0, 2.0], np.ones(3, dtype=bool), np.zeros((3, 1), dtype=np.int64)):
         with pytest.raises(GraphError, match="radii must be a 1-D array of int64 values"):
-            RadiusAssignment(r, 2, 1)
+            RadiusAssignment(r)
     with pytest.raises(GraphError, match="radii must be a 1-D array of int64 values"):
-        RadiusAssignment(np.array([2**63], dtype=np.uint64), 2, 1)
+        RadiusAssignment(np.array([2**63], dtype=np.uint64))
     mine = np.array([1, 2, 3], dtype=np.int32)
-    radii = RadiusAssignment(mine, 2, 1)
+    radii = RadiusAssignment(mine)
     mine[0] = 9  # the assignment keeps its own read-only copy
     assert radii.r.tolist() == [1, 2, 3] and radii.r.dtype == np.int64 and not radii.r.flags.writeable
     # Ranges are checked where radii are used: validate_k_rho takes these.
-    assert RadiusAssignment([-1, UNREACHED + 5, 0], 2, 1).r.tolist() == [-1, UNREACHED + 5, 0]
+    assert RadiusAssignment([-1, UNREACHED + 5, 0]).r.tolist() == [-1, UNREACHED + 5, 0]
 
 
 def test_uniform_radii_must_be_integers():
