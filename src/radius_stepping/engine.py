@@ -473,6 +473,8 @@ def check_bounds(
     if k is not None:
         _check_count("k", k)
     _check_size(g, radii)
+    if len(res.dist.dist) != g.n:
+        raise GraphError(f"result covers {len(res.dist.dist)} vertices, graph has {g.n}")
     if not assume_premise:
         inside, need = _ball_premise(g, radii.r, np.arange(g.n), rho)
         short = np.flatnonzero(inside < need)

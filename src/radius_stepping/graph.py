@@ -127,9 +127,6 @@ class Graph:
             and np.array_equal(self.wt, other.wt)
         )
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor ids, weights) of u, sorted by (weight, id)."""
         lo, hi = int(self.indptr[u]), int(self.indptr[u + 1])
@@ -141,19 +138,6 @@ class Graph:
 
     def label_of(self, v: int) -> int:
         return self.labels[v] if self.labels is not None else v
-
-    def iter_undirected_edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield each undirected edge once as (u, v, w), u < v, sorted by (u, v)."""
-        for u in range(self.n):
-            lo, hi = int(self.indptr[u]), int(self.indptr[u + 1])
-            out = [
-                (int(v), int(w))
-                for v, w in zip(self.nbr[lo:hi], self.wt[lo:hi])
-                if v > u
-            ]
-            out.sort()
-            for v, w in out:
-                yield u, v, w
 
     def validate(self) -> None:
         """Assert every structural invariant; raises GraphError on violation."""
@@ -218,9 +202,7 @@ def from_edges(
         raise GraphError("edge weight must be a positive integer")
     if labels is not None:
         labels = tuple(labels)
-        label = np.sort(_int64s("vertex labels", lambda: iter(labels), len(labels)))
-        if len(label) != n or (label[1:] == label[:-1]).any():
-            raise GraphError(f"vertex labels must be {n} distinct ids")
+        _check_labels(labels, n)
 
     # Parallel edges share the key min(u,v)*n + max(u,v); the minimum over a
     # run of equal keys does not depend on the order within it.
@@ -308,6 +290,14 @@ def _int64s(what: str, values: Callable[[], Iterator], count: int) -> np.ndarray
         return np.fromiter(values(), dtype=np.int64, count=count)
     except OverflowError:
         raise GraphError(f"{what} must fit int64") from None
+
+
+def _check_labels(labels: tuple[int, ...], n: int) -> None:
+    """Vertex labels are n distinct integers (not bool) that fit int64;
+    anything else raises GraphError."""
+    label = np.sort(_int64s("vertex labels", lambda: iter(labels), len(labels)))
+    if len(label) != n or (label[1:] == label[:-1]).any():
+        raise GraphError(f"vertex labels must be {n} distinct ids")
 
 
 def _check_distance_bound(n: int, a: np.ndarray, b: np.ndarray, ws: np.ndarray) -> None:

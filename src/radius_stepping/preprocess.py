@@ -18,7 +18,7 @@ build_k_rho plans each chunk's shortcuts as it comes, and _ball_premise
 per ball; compute_ball stays as the one-ball API and as the oracle the
 batched search is tested against.  Both heuristics run on the tree's
 parent and depth arrays alone: build_k_rho hands them a chunk's flat
-columns, and shortcut_greedy and shortcut_dp hand them one Ball's.
+columns, and _shortcuts (behind shortcut_dp) hands them one Ball's.
 validate_k_rho checks the (k, rho) property of any radii exactly, at any
 graph size.
 
@@ -39,9 +39,11 @@ from .graph import (
     Graph,
     GraphError,
     _check_count,
+    _check_labels,
     _check_vertex,
     _edge_slots,
     _half_edges,
+    _is_int,
     _label_ids,
     _render_labeled,
     from_edges,
@@ -375,6 +377,8 @@ class RadiusAssignment:
 
     @classmethod
     def uniform(cls, n: int, value: int) -> "RadiusAssignment":
+        if not _is_int(n) or n < 0:
+            raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
         return cls(r=np.full(n, value))
 
 
@@ -384,9 +388,15 @@ def _check_size(g: Graph, radii: RadiusAssignment) -> None:
 
 
 def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) -> str:
-    """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap."""
-    if labels is not None and len(labels) != len(radii.r):
-        raise GraphError(f"{len(labels)} labels for {len(radii.r)} radii")
+    """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap.
+
+    Labels, if given, must be as from_edges takes them: one distinct
+    integer (not bool) that fits int64 per radius.
+    """
+    if labels is not None:
+        if len(labels) != len(radii.r):
+            raise GraphError(f"{len(labels)} labels for {len(radii.r)} radii")
+        _check_labels(labels, len(radii.r))
     label = _label_ids(labels, len(radii.r))
     order = np.argsort(label, kind="stable")
     return _render_labeled(label[order], radii.r[order])
@@ -495,12 +505,6 @@ def _shortcuts(ball: Ball, k: int, heuristic: str) -> tuple[tuple[int, int], ...
     return tuple(ball.members[i] for i in np.flatnonzero(target).tolist())
 
 
-def shortcut_greedy(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
-    """(target, ball distance) edges from the center to every member at hop
-    depth k+1, 2k+1, 3k+1, ... of its min-hop tree, in member order."""
-    return _shortcuts(ball, k, "greedy")
-
-
 def shortcut_dp(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
     """The fewest (target, ball distance) edges from the center that bring
     every member within k hops of its min-hop tree, in member order."""
@@ -514,15 +518,6 @@ def _augment(g: Graph, extra: list[list[np.ndarray]]) -> Graph:
         return g
     cols = tuple(np.concatenate([col, *parts]) for col, parts in zip(_half_edges(g), zip(*extra)))
     return from_edges(g.n, cols, labels=g.labels)
-
-
-def build_1_rho(g: Graph, rho: int, tie_inclusive: bool = True) -> tuple[Graph, RadiusAssignment]:
-    """Add direct edges from every vertex to its ball members: build_k_rho at
-    k = 1, where both heuristics skip a member joined by an equally light
-    edge and collapse a heavier one to the exact distance.  r(v) = r_rho(v).
-    """
-    aug, radii, _ = build_k_rho(g, 1, rho, heuristic="greedy", tie_inclusive=tie_inclusive)
-    return aug, radii
 
 
 def build_k_rho(
@@ -576,14 +571,13 @@ _CHECK_ENTRIES = 2**21
 
 
 def _hop_round(
-    g: Graph, best: np.ndarray, mark: np.ndarray, key: np.ndarray, val: np.ndarray, cap: np.ndarray
+    g: Graph, best: np.ndarray, key: np.ndarray, val: np.ndarray, cap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One round of validate_k_rho: each pair (row, u) = divmod(key, n),
     lowered to val in the round before, offers val + wt(u, x) to (row, x),
     kept if at most cap[row] and below best.  Offers come from val, so
-    relaxing them in slices changes nothing; `mark` (False between rounds)
-    lists a key lowered by two slices once.  Returns the keys lowered and
-    their new values."""
+    relaxing them in slices changes nothing.  Returns the keys lowered,
+    each once in ascending order, and their new values."""
     row, u = np.divmod(key, g.n)
     span = max(1, _CHECK_ENTRIES // int((g.indptr[u + 1] - g.indptr[u]).max(initial=1)))
     lowered = [key[:0]]
@@ -596,10 +590,8 @@ def _hop_round(
         ok &= offer < best[at]
         at = at[ok]
         np.minimum.at(best, at, offer[ok])
-        lowered.append(np.unique(at[~mark[at]]))
-        mark[lowered[-1]] = True
-    key = np.concatenate(lowered)
-    mark[key] = False
+        lowered.append(np.unique(at))
+    key = np.unique(np.concatenate(lowered))
     return key, best[key]
 
 
@@ -628,7 +620,6 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment, k: int, rho: int) -> Valid
     kept = np.zeros(n, dtype=np.int64)
     step = max(1, _CHECK_ENTRIES // max(n, 1))
     best = np.full(min(step, n) * n, _EMPTY, dtype=np.int64)
-    mark = np.zeros(len(best), dtype=bool)
     for lo in range(0, n, step):
         src = np.arange(lo, min(lo + step, n))
         key = (np.arange(len(src)) * n + src)[r[src] >= 0]  # each source at distance 0
@@ -636,7 +627,7 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment, k: int, rho: int) -> Valid
         val = np.zeros(len(key), dtype=np.int64)
         seen = [key]
         for _ in range(k + 1):
-            key, val = _hop_round(g, best, mark, key, val, r[src])
+            key, val = _hop_round(g, best, key, val, r[src])
             seen.append(key)
             if not len(key):
                 break

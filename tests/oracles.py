@@ -1,0 +1,132 @@
+"""Brute-force oracles and one-call wrappers the tests check the package against.
+
+bellman_ford is an independent distance oracle for dijkstra and the
+engines.  hop_matrix and k_radius_bruteforce run one lexicographic
+(distance, hops) Dijkstra per vertex, so they refuse graphs above
+SMALL_GRAPH_CAP vertices.  build_1_rho and shortcut_greedy call the
+package's build_k_rho and shortcut planner in one fixed way, and
+undirected_edges lists a graph's edges in write_edge_list's row order.
+"""
+from __future__ import annotations
+
+import heapq
+from typing import Iterator
+
+import numpy as np
+
+from radius_stepping.graph import UNREACHED, DistanceVector, Graph, _check_count, _check_vertex
+from radius_stepping.preprocess import Ball, RadiusAssignment, _shortcuts, build_k_rho
+
+# Brute-force helpers refuse graphs above this size.
+SMALL_GRAPH_CAP = 400
+
+
+class SizeCapError(ValueError):
+    """Brute-force oracle invoked on a graph above its size cap."""
+
+
+def bellman_ford(g: Graph, s: int) -> DistanceVector:
+    """Full relaxation passes until fixpoint; agrees exactly with dijkstra."""
+    _check_vertex(g, s)
+    dist = np.full(g.n, UNREACHED, dtype=np.int64)
+    dist[s] = 0
+    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    dst = g.nbr
+    w = g.wt
+    while True:
+        finite = dist[src] < UNREACHED
+        if not finite.any():
+            break
+        cand = dist[src[finite]] + w[finite]
+        targets = dst[finite]
+        before = dist.copy()
+        np.minimum.at(dist, targets, cand)
+        if np.array_equal(before, dist):
+            break
+    dist.flags.writeable = False
+    return DistanceVector(source=s, dist=dist)
+
+
+def _lex_dijkstra(g: Graph, s: int) -> tuple[list[int], list[int]]:
+    """Distances plus the fewest hop count among minimum-weight paths."""
+    dist = [UNREACHED] * g.n
+    hops = [UNREACHED] * g.n
+    dist[s] = 0
+    hops[s] = 0
+    heap = [(0, 0, s)]
+    while heap:
+        d, h, u = heapq.heappop(heap)
+        if (d, h) != (dist[u], hops[u]):
+            continue
+        ns, ws = g.neighbors(u)
+        for v, w in zip(ns.tolist(), ws.tolist()):
+            nd, nh = d + w, h + 1
+            if (nd, nh) < (dist[v], hops[v]):
+                dist[v], hops[v] = nd, nh
+                heapq.heappush(heap, (nd, nh, v))
+    return dist, hops
+
+
+def _check_cap(g: Graph) -> None:
+    if g.n > SMALL_GRAPH_CAP:
+        raise SizeCapError(f"graph has {g.n} vertices, brute-force cap is {SMALL_GRAPH_CAP}")
+
+
+def hop_matrix(g: Graph) -> np.ndarray:
+    """Read-only pairwise hop distances: edges on the min-weight path with
+    fewest edges, UNREACHED between components."""
+    _check_cap(g)
+    out = np.full((g.n, g.n), UNREACHED, dtype=np.int64)
+    for u in range(g.n):
+        _, hops = _lex_dijkstra(g, u)
+        out[u] = hops
+    out.flags.writeable = False
+    return out
+
+
+def k_radius_bruteforce(g: Graph, k: int) -> np.ndarray:
+    """Exact per-vertex closest distance among vertices more than k hops away.
+
+    UNREACHED where every other vertex is within k hops.
+    """
+    _check_cap(g)
+    _check_count("k", k)
+    out = np.full(g.n, UNREACHED, dtype=np.int64)
+    for u in range(g.n):
+        dist, hops = _lex_dijkstra(g, u)
+        best = UNREACHED
+        for v in range(g.n):
+            if hops[v] > k and dist[v] < best:
+                best = dist[v]
+        out[u] = best
+    out.flags.writeable = False
+    return out
+
+
+def build_1_rho(g: Graph, rho: int, tie_inclusive: bool = True) -> tuple[Graph, RadiusAssignment]:
+    """Add direct edges from every vertex to its ball members: build_k_rho at
+    k = 1, where both heuristics skip a member joined by an equally light
+    edge and collapse a heavier one to the exact distance.  r(v) = r_rho(v).
+    """
+    aug, radii, _ = build_k_rho(g, 1, rho, heuristic="greedy", tie_inclusive=tie_inclusive)
+    return aug, radii
+
+
+def shortcut_greedy(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
+    """(target, ball distance) edges from the center to every member at hop
+    depth k+1, 2k+1, 3k+1, ... of its min-hop tree, in member order."""
+    return _shortcuts(ball, k, "greedy")
+
+
+def undirected_edges(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Yield each undirected edge once as (u, v, w), u < v, sorted by (u, v)."""
+    for u in range(g.n):
+        lo, hi = int(g.indptr[u]), int(g.indptr[u + 1])
+        out = [
+            (int(v), int(w))
+            for v, w in zip(g.nbr[lo:hi], g.wt[lo:hi])
+            if v > u
+        ]
+        out.sort()
+        for v, w in out:
+            yield u, v, w

@@ -15,9 +15,7 @@ from radius_stepping import (
     ExperimentConfig,
     GeneratorSpec,
     WeightSpec,
-    bellman_ford,
     bfs,
-    build_1_rho,
     build_k_rho,
     check_bounds,
     delta_stepping,
@@ -29,10 +27,10 @@ from radius_stepping import (
     radius_step_unweighted,
     run_experiment,
     shortcut_dp,
-    shortcut_greedy,
     validate_k_rho,
 )
 from conftest import children, corpus, tree_ball
+from oracles import bellman_ford, build_1_rho, shortcut_greedy
 
 
 class Budget:

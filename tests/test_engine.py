@@ -9,9 +9,7 @@ from radius_stepping import (
     WeightSpec,
     RadiusAssignment,
     UNREACHED,
-    bellman_ford,
     bfs,
-    build_1_rho,
     build_k_rho,
     check_bounds,
     compute_ball,
@@ -19,7 +17,6 @@ from radius_stepping import (
     dijkstra,
     from_edges,
     generate,
-    hop_matrix,
     radius_step_fast,
     radius_step_reference,
     radius_step_unweighted,
@@ -27,6 +24,7 @@ from radius_stepping import (
 )
 from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, relax_batch
 from conftest import corpus, random_graph
+from oracles import bellman_ford, build_1_rho, hop_matrix
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 
@@ -347,6 +345,17 @@ def test_check_bounds_rejects_radii_of_the_wrong_length():
         radii = RadiusAssignment.uniform(n, 1)
         with pytest.raises(GraphError, match="radius assignment does not match graph size"):
             check_bounds(res, g, 2, 1, radii=radii)
+
+
+def test_check_bounds_rejects_a_result_of_another_graph():
+    # A run on a 3-vertex path checked against a 5-vertex path came back ok.
+    path3 = from_edges(3, [(0, 1, 1), (1, 2, 1)])
+    path5 = from_edges(5, [(i, i + 1, 1) for i in range(4)])
+    res = radius_step_fast(path3, RadiusAssignment.uniform(3, 1), 0)
+    for assume_premise in (False, True):
+        with pytest.raises(GraphError, match="result covers 3 vertices, graph has 5"):
+            check_bounds(res, path5, 1, 1, RadiusAssignment.uniform(5, 1), assume_premise=assume_premise)
+    assert check_bounds(res, path3, 1, 1, RadiusAssignment.uniform(3, 1)).ok
 
 
 def test_check_bounds_small_radii_not_checkable():

@@ -14,6 +14,7 @@ from radius_stepping import (
     generate,
     write_edge_list,
 )
+from oracles import undirected_edges
 
 
 def test_grid2d_counts():
@@ -44,7 +45,7 @@ def test_adversarial_structure():
     g = generate(GeneratorSpec(kind="adversarial", ladder=4))
     assert g.n == 17
     assert g.m == 4 + 3 * 16
-    assert g.degree(ADVERSARIAL_START) == 4
+    assert len(g.neighbors(ADVERSARIAL_START)[0]) == 4
     assert bfs(g, ADVERSARIAL_START).dist.reached_count() == g.n
 
 
@@ -63,8 +64,8 @@ def test_determinism_and_weight_seed():
     ga, gb = generate(spec), generate(other)
     assert ga != gb  # weights differ
     # ... but the structure seed alone fixes the topology
-    assert [(u, v) for u, v, _ in ga.iter_undirected_edges()] == [
-        (u, v) for u, v, _ in gb.iter_undirected_edges()
+    assert [(u, v) for u, v, _ in undirected_edges(ga)] == [
+        (u, v) for u, v, _ in undirected_edges(gb)
     ]
 
 

@@ -22,6 +22,7 @@ from radius_stepping import (
     write_edge_list,
     write_radii,
 )
+from oracles import undirected_edges
 
 
 def test_parse_basic():
@@ -459,7 +460,7 @@ def test_fast_reader_equals_line_reader(block, monkeypatch):
 def old_write_edge_list(g):
     """write_edge_list as one formatted row per edge: the oracle."""
     rows = []
-    for u, v, w in g.iter_undirected_edges():
+    for u, v, w in undirected_edges(g):
         lu, lv = g.label_of(u), g.label_of(v)
         if lu > lv:
             lu, lv = lv, lu

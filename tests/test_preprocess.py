@@ -13,28 +13,25 @@ from radius_stepping import (
     RadiusAssignment,
     WeightSpec,
     ball_arrays,
-    build_1_rho,
     build_k_rho,
     check_bounds,
     compute_ball,
     dijkstra,
     from_edges,
     generate,
-    k_radius_bruteforce,
     min_hop_ball_tree,
     parse_edge_list,
     parse_radii,
     radii_for_graph,
     radius_step_fast,
     shortcut_dp,
-    shortcut_greedy,
     validate_k_rho,
     write_edge_list,
     write_radii,
 )
-from radius_stepping.baselines import _lex_dijkstra
 import radius_stepping.preprocess as preprocess
 from conftest import MUTANT_GRID, children, drop_planned_shortcut, random_graph, tree_ball
+from oracles import _lex_dijkstra, build_1_rho, k_radius_bruteforce, shortcut_greedy
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 STAR = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]
@@ -775,3 +772,31 @@ def test_write_radii_rejects_the_wrong_number_of_labels():
         with pytest.raises(GraphError, match=f"{len(labels)} labels for 3 radii"):
             write_radii(radii, labels=labels)
     assert write_radii(radii, labels=(7, 5, 6)) == "5 1\n6 1\n7 1\n"
+
+
+def test_write_radii_takes_labels_as_from_edges_does():
+    # (1.5, 2.7) wrote "1 3\n2 3\n", bools and strings were taken, (5, 5)
+    # wrote a file parse_radii rejects, and 2**63 raised a bare OverflowError.
+    radii = RadiusAssignment.uniform(2, 3)
+    cases = [
+        ((1.5, 2.7), "vertex labels must be integers"),
+        ((True, False), "vertex labels must be integers"),
+        (("1", "2"), "vertex labels must be integers"),
+        ((5, 5), "vertex labels must be 2 distinct ids"),
+        ((2**63, 1), "vertex labels must fit int64"),
+    ]
+    for labels, message in cases:
+        with pytest.raises(GraphError, match=message):
+            write_radii(radii, labels=labels)
+        with pytest.raises(GraphError, match=message):
+            from_edges(2, [(0, 1, 1)], labels=labels)
+    assert write_radii(radii, labels=(np.int64(9), -(2**63))) == f"{-(2**63)} 3\n9 3\n"
+
+
+def test_uniform_radii_need_a_vertex_count():
+    # 2.0 and True raised numpy's TypeError, -1 a bare ValueError.
+    for n in (2.0, True, -1, np.float64(2), "2"):
+        with pytest.raises(GraphError, match="vertex count must be a nonnegative integer"):
+            RadiusAssignment.uniform(n, 1)
+    assert RadiusAssignment.uniform(0, 1).r.tolist() == []
+    assert RadiusAssignment.uniform(np.int64(2), 1).r.tolist() == [1, 1]
