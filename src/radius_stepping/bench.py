@@ -117,7 +117,7 @@ def config_from_json(text: str) -> ExperimentConfig:
     if isinstance(raw, dict) and raw.get("generator") is not None:
         graw = raw["generator"]
         wraw = graw.get("weights") if isinstance(graw, dict) else None
-        weights = _spec(WeightSpec, wraw, "generator.weights") if wraw else None
+        weights = _spec(WeightSpec, wraw, "generator.weights") if wraw is not None else None
         gen = _spec(GeneratorSpec, graw, "generator", weights=weights)
     return _spec(ExperimentConfig, raw, "", generator=gen)
 
@@ -136,20 +136,14 @@ class ExperimentRow:
     reduction_factor: float
 
 
-@dataclass(frozen=True)
-class _CellStats:
-    added: int
-    mean_steps: float
-    mean_substeps: float
-
-
 def _load_graph(cfg: ExperimentConfig) -> Graph:
     if cfg.generator is not None:
         return generate(cfg.generator)
     return parse_edge_list(_read_text(cfg.graph_path))
 
 
-def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) -> _CellStats:
+def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) -> tuple[int, float, float]:
+    """Edges added, and mean steps and substeps over the sources, of one cell."""
     aug, radii, added = build_k_rho(g, k, rho, heuristic=heuristic)
     report = validate_k_rho(aug, radii, k, rho)
     if not report.ok:
@@ -167,43 +161,26 @@ def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) ->
             )
         steps += res.step_count
         substeps += res.total_substeps()
-    return _CellStats(
-        added=added,
-        mean_steps=steps / len(sources),
-        mean_substeps=substeps / len(sources),
-    )
+    return added, steps / len(sources), substeps / len(sources)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Preprocess once per cell, run the engine from shared seeded sources.
 
-    The rho=1 cell (computed even when absent from the sweep) is the
-    reduction baseline; its augmentation is empty, so it is shared across
-    k and heuristic.
+    The rho=1 cell (run even when absent from the sweep) is the reduction
+    baseline; its augmentation is empty, so it runs once, first, and serves
+    every k and heuristic.  Rows come in (k, rho, heuristic) order.
     """
     cfg.validate()
     g = _load_graph(cfg)
     rng = random.Random(int(cfg.seed))
     sources = sorted(rng.sample(range(g.n), min(cfg.source_count, g.n)))
-
-    cache: dict[tuple[int, int, str], _CellStats] = {}
-
-    def cell(k: int, rho: int, heuristic: str) -> _CellStats:
-        key = (1, 1, "dp") if rho == 1 else (k, rho, heuristic)
-        if key not in cache:
-            cache[key] = _run_cell(g, key[0], key[1], key[2], sources)
-        return cache[key]
-
-    def reduction(baseline_steps: float, steps: float) -> float:
-        # zero steps only on degenerate single-vertex runs
-        return baseline_steps / steps if steps else 1.0
-
-    baseline = cell(1, 1, "dp").mean_steps
+    baseline = _run_cell(g, 1, 1, "dp", sources)
     rows = []
     for k in sorted(set(cfg.ks)):
         for rho in sorted(set(cfg.rhos)):
             for heuristic in sorted(set(cfg.heuristics)):
-                stats = cell(k, rho, heuristic)
+                added, steps, substeps = baseline if rho == 1 else _run_cell(g, k, rho, heuristic, sources)
                 rows.append(
                     ExperimentRow(
                         graph=cfg.label,
@@ -212,13 +189,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
                         k=k,
                         rho=rho,
                         heuristic=heuristic,
-                        added_edge_factor=stats.added / g.m if g.m else 0.0,
-                        mean_steps=stats.mean_steps,
-                        mean_substeps=stats.mean_substeps,
-                        reduction_factor=reduction(baseline, stats.mean_steps),
+                        added_edge_factor=added / g.m if g.m else 0.0,
+                        mean_steps=steps,
+                        mean_substeps=substeps,
+                        # zero steps only on degenerate single-vertex runs
+                        reduction_factor=baseline[1] / steps if steps else 1.0,
                     )
                 )
-    rows.sort(key=lambda r: (r.graph, r.k, r.rho, r.heuristic))
     return rows
 
 

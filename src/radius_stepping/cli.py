@@ -97,6 +97,10 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_sssp(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
+    try:
+        source = g.labels.index(args.source)
+    except ValueError:
+        raise GraphError(f"source {args.source} is not a vertex label in {args.input}") from None
     if args.radii is not None:
         radii = _read_radii(args.radii, g)
     else:
@@ -110,7 +114,7 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
         "fast": radius_step_fast,
         "unweighted": radius_step_unweighted,
     }[args.engine]
-    res = engine(g, radii, args.source)
+    res = engine(g, radii, source)
     sys.stdout.write(_render_labeled(_label_ids(g.labels, g.n), res.dist.dist))
     if args.stats is not None:
         _write_out(args.stats, step_records_csv(res))
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("-i", "--input", required=True)
     ss.add_argument("--radii")
     ss.add_argument("--rho", type=int, default=1, help="build radii on the fly when no file given")
-    ss.add_argument("-s", "--source", type=int, required=True)
+    ss.add_argument("-s", "--source", type=int, required=True, help="source vertex label, as in the input file")
     ss.add_argument("--engine", choices=["ref", "fast", "unweighted"], default="fast")
     ss.add_argument("--stats", help="write per-step CSV here")
     ss.set_defaults(func=_cmd_sssp)

@@ -23,10 +23,11 @@ Two loops implement that contract:
   every engine is one relax_batch call; radius_step_unweighted is
   radius_step_fast restricted to unit-weight graphs.
 
-Both loops write their steps through one _LogWriter into a StepLog, which
-keeps the records as int64 columns plus one flat array of active sets; a
-StepRecord is built only when an element of the log is read.  All engines
-produce identical step logs and relaxation counts.
+Both loops append one entry per round to a list, and _step_log builds the
+StepLog from it once the run ends.  A StepLog keeps the records as int64
+columns plus one flat array of active sets; a StepRecord is built only when
+an element of the log is read.  All engines produce identical step logs and
+relaxation counts.
 """
 from __future__ import annotations
 
@@ -111,67 +112,6 @@ class StepLog(Sequence[StepRecord]):
         )
 
 
-class _LogWriter:
-    """Collects the steps of one run on g into a StepLog.
-
-    An ordinary step arrives alone with its scalars, which wait in lists;
-    a run of one-substep steps arrives as arrays.  log() concatenates every
-    column once and sorts each step's active set by id with one sort over
-    the whole run.  A step of such a run relaxes each vertex it settles
-    once, so log() gives it the sum of their degrees as its relaxations.
-    """
-
-    def __init__(self, g: Graph) -> None:
-        self.g = g
-        self.count = 0
-        self.pending: tuple[list[int], ...] = ([], [])  # d, active_count not yet in chunks
-        self.chunks: tuple[list[np.ndarray], ...] = ([], [])  # d, active_count
-        self.active: list[np.ndarray] = []
-        self.ordinary: tuple[list[int], ...] = ([], [], [])  # step, substeps, relaxations
-
-    def step(self, d: int, active: np.ndarray, substeps: int, relaxations: int) -> None:
-        """One step that settled `active`, in any order."""
-        self.pending[0].append(d)
-        self.pending[1].append(active.size)
-        for col, x in zip(self.ordinary, (self.count, substeps, relaxations)):
-            col.append(x)
-        self.active.append(active)
-        self.count += 1
-
-    def batch(self, d: np.ndarray, bounds: list[int], active: np.ndarray) -> None:
-        """One-substep steps: step j settles active[bounds[j]:bounds[j + 1]]
-        at threshold d[bounds[j]]."""
-        cuts = np.array(bounds, dtype=np.int64)
-        first = cuts[:-1]
-        self._flush()
-        self.chunks[0].append(d[first])
-        self.chunks[1].append(cuts[1:] - first)
-        self.active.append(active)
-        self.count += first.size
-
-    def _flush(self) -> None:
-        if self.pending[0]:
-            for chunks, col in zip(self.chunks, self.pending):
-                chunks.append(np.array(col, dtype=np.int64))
-                col.clear()
-
-    def log(self) -> StepLog:
-        self._flush()
-        if not self.count:
-            return StepLog((), (), (), (), ())
-        d, counts = (np.concatenate(chunks) for chunks in self.chunks)
-        # Sort by (step, id) through one key; steps number at most n.
-        step_base = np.repeat(np.arange(self.count, dtype=np.int64) * self.g.n, counts)
-        active = np.sort(step_base + np.concatenate(self.active), kind="stable") - step_base
-        indptr = self.g.indptr
-        relaxations = np.add.reduceat(indptr[active + 1] - indptr[active], np.cumsum(counts) - counts)
-        substeps = np.ones(self.count, dtype=np.int64)
-        index, ordinary_substeps, ordinary_relaxations = self.ordinary
-        substeps[index] = ordinary_substeps
-        relaxations[index] = ordinary_relaxations
-        return StepLog(d, counts, substeps, relaxations, active)
-
-
 @dataclass(frozen=True)
 class SsspResult:
     dist: DistanceVector
@@ -251,11 +191,37 @@ def _start(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return delta, settled, ns.copy()
 
 
-def _finish(delta: np.ndarray, settled: np.ndarray, s: int, log: _LogWriter) -> SsspResult:
+def _step_log(g: Graph, rounds: list[tuple]) -> StepLog:
+    """The StepLog of a run on g from its rounds, in order.
+
+    A round is (thresholds, active counts, settled vertices, work), one
+    threshold and count per step; its settled vertices come step after step,
+    each step's in any order.  An ordinary step is one-element tuples with
+    work (substeps, relaxations).  A batch has work None: each of its steps
+    took one substep and relaxed each vertex it settles once, so its
+    relaxations are the sum of their degrees.
+    """
+    if not rounds:
+        return StepLog((), (), (), (), ())
+    d, counts, active, work = zip(*rounds)
+    last = np.cumsum([len(c) for c in counts]) - 1  # each round's last step
+    d, counts = np.concatenate(d), np.concatenate(counts)
+    # Sort by (step, id) through one key; steps number at most n.
+    step_base = np.repeat(np.arange(counts.size, dtype=np.int64) * g.n, counts)
+    active = np.sort(step_base + np.concatenate(active), kind="stable") - step_base
+    relaxations = np.add.reduceat(g.indptr[active + 1] - g.indptr[active], np.cumsum(counts) - counts)
+    substeps = np.ones(counts.size, dtype=np.int64)
+    index = [i for i, w in zip(last.tolist(), work) if w is not None]
+    if index:
+        substeps[index], relaxations[index] = zip(*(w for w in work if w is not None))
+    return StepLog(d, counts, substeps, relaxations, active)
+
+
+def _finish(g: Graph, delta: np.ndarray, settled: np.ndarray, s: int, rounds: list[tuple]) -> SsspResult:
     """Unsettled vertices become UNREACHED; delta is frozen into the result."""
     delta[~settled] = UNREACHED
     delta.flags.writeable = False
-    return SsspResult(dist=DistanceVector(source=s, dist=delta), steps=log.log())
+    return SsspResult(dist=DistanceVector(source=s, dist=delta), steps=_step_log(g, rounds))
 
 
 def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
@@ -273,14 +239,13 @@ def _reference(
     threshold is min key(delta[F], F) over the touched unsettled F."""
     delta, settled, _ = _start(g, s)
     relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
-    log = _LogWriter(g)
+    rounds = []
     while True:
         frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
         if frontier.size == 0:
             break
         d_i = int(key(delta[frontier], frontier).min())
-        substeps = 0
-        step_relaxations = 0
+        substeps = step_relaxations = 0
         while True:
             substeps += 1
             active = [v for v in frontier.tolist() if delta[v] <= d_i and relaxed_at[v] != delta[v]]
@@ -292,8 +257,8 @@ def _reference(
                 break
         active = frontier[delta[frontier] <= d_i]
         settled[active] = True
-        log.step(d_i, active, substeps, step_relaxations)
-    return _finish(delta, settled, s, log)
+        rounds.append(((d_i,), (active.size,), active, (substeps, step_relaxations)))
+    return _finish(g, delta, settled, s, rounds)
 
 
 def _stepping(
@@ -307,7 +272,9 @@ def _stepping(
     threshold candidate key(v): delta + r for radius stepping, the end of
     delta's bucket for Delta-stepping.  The batching below needs only
     key(v) >= delta(v).  The caller checks s and keeps key within int64.
-    Every substep is one relax_batch call, looked up at call time.
+    Every substep is one relax_batch call, looked up at call time.  Each
+    round, one ordinary step or one batch of steps, appends one entry to the
+    list that _step_log turns into the run's StepLog.
 
     F holds the touched unsettled vertices.  Each round computes the next
     threshold d = min key over F and the relaxation floor
@@ -348,9 +315,9 @@ def _stepping(
     delta, settled, F = _start(g, s)
     touched = settled.copy()
     touched[F] = True
-    log = _LogWriter(g)
+    rounds = []
     if not F.size:  # s has no edge, and the graph may have none to gather from
-        return _finish(delta, settled, s, log)
+        return _finish(g, delta, settled, s, rounds)
     # Each row's first slot, clamped: a vertex without edges never enters F,
     # and one with a single edge gets w_next = UNREACHED.
     top = g.nbr.size - 1
@@ -397,7 +364,9 @@ def _stepping(
             union = F[low[: bounds[-1]]]
             settled[union] = True
             raise_floor(relax(union)[0])
-            log.batch(suffix, bounds, union)
+            cuts = np.array(bounds, dtype=np.int64)
+            first = cuts[:-1]
+            rounds.append((suffix[first], cuts[1:] - first, union, None))
             F = F[~settled[F]]
             continue
         active = F[dF <= d]
@@ -411,8 +380,8 @@ def _stepping(
         settled_now = F[done]
         settled[settled_now] = True
         F = F[~done]
-        log.step(d, settled_now, substeps, relaxations)
-    return _finish(delta, settled, s, log)
+        rounds.append(((d,), (settled_now.size,), settled_now, (substeps, relaxations)))
+    return _finish(g, delta, settled, s, rounds)
 
 
 def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:

@@ -292,12 +292,22 @@ def _int64s(what: str, values: Callable[[], Iterator], count: int) -> np.ndarray
         raise GraphError(f"{what} must fit int64") from None
 
 
-def _check_labels(labels: tuple[int, ...], n: int) -> None:
-    """Vertex labels are n distinct integers (not bool) that fit int64;
-    anything else raises GraphError."""
-    label = np.sort(_int64s("vertex labels", lambda: iter(labels), len(labels)))
-    if len(label) != n or (label[1:] == label[:-1]).any():
+def _has_bool(values: object) -> bool:
+    """Whether a list or tuple holds a bool at any depth.  numpy reads a
+    bool beside integers as 0 or 1, where _int64s rejects it."""
+    if not isinstance(values, (list, tuple)):
+        return False
+    return any(isinstance(x, (bool, np.bool_)) or _has_bool(x) for x in values)
+
+
+def _check_labels(labels: tuple[int, ...], n: int) -> np.ndarray:
+    """Vertex labels, in their order, as int64: n distinct integers (not
+    bool) that fit int64; anything else raises GraphError."""
+    label = _int64s("vertex labels", lambda: iter(labels), len(labels))
+    ordered = np.sort(label)
+    if len(label) != n or (ordered[1:] == ordered[:-1]).any():
         raise GraphError(f"vertex labels must be {n} distinct ids")
+    return label
 
 
 def _check_distance_bound(n: int, a: np.ndarray, b: np.ndarray, ws: np.ndarray) -> None:

@@ -43,8 +43,8 @@ from .graph import (
     _check_vertex,
     _edge_slots,
     _half_edges,
+    _has_bool,
     _is_int,
-    _label_ids,
     _render_labeled,
     from_edges,
 )
@@ -320,6 +320,8 @@ def _sources(g: Graph, sources, rho: int) -> np.ndarray:
     src = np.asarray(sources).reshape(-1)
     if len(src) and src.dtype.kind not in "iu":
         raise GraphError(f"vertices must be integer ids, got {src.dtype}")
+    if _has_bool(sources):
+        raise GraphError("vertices must be integer ids, got bool")
     src = src.astype(np.int64, copy=False)
     if len(src) and (src.min() < 0 or src.max() >= g.n):
         raise GraphError(f"vertex out of range for n={g.n}")
@@ -360,8 +362,9 @@ def _ball_premise(g: Graph, r: np.ndarray, sources, rho: int) -> tuple[np.ndarra
 class RadiusAssignment:
     """Per-vertex step radii.
 
-    r must be a 1-D integer array (not bool) of int64 values; it is stored
-    as a read-only int64 copy.  Its range is checked where it is used.
+    r must be a 1-D integer array (not bool) of int64 values, and a list or
+    tuple may hold no bool; it is stored as a read-only int64 copy.  Its
+    range is checked where it is used.
     """
 
     r: np.ndarray
@@ -371,6 +374,8 @@ class RadiusAssignment:
         wide = r.dtype.kind == "u" and r.size and r.max() > _INT64_MAX
         if r.ndim != 1 or r.dtype.kind not in "iu" or wide:
             raise GraphError(f"radii must be a 1-D array of int64 values, got {r.dtype} of shape {r.shape}")
+        if _has_bool(self.r):
+            raise GraphError("radii must be integers, got bool")
         r = r.astype(np.int64)
         r.flags.writeable = False
         object.__setattr__(self, "r", r)
@@ -393,11 +398,12 @@ def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) 
     Labels, if given, must be as from_edges takes them: one distinct
     integer (not bool) that fits int64 per radius.
     """
-    if labels is not None:
-        if len(labels) != len(radii.r):
-            raise GraphError(f"{len(labels)} labels for {len(radii.r)} radii")
-        _check_labels(labels, len(radii.r))
-    label = _label_ids(labels, len(radii.r))
+    if labels is None:
+        label = np.arange(len(radii.r), dtype=np.int64)
+    elif len(labels) != len(radii.r):
+        raise GraphError(f"{len(labels)} labels for {len(radii.r)} radii")
+    else:
+        label = _check_labels(labels, len(radii.r))
     order = np.argsort(label, kind="stable")
     return _render_labeled(label[order], radii.r[order])
 

@@ -118,6 +118,23 @@ def test_config_json_roundtrip(tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({}, "config field 'generator.weights.lo' is required"),
+        *((w, "config field 'generator.weights' must be a JSON object") for w in (0, False, "", [])),
+    ],
+    ids=["{}", "0", "false", "empty-string", "[]"],
+)
+def test_only_null_generator_weights_mean_unweighted(weights, message):
+    # Each of these built an unweighted graph, while 5 was rejected.
+    raw = {"label": "x", "rhos": [1], "generator": {"kind": "grid2d", "dims": [3, 3], "weights": weights}}
+    with pytest.raises(GraphError, match=f"^{message}"):
+        config_from_json(json.dumps(raw))
+    raw["generator"]["weights"] = None
+    assert config_from_json(json.dumps(raw)).generator.weights is None
+
+
 def test_config_validation():
     with pytest.raises(GraphError):
         ExperimentConfig(label="x", rhos=()).validate()

@@ -54,7 +54,7 @@ def test_isolated_vertex_survives_preprocess_and_sssp(tmp_path, capsys):
                        "-o", str(aug), "--radii", str(rad))
     assert code == 0, err
     assert aug.read_text().splitlines()[-1] == "40"
-    code, out, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "0")
+    code, out, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "10")
     assert code == 0, err
     assert out == "10 0\n20 2\n30 5\n40 inf\n"
 
@@ -260,10 +260,31 @@ def test_sparse_id_pipeline_keeps_labels(tmp_path, capsys):
     assert code == 0
     assert aug.read_text() == "10 20 2\n10 30 5\n20 30 3\n"
     assert rad.read_text() == "10 5\n20 3\n30 5\n"
-    # source index is the dense id; output rows carry the original ids
-    code, out, _ = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "0")
+    # the source and the output rows are the original ids
+    code, out, _ = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "10")
     assert code == 0
     assert out == "10 0\n20 2\n30 5\n"
+
+
+def test_sssp_source_is_a_label_in_every_file(tmp_path, capsys):
+    # Labels first appear in another order in the augmented file than in
+    # the generated one; read as a dense id, -s 2 named label 4 in the one
+    # and label 2 in the other.
+    grid, aug, rad = (tmp_path / name for name in ("grid.txt", "aug.txt", "radii.txt"))
+    gen = ("gen", "--kind", "grid2d", "--w", "4", "--h", "3", "--weights", "1:9", "--seed", "1")
+    assert run(capsys, *gen, "-o", str(grid))[0] == 0
+    assert run(capsys, "preprocess", "-i", str(grid), "--rho", "4", "-o", str(aug), "--radii", str(rad))[0] == 0
+    g = parse_edge_list(grid.read_text())
+    assert (g.labels[2], parse_edge_list(aug.read_text()).labels[2]) == (4, 2)
+    expected = {str(g.labels[v]): str(d) for v, d in enumerate(dijkstra(g, g.labels.index(2)).dist.tolist())}
+    for argv in (("-i", str(grid), "--rho", "1"), ("-i", str(aug), "--radii", str(rad))):
+        code, out, err = run(capsys, "sssp", *argv, "-s", "2")
+        assert code == 0, err
+        assert dict(line.split() for line in out.splitlines()) == expected
+    for missing in ("12", "-1", str(2**70)):
+        code, out, err = run(capsys, "sssp", "-i", str(grid), "-s", missing)
+        assert (code, out) == (1, "")
+        assert err == f"error: source {missing} is not a vertex label in {grid}\n"
 
 
 @pytest.mark.parametrize(
@@ -389,14 +410,12 @@ def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given
     )
     assert code == 0
     g = parse_edge_list(src.read_text())
-    s = data.draw(st.integers(0, g.n - 1))
+    source_label = data.draw(st.sampled_from(g.labels))
     code, out, err = run(
-        capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", str(s),
+        capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", str(source_label),
         "--engine", engine, "--stats", str(stats),
     )
     assert code == 0, err
-    # -s is a dense id of the graph sssp reads: the augmented file's order.
-    source_label = parse_edge_list(aug.read_text()).labels[s]
     oracle = dijkstra(g, g.labels.index(source_label))
     dists = oracle.dist.tolist()
     expected = {str(g.label_of(v)): "inf" if d >= UNREACHED else str(d) for v, d in enumerate(dists)}

@@ -98,6 +98,31 @@ def test_floor_steps_past_edges_into_settled_vertices(monkeypatch):
     assert (run.step_count, run.total_substeps(), run.dist.dist.tolist()) == (0, 0, [UNREACHED, 0, UNREACHED])
 
 
+def test_step_log_of_batched_and_ordinary_rounds_equals_the_reference(monkeypatch):
+    # Step 1 is ordinary: its threshold 1 + r(1) = 6 takes 5 in at 6, and
+    # relaxing 1 lowers 5 to 5, so it takes 2 substeps and scans 10 edges,
+    # more than the 6 its vertices have.  Steps 2 and 3 lie below the floor
+    # and settle in one batch, whose union lists step 2's vertices as 4, 2.
+    import radius_stepping.engine as eng
+
+    calls = []
+    monkeypatch.setattr(eng, "relax_batch", lambda g, delta, active, settled: calls.append(
+        np.asarray(active).tolist()) or relax_batch(g, delta, active, settled))
+    g = from_edges(6, [(0, 1, 1), (0, 4, 9), (0, 5, 6), (1, 5, 4), (2, 5, 4), (3, 5, 7)])
+    radii = RadiusAssignment(np.array([5, 5, 1, 0, 0, 0]))
+    fast = radius_step_fast(g, radii, 0)
+    assert calls == [[1, 5], [5], [4, 2, 3]]
+    ref = radius_step_reference(g, radii, 0)
+    for col in StepLog.__slots__:
+        assert np.array_equal(getattr(fast.steps, col), getattr(ref.steps, col)), col
+    assert list(fast.steps) == list(ref.steps) == [
+        StepRecord(1, 6, 2, 2, 3, (1, 5), 10),
+        StepRecord(2, 9, 2, 1, 5, (2, 4), 2),
+        StepRecord(3, 12, 1, 1, 6, (3,), 1),
+    ]
+    assert fast.dist.same_as(ref.dist) and fast.dist.dist.tolist() == [0, 1, 9, 12, 9, 5]
+
+
 def test_heaviest_weight_and_radius_stay_inside_int64():
     # (n-1)*L reaches 2**62 but the spanning-forest bound (n-1)*B = 2 does
     # not, so the graph is accepted; delta + w and delta + r then come within

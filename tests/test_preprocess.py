@@ -765,6 +765,20 @@ def test_uniform_radii_must_be_integers():
     assert RadiusAssignment.uniform(2, np.int32(4)).r.tolist() == [4, 4]
 
 
+def test_a_bool_item_in_an_integer_list_is_rejected():
+    # numpy read [True, 2] as [1, 2] before the dtype check: the radii were
+    # [1, 2, 3], and ball_arrays searched from vertex 1.
+    g = from_edges(3, PATH)
+    for r in ([True, 2, 3], (0, np.False_, 1)):
+        with pytest.raises(GraphError, match="^radii must be integers, got bool$"):
+            RadiusAssignment(r)
+    for sources in ([True, 2], (0, np.True_), [[2], [False]]):
+        with pytest.raises(GraphError, match="^vertices must be integer ids, got bool$"):
+            ball_arrays(g, sources, 2)
+    assert RadiusAssignment([1, np.int32(2), 3]).r.tolist() == [1, 2, 3]
+    assert [col.tolist() for col in ball_arrays(g, [[2], [0]], 2)] == [col.tolist() for col in ball_arrays(g, [2, 0], 2)]
+
+
 def test_write_radii_rejects_the_wrong_number_of_labels():
     # Three radii with labels (5,) would write "5 1\n" alone and drop two radii.
     radii = RadiusAssignment.uniform(3, 1)
