@@ -15,11 +15,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .engine import SsspResult, _stepping
+from .engine import SsspResult, _Threshold, _stepping
 from .graph import UNREACHED, DistanceVector, Graph, _check_count, _check_vertex
 
 
@@ -74,10 +73,10 @@ def bfs(g: Graph, s: int) -> BfsResult:
     return BfsResult(dist=DistanceVector(source=s, dist=dist), rounds=rounds, scans=tuple(scans))
 
 
-def _bucket_end(w: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _bucket_end(w: int) -> _Threshold:
     """Delta-stepping's threshold rule: the last value of each distance's
     bucket of width w <= UNREACHED."""
-    return lambda dF, F: dF // w * w + (w - 1)
+    return _Threshold(None, lambda x: x // w * w + (w - 1))
 
 
 def delta_stepping(g: Graph, s: int, delta: int) -> SsspResult:

@@ -15,12 +15,16 @@ Two loops implement that contract:
   unsettled vertices each step; O(n) per step, intended for small graphs.
   Its loop, _reference, takes the same threshold rule as _stepping, so
   the tests hold Delta-stepping's batching to it too.
-* _stepping: keeps touched unsettled vertices in one index array and
-  settles runs of steps that cannot interact in a single relaxation.  It
-  takes the threshold rule as an argument.  The radius engines pick
-  min(delta + r); baselines.delta_stepping picks the end of the bucket of
-  min(delta), so Delta-stepping runs on the same core.  Every substep of
-  every engine is one relax_batch call; radius_step_unweighted is
+* _stepping: keeps touched unsettled vertices in columns by position
+  (vertex, delta, threshold offset, w_min), writes only the positions of
+  the vertices a relaxation moves, marks settled positions dead and
+  compacts once dead ones outnumber live ones, so a round's upkeep follows
+  the vertices it moves and settles.  It settles runs of steps that cannot
+  interact in a single relaxation.  It takes the threshold rule as an
+  argument.  The radius engines pick min(delta + r);
+  baselines.delta_stepping picks the end of the bucket of min(delta), so
+  Delta-stepping runs on the same core.  Every substep of every engine is
+  one relax_batch call, a scatter-min; radius_step_unweighted is
   radius_step_fast restricted to unit-weight graphs.
 
 Both loops append one entry per round to a list, and _step_log builds the
@@ -34,13 +38,15 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex, _edge_slots
 from .preprocess import RadiusAssignment, _ball_premise, _check_size
+
+_DEAD = np.iinfo(np.int64).max  # a settled frontier position
 
 
 @dataclass(frozen=True)
@@ -150,34 +156,35 @@ def _check_inputs(g: Graph, radii: RadiusAssignment, s: int) -> None:
 def relax_batch(
     g: Graph, delta: np.ndarray, active: np.ndarray, settled: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """One substep: min-combine candidates from the active vertices' edges.
+    """One substep: scatter-min candidates from the active vertices' edges.
 
     `active` is an index array of distinct vertices.  Candidates are
-    computed against delta as of entry and combined by min, so the order of
-    `active` cannot change the result.  Returns the vertices whose delta
-    improved and the number of edge relaxations scanned.  A settled vertex
-    that would improve raises GraphError: its distance was already reported
-    final.
+    computed against delta as of entry and only those below their target's
+    delta are kept; np.minimum.at writes the least of them into each target,
+    so the order of `active` cannot change the result.  Every kept
+    candidate's target moves.  Returns those targets, distinct and in
+    ascending order, and the number of edge relaxations scanned.  A kept
+    candidate aimed at a settled vertex raises GraphError, naming the
+    smallest such vertex, before delta is written: that distance was
+    already reported final.
     """
     act = np.asarray(active, dtype=np.int64)
     eidx, counts = _edge_slots(g, act)
     dst = g.nbr[eidx]
     cand = np.repeat(delta[act], counts) + g.wt[eidx]
-    better = cand < delta[dst]
+    better = (cand < delta[dst]).nonzero()[0]
     dst = dst[better]
-    cand = cand[better]
     if dst.size == 0:
         return dst, eidx.size
-    order = np.lexsort((cand, dst))
-    dst = dst[order]
+    hit = settled[dst]
+    if np.count_nonzero(hit):
+        raise GraphError(f"settled distance moved at vertex {int(dst[hit].min())}")
+    np.minimum.at(delta, dst, cand[better])
+    dst.sort()
     first = np.empty(dst.size, dtype=bool)
     first[0] = True
     np.not_equal(dst[1:], dst[:-1], out=first[1:])
-    moved = dst[first]
-    if settled[moved].any():
-        raise GraphError(f"settled distance moved at vertex {int(moved[settled[moved]][0])}")
-    delta[moved] = cand[order][first]
-    return moved, eidx.size
+    return dst[first], eidx.size
 
 
 def _start(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,27 +231,42 @@ def _finish(g: Graph, delta: np.ndarray, settled: np.ndarray, s: int, rounds: li
     return SsspResult(dist=DistanceVector(source=s, dist=delta), steps=_step_log(g, rounds))
 
 
+class _Threshold(NamedTuple):
+    """A step-threshold rule: each touched unsettled vertex v offers
+    end(delta(v) + offset[v]), and a step's threshold is the least offer.
+
+    offset is nonnegative per vertex (None: 0 everywhere) and end is
+    nondecreasing with end(x) >= x, so the least offer is end of the least
+    delta + offset.  The radius engines offset by r; Delta-stepping ends
+    each distance's bucket.  The caller keeps every offer within int64.
+    """
+
+    offset: np.ndarray | None
+    end: Callable[[Any], Any] = lambda x: x
+
+    def offsets(self, n: int) -> np.ndarray:
+        """The offsets of all n vertices, read by index."""
+        return np.broadcast_to(np.int64(0), n) if self.offset is None else self.offset
+
+
 def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """Literal stepping loop scanning every unsettled vertex per step."""
     _check_inputs(g, radii, s)
-    return _reference(g, s, lambda dF, F: dF + radii.r[F])
+    return _reference(g, s, _Threshold(radii.r))
 
 
-def _reference(
-    g: Graph,
-    s: int,
-    key: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> SsspResult:
+def _reference(g: Graph, s: int, rule: _Threshold) -> SsspResult:
     """The literal loop under _stepping's threshold rule: each step's
-    threshold is min key(delta[F], F) over the touched unsettled F."""
+    threshold is the least offer of the touched unsettled vertices."""
     delta, settled, _ = _start(g, s)
+    r = rule.offsets(g.n)
     relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
     rounds = []
     while True:
         frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
         if frontier.size == 0:
             break
-        d_i = int(key(delta[frontier], frontier).min())
+        d_i = int(rule.end(delta[frontier] + r[frontier]).min())
         substeps = step_relaxations = 0
         while True:
             substeps += 1
@@ -261,16 +283,23 @@ def _reference(
     return _finish(g, delta, settled, s, rounds)
 
 
-def _stepping(
-    g: Graph,
-    s: int,
-    key: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> SsspResult:
-    """Index-array stepping loop that settles runs of non-interacting steps at once.
+def _compact(pos: np.ndarray, cols: tuple[np.ndarray, ...], m: int) -> int:
+    """Move the live positions among F's first m, in order, to the front of
+    its columns (ids and delta first) and repoint pos; returns their count."""
+    ids, dcol = cols[:2]
+    keep = (dcol[:m] != _DEAD).nonzero()[0]
+    for col in cols:
+        col[: keep.size] = col[keep]
+    pos[ids[: keep.size]] = np.arange(keep.size)
+    return keep.size
 
-    `key(dF, F)` gives each frontier vertex v in F, at dF = delta[F], its
-    threshold candidate key(v): delta + r for radius stepping, the end of
-    delta's bucket for Delta-stepping.  The batching below needs only
+
+def _stepping(g: Graph, s: int, rule: _Threshold) -> SsspResult:
+    """Column-frontier stepping loop that settles runs of non-interacting steps at once.
+
+    `rule` gives each frontier vertex v its threshold candidate
+    key(v) = end(delta(v) + offset(v)): delta + r for radius stepping, the
+    end of delta's bucket for Delta-stepping.  The batching below needs only
     key(v) >= delta(v).  The caller checks s and keeps key within int64.
     Every substep is one relax_batch call, looked up at call time.  Each
     round, one ordinary step or one batch of steps, appends one entry to the
@@ -307,79 +336,128 @@ def _stepping(
     touched or lowered by it land at or above C, so they add nothing below
     C to the next threshold min key (key >= delta); below C that threshold
     is min{key(v) : v in F, delta(v) > d} with delta as it is now, a
-    suffix minimum over F[delta < C] sorted by delta.  Steps are read off
-    that suffix minimum while it stays below C; their active sets are final,
-    so relaxing their union in one call yields the distances and relaxation
-    count of relaxing them one step at a time.
+    suffix minimum over F[delta < C] sorted by delta.  Since end is
+    nondecreasing, that suffix minimum is end of the suffix minimum of
+    delta + offset.  Steps are read off it while it stays below C; their
+    active sets are final, so relaxing their union in one call yields the
+    distances and relaxation count of relaxing them one step at a time.
+
+    F is kept as columns indexed by position: ids (the vertex), dcol
+    (delta), rcol (offset) and wcol (w_min), and pos maps a vertex to its
+    position.  A vertex takes the next free position when a relaxation
+    first touches it, with rcol and wcol read from r and its CSR row then;
+    near(v) and the second weight are read from the row when a batch moves
+    v.  A relaxation writes delta only at the positions of the vertices it
+    moves.  A settled position is dead: dcol holds _DEAD (INT64_MAX) and
+    rcol and wcol hold 0.  A live delta is below 2**62 and a live offset or
+    w_min at most 2**62, so a live dcol + rcol or dcol + wcol is at most
+    INT64_MAX, which a dead position's sums equal: both minima are those of
+    the live positions.  A dead dcol fails every dcol < C test, C being at
+    most INT64_MAX, and every dcol <= d test once d is capped at UNREACHED,
+    which no live delta reaches.  So a round reads F through one sum over
+    two rows, one min per row and compares of dcol with C or d, with no
+    gather; its other work is over the vertices it moves and settles.  Once dead positions
+    outnumber live ones, _compact moves the live ones to the front.  It
+    copies at most twice the positions that died since the last compaction,
+    so it costs O(1) amortised per settled vertex.  Live positions keep the
+    order in which vertices entered F, compaction included, so every round
+    sees F in the same order as an index array that appends new vertices
+    and filters settled ones out: argsort, the suffix minimum and the step
+    bounds get the same input, and the step log is the same.
     """
     delta, settled, F = _start(g, s)
-    touched = settled.copy()
-    touched[F] = True
     rounds = []
     if not F.size:  # s has no edge, and the graph may have none to gather from
         return _finish(g, delta, settled, s, rounds)
-    # Each row's first slot, clamped: a vertex without edges never enters F,
-    # and one with a single edge gets w_next = UNREACHED.
-    top = g.nbr.size - 1
-    head = np.minimum(g.indptr[:-1], top)
-    near = g.nbr[head]
-    w_min = g.wt[head]
-    w_next = np.where(np.diff(g.indptr) > 1, g.wt[np.minimum(head + 1, top)], UNREACHED)
+    r = rule.offsets(g.n)
+    # At most n - 1 vertices ever enter F.  Each round sums dcol with both
+    # rows of off at once; rcol and wcol are its rows.
+    pos = np.full(g.n, -1, dtype=np.int64)
+    ids, dcol = np.empty(g.n - 1, dtype=np.int64), np.empty(g.n - 1, dtype=np.int64)
+    off = np.empty((2, g.n - 1), dtype=np.int64)
+    rcol, wcol = off
+    m = live = 0  # positions in use, and how many of them are live
 
-    def raise_floor(vs: np.ndarray) -> None:
-        """w_min steps past the edge to near[v] once near[v] has settled."""
-        up = vs[settled[near[vs]]]
-        w_min[up] = w_next[up]
+    def write(vs: np.ndarray) -> np.ndarray:
+        """Copy delta of vs into F's columns, entering the vertices not yet
+        in F at the end; returns the positions of vs."""
+        nonlocal m, live
+        p = pos[vs]
+        fresh = (p < 0).nonzero()[0]
+        if fresh.size:
+            new = vs[fresh]
+            end = m + fresh.size
+            p[fresh] = pos[new] = np.arange(m, end)
+            ids[m:end] = new
+            rcol[m:end] = r[new]
+            wcol[m:end] = g.wt[g.indptr[new]]
+            live += end - m
+            m = end
+        dcol[p] = delta[vs]
+        return p
 
-    raise_floor(F)
+    def raise_floor(vs: np.ndarray, p: np.ndarray) -> None:
+        """w_min steps past the edge to near(v) once near(v) has settled."""
+        up = settled[g.nbr[g.indptr[vs]]].nonzero()[0]
+        if up.size:
+            vs = vs[up]
+            second = g.indptr[vs] + 1
+            w = g.wt.take(second, mode="clip")
+            w[second == g.indptr[vs + 1]] = UNREACHED
+            wcol[p[up]] = w
 
-    def relax(active: np.ndarray) -> tuple[np.ndarray, int]:
-        """Relax `active` and add the vertices it touches first to F."""
-        nonlocal F
-        moved, scanned = relax_batch(g, delta, active, settled)
-        new = moved[~touched[moved]]
-        if new.size:
-            touched[new] = True
-            F = np.concatenate((F, new))
-        return moved, scanned
+    def drop(p: np.ndarray) -> None:
+        """Kill the positions p of settled vertices."""
+        nonlocal m, live
+        dcol[p] = _DEAD
+        live -= p.size
+        if 2 * live < m:
+            m = _compact(pos, (ids, dcol, rcol, wcol), m)
+        else:
+            rcol[p] = wcol[p] = 0
 
-    while F.size:
-        dF = delta[F]
-        keys = key(dF, F)
-        d = int(keys.min())
-        floor = int((dF + w_min[F]).min())
+    raise_floor(F, write(F))
+    while live:
+        base, floor = (dcol[:m] + off[:, :m]).min(1).tolist()
+        d = rule.end(base)
         if d < floor:
-            low = np.flatnonzero(dF < floor)
-            low = low[np.argsort(dF[low])]
-            dists = dF[low]
-            suffix = np.minimum.accumulate(keys[low][::-1])[::-1]
+            low = (dcol[:m] < floor).nonzero()[0]
+            dists = dcol[low]
+            order = dists.argsort()
+            low, dists = low[order], dists[order]
+            suffix = rule.end(np.minimum.accumulate((dists + rcol[low])[::-1])[::-1])
             # A step with threshold suffix[p] starting at position p settles
             # positions p .. nxt[p] - 1; steps start at 0 and run while the
             # threshold stays below the floor, that is before position cut.
             nxt = dists.searchsorted(suffix, "right").tolist()
             cut = int(suffix.searchsorted(floor))
-            bounds = [0]
-            while bounds[-1] < cut:
-                bounds.append(nxt[bounds[-1]])
-            union = F[low[: bounds[-1]]]
+            b, bounds = 0, [0]
+            while b < cut:
+                b = nxt[b]
+                bounds.append(b)
+            done = low[:b]
+            union = ids[done]
             settled[union] = True
-            raise_floor(relax(union)[0])
+            drop(done)
+            moved, _ = relax_batch(g, delta, union, settled)
+            raise_floor(moved, write(moved))
             cuts = np.array(bounds, dtype=np.int64)
             first = cuts[:-1]
             rounds.append((suffix[first], cuts[1:] - first, union, None))
-            F = F[~settled[F]]
             continue
-        active = F[dF <= d]
+        below = min(d, UNREACHED)  # d may reach _DEAD
+        active = ids[(dcol[:m] <= below).nonzero()[0]]
         substeps = relaxations = 0
         while active.size:
             substeps += 1
-            moved, scanned = relax(active)
+            moved, scanned = relax_batch(g, delta, active, settled)
+            write(moved)
             relaxations += scanned
             active = moved[delta[moved] <= d]
-        done = delta[F] <= d
-        settled_now = F[done]
+        done = (dcol[:m] <= below).nonzero()[0]
+        settled_now = ids[done]
         settled[settled_now] = True
-        F = F[~done]
+        drop(done)
         rounds.append(((d,), (settled_now.size,), settled_now, (substeps, relaxations)))
     return _finish(g, delta, settled, s, rounds)
 
@@ -387,7 +465,7 @@ def _stepping(
 def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """The stepping loop with min-combined relaxation, for any positive weights."""
     _check_inputs(g, radii, s)
-    return _stepping(g, s, lambda dF, F: dF + radii.r[F])
+    return _stepping(g, s, _Threshold(radii.r))
 
 
 def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:

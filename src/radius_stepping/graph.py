@@ -521,9 +521,10 @@ def _half_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _edge_slots(g: Graph, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR slots of every edge out of `act`, row by row, and the row lengths."""
     starts = g.indptr[act]
-    counts = g.indptr[act + 1] - starts
-    offsets = starts - (np.cumsum(counts) - counts)
-    return np.repeat(offsets, counts) + np.arange(int(counts.sum())), counts
+    counts = g.indptr[1:][act] - starts
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total), counts
 
 
 def _render(rows: np.ndarray, brief: np.ndarray, full: str, short: str) -> str:

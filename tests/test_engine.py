@@ -22,7 +22,7 @@ from radius_stepping import (
     radius_step_unweighted,
     step_records_csv,
 )
-from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, relax_batch
+from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, _compact, relax_batch
 from conftest import corpus, random_graph
 from oracles import bellman_ford, build_1_rho, hop_matrix
 
@@ -205,18 +205,111 @@ def test_substep_commutes_under_edge_reversal():
             assert n_f == n_o
 
 
-@pytest.mark.parametrize("path", ["scalar", "vector"])
+@pytest.mark.parametrize("path", ["scalar", "vector", "two-settled"])
 def test_relax_batch_raises_when_a_settled_distance_moves(path):
     # Vertex 0 is settled at 9, yet every active leaf offers it 1; the case
-    # runs with one active leaf and with a wide batch of them.
+    # runs with one active leaf and with a wide batch of them.  In the third
+    # case the leaves offer 1 to settled vertex 70 and 2 to settled vertex 0
+    # (each row scans 70 first) and 1 to unsettled 71: the smaller settled
+    # id is named.  No case writes delta.
     leaves = 1 if path == "scalar" else 64
-    g = from_edges(leaves + 1, [(0, v, 1) for v in range(1, leaves + 1)])
+    if path == "two-settled":
+        edges = [(v, t, w) for v in range(1, leaves + 1) for t, w in ((70, 1), (0, 2), (71, 1))]
+        g = from_edges(72, edges)
+    else:
+        g = from_edges(leaves + 1, [(0, v, 1) for v in range(1, leaves + 1)])
     delta = np.zeros(g.n, dtype=np.int64)
-    delta[0] = 9
     settled = np.zeros(g.n, dtype=bool)
+    delta[0] = 9
     settled[0] = True
-    with pytest.raises(GraphError, match="settled distance moved at vertex 0"):
+    if path == "two-settled":
+        delta[70:] = 9, UNREACHED
+        settled[70] = True
+    before = delta.copy()
+    with pytest.raises(GraphError, match="settled distance moved at vertex 0$"):
         relax_batch(g, delta, np.arange(1, leaves + 1), settled)
+    assert delta.tobytes() == before.tobytes()
+
+
+def min_over_candidates(g, delta, active):
+    """relax_batch in pure Python: each target's least candidate below its delta."""
+    best = {}
+    for u in active:
+        for v, w in zip(*(a.tolist() for a in g.neighbors(u))):
+            cand = int(delta[u]) + w
+            if cand < min(best.get(v, cand + 1), int(delta[v])):
+                best[v] = cand
+    out = delta.copy()
+    for v, cand in best.items():
+        out[v] = cand
+    return sorted(best), out
+
+
+def test_relax_batch_ties_on_one_target_match_the_python_min():
+    # On a unit-weight ladder a whole BFS layer is active, and rung and rail
+    # neighbours get the same candidate from several active vertices.  On a
+    # star every leaf offers the centre the same candidate; on the weighted
+    # star they offer ties and distinct values at once.
+    ladder = generate(GeneratorSpec("adversarial", ladder=12))
+    hops = bfs(ladder, 0).dist.dist
+    leaves = 40
+    star = from_edges(leaves + 1, [(0, v, 1) for v in range(1, leaves + 1)])
+    wstar = from_edges(leaves + 1, [(0, v, 1 + v % 3) for v in range(1, leaves + 1)])
+    cases = [(ladder, np.where(hops <= h, hops, UNREACHED), np.flatnonzero(hops == h)) for h in (1, 2, 3)]
+    for g in (star, wstar):
+        delta = np.full(g.n, 5, dtype=np.int64)
+        delta[0] = UNREACHED
+        cases.append((g, delta, np.arange(1, leaves + 1)))
+    rng = np.random.default_rng(18)
+    settled = np.zeros(max(g.n for g, _, _ in cases), dtype=bool)
+    for g, base, active in cases:
+        want_moved, want_delta = min_over_candidates(g, base, active.tolist())
+        assert len(want_moved) < sum(len(g.neighbors(u)[0]) for u in active.tolist())  # targets repeat
+        for order in [active, active[::-1]] + [rng.permutation(active) for _ in range(4)]:
+            delta = base.copy()
+            moved, scanned = relax_batch(g, delta, order, settled[: g.n])
+            assert np.all(np.diff(moved) > 0)
+            assert moved.tolist() == want_moved
+            assert np.array_equal(delta, want_delta)
+            assert scanned == int((g.indptr[active + 1] - g.indptr[active]).sum())
+
+
+@pytest.mark.parametrize("rho", [1, 6])
+def test_compaction_runs_and_leaves_the_step_log_as_the_reference(monkeypatch, rho):
+    # A weighted random graph of 2,000 vertices: F grows to hundreds of
+    # vertices and settles them a few at a time, so dead positions come to
+    # outnumber live ones more than once per query.
+    import radius_stepping.engine as eng
+
+    calls = []
+    monkeypatch.setattr(eng, "_compact", lambda *a: calls.append(1) or _compact(*a))
+    g = generate(GeneratorSpec("random", n=2000, m=6000, seed=18, weights=WeightSpec(1, 10_000, seed=18)))
+    aug, radii, _ = build_k_rho(g, 1, rho)
+    for s in (0, 1234):
+        calls.clear()
+        fast = radius_step_fast(aug, radii, s)
+        assert len(calls) >= 2
+        ref = radius_step_reference(aug, radii, s)
+        for col in StepLog.__slots__:
+            assert np.array_equal(getattr(fast.steps, col), getattr(ref.steps, col)), col
+        assert fast.dist.same_as(dijkstra(g, s))
+        calls.clear()
+        assert delta_stepping(aug, s, 2_000).dist.same_as(dijkstra(aug, s))
+        assert len(calls) >= 2
+
+
+def test_a_threshold_at_int64_max_leaves_settled_positions_dead():
+    # Vertex 3 lies at 2**62 - 1 with r = 2**62, so its key is INT64_MAX,
+    # the value a settled position holds.  Vertex 2 settles in the batch
+    # before and leaves a dead position beside 3 that the step at d =
+    # INT64_MAX must not take in again.
+    b = (UNREACHED - 1) // 3
+    g = from_edges(4, [(0, 1, b), (1, 2, b), (2, 3, b), (1, 3, 2 * b)])
+    radii = RadiusAssignment(np.array([0, 0, 0, UNREACHED]))
+    fast = radius_step_fast(g, radii, 0)
+    assert list(fast.steps) == list(radius_step_reference(g, radii, 0).steps)
+    assert [(rec.d, rec.active) for rec in fast.steps] == [(b, (1,)), (2 * b, (2,)), (2**63 - 1, (3,))]
+    assert fast.dist.dist.tolist() == [0, b, 2 * b, 3 * b]
 
 
 def test_strict_radii_share_r_rho_and_stay_exact():
