@@ -6,21 +6,20 @@ over it; a heuristic picks edges from v into the tree so that every ball
 member sits within k hops.  Shortcut weights are exact ball distances, so
 augmentation never changes any shortest-path distance.
 
-compute_ball is that search for one vertex, with a Python heap.
-ball_arrays runs it for many vertices at once in lockstep numpy rounds:
-each source keeps a dense pool row of candidates, and every round pops
-each row's nearest candidate, so rho rounds (plus one step for the
+ball_arrays runs that search for many vertices at once in lockstep numpy
+rounds: each source keeps a dense pool row of candidates, and every round
+pops each row's nearest candidate, so rho rounds (plus one step for the
 tie-inclusive tail) find every ball of a chunk.  Sources are chunked so
 that a chunk's pool holds at most about 2**18 entries, and at large rho
-the pool rows are compacted to one candidate per vertex as they fill.
-build_k_rho plans each chunk's shortcuts as it comes, and _ball_premise
-(the premise of check_bounds and of validate_k_rho) keeps two counts
-per ball; compute_ball stays as the one-ball API and as the oracle the
-batched search is tested against.  Both heuristics run on the tree's
-parent and depth arrays alone: build_k_rho hands them a chunk's flat
-columns, and _shortcuts (behind shortcut_dp) hands them one Ball's.
-validate_k_rho checks the (k, rho) property of any radii exactly, at any
-graph size.
+the pool rows are compacted to one candidate per vertex as they fill;
+_pool_plan and _lockstep show why the balls and trees are exact.
+compute_ball is the one-ball view of ball_arrays.  build_k_rho plans each
+chunk's shortcuts as it comes, and _ball_premise (the premise of
+check_bounds and of validate_k_rho) keeps two counts per ball.  Both
+heuristics run on the tree's parent and depth arrays alone: build_k_rho
+hands them a chunk's flat columns, and _shortcuts (behind shortcut_dp)
+hands them one Ball's.  validate_k_rho checks the (k, rho) property of
+any radii exactly, at any graph size.
 
 Ball counting includes the center: the first "closest vertex" of v is v
 itself at distance 0, so rho=1 always yields the trivial ball {v} with
@@ -28,7 +27,6 @@ radius 0 and adds nothing.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,61 +68,13 @@ class Ball:
 
 
 def compute_ball(g: Graph, v: int, rho: int, tie_inclusive: bool = True) -> Ball:
-    """Truncated Dijkstra from v scanning only each vertex's lightest edges.
-
-    Settles until rho vertices (counting v) are in; tie-inclusive mode keeps
-    going while further vertices sit at exactly r_rho.  A component smaller
-    than rho yields the whole component with r_rho its eccentricity from v.
-
-    Each vertex keeps, of the settled predecessors reaching it at its
-    current distance, the one with the smallest (depth, id): its min-hop
-    tree parent, provided every edge (w, u) with d(w) + wt(w, u) = d(u) of
-    a member u is relaxed.  It is, in strict mode too:
-    - weights are >= 1, so d(w) < d(u) <= r_rho: w precedes the rho-th
-      member, so it is among the first rho-1 members, the ones expanded,
-      and its depth is final by then (its own predecessors are closer);
-    - parallel edges are collapsed, so were (w, u) outside w's budget of
-      scanned edges, w would have rho distinct neighbours x with
-      wt(w, x) < wt(w, u), hence d(x) < d(u).  That forces r_rho < d(u),
-      contradicting u being a member.  So depths are fewest-hop in all of g.
-    """
+    """ball_arrays' ball of v as a Ball of Python ints: the rho vertices
+    nearest v (v included), and in tie-inclusive mode every further vertex
+    at exactly r_rho.  A component smaller than rho is taken whole."""
     _check_count("rho", rho)
     _check_vertex(g, v, "vertex")
-    best = {v: 0}
-    via = {v: (-1, -1, -1)}  # (depth, id, position) of the best predecessor so far
-    members: list[tuple[int, int]] = []
-    parent, depth = [], []  # per member: position of its tree parent, hop count
-    heap = [(0, v)]
-    r_rho = 0
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d != best[u]:
-            continue
-        if len(members) >= rho and (not tie_inclusive or d > r_rho):
-            break
-        pd, _, p = via[u]
-        members.append((u, d))
-        parent.append(p)
-        depth.append(pd + 1)
-        if len(members) <= rho:
-            r_rho = d  # running eccentricity until the rho-th settle pins it
-        if len(members) < rho:
-            ns, ws = g.neighbors(u)
-            # Budget: the lightest rho edges (ws is sorted), extended through
-            # ties with the rho-th weight.  Without the extension a vertex whose
-            # rho-th and (rho+1)-th edges tie could miss a member at r_rho.
-            b = len(ws) if len(ws) <= rho else int(np.searchsorted(ws, ws[rho - 1], side="right"))
-            tag = (pd + 1, u, len(members) - 1)
-            for w, wt in zip(ns[:b].tolist(), ws[:b].tolist()):
-                nd = d + wt
-                old = best.get(w, UNREACHED)
-                if nd < old:
-                    best[w] = nd
-                    via[w] = tag
-                    heapq.heappush(heap, (nd, w))
-                elif nd == old and tag < via[w]:
-                    via[w] = tag
-    return Ball(center=v, members=tuple(members), r_rho=r_rho, parent=tuple(parent), depth=tuple(depth))
+    center, vertex, dist, parent, depth = (col.tolist() for col in ball_arrays(g, [v], rho, tie_inclusive))
+    return Ball(center[0], tuple(zip(vertex, dist)), dist[-1], tuple(parent), tuple(depth))
 
 
 # Pool entries one chunk of the batched search may hold: sources per chunk
@@ -144,9 +94,14 @@ _COMPACT_ROUNDS = 10
 def _pool_plan(g: Graph, rho: int) -> tuple[np.ndarray, int, int]:
     """Per-vertex scan budgets, the widest of them, and sources per chunk.
 
-    A vertex's budget is compute_ball's: its lightest rho edges, extended
-    through ties with the rho-th weight.  Adjacency is sorted by weight, so
-    the ties past the rho-th edge are the next slots of its row.
+    A vertex's budget is its lightest rho edges, extended through ties
+    with the rho-th weight; adjacency is sorted by weight, so the ties
+    past the rho-th edge are the next slots of its row.  The budget holds
+    every edge (w, u) with d(w) + wt(w, u) = d(u) of a member u, strict
+    mode included: parallel edges are collapsed, so were (w, u) outside
+    it, w would have rho distinct neighbours x with wt(w, x) < wt(w, u),
+    hence d(x) < d(u), and r_rho < d(u) would leave u out.  Without the
+    tie extension, ties of the rho-th weight could lose a member at r_rho.
     """
     deg = np.diff(g.indptr)
     budget = np.minimum(deg, rho)
@@ -222,7 +177,7 @@ def _compact(dist, vert, owner, member, mdepth, used, n) -> int:
 def _lockstep(
     g: Graph, budget: np.ndarray, widest: int, src: np.ndarray, rho: int, tie_inclusive: bool
 ) -> list[np.ndarray]:
-    """compute_ball for every source at once, one pop per source per round.
+    """The balls of every source at once, one pop per source per round.
 
     Row i of the pool holds source i's candidates: slot 0 the source, then
     one block of `widest` slots per expanded pop, holding that member's
@@ -235,8 +190,15 @@ def _lockstep(
     remain, _compact drops the empty slots and the duplicates no pop can
     take, so a round scans about the distinct candidates, not every slot
     written so far (on a 1,601-vertex ladder at rho=50, about 110 against
-    3,900).  After rho pops the heap of compute_ball is frozen, so its
-    tie-inclusive tail is every pool vertex at exactly r_rho, in id order.
+    3,900).  After rho pops every member that can write a slot at r_rho
+    has been expanded, so the tie-inclusive tail is every pool vertex at
+    exactly r_rho, in id order.  Parent tags give the min-hop tree, strict
+    mode included: for a member u, each w with d(w) + wt(w, u) = d(u) has
+    d(w) < d(u) <= r_rho (weights are >= 1), so it is among the first
+    rho-1 members, the ones expanded, with its depth final (its own
+    predecessors are closer); and (w, u) is in w's budget (_pool_plan).
+    So u's slots at d(u) carry every shortest-path predecessor's
+    (depth, id), the pop takes the least, and depths are fewest-hop in g.
     Returns the vertices, distances, ball-local parent positions and depths
     of every ball entry, in ball order.
     """
@@ -315,13 +277,15 @@ def _ball_chunks(g: Graph, src: np.ndarray, rho: int, tie_inclusive: bool):
 
 
 def _sources(g: Graph, sources, rho: int) -> np.ndarray:
-    """The sources as an int64 array, checked against g and rho."""
+    """The sources as a 1-D int64 array, checked against g and rho."""
     _check_count("rho", rho)
-    src = np.asarray(sources).reshape(-1)
-    if len(src) and src.dtype.kind not in "iu":
+    src = np.asarray(sources)
+    if src.size and src.dtype.kind not in "iu":
         raise GraphError(f"vertices must be integer ids, got {src.dtype}")
     if _has_bool(sources):
         raise GraphError("vertices must be integer ids, got bool")
+    if src.ndim != 1:
+        raise GraphError(f"vertices must be a 1-D sequence of ids, got shape {src.shape}")
     src = src.astype(np.int64, copy=False)
     if len(src) and (src.min() < 0 or src.max() >= g.n):
         raise GraphError(f"vertex out of range for n={g.n}")
@@ -331,14 +295,14 @@ def _sources(g: Graph, sources, rho: int) -> np.ndarray:
 def ball_arrays(
     g: Graph, sources, rho: int, tie_inclusive: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """compute_ball for many sources at once, as flat columns.
+    """The balls of many sources at once, as flat columns.
 
     Returns (center, vertex, dist, parent, depth), one entry per ball
-    member: the balls in the order of sources, each in compute_ball's
-    member order.  parent is a position in these columns, -1 for a
-    center.  The sources are searched in lockstep chunks (see _lockstep),
-    sized so that a chunk's pool holds at most about _POOL_ENTRIES
-    candidates.
+    member: the balls in the order of sources, each with its members in
+    (distance, id) order (see Ball).  parent is a position in these
+    columns, -1 for a center.  The sources are searched in lockstep chunks
+    (see _lockstep), sized so that a chunk's pool holds at most about
+    _POOL_ENTRIES candidates.
     """
     parts = [cols for _, _, cols in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive)]
     sizes = [len(cols[0]) for cols in parts]

@@ -1,8 +1,9 @@
 """Brute-force oracles and one-call wrappers the tests check the package against.
 
 bellman_ford is an independent distance oracle for dijkstra and the
-engines.  hop_matrix and k_radius_bruteforce run one lexicographic
-(distance, hops) Dijkstra per vertex, so they refuse graphs above
+engines.  ball_bruteforce cuts one vertex's ball from a full
+lexicographic (distance, hops) Dijkstra; hop_matrix and
+k_radius_bruteforce run one per vertex, so they refuse graphs above
 SMALL_GRAPH_CAP vertices.  build_1_rho and shortcut_greedy call the
 package's build_k_rho and shortcut planner in one fixed way, and
 undirected_edges lists a graph's edges in write_edge_list's row order.
@@ -49,6 +50,7 @@ def bellman_ford(g: Graph, s: int) -> DistanceVector:
 
 def _lex_dijkstra(g: Graph, s: int) -> tuple[list[int], list[int]]:
     """Distances plus the fewest hop count among minimum-weight paths."""
+    indptr, nbr, wt = g.indptr.tolist(), g.nbr.tolist(), g.wt.tolist()  # lists: no numpy call per pop
     dist = [UNREACHED] * g.n
     hops = [UNREACHED] * g.n
     dist[s] = 0
@@ -58,13 +60,34 @@ def _lex_dijkstra(g: Graph, s: int) -> tuple[list[int], list[int]]:
         d, h, u = heapq.heappop(heap)
         if (d, h) != (dist[u], hops[u]):
             continue
-        ns, ws = g.neighbors(u)
-        for v, w in zip(ns.tolist(), ws.tolist()):
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, w in zip(nbr[lo:hi], wt[lo:hi]):
             nd, nh = d + w, h + 1
             if (nd, nh) < (dist[v], hops[v]):
                 dist[v], hops[v] = nd, nh
                 heapq.heappush(heap, (nd, nh, v))
     return dist, hops
+
+
+def ball_bruteforce(
+    g: Graph, v: int, rho: int, tie_inclusive: bool = True, lex: tuple[list[int], list[int]] | None = None
+) -> Ball:
+    """B(v, r_rho(v)) from a full Dijkstra, independent of the package's scan
+    budgets: every reached vertex sorted by (distance, id), cut at the rho-th
+    or extended through its ties; each member's parent is its
+    smallest-(hops, id) predecessor on a shortest path.  lex, if given, is
+    _lex_dijkstra(g, v), for callers that cut several balls from it."""
+    _check_count("rho", rho)
+    dist, hops = lex or _lex_dijkstra(g, v)
+    near = sorted((dist[u], u) for u in range(g.n) if dist[u] < UNREACHED)
+    r_rho = near[min(rho, len(near)) - 1][0]
+    members = [(u, d) for d, u in near if d <= r_rho][: None if tie_inclusive else rho]
+    pos = {u: i for i, (u, _) in enumerate(members)}
+    parent = [-1]
+    for u, d in members[1:]:
+        ns, ws = (a.tolist() for a in g.neighbors(u))
+        parent.append(pos[min((hops[w], w) for w, wt in zip(ns, ws) if dist[w] + wt == d)[1]])
+    return Ball(v, tuple(members), r_rho, tuple(parent), tuple(hops[u] for u, _ in members))
 
 
 def _check_cap(g: Graph) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 
 from radius_stepping import (
     UNREACHED,
+    Ball,
     GeneratorSpec,
     GraphError,
     RadiusAssignment,
@@ -31,7 +33,7 @@ from radius_stepping import (
 )
 import radius_stepping.preprocess as preprocess
 from conftest import MUTANT_GRID, children, drop_planned_shortcut, random_graph, tree_ball
-from oracles import _lex_dijkstra, build_1_rho, k_radius_bruteforce, shortcut_greedy
+from oracles import _lex_dijkstra, ball_bruteforce, build_1_rho, k_radius_bruteforce, shortcut_greedy
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 STAR = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]
@@ -300,35 +302,29 @@ def test_build_1_rho_joins_every_ball_member_at_its_distance(seed, rho, tie_incl
             assert u == v or adjacent[u] == d
 
 
-def _check_fused_tree(g, center, rho, tie_inclusive, lex):
-    # lex: (dist, hops) from _lex_dijkstra, the fewest hops over shortest paths
-    dist, hops = lex
-    ball = compute_ball(g, center, rho, tie_inclusive)
-    verts = [u for u, _ in ball.members]
-    assert ball.parent[0] == -1 and ball.depth[0] == 0
-    for (u, d), p, depth in zip(ball.members, ball.parent, ball.depth):
-        assert d == dist[u] and depth == hops[u]
-        if u == center:
-            continue
-        preds = [(hops[w], w) for w, wt in zip(*(a.tolist() for a in g.neighbors(u))) if dist[w] + wt == d]
-        assert verts[p] == min(preds)[1]
+def _check_fused_tree(g, centers, rho, tie_inclusive, lex):
+    # The balls of centers from one ball_arrays call against the oracle's:
+    # the same members at their exact distances, each depth the fewest hops
+    # over shortest paths, and each parent the smallest-(hops, id)
+    # shortest-path predecessor.  lex[c] is _lex_dijkstra(g, c).
+    want = [ball_bruteforce(g, c, rho, tie_inclusive, lex[c]) for c in centers]
+    assert _split_balls(ball_arrays(g, centers, rho, tie_inclusive)) == want
 
 
 def test_fused_tree_matches_lex_dijkstra_on_acceptance_corpus(acceptance_corpus):
     for g, s in acceptance_corpus:
-        for center in {s, g.n // 2, g.n - 1}:
-            lex = _lex_dijkstra(g, center)
-            for rho in (2, 5, 12):
-                for tie_inclusive in (True, False):
-                    _check_fused_tree(g, center, rho, tie_inclusive, lex)
+        centers = sorted({s, g.n // 2, g.n - 1})
+        lex = {c: _lex_dijkstra(g, c) for c in centers}
+        for rho in (2, 5, 12):
+            for tie_inclusive in (True, False):
+                _check_fused_tree(g, centers, rho, tie_inclusive, lex)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 12]), st.booleans())
 def test_fused_tree_matches_lex_dijkstra_under_ties(seed, rho, tie_inclusive):
     g, _ = random_graph(seed, n_hi=40, m_cap=120, w_hi=3)
-    for center in range(g.n):
-        _check_fused_tree(g, center, rho, tie_inclusive, _lex_dijkstra(g, center))
+    _check_fused_tree(g, range(g.n), rho, tie_inclusive, [_lex_dijkstra(g, c) for c in range(g.n)])
 
 
 @pytest.mark.parametrize("heuristic", ["dp", "greedy"])
@@ -340,15 +336,16 @@ def test_build_k_rho_chunks_equal_per_vertex_plans(heuristic, monkeypatch):
     monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 1000)
     assert grid.n > preprocess._pool_plan(grid, 6)[2]
     corpus = _tie_heavy_corpus()
-    cases = [(grid, 2, 6)] + [(g, k, rho) for g in corpus[::3] + corpus[-2:] for k, rho in ((1, 3), (2, 5), (3, 16))]
+    cases = [(grid, [(2, 6)])] + [(g, [(1, 3), (2, 5), (3, 16)]) for g in corpus[::3] + corpus[-2:]]
     pick = shortcut_dp if heuristic == "dp" else shortcut_greedy
     grid_added = 0
-    for g, k, rho in cases:
-        for tie_inclusive in (True, False):
+    for g, plans in cases:
+        lex = [_lex_dijkstra(g, v) for v in range(g.n)]
+        for (k, rho), tie_inclusive in itertools.product(plans, (True, False)):
             want = [(u, v, w) for u in range(g.n) for v, w in zip(*(a.tolist() for a in g.neighbors(u))) if u < v]
             r = []
             for v in range(g.n):
-                ball = compute_ball(g, v, rho, tie_inclusive)
+                ball = ball_bruteforce(g, v, rho, tie_inclusive, lex[v])
                 r.append(ball.r_rho)
                 want.extend((v, u, w) for u, w in pick(ball, k))
             aug, radii, added = build_k_rho(g, k, rho, heuristic=heuristic, tie_inclusive=tie_inclusive)
@@ -366,22 +363,21 @@ def test_dp_adds_no_more_than_greedy_per_tree(seed, k, rho):
     # (Union counts into the graph can coincide with existing heavier edges,
     # so only the per-tree comparison is implied.)
     g, _ = random_graph(seed, n_hi=50, m_cap=140)
-    for v in range(g.n):
-        ball = compute_ball(g, v, rho)
+    for ball in _split_balls(ball_arrays(g, range(g.n), rho)):
         if len(ball.members) <= 1:
             continue
         assert len(shortcut_dp(ball, k)) <= len(shortcut_greedy(ball, k))
 
 
 def _split_balls(columns):
-    """ball_arrays' flat columns as one (center, members, r_rho, parent, depth)
-    tuple per ball, with parent positions made local to the ball again."""
+    """ball_arrays' flat columns as one Ball per ball, with parent positions
+    made local to the ball again."""
     center, vertex, dist, parent, depth = (a.tolist() for a in columns)
     starts = [i for i, p in enumerate(parent) if p < 0]
     balls = []
     for lo, hi in zip(starts, starts[1:] + [len(parent)]):
         assert set(center[lo:hi]) == {center[lo]}
-        balls.append((
+        balls.append(Ball(
             center[lo],
             tuple(zip(vertex[lo:hi], dist[lo:hi])),
             dist[hi - 1],
@@ -389,10 +385,6 @@ def _split_balls(columns):
             tuple(depth[lo:hi]),
         ))
     return balls
-
-
-def _as_tuple(ball):
-    return (ball.center, ball.members, ball.r_rho, ball.parent, ball.depth)
 
 
 def _tie_heavy_corpus():
@@ -426,12 +418,13 @@ def test_ball_arrays_equal_compute_ball_on_tie_heavy_corpus(tie_inclusive, compa
         monkeypatch.setattr(preprocess, "_compact", lambda *a: compactions.append(1) or real(*a))
     isolated = small = 0
     for g in _tie_heavy_corpus():
+        lex = [_lex_dijkstra(g, v) for v in range(g.n)]
         for rho in RHOS:
             got = _split_balls(ball_arrays(g, range(g.n), rho, tie_inclusive))
-            want = [_as_tuple(compute_ball(g, v, rho, tie_inclusive)) for v in range(g.n)]
+            want = [ball_bruteforce(g, v, rho, tie_inclusive, lex[v]) for v in range(g.n)]
             assert got == want, (g.n, rho)
-            isolated += sum(len(b[1]) == 1 for b in want) if rho > 1 else 0
-            small += sum(1 < len(b[1]) < rho for b in want)
+            isolated += sum(len(b.members) == 1 for b in want) if rho > 1 else 0
+            small += sum(1 < len(b.members) < rho for b in want)
     assert isolated > 0 and small > 0  # the corpus covers both cases
     if compact_always:
         assert compactions  # the lowered gate let _compact run
@@ -443,7 +436,7 @@ def test_ball_arrays_across_chunks(tie_inclusive, monkeypatch):
     # sources also come out of order and with a repeat.
     g = generate(GeneratorSpec("grid2d", dims=(8, 6), weights=WeightSpec(1, 3, seed=11)))
     sources = [47, 3, 3, 20, *range(30), 0]
-    want = [_as_tuple(compute_ball(g, v, 5, tie_inclusive)) for v in sources]
+    want = [ball_bruteforce(g, v, 5, tie_inclusive) for v in sources]
     monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 3 * (1 + 4 * 4))
     assert preprocess._pool_plan(g, 5)[2] == 3
     assert _split_balls(ball_arrays(g, sources, 5, tie_inclusive)) == want
@@ -453,7 +446,7 @@ def test_ball_arrays_edge_cases():
     g = from_edges(3, PATH)
     assert all(len(col) == 0 for col in ball_arrays(g, [], 4))
     lone = from_edges(1, [])
-    assert _split_balls(ball_arrays(lone, [0], 3)) == [(0, ((0, 0),), 0, (-1,), (0,))]
+    assert _split_balls(ball_arrays(lone, [0], 3)) == [Ball(0, ((0, 0),), 0, (-1,), (0,))]
     with pytest.raises(GraphError):
         ball_arrays(g, [3], 2)
     with pytest.raises(GraphError):
@@ -462,10 +455,10 @@ def test_ball_arrays_edge_cases():
 
 def test_post_shortcut_k_hop_reachability():
     g, _ = random_graph(999, n_hi=40, m_cap=100)
+    balls = _split_balls(ball_arrays(g, range(g.n), 6))
     for k in (1, 2, 3):
         aug, _, _ = build_k_rho(g, k, 6, heuristic="dp")
-        for v in range(g.n):
-            ball = compute_ball(g, v, 6)
+        for v, ball in enumerate(balls):
             targets = {u for u, _ in ball.members}
             # k rounds of hop expansion over the augmented graph must cover the ball
             reached = {v}
@@ -739,6 +732,11 @@ def test_counts_must_be_integers():
                 with pytest.raises(GraphError, match=f"{name} must be an integer, got"):
                     call(value)
     assert compute_ball(g, 0, np.int32(2)) == compute_ball(g, 0, 2)
+    # The one-ball view of ball_arrays hands back Python ints, not numpy's.
+    ball = compute_ball(g, np.int64(1), 2)
+    assert ball == compute_ball(g, 1, 2)
+    fields = (ball.center, ball.r_rho, *ball.parent, *ball.depth, *(x for pair in ball.members for x in pair))
+    assert all(type(x) is int for x in fields)
 
 
 def test_radius_assignment_takes_only_integer_radii():
@@ -776,7 +774,18 @@ def test_a_bool_item_in_an_integer_list_is_rejected():
         with pytest.raises(GraphError, match="^vertices must be integer ids, got bool$"):
             ball_arrays(g, sources, 2)
     assert RadiusAssignment([1, np.int32(2), 3]).r.tolist() == [1, 2, 3]
-    assert [col.tolist() for col in ball_arrays(g, [[2], [0]], 2)] == [col.tolist() for col in ball_arrays(g, [2, 0], 2)]
+    with pytest.raises(GraphError, match=r"^vertices must be a 1-D sequence of ids, got shape \(2, 1\)$"):
+        ball_arrays(g, [[2], [0]], 2)
+
+
+def test_ball_arrays_rejects_nested_sources():
+    # reshape(-1) flattened [[0, 1], [2, 0]] into four sources, so four balls
+    # came back for a two-by-two array; a scalar became one source.
+    g = from_edges(3, PATH)
+    for sources in ([[0, 1], [2, 0]], np.zeros((2, 1), dtype=np.int64), np.int64(1), 1, [[]]):
+        with pytest.raises(GraphError, match="^vertices must be a 1-D sequence of ids, got shape"):
+            ball_arrays(g, sources, 2)
+    assert ball_arrays(g, np.array([0, 1, 2]), 2)[0].tolist() == [0, 0, 1, 1, 2, 2]  # one ball per source
 
 
 def test_write_radii_rejects_the_wrong_number_of_labels():
