@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -44,14 +45,19 @@ def test_parse_zero_weight_rejected():
 
 
 def test_parse_malformed_reports_line():
-    with pytest.raises(EdgeListParseError) as err:
-        parse_edge_list("0 1 5\n0 x 2\n")
-    assert err.value.lineno == 2
+    for text in ("0 1 5\n0 x 2\n", "0 1 5\n0 1 2.0\n"):
+        with pytest.raises(EdgeListParseError) as err:
+            parse_edge_list(text)
+        assert err.value.lineno == 2
 
 
 def test_parse_empty_is_domain_error():
-    with pytest.raises(GraphError):
-        parse_edge_list("# only a comment\n\n")
+    # loadtxt's "input contained no data" warning never reaches the caller.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(GraphError):
+            parse_edge_list("# only a comment\n\n")
+    assert caught == []
 
 
 def test_parse_comments_crlf_default_weight():
@@ -96,6 +102,10 @@ def test_parse_rejects_four_fields_with_line_number():
     with pytest.raises(EdgeListParseError, match="expected 1, 2 or 3 fields, got 4") as err:
         parse_edge_list("0 1 5\n3\n1 2 3 4\n")
     assert err.value.lineno == 3
+    # loadtxt would drop the comment after the third field and read the edge.
+    with pytest.raises(EdgeListParseError, match="expected 1, 2 or 3 fields, got 5") as err:
+        parse_edge_list("0 1 5\n1 2 3 # note\n")
+    assert err.value.lineno == 2
 
 
 def test_from_edges_rejects_labels_beyond_int64():
@@ -356,8 +366,9 @@ def test_ids_must_fit_int64():
 
 
 # Separators str.split() takes for whitespace, besides the plain space.
-SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r"]
-# Tokens the numpy reader leaves to the line reader, accepted or not there.
+SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\r", "\xa0", "\x85", "\u2028", "\u3000"]
+# Tokens at the edge of what either reader takes; the line reader decides
+# each text the loadtxt reader declines.
 ODD_TOKENS = [
     str(2**63 - 1),  # 19 digits, still a valid id
     str(2**63),
@@ -382,13 +393,13 @@ def _token(rng):
     return ("+" if rng.random() < 0.1 else "") + text
 
 
-def _plain_line(rng):
+def _plain_line(rng, width=None):
     roll = rng.random()
     if roll < 0.1:
         return rng.choice(["", " ", "\t\x0b"])
     if roll < 0.2:
         return rng.choice(["", "  ", "\x1c"]) + "# " + rng.choice(["note", "1 2 3 4", "x_y"])
-    fields = [_token(rng) for _ in range(rng.choice([1, 2, 2, 3, 3, 3]))]
+    fields = [_token(rng) for _ in range(width or rng.choice([1, 2, 2, 3, 3, 3]))]
     gap = rng.choice([" ", " ", rng.choice(SEPARATORS), "  \t"])
     pad = rng.choice(["", "", " ", rng.choice(SEPARATORS)])
     return pad + gap.join(fields) + pad
@@ -407,9 +418,10 @@ def _odd_line(rng):
     return " ".join(fields)
 
 
-def _edge_text(rng):
-    """A seeded edge list: plain lines, and in some cases one odd line."""
-    lines = [_plain_line(rng) for _ in range(rng.randint(0, 12))]
+def _edge_text(rng, width=None):
+    """A seeded edge list: plain lines, and in some cases one odd line.
+    With a width, every plain data line holds that many fields."""
+    lines = [_plain_line(rng, width) for _ in range(rng.randint(0, 12))]
     if rng.random() < 0.4:
         lines.insert(rng.randint(0, len(lines)), _odd_line(rng))
     ending = rng.choice(["\n", "\n", "\r\n"])
@@ -436,25 +448,27 @@ def _same(got, want):
     return g == h and g.labels == h.labels
 
 
-@pytest.mark.parametrize("block", [1, 5, 1 << 16])
-def test_fast_reader_equals_line_reader(block, monkeypatch):
-    """The numpy reader either declines or returns exactly the line reader's
-    columns; parse_edge_list gives the line reader's Graph or error."""
-    monkeypatch.setattr(graph, "_BLOCK", block)
-    rng = random.Random(9000 + block)
+@pytest.mark.parametrize("seed", [9001, 9005, 74536])
+def test_fast_reader_equals_line_reader(seed):
+    """The loadtxt reader either declines or returns exactly the line
+    reader's columns; parse_edge_list gives the line reader's Graph or
+    error.  The mixed corpus puts 1, 2 and 3 fields in one text; the
+    uniform corpus gives every data line of a text 2 fields, or 3."""
+    rng = random.Random(seed)
     taken = 0
-    for case in range(800):
-        text = _edge_text(rng)
-        assert _same(_outcome(parse_edge_list, text), _outcome(_by_lines, text)), (case, text)
-        cols = graph._block_columns(text) if text.isascii() else None
-        if cols is None:
-            continue
-        taken += 1
-        want = graph._line_columns(text)
-        assert cols[0] == want[0] and cols[4] == want[4], (case, text)
-        for got_col, want_col in zip(cols[1:4], want[1:4]):
-            assert np.array_equal(got_col, want_col), (case, text)
-    assert taken >= 350  # about half the cases exercise the numpy reader
+    for uniform in (False, True):
+        for case in range(800):
+            text = _edge_text(rng, rng.choice([2, 3]) if uniform else None)
+            assert _same(_outcome(parse_edge_list, text), _outcome(_by_lines, text)), (case, text)
+            cols = graph._loadtxt_columns(text)
+            if cols is None:
+                continue
+            taken += uniform
+            want = graph._line_columns(text)
+            assert cols[0] == want[0] and cols[4] == want[4], (case, text)
+            for got_col, want_col in zip(cols[1:4], want[1:4]):
+                assert np.array_equal(got_col, want_col), (case, text)
+    assert taken >= 350  # about half the uniform cases exercise the loadtxt reader
 
 
 def old_write_edge_list(g):
