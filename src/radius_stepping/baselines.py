@@ -1,7 +1,6 @@
 """Reference algorithms and baselines.
 
-dijkstra is the correctness oracle the engines are checked against.  bfs
-gives hop distances, rounds and the scan profile of unit-weight runs.
+dijkstra is the correctness oracle the engines are checked against.
 delta_stepping is the Delta rule (Meyer and Sanders) on the engine's
 stepping core, a baseline that differs from radius stepping only in how a
 step's threshold is picked.
@@ -13,8 +12,6 @@ every input.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,37 +37,6 @@ def dijkstra(g: Graph, s: int) -> DistanceVector:
                 heapq.heappush(heap, (nd, v))
     dist.flags.writeable = False
     return DistanceVector(source=s, dist=dist)
-
-
-@dataclass(frozen=True)
-class BfsResult:
-    dist: DistanceVector  # hop units
-    rounds: int  # eccentricity of the source within its component
-    scans: tuple[int, ...]  # per vertex in discovery order: edge scans made before it got its distance
-
-
-def bfs(g: Graph, s: int) -> BfsResult:
-    """Hop distances from s, their largest value, and the scan profile:
-    scans[j] counts the adjacency entries scanned up to the moment the
-    (j+1)-th vertex got its distance (the source at 0 scans)."""
-    _check_vertex(g, s)
-    dist = np.full(g.n, UNREACHED, dtype=np.int64)
-    dist[s] = 0
-    q = deque([s])
-    rounds = scanned = 0
-    scans = [0]
-    while q:
-        u = q.popleft()
-        du = int(dist[u])
-        ns, _ = g.neighbors(u)
-        for v in ns.tolist():
-            scanned += 1
-            if dist[v] == UNREACHED:
-                dist[v] = rounds = du + 1
-                scans.append(scanned)
-                q.append(v)
-    dist.flags.writeable = False
-    return BfsResult(dist=DistanceVector(source=s, dist=dist), rounds=rounds, scans=tuple(scans))
 
 
 def _bucket_end(w: int) -> _Threshold:

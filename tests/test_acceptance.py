@@ -15,7 +15,6 @@ from radius_stepping import (
     ExperimentConfig,
     GeneratorSpec,
     WeightSpec,
-    bfs,
     build_k_rho,
     check_bounds,
     delta_stepping,
@@ -30,7 +29,7 @@ from radius_stepping import (
     validate_k_rho,
 )
 from conftest import children, corpus, tree_ball
-from oracles import bellman_ford, build_1_rho, shortcut_greedy
+from oracles import bellman_ford, bfs, build_1_rho, shortcut_greedy
 
 
 class Budget:

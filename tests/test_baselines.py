@@ -11,7 +11,6 @@ import radius_stepping.engine as engine
 import radius_stepping.graph as graph
 from radius_stepping import (
     UNREACHED,
-    bfs,
     delta_stepping,
     dijkstra,
     from_edges,
@@ -19,7 +18,7 @@ from radius_stepping import (
     GeneratorSpec,
 )
 from conftest import random_graph
-from oracles import SizeCapError, bellman_ford, hop_matrix, k_radius_bruteforce
+from oracles import SizeCapError, bellman_ford, bfs, hop_matrix, k_radius_bruteforce
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 TRIANGLE = [(0, 1, 5), (0, 2, 1), (2, 1, 1)]

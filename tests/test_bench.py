@@ -69,7 +69,8 @@ def test_deterministic_bytes():
 def test_unweighted_baseline_is_bfs_rounds():
     cfg = small_cfg(generator=GeneratorSpec(kind="grid2d", dims=(12, 12)), rhos=(1, 10))
     rows = run_experiment(cfg)
-    from radius_stepping import bfs, generate
+    from radius_stepping import generate
+    from oracles import bfs
     import random
 
     g = generate(cfg.generator)
@@ -136,8 +137,11 @@ def test_only_null_generator_weights_mean_unweighted(weights, message):
 
 
 def test_config_validation():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^config needs exactly one of graph_path or generator$"):
         ExperimentConfig(label="x", rhos=()).validate()
+    for field, name in (("rhos", "rho"), ("ks", "k")):
+        with pytest.raises(GraphError, match=f"^{name}s must be a nonempty list of positive counts$"):
+            small_cfg(**{field: ()}).validate()
     with pytest.raises(GraphError):
         small_cfg(rhos=(0,)).validate()
     with pytest.raises(GraphError):

@@ -64,6 +64,21 @@ def test_gen_missing_dims_is_domain_error(capsys):
     assert code == 1 and "grid2d" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "--kind", "grid2d", "--w", "2", "--h", "2", "--weights", "5"), "--weights expects lo:hi, got '5'"),
+        (("gen", "--kind", "grid3d", "--x", "2", "--y", "2"), "grid3d needs --x, --y and --z"),
+        (("gen", "--kind", "adversarial"), "adversarial needs --d"),
+        (("gen", "--kind", "random", "--m", "5"), "random needs --n and --m"),
+        (("bench", "--config", "X", "--input", "Y"), "--config and --input are mutually exclusive"),
+        (("bench",), "bench needs --config or --input"),
+    ],
+)
+def test_missing_or_clashing_flags_are_domain_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_gen_then_sssp_roundtrip(tmp_path, capsys):
     f = tmp_path / "grid.txt"
     code, _, _ = run(capsys, "gen", "--kind", "grid2d", "--w", "3", "--h", "3", "-o", str(f))

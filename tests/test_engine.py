@@ -9,7 +9,6 @@ from radius_stepping import (
     WeightSpec,
     RadiusAssignment,
     UNREACHED,
-    bfs,
     build_k_rho,
     check_bounds,
     compute_ball,
@@ -24,7 +23,7 @@ from radius_stepping import (
 )
 from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, _compact, relax_batch
 from conftest import corpus, random_graph
-from oracles import bellman_ford, build_1_rho, hop_matrix
+from oracles import bellman_ford, bfs, build_1_rho, hop_matrix
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 
@@ -133,6 +132,14 @@ def test_heaviest_weight_and_radius_stay_inside_int64():
         assert engine(g, radii, 0).dist.dist.tolist() == [0, 1, 2]
     with pytest.raises(GraphError, match="radii must be at most"):
         radius_step_fast(g, RadiusAssignment.uniform(3, UNREACHED + 1), 0)
+
+
+def test_negative_radii_are_rejected():
+    g = from_edges(3, [(0, 1, 1), (1, 2, 1)])
+    radii = RadiusAssignment(np.array([1, -1, 1]))
+    for engine in (radius_step_reference, radius_step_fast, radius_step_unweighted):
+        with pytest.raises(GraphError, match="^radii must be nonnegative$"):
+            engine(g, radii, 0)
 
 
 def test_fast_single_edge_explicit_radii():
@@ -445,6 +452,21 @@ def test_check_bounds_flags_work_beyond_k_plus_2_per_edge():
     report = check_bounds(doctored, aug, 4, 2, radii=radii)
     assert report.violations == (f"{limit + 1} relaxations exceed (k+2)*2m = {limit}",)
     assert check_bounds(doctored, aug, 4, None, radii=radii).ok
+
+
+def test_check_bounds_flags_steps_beyond_the_step_limit():
+    # Zero radii on a unit path settle one vertex a step: 3 steps against a
+    # limit of 4 at rho = 1.  The log played twice still settles one vertex
+    # in every window, so the step count is its only violation.
+    g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    radii = RadiusAssignment.uniform(4, 0)
+    res = radius_step_fast(g, radii, 0)
+    assert check_bounds(res, g, 1, 1, radii=radii).ok
+    log = res.steps
+    twice = [np.concatenate((c, c)) for c in (log.d, log.active_count, log.substeps, log.relaxations, log.active)]
+    report = check_bounds(SsspResult(res.dist, StepLog(*twice)), g, 1, 1, radii=radii)
+    assert (res.step_count, report.step_limit) == (3, 4)
+    assert report.violations == ("6 steps exceed limit 4",)
 
 
 def test_check_bounds_zero_radii_not_checkable():

@@ -10,11 +10,10 @@ from radius_stepping import (
     GeneratorSpec,
     GraphError,
     WeightSpec,
-    bfs,
     generate,
     write_edge_list,
 )
-from oracles import undirected_edges
+from oracles import bfs, check_graph, undirected_edges
 
 
 def test_grid2d_counts():
@@ -30,7 +29,7 @@ def test_grid2d_edge_formula(a, b):
     g = generate(GeneratorSpec(kind="grid2d", dims=(a, b)))
     assert g.n == a * b
     assert g.m == a * (b - 1) + b * (a - 1)
-    g.validate()
+    check_graph(g)
 
 
 def test_grid3d_counts():
@@ -38,7 +37,7 @@ def test_grid3d_counts():
     assert g.n == 24
     # per-axis runs: (2-1)*3*4 + (3-1)*2*4 + (4-1)*2*3
     assert g.m == 12 + 16 + 18
-    g.validate()
+    check_graph(g)
 
 
 def test_adversarial_structure():
@@ -54,7 +53,7 @@ def test_random_connected_and_exact_m():
     g = generate(spec)
     assert (g.n, g.m) == (40, 70)
     assert bfs(g, 0).dist.reached_count() == 40
-    g.validate()
+    check_graph(g)
 
 
 def test_determinism_and_weight_seed():

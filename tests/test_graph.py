@@ -15,7 +15,6 @@ from radius_stepping import (
     GraphError,
     RadiusAssignment,
     WeightSpec,
-    bfs,
     build_k_rho,
     from_edges,
     generate,
@@ -23,13 +22,20 @@ from radius_stepping import (
     write_edge_list,
     write_radii,
 )
-from oracles import undirected_edges
+from oracles import bfs, check_graph, undirected_edges
 
 
 def test_parse_basic():
     g = parse_edge_list("0 1 5\n1 2 3\n")
     assert (g.n, g.m, g.max_weight) == (3, 2, 5)
-    g.validate()
+    check_graph(g)
+
+
+def test_graph_never_equals_a_non_graph():
+    g = from_edges(2, [(0, 1, 1)])
+    assert g.__eq__((g.n, g.m)) is NotImplemented
+    for other in (None, 2, "g", (g.indptr, g.nbr, g.wt)):
+        assert not g == other and g != other
 
 
 def test_parse_duplicate_collapses_to_min():
@@ -157,8 +163,8 @@ def test_parse_write_roundtrip_idempotent(edges):
     assert write_edge_list(g2) == write_edge_list(g3)
     assert (g1.n, g1.m, g1.max_weight) == (g2.n, g2.m, g2.max_weight)
     assert sorted(g1.labels) == sorted(g2.labels)
-    g1.validate()
-    g2.validate()
+    check_graph(g1)
+    check_graph(g2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,7 +172,7 @@ def test_parse_write_roundtrip_idempotent(edges):
 def test_from_edges_symmetric_and_validated(edges):
     n = 13
     g = from_edges(n, edges)
-    g.validate()
+    check_graph(g)
     seen = {}
     for u in range(n):
         ns, ws = g.neighbors(u)

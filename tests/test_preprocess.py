@@ -33,7 +33,7 @@ from radius_stepping import (
 )
 import radius_stepping.preprocess as preprocess
 from conftest import MUTANT_GRID, children, drop_planned_shortcut, random_graph, tree_ball
-from oracles import _lex_dijkstra, ball_bruteforce, build_1_rho, k_radius_bruteforce, shortcut_greedy
+from oracles import _lex_dijkstra, ball_bruteforce, build_1_rho, check_graph, k_radius_bruteforce, shortcut_greedy
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 STAR = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]
@@ -476,7 +476,7 @@ def test_post_shortcut_k_hop_reachability():
 def test_validate_k_rho_accepts_build_output():
     g, _ = random_graph(31337, n_hi=60, m_cap=160)
     aug, radii, _ = build_k_rho(g, 2, 4, heuristic="dp")
-    aug.validate()  # augmentation preserves every structural invariant
+    check_graph(aug)  # augmentation preserves every structural invariant
     assert validate_k_rho(aug, radii, 2, 4).ok
 
 
@@ -670,6 +670,15 @@ def test_parse_radii_rejects_ids_beyond_int64():
     assert parse_radii(f"{-(2**63)} 1\n{2**63 - 1} inf\n") == {-(2**63): 1, 2**63 - 1: UNREACHED}
     with pytest.raises(GraphError, match=r"radii line 3: vertex ids must fit int64, got 18446744073709551616"):
         parse_radii(f"0 1\n# note\n{2**64} 2\n")
+
+
+def test_parse_radii_rejects_lines_without_two_fields_and_empty_files():
+    for text in ("0 1\n1\n", "0 1\n1 2 3\n"):
+        with pytest.raises(GraphError, match="^radii line 2: expected 'v r'$"):
+            parse_radii(text)
+    for text in ("", "\n", "# only a comment\n", "  \r\n"):
+        with pytest.raises(GraphError, match="^empty radii file$"):
+            parse_radii(text)
 
 
 def test_radii_inf_roundtrip():
