@@ -45,12 +45,18 @@ class ExperimentConfig:
     def validate(self) -> None:
         if (self.graph_path is None) == (self.generator is None):
             raise GraphError("config needs exactly one of graph_path or generator")
+        # Types first: open() takes an int as a file descriptor.
+        if not isinstance(self.graph_path, (str, type(None))):
+            raise GraphError(f"graph_path must be a string, got {self.graph_path!r}")
+        if not isinstance(self.generator, (GeneratorSpec, type(None))):
+            raise GraphError(f"generator must be a GeneratorSpec, got {self.generator!r}")
         for name, counts in (("rho", self.rhos), ("k", self.ks)):
-            if not counts:
+            if not isinstance(counts, (list, tuple)) or not counts:
                 raise GraphError(f"{name}s must be a nonempty list of positive counts")
             for count in counts:
                 _check_count(name, count)
-        if not self.heuristics or any(h not in ("dp", "greedy") for h in self.heuristics):
+        listed = isinstance(self.heuristics, (list, tuple)) and self.heuristics
+        if not listed or any(h not in ("dp", "greedy") for h in self.heuristics):
             raise GraphError("heuristics must come from {dp, greedy}")
         _check_count("source_count", self.source_count)
         _check_seed(self.seed)

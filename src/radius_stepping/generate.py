@@ -50,9 +50,10 @@ class GeneratorSpec:
     def validate(self) -> None:
         """Check the spec, and that from_edges can take the graph's size,
         before generate builds any edge."""
-        axes = {"grid2d": "(w, h)", "grid3d": "(x, y, z)"}.get(self.kind)
+        axes = {"grid2d": "(w, h)", "grid3d": "(x, y, z)"}.get(self.kind) if isinstance(self.kind, str) else None
         if axes is not None:
-            if len(self.dims) != axes.count(",") + 1 or not all(_is_int(d) and d >= 1 for d in self.dims):
+            dims = self.dims if isinstance(self.dims, (list, tuple)) else ()
+            if len(dims) != axes.count(",") + 1 or not all(_is_int(d) and d >= 1 for d in dims):
                 raise GraphError(f"{self.kind} needs integer dims {axes} >= 1, got {self.dims}")
             n = math.prod(self.dims)
             edges = sum(n // d * (d - 1) for d in self.dims)
@@ -72,6 +73,8 @@ class GeneratorSpec:
             raise GraphError(f"unknown generator kind {self.kind!r}")
         _check_graph_size(n, edges)
         _check_seed(self.seed)
+        if not isinstance(self.weights, (WeightSpec, type(None))):
+            raise GraphError(f"weights must be None or a WeightSpec, got {self.weights!r}")
         if self.weights is not None:
             self.weights.validate()
 

@@ -16,6 +16,9 @@ fields or every one holds 3, ids are nonnegative, weights lie in
 fails.  Any other text goes to the line reader, which decides it and
 names the line of every error.  Ids must be below 2**63, so labels fit
 int64, and the writer formats every row through one %-template.
+
+Every integer sequence the package takes (edge columns and triples,
+labels, radii, ball sources) is taken exactly by _int64_array, or refused.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -145,19 +148,19 @@ class Graph:
 def from_edges(
     n: int,
     edges: Iterable[tuple[int, int, int]] | tuple[np.ndarray, np.ndarray, np.ndarray],
-    labels: tuple[int, ...] | None = None,
+    labels: Sequence[int] | np.ndarray | None = None,
 ) -> Graph:
     """Build a Graph from (u, v, w) triples or from three columns (u, v, w).
 
     Symmetrizes, drops self-loops, collapses parallel edges to the minimum
-    weight.  Input is taken only where it is exact: columns must be 1-D
-    integer arrays (not bool) of equal length, triples must hold three
-    integers (not bool), every value must fit int64, and n must be a
-    nonnegative int with n*max(n, 2*len(edges)) < 2**63, the bound on the
-    packed sort keys.  Weights must be >= 1, and shortest paths must stay
-    below UNREACHED (see _check_distance_bound).  Labels, if given, must be
-    n distinct integers (not bool) that fit int64, which the edge-list and
-    radii writers rely on; the graph keeps them as a tuple.  All of this is
+    weight.  Input is taken only where it is exact: each column, the values
+    of the triples and the labels are integer sequences by _int64_array's
+    rule; columns must have equal lengths and triples three values each;
+    and n must be a nonnegative int with n*max(n, 2*len(edges)) < 2**63,
+    the bound on the packed sort keys.  Weights must be >= 1, and shortest
+    paths must stay below UNREACHED (see _check_distance_bound).  Labels,
+    if given, must be n distinct ids, which the edge-list and radii writers
+    rely on; the graph keeps them as a tuple.  All of this is
     checked before anything of size n is allocated.
 
     Both sorts are unstable argsorts of packed int64 keys, each below
@@ -170,8 +173,8 @@ def from_edges(
     if len(ws) and ws.min() < 1:
         raise GraphError("edge weight must be a positive integer")
     if labels is not None:
-        labels = tuple(labels)
-        _check_labels(labels, n)
+        label = _check_labels(labels, n)
+        labels = tuple(label.tolist() if isinstance(labels, np.ndarray) else labels)
 
     # Parallel edges share the key min(u,v)*n + max(u,v); the minimum over a
     # run of equal keys does not depend on the order within it.
@@ -226,53 +229,52 @@ def _edge_columns(n: object, edges: object) -> tuple[int, np.ndarray, np.ndarray
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
     if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
-        cols = [np.asarray(col) for col in edges]
-        if any(col.ndim != 1 or len(col) != len(cols[0]) for col in cols):
+        us, vs, ws = (_int64_array("edge values", col) for col in edges)
+        if not len(us) == len(vs) == len(ws):
             raise GraphError("edge columns must be 1-D arrays of equal length")
-        if any(col.dtype.kind not in "iu" for col in cols):
-            kinds = ", ".join(str(col.dtype) for col in cols)
-            raise GraphError(f"edge columns must have an integer dtype, got {kinds}")
-        if any(col.dtype.kind == "u" and len(col) and col.max() > _INT64_MAX for col in cols):
-            raise GraphError("edge values must fit int64")
-        us, vs, ws = (col.astype(np.int64, copy=False) for col in cols)
     else:
-        triples = list(edges)
         try:
+            triples = list(edges)
             sizes = set(map(len, triples))
         except TypeError:
             sizes = {None}
         if sizes - {3}:
             raise GraphError("each edge must be a (u, v, w) triple")
-        values = _int64s("edge values", lambda: itertools.chain.from_iterable(triples), 3 * len(triples))
-        us, vs, ws = values.reshape(-1, 3).T
+        us, vs, ws = _int64_array("edge values", list(itertools.chain.from_iterable(triples))).reshape(-1, 3).T
     _check_graph_size(n, len(us))
     return n, us, vs, ws
 
 
-def _int64s(what: str, values: Callable[[], Iterator], count: int) -> np.ndarray:
-    """The `count` items values() yields (it is called twice) as int64, or
-    GraphError unless each is an integer (not bool) that fits int64."""
-    odd = [t for t in set(map(type, values())) if not issubclass(t, (int, np.integer)) or issubclass(t, bool)]
+def _int64_array(what: str, values: object) -> np.ndarray:
+    """values as a 1-D int64 array, or GraphError: the one rule for an
+    integer sequence.  An ndarray is judged by its dtype (1-D, an integer
+    dtype unless it is empty, unsigned values within int64) and is not
+    copied when it is int64 already.  A list, tuple or range is judged item
+    by item: each an int or np.integer, never bool or np.bool_, within
+    int64.  Anything else is not a 1-D sequence."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise GraphError(f"{what} must be a 1-D sequence, got shape {values.shape}")
+        if len(values) and values.dtype.kind not in "iu":
+            raise GraphError(f"{what} must be integers, got {values.dtype}")
+        if len(values) and values.dtype.kind == "u" and values.max() > _INT64_MAX:
+            raise GraphError(f"{what} must fit int64")
+        return values.astype(np.int64, copy=False)
+    if not isinstance(values, (list, tuple, range)):
+        raise GraphError(f"{what} must be a 1-D sequence, got {type(values).__name__}")
+    odd = [t for t in set(map(type, values)) if not issubclass(t, (int, np.integer)) or issubclass(t, bool)]
     if odd:
         raise GraphError(f"{what} must be integers, got {', '.join(sorted(t.__name__ for t in odd))}")
     try:
-        return np.fromiter(values(), dtype=np.int64, count=count)
+        return np.fromiter(values, dtype=np.int64, count=len(values))
     except OverflowError:
         raise GraphError(f"{what} must fit int64") from None
 
 
-def _has_bool(values: object) -> bool:
-    """Whether a list or tuple holds a bool at any depth.  numpy reads a
-    bool beside integers as 0 or 1, where _int64s rejects it."""
-    if not isinstance(values, (list, tuple)):
-        return False
-    return any(isinstance(x, (bool, np.bool_)) or _has_bool(x) for x in values)
-
-
-def _check_labels(labels: tuple[int, ...], n: int) -> np.ndarray:
+def _check_labels(labels: object, n: int) -> np.ndarray:
     """Vertex labels, in their order, as int64: n distinct integers (not
     bool) that fit int64; anything else raises GraphError."""
-    label = _int64s("vertex labels", lambda: iter(labels), len(labels))
+    label = _int64_array("vertex labels", labels)
     ordered = np.sort(label)
     if len(label) != n or (ordered[1:] == ordered[:-1]).any():
         raise GraphError(f"vertex labels must be {n} distinct ids")
@@ -405,7 +407,7 @@ def _loadtxt_columns(text: str) -> _Columns | None:
     # \x0b, \x0c, \x1c-\x1e, \x85 and \u2028, which the line reader takes for spaces.
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data"; numpy 1.x reading "2.0" as 2
+            warnings.simplefilter("error")  # "input contained no data" declines, as any warning does
             rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
     except (ValueError, Warning):
         return None

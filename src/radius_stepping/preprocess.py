@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
-    _INT64_MAX,
     UNREACHED,
     Graph,
     GraphError,
@@ -41,7 +40,7 @@ from .graph import (
     _check_vertex,
     _edge_slots,
     _half_edges,
-    _has_bool,
+    _int64_array,
     _is_int,
     _render_labeled,
     from_edges,
@@ -286,14 +285,7 @@ def _ball_chunks(g: Graph, src: np.ndarray, rho: int, tie_inclusive: bool):
 def _sources(g: Graph, sources, rho: int) -> np.ndarray:
     """The sources as a 1-D int64 array, checked against g and rho."""
     _check_count("rho", rho)
-    src = np.asarray(sources)
-    if src.size and src.dtype.kind not in "iu":
-        raise GraphError(f"vertices must be integer ids, got {src.dtype}")
-    if _has_bool(sources):
-        raise GraphError("vertices must be integer ids, got bool")
-    if src.ndim != 1:
-        raise GraphError(f"vertices must be a 1-D sequence of ids, got shape {src.shape}")
-    src = src.astype(np.int64, copy=False)
+    src = _int64_array("sources", sources)
     if len(src) and (src.min() < 0 or src.max() >= g.n):
         raise GraphError(f"vertex out of range for n={g.n}")
     return src
@@ -333,21 +325,14 @@ def _ball_premise(g: Graph, r: np.ndarray, sources, rho: int) -> tuple[np.ndarra
 class RadiusAssignment:
     """Per-vertex step radii.
 
-    r must be a 1-D integer array (not bool) of int64 values, and a list or
-    tuple may hold no bool; it is stored as a read-only int64 copy.  Its
-    range is checked where it is used.
+    r is an integer sequence as graph._int64_array takes one, stored as a
+    read-only int64 copy.  Its range is checked where it is used.
     """
 
     r: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r)
-        wide = r.dtype.kind == "u" and r.size and r.max() > _INT64_MAX
-        if r.ndim != 1 or r.dtype.kind not in "iu" or wide:
-            raise GraphError(f"radii must be a 1-D array of int64 values, got {r.dtype} of shape {r.shape}")
-        if _has_bool(self.r):
-            raise GraphError("radii must be integers, got bool")
-        r = r.astype(np.int64)
+        r = _int64_array("radii", self.r).copy()
         r.flags.writeable = False
         object.__setattr__(self, "r", r)
 
@@ -366,15 +351,16 @@ def _check_size(g: Graph, radii: RadiusAssignment) -> None:
 def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) -> str:
     """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap.
 
-    Labels, if given, must be as from_edges takes them: one distinct
-    integer (not bool) that fits int64 per radius.
+    Labels, if given, must be as from_edges takes them: one distinct id
+    per radius, by graph._int64_array's rule.
     """
     if labels is None:
         label = np.arange(len(radii.r), dtype=np.int64)
-    elif len(labels) != len(radii.r):
-        raise GraphError(f"{len(labels)} labels for {len(radii.r)} radii")
     else:
-        label = _check_labels(labels, len(radii.r))
+        label = _int64_array("vertex labels", labels)
+        if len(label) != len(radii.r):
+            raise GraphError(f"{len(label)} labels for {len(radii.r)} radii")
+        _check_labels(label, len(radii.r))
     order = np.argsort(label, kind="stable")
     return _render_labeled(label[order], radii.r[order])
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -150,6 +151,38 @@ def test_config_validation():
         ExperimentConfig(
             label="x", rhos=(1,), graph_path="a", generator=small_cfg().generator
         ).validate()
+
+
+def test_config_fields_are_checked_by_type_before_anything_is_opened(monkeypatch):
+    # graph_path=3 read file descriptor 3 and closed it, so a sweep ran on
+    # a pipe's text; rhos=5 raised a bare TypeError and generator="grid" an
+    # AttributeError.
+    cells = []
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
+    read, write = os.pipe()
+    try:
+        os.write(write, b"0 1 1\n")
+        os.close(write)
+        with pytest.raises(GraphError, match=f"^graph_path must be a string, got {read}$"):
+            run_experiment(small_cfg(generator=None, graph_path=read))
+        assert os.read(read, 100) == b"0 1 1\n"  # the pipe's bytes are still unread
+    finally:
+        os.close(read)
+    cases = (
+        (dict(generator=None, graph_path=True), "^graph_path must be a string, got True$"),
+        (dict(generator=None, graph_path=3.5), "^graph_path must be a string, got 3.5$"),
+        (dict(rhos=5), "^rhos must be a nonempty list of positive counts$"),
+        (dict(ks=5), "^ks must be a nonempty list of positive counts$"),
+        (dict(heuristics=5), "^heuristics must come from"),
+        (dict(generator="grid"), "^generator must be a GeneratorSpec, got 'grid'$"),
+        (dict(generator=GeneratorSpec(kind="grid2d", dims=(3, 3), weights="x")), "^weights must be None or a"),
+        (dict(generator=GeneratorSpec(kind="grid2d", dims=5)), "^grid2d needs integer dims"),
+    )
+    for overrides, message in cases:
+        with pytest.raises(GraphError, match=message):
+            run_experiment(small_cfg(**overrides))
+    assert cells == []
+    small_cfg(rhos=[2], ks=[1], heuristics=["dp", "greedy"]).validate()  # a list serves as a tuple does
 
 
 def test_source_count_must_be_an_integer():

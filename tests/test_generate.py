@@ -111,11 +111,16 @@ def test_invalid_specs_rejected(spec):
         (GeneratorSpec(kind="grid2d", dims=(2, 2), weights=WeightSpec(1.5, 3)), "need integers 1 <= lo <= hi"),
         (GeneratorSpec(kind="grid2d", dims=(2, 2), weights=WeightSpec(1.0, 3.0)), "need integers 1 <= lo <= hi"),
         (GeneratorSpec(kind="grid2d", dims=(2, 2), weights=WeightSpec(True, True)), "need integers 1 <= lo <= hi"),
+        (GeneratorSpec(kind="grid2d", dims=(2, 2), weights="x"), "^weights must be None or a WeightSpec, got 'x'$"),
+        (GeneratorSpec(kind="grid2d", dims=(2, 2), weights=(1, 5)), "^weights must be None or a WeightSpec"),
+        (GeneratorSpec(kind="grid2d", dims=5), r"^grid2d needs integer dims \(w, h\) >= 1, got 5$"),
+        (GeneratorSpec(kind="grid3d", dims="234"), r"^grid3d needs integer dims \(x, y, z\) >= 1, got 234$"),
+        (GeneratorSpec(kind=["grid2d"]), r"^unknown generator kind \['grid2d'\]$"),
     ],
 )
 def test_sizes_and_weights_must_be_integers(spec, message):
-    # These raised a bare TypeError or ValueError, built a 1x3 grid from
-    # dims=(True, 3), or drew weights from float bounds.
+    # These raised a bare TypeError, ValueError or AttributeError, built a
+    # 1x3 grid from dims=(True, 3), or drew weights from float bounds.
     with pytest.raises(GraphError, match=message):
         generate(spec)
 

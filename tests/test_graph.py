@@ -15,6 +15,7 @@ from radius_stepping import (
     GraphError,
     RadiusAssignment,
     WeightSpec,
+    ball_arrays,
     build_k_rho,
     from_edges,
     generate,
@@ -136,6 +137,91 @@ def test_labels_must_be_integers():
     assert from_edges(2, [(0, 1, 5)], labels=np.array([9, 4], dtype=np.uint16)).labels == (9, 4)
 
 
+# One rule for every integer sequence the package takes.  Each entry point
+# below gets the same values, three items long where it matters, and hands
+# back what it made of them in a form that compares with ==.
+_PATH8 = from_edges(8, [(v, v + 1, 1) for v in range(7)])
+_ENTRY_POINTS = {
+    "from_edges column": lambda vals, k: write_edge_list(
+        from_edges(8, (np.array([7, 6, 5][:k]), vals, np.array([1, 2, 3][:k])))
+    ),
+    "from_edges triples": lambda vals, k: write_edge_list(from_edges(8, [vals])),
+    "from_edges labels": lambda vals, k: from_edges(k, [], labels=vals).labels,
+    "write_radii labels": lambda vals, k: write_radii(RadiusAssignment.uniform(k, 1), labels=vals),
+    "RadiusAssignment": lambda vals, k: RadiusAssignment(vals).r.tolist(),
+    "ball_arrays sources": lambda vals, k: [col.tolist() for col in ball_arrays(_PATH8, vals, 2)],
+}
+_REFUSED = [
+    [0, 1.5, 2],
+    [0, np.float64(2), 1],
+    np.array([0.0, 1.0, 2.0]),
+    np.array([True, False, True]),
+    [True, 1, 2],
+    [0, np.True_, 2],
+    [[0], [True], [2]],
+    [[0], [np.True_], [2]],
+    [0, "5", 2],
+    [0, 2**63, 1],
+    [0, -(2**63) - 1, 1],
+    [2**70, 0, 1],
+    np.array([0, 2**63, 1], dtype=np.uint64),
+    np.array([0, 1, 2], dtype=object),
+    np.zeros((3, 1), dtype=np.int64),
+    [[0, 1], [2, 3], [4, 5]],
+    [np.array(1), 2, 3],
+    5,
+    np.int64(5),
+    None,
+]
+_ACCEPTED = [
+    ([0, 5, 3], [0, 5, 3]),
+    ((np.int64(1), np.int32(2), np.uint8(3)), [1, 2, 3]),
+    (range(3), [0, 1, 2]),
+    (np.array([0, 5, 3], dtype=np.int32), [0, 5, 3]),
+    (np.array([0, 5, 3], dtype=np.uint16), [0, 5, 3]),
+    ([], []),
+    ((), []),
+    (np.array([]), []),
+]
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_takes_integer_sequences_by_one_rule(entry):
+    take = _ENTRY_POINTS[entry]
+    forms = r"must be integers, got |must fit int64$|must be a 1-D sequence, got |\(u, v, w\) triple$"
+    for vals in _REFUSED:
+        if vals is None and entry.endswith("labels"):  # None is "no labels"
+            continue
+        if entry == "from_edges triples" and isinstance(vals, np.ndarray) and vals.dtype == object:
+            assert take(vals, 3) == take((0, 1, 2), 3)  # a triple is a container: its items are ints
+            continue
+        with pytest.raises(GraphError, match=forms):
+            take(vals, 3)
+    for vals, want in _ACCEPTED:
+        if entry == "from_edges triples" and len(want) != 3:  # its own rule: three values per triple
+            with pytest.raises(GraphError, match=r"\(u, v, w\) triple$"):
+                take(vals, len(want))
+            continue
+        assert take(vals, len(want)) == take(np.array(want, dtype=np.int64), len(want)), (entry, vals)
+    assert from_edges(3, [], labels=[0, 5, 3]).labels == (0, 5, 3)
+    assert all(type(x) is int for x in from_edges(3, [], labels=np.array([0, 5, 3])).labels)
+    assert RadiusAssignment(np.array([4, 1], dtype=np.uint8)).r.tolist() == [4, 1]
+    for edges in (5, np.int64(5), None):  # neither triples nor columns
+        with pytest.raises(GraphError, match=r"\(u, v, w\) triple$"):
+            from_edges(3, edges)
+
+
+def test_labels_must_be_a_sequence_in_order():
+    # A set's labels would be assigned in hash order, and a generator or an
+    # object array was made a tuple before the check.
+    radii = RadiusAssignment.uniform(3, 1)
+    for labels in ({7, 3, 5}, (x for x in (7, 3, 5)), np.array([7, 3, 5], dtype=object)):
+        with pytest.raises(GraphError, match="^vertex labels must be (a 1-D sequence|integers), got "):
+            from_edges(3, [], labels=labels)
+        with pytest.raises(GraphError, match="^vertex labels must be (a 1-D sequence|integers), got "):
+            write_radii(radii, labels=labels)
+
+
 def test_line_reader_weight_errors_carry_the_line_number():
     for text, lineno, message in (("0 1 2\n\n1 2 0\n", 3, "weight must be >= 1, got 0"),
                                   (f"0 1 2\n1 2 {2**62}\n", 2, r"weight must be below 2\*\*62")):
@@ -200,21 +286,21 @@ def _cols(*cols):
 @pytest.mark.parametrize(
     "n, edges, labels, message",
     [
-        (3, _cols([0, 1], [1, 2], [1.5, 2.7]), None, "integer dtype, got int64, int64, float64"),
+        (3, _cols([0, 1], [1, 2], [1.5, 2.7]), None, "^edge values must be integers, got float64$"),
         (3, [(0, 1, 1.5), (1, 2, 2.7)], None, "must be integers, got float"),
         (3, [(0.9, 1, 2)], None, "must be integers, got float"),
         (3, [(0, 1, "5")], None, "must be integers, got str"),
         (3, [(0, 1, True), (1, 2, 3)], None, "must be integers, got bool"),
-        (3, _cols([0], [1], [True]), None, "integer dtype, got int64, int64, bool"),
-        (3, _cols([0], [1], ["5"]), None, "integer dtype"),
-        (3, _cols([0], [1], np.array([5], dtype=object)), None, "integer dtype"),
+        (3, _cols([0], [1], [True]), None, "^edge values must be integers, got bool$"),
+        (3, _cols([0], [1], ["5"]), None, "^edge values must be integers, got <U1$"),
+        (3, _cols([0], [1], np.array([5], dtype=object)), None, "^edge values must be integers, got object$"),
         (3, [(0, 1, np.float64(2))], None, "must be integers, got float64"),
         (-1, [], None, "vertex count must be nonnegative, got -1"),
         (3.0, [(0, 1, 2)], None, "vertex count must be an integer, got 3.0"),
         (2**62, [], None, r"graph too large: n\*max\(n, 2\*edges\)"),
         (2**62 + 5, [(0, 1, 1)], None, "graph too large"),
         (3, _cols([0, 1], [1, 2], [4]), None, "1-D arrays of equal length"),
-        (3, _cols([[0]], [[1]], [[4]]), None, "1-D arrays of equal length"),
+        (3, _cols([[0]], [[1]], [[4]]), None, r"^edge values must be a 1-D sequence, got shape \(1, 1\)$"),
         (3, [(0, 1)], None, r"\(u, v, w\) triple"),
         (3, [(0, 1, 2), (0, 1, 2, 3)], None, r"\(u, v, w\) triple"),
         (3, [7], None, r"\(u, v, w\) triple"),

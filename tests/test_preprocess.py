@@ -713,7 +713,7 @@ def test_ball_search_rejects_non_integer_sources():
     # search the balls of vertices 0 and 1.
     g = from_edges(3, PATH)
     for sources in ([0.7], [1.9], [True], np.ones(2)):
-        with pytest.raises(GraphError, match="vertices must be integer ids"):
+        with pytest.raises(GraphError, match="^sources must be integers, got (float|bool|float64)$"):
             ball_arrays(g, sources, 2)
     assert all(len(col) == 0 for col in ball_arrays(g, [], 4))  # an empty list is float-typed
     small = np.array([2, 0], dtype=np.uint8)
@@ -751,9 +751,9 @@ def test_counts_must_be_integers():
 def test_radius_assignment_takes_only_integer_radii():
     # A float r would reach the engine, whose int(keys.min()) truncates thresholds.
     for r in (np.array([0.5, 1.5, 2.5]), [0.0, 1.0, 2.0], np.ones(3, dtype=bool), np.zeros((3, 1), dtype=np.int64)):
-        with pytest.raises(GraphError, match="radii must be a 1-D array of int64 values"):
+        with pytest.raises(GraphError, match="^radii must be (integers, got (float|bool)|a 1-D sequence, got shape)"):
             RadiusAssignment(r)
-    with pytest.raises(GraphError, match="radii must be a 1-D array of int64 values"):
+    with pytest.raises(GraphError, match="^radii must fit int64$"):
         RadiusAssignment(np.array([2**63], dtype=np.uint64))
     mine = np.array([1, 2, 3], dtype=np.int32)
     radii = RadiusAssignment(mine)
@@ -766,7 +766,7 @@ def test_radius_assignment_takes_only_integer_radii():
 def test_uniform_radii_must_be_integers():
     # 2.5 was truncated to 2 and True read as 1; 2**63 raised a bare OverflowError.
     for value in (2.5, True, 2**63, np.float64(1), "1"):
-        with pytest.raises(GraphError, match="radii must be a 1-D array of int64 values"):
+        with pytest.raises(GraphError, match="^radii must (be integers, got (float64|bool|<U1)|fit int64)$"):
             RadiusAssignment.uniform(3, value)
     assert RadiusAssignment.uniform(3, UNREACHED).r.tolist() == [UNREACHED] * 3
     assert RadiusAssignment.uniform(2, np.int32(4)).r.tolist() == [4, 4]
@@ -780,10 +780,10 @@ def test_a_bool_item_in_an_integer_list_is_rejected():
         with pytest.raises(GraphError, match="^radii must be integers, got bool$"):
             RadiusAssignment(r)
     for sources in ([True, 2], (0, np.True_), [[2], [False]]):
-        with pytest.raises(GraphError, match="^vertices must be integer ids, got bool$"):
+        with pytest.raises(GraphError, match="^sources must be integers, got (bool|list)$"):
             ball_arrays(g, sources, 2)
     assert RadiusAssignment([1, np.int32(2), 3]).r.tolist() == [1, 2, 3]
-    with pytest.raises(GraphError, match=r"^vertices must be a 1-D sequence of ids, got shape \(2, 1\)$"):
+    with pytest.raises(GraphError, match="^sources must be integers, got list$"):
         ball_arrays(g, [[2], [0]], 2)
 
 
@@ -792,7 +792,7 @@ def test_ball_arrays_rejects_nested_sources():
     # came back for a two-by-two array; a scalar became one source.
     g = from_edges(3, PATH)
     for sources in ([[0, 1], [2, 0]], np.zeros((2, 1), dtype=np.int64), np.int64(1), 1, [[]]):
-        with pytest.raises(GraphError, match="^vertices must be a 1-D sequence of ids, got shape"):
+        with pytest.raises(GraphError, match="^sources must be (integers, got list$|a 1-D sequence, got (shape|int))"):
             ball_arrays(g, sources, 2)
     assert ball_arrays(g, np.array([0, 1, 2]), 2)[0].tolist() == [0, 0, 1, 1, 2, 2]  # one ball per source
 
