@@ -11,7 +11,7 @@ import sys
 from .bench import ExperimentConfig, config_from_json, emit_csv, emit_summary, run_experiment
 from .engine import radius_step_fast, radius_step_reference, radius_step_unweighted, step_records_csv
 from .generate import GeneratorSpec, WeightSpec, generate
-from .graph import Graph, GraphError, _label_ids, _read_text, _render_labeled, parse_edge_list, write_edge_list
+from .graph import Graph, GraphError, _read_text, _render_labeled, parse_edge_list, write_edge_list
 from .preprocess import (
     RadiusAssignment,
     build_k_rho,
@@ -97,10 +97,10 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_sssp(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    try:
-        source = g.labels.index(args.source)
-    except ValueError:
-        raise GraphError(f"source {args.source} is not a vertex label in {args.input}") from None
+    (hit,) = (g.labels == args.source).nonzero()
+    if not len(hit):
+        raise GraphError(f"source {args.source} is not a vertex label in {args.input}")
+    source = int(hit[0])
     if args.radii is not None:
         radii = _read_radii(args.radii, g)
     else:
@@ -115,7 +115,7 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
         "unweighted": radius_step_unweighted,
     }[args.engine]
     res = engine(g, radii, source)
-    sys.stdout.write(_render_labeled(_label_ids(g.labels, g.n), res.dist.dist))
+    sys.stdout.write(_render_labeled(g.labels, res.dist.dist))
     if args.stats is not None:
         _write_out(args.stats, step_records_csv(res))
     print(f"{res.step_count} steps, {res.total_substeps()} substeps", file=sys.stderr)

@@ -15,7 +15,8 @@ fields or every one holds 3, ids are nonnegative, weights lie in
 [1, 2**62), '#' starts only comment lines, and loadtxt neither warns nor
 fails.  Any other text goes to the line reader, which decides it and
 names the line of every error.  Ids must be below 2**63, so labels fit
-int64, and the writer formats every row through one %-template.
+int64, and the writer formats every row through one %-template.  Every
+Graph keeps its labels as a read-only int64 array (0..n-1 if none given).
 
 Every integer sequence the package takes (edge columns and triples,
 labels, radii, ball sources) is taken exactly by _int64_array, or refused.
@@ -107,8 +108,9 @@ class Graph:
     n: vertex count; m: undirected edge count; max_weight: heaviest stored
     weight (1 for edgeless graphs).  indptr/nbr/wt form the CSR arrays over
     directed half-edges (each undirected edge appears in both directions).
-    labels maps dense ids back to the ids seen in the input: parse_edge_list
-    always sets them, and from_edges keeps the ones it is given.
+    labels is a read-only int64 array of n distinct ids, labels[v] for
+    dense id v: the ids seen in the input for parse_edge_list, the ones
+    from_edges is given, or 0..n-1 when it is given none.
     """
 
     n: int
@@ -117,7 +119,7 @@ class Graph:
     indptr: np.ndarray
     nbr: np.ndarray
     wt: np.ndarray
-    labels: tuple[int, ...] | None = None
+    labels: np.ndarray
 
     def __eq__(self, other: object) -> bool:
         # Structural value only; the label map is provenance metadata.
@@ -141,9 +143,6 @@ class Graph:
     def is_unit_weight(self) -> bool:
         return self.max_weight == 1 or self.m == 0
 
-    def label_of(self, v: int) -> int:
-        return self.labels[v] if self.labels is not None else v
-
 
 def from_edges(
     n: int,
@@ -160,8 +159,9 @@ def from_edges(
     the bound on the packed sort keys.  Weights must be >= 1, and shortest
     paths must stay below UNREACHED (see _check_distance_bound).  Labels,
     if given, must be n distinct ids, which the edge-list and radii writers
-    rely on; the graph keeps them as a tuple.  All of this is
-    checked before anything of size n is allocated.
+    rely on; the graph keeps a read-only copy (the caller may own them),
+    or 0..n-1 if none are given.  All this is checked before anything of
+    size n is allocated.
 
     Both sorts are unstable argsorts of packed int64 keys, each below
     n*max(n, 2*len(edges)): one groups parallel edges, two give the CSR
@@ -173,8 +173,7 @@ def from_edges(
     if len(ws) and ws.min() < 1:
         raise GraphError("edge weight must be a positive integer")
     if labels is not None:
-        label = _check_labels(labels, n)
-        labels = tuple(label.tolist() if isinstance(labels, np.ndarray) else labels)
+        labels = _check_labels(labels, n)
 
     # Parallel edges share the key min(u,v)*n + max(u,v); the minimum over a
     # run of equal keys does not depend on the order within it.
@@ -214,7 +213,8 @@ def from_edges(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n), out=indptr[1:])
     max_weight = int(ws.max()) if m else 1
-    for arr in (indptr, dst, w2):
+    labels = np.arange(n, dtype=np.int64) if labels is None else labels.copy()
+    for arr in (indptr, dst, w2, labels):
         arr.flags.writeable = False
     return Graph(n=n, m=m, max_weight=max_weight, indptr=indptr, nbr=dst, wt=w2, labels=labels)
 
@@ -346,7 +346,7 @@ def parse_edge_list(text: str) -> Graph:
     return from_edges(n, (us, vs, ws), labels=labels)
 
 
-_Columns = tuple[int, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
+_Columns = tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _line_columns(text: str) -> _Columns:
@@ -365,7 +365,7 @@ def _line_columns(text: str) -> _Columns:
         return idx
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
@@ -395,7 +395,7 @@ def _line_columns(text: str) -> _Columns:
     if not id_map:
         raise GraphError("empty edge list")
     cols = [np.asarray(col, dtype=np.int64) for col in (us, vs, ws)]
-    return (len(id_map), *cols, tuple(id_map.keys()))
+    return (len(id_map), *cols, np.fromiter(id_map, dtype=np.int64, count=len(id_map)))
 
 
 def _loadtxt_columns(text: str) -> _Columns | None:
@@ -422,7 +422,7 @@ def _loadtxt_columns(text: str) -> _Columns | None:
     dense = np.empty(len(order), dtype=np.int64)
     dense[order] = np.arange(len(order))
     dense = dense[inverse]
-    return len(raw), dense[0::2], dense[1::2], w, tuple(raw[order].tolist())
+    return len(raw), dense[0::2], dense[1::2], w, raw[order]
 
 
 def _half_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -447,11 +447,6 @@ def _render(rows: np.ndarray, brief: np.ndarray, full: str, short: str) -> str:
     return "".join(map((full, short).__getitem__, brief.tolist())) % tuple(rows.ravel().tolist())
 
 
-def _label_ids(labels: tuple[int, ...] | None, n: int) -> np.ndarray:
-    """The labels as int64, or the ids 0..n-1 where there are none."""
-    return np.arange(n, dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
-
-
 def _render_labeled(label: np.ndarray, value: np.ndarray) -> str:
     """One "label value\\n" line per entry, with "inf" for UNREACHED or more."""
     return _render(np.column_stack((label, value)), value >= UNREACHED, "%d %d\n", "%d inf%.0s\n")
@@ -474,10 +469,10 @@ def write_edge_list(g: Graph) -> str:
     """Render each undirected edge once as "u v w\\n" with u < v, sorted by (u, v).
 
     A vertex with no edge gets a line "u\\n" of its own, in label order
-    among the edge lines.  Ids are the graph's labels (the retained input
-    ids, distinct and within int64), so the text is a pure function of the
-    labeled value: parsing it back and re-writing reproduces the same
-    bytes, which makes parse/write idempotent after the first parse.
+    among the edge lines.  Ids are the graph's labels (its read-only int64
+    array of distinct ids), so the text is a pure function of the labeled
+    value: parsing it back and re-writing reproduces the same bytes, which
+    makes parse/write idempotent after the first parse.
     """
     rows = _edge_rows(g)
     return _render(rows, rows[:, 2] == 0, "%d %d %d\n", "%d%.0s%.0s\n")
@@ -489,11 +484,10 @@ def _edge_rows(g: Graph) -> np.ndarray:
     its own, so its scratch arrays are freed before the text is built."""
     u, v, w = _half_edges(g)
     lone = np.flatnonzero(np.diff(g.indptr) == 0)
-    label = _label_ids(g.labels, g.n)
-    by_rank = np.argsort(label)
+    by_rank = np.argsort(g.labels)
     rank = np.empty(g.n, dtype=np.int64)
     rank[by_rank] = np.arange(g.n)
-    label = label[by_rank]
+    label = g.labels[by_rank]
     # Labels are distinct, so ordering by label rank is ordering by label.
     # Rows sort by (lesser rank, greater rank) packed as lo*n + hi, and a
     # vertex with no edge as rank*n, which no edge row shares: the graph is

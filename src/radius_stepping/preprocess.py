@@ -348,19 +348,16 @@ def _check_size(g: Graph, radii: RadiusAssignment) -> None:
         raise GraphError("radius assignment does not match graph size")
 
 
-def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) -> str:
+def write_radii(radii: RadiusAssignment, labels: np.ndarray | None = None) -> str:
     """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap.
 
     Labels, if given, must be as from_edges takes them: one distinct id
     per radius, by graph._int64_array's rule.
     """
-    if labels is None:
-        label = np.arange(len(radii.r), dtype=np.int64)
-    else:
-        label = _int64_array("vertex labels", labels)
-        if len(label) != len(radii.r):
-            raise GraphError(f"{len(label)} labels for {len(radii.r)} radii")
-        _check_labels(label, len(radii.r))
+    label = np.arange(len(radii.r), dtype=np.int64) if labels is None else _int64_array("vertex labels", labels)
+    if len(label) != len(radii.r):
+        raise GraphError(f"{len(label)} labels for {len(radii.r)} radii")
+    _check_labels(label, len(radii.r))
     order = np.argsort(label, kind="stable")
     return _render_labeled(label[order], radii.r[order])
 
@@ -368,7 +365,7 @@ def write_radii(radii: RadiusAssignment, labels: tuple[int, ...] | None = None) 
 def parse_radii(text: str) -> dict[int, int]:
     pairs: dict[int, int] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
@@ -393,12 +390,10 @@ def parse_radii(text: str) -> dict[int, int]:
 
 def radii_for_graph(pairs: dict[int, int], g: Graph) -> np.ndarray:
     """Align parsed (label, radius) pairs to a graph's dense vertex ids."""
-    arr = np.empty(g.n, dtype=np.int64)
-    for v in range(g.n):
-        lab = g.label_of(v)
-        if lab not in pairs:
-            raise GraphError(f"radii file is missing vertex {lab}")
-        arr[v] = pairs[lab]
+    # Radii are >= 0, so -1 marks a label the file does not list.
+    arr = np.array([pairs.get(lab, -1) for lab in g.labels.tolist()], dtype=np.int64)
+    if (arr < 0).any():
+        raise GraphError(f"radii file is missing vertex {g.labels[np.argmax(arr < 0)]}")
     if len(pairs) != g.n:
         raise GraphError(f"radii file covers {len(pairs)} vertices, graph has {g.n}")
     return arr

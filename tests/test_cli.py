@@ -291,7 +291,7 @@ def test_sssp_source_is_a_label_in_every_file(tmp_path, capsys):
     assert run(capsys, "preprocess", "-i", str(grid), "--rho", "4", "-o", str(aug), "--radii", str(rad))[0] == 0
     g = parse_edge_list(grid.read_text())
     assert (g.labels[2], parse_edge_list(aug.read_text()).labels[2]) == (4, 2)
-    expected = {str(g.labels[v]): str(d) for v, d in enumerate(dijkstra(g, g.labels.index(2)).dist.tolist())}
+    expected = {str(g.labels[v]): str(d) for v, d in enumerate(dijkstra(g, g.labels.tolist().index(2)).dist.tolist())}
     for argv in (("-i", str(grid), "--rho", "1"), ("-i", str(aug), "--radii", str(rad))):
         code, out, err = run(capsys, "sssp", *argv, "-s", "2")
         assert code == 0, err
@@ -425,15 +425,15 @@ def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given
     )
     assert code == 0
     g = parse_edge_list(src.read_text())
-    source_label = data.draw(st.sampled_from(g.labels))
+    source_label = data.draw(st.sampled_from(g.labels.tolist()))
     code, out, err = run(
         capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", str(source_label),
         "--engine", engine, "--stats", str(stats),
     )
     assert code == 0, err
-    oracle = dijkstra(g, g.labels.index(source_label))
+    oracle = dijkstra(g, g.labels.tolist().index(source_label))
     dists = oracle.dist.tolist()
-    expected = {str(g.label_of(v)): "inf" if d >= UNREACHED else str(d) for v, d in enumerate(dists)}
+    expected = {str(g.labels[v]): "inf" if d >= UNREACHED else str(d) for v, d in enumerate(dists)}
     assert dict(line.split() for line in out.splitlines()) == expected
     step_count = int(err.split()[0])
     rows = stats.read_text().splitlines()

@@ -70,8 +70,7 @@ def test_parse_empty_is_domain_error():
 def test_parse_comments_crlf_default_weight():
     g = parse_edge_list("# header\r\n3 7\r\n7 9 4\r\n")
     assert (g.n, g.m, g.max_weight) == (3, 2, 4)
-    assert g.labels == (3, 7, 9)
-    assert [g.label_of(v) for v in range(3)] == [3, 7, 9]
+    assert g.labels.tolist() == [3, 7, 9]
 
 
 def test_self_loops_dropped():
@@ -132,9 +131,33 @@ def test_labels_must_be_integers():
             from_edges(2, [(0, 1, 5)], labels=labels)
     mine = [7, 3]
     g = from_edges(2, [(0, 1, 5)], labels=mine)
-    mine[0] = 3  # the graph keeps its own tuple, not the caller's list
-    assert g.labels == (7, 3) and write_edge_list(g) == "3 7 5\n"
-    assert from_edges(2, [(0, 1, 5)], labels=np.array([9, 4], dtype=np.uint16)).labels == (9, 4)
+    mine[0] = 3  # the graph keeps its own array, not the caller's list
+    assert g.labels.tolist() == [7, 3] and write_edge_list(g) == "3 7 5\n"
+    assert from_edges(2, [(0, 1, 5)], labels=np.array([9, 4], dtype=np.uint16)).labels.tolist() == [9, 4]
+
+
+def test_every_graph_has_read_only_int64_labels():
+    owned = np.array([8, 6, 4], dtype=np.int64)
+    mutated = from_edges(3, [(0, 1, 2)], labels=owned)
+    owned[0] = 5  # the caller's array changes after the graph is made
+    aug, _, added = build_k_rho(parse_edge_list("10 20 1\n20 30 1\n30 40 1\n40 50 1\n"), 1, 4)
+    assert added > 0
+    assert graph._loadtxt_columns("7 3 2\n3 9 5\n") is not None and graph._loadtxt_columns("7 3 2\n11\n") is None
+    cases = {
+        "loadtxt": (parse_edge_list("7 3 2\n3 9 5\n"), [7, 3, 9]),
+        "line reader": (parse_edge_list("7 3 2\n11\n3 9 5\n"), [7, 3, 11, 9]),
+        "no labels": (from_edges(3, [(0, 1, 2)]), [0, 1, 2]),
+        "list": (from_edges(3, [(0, 1, 2)], labels=[5, 1, 9]), [5, 1, 9]),
+        "tuple": (from_edges(3, [(0, 1, 2)], labels=(5, 1, 9)), [5, 1, 9]),
+        "int32": (from_edges(3, [(0, 1, 2)], labels=np.array([5, 1, 9], dtype=np.int32)), [5, 1, 9]),
+        "mutated int64": (mutated, [8, 6, 4]),
+        "generate": (generate(GeneratorSpec("grid2d", dims=(3, 2))), list(range(6))),
+        "augmented": (aug, [10, 20, 30, 40, 50]),
+    }
+    for case, (g, want) in cases.items():
+        assert isinstance(g.labels, np.ndarray) and g.labels.dtype == np.int64, case
+        assert len(g.labels) == g.n and not g.labels.flags.writeable, case
+        assert g.labels.tolist() == want, case
 
 
 # One rule for every integer sequence the package takes.  Each entry point
@@ -146,7 +169,7 @@ _ENTRY_POINTS = {
         from_edges(8, (np.array([7, 6, 5][:k]), vals, np.array([1, 2, 3][:k])))
     ),
     "from_edges triples": lambda vals, k: write_edge_list(from_edges(8, [vals])),
-    "from_edges labels": lambda vals, k: from_edges(k, [], labels=vals).labels,
+    "from_edges labels": lambda vals, k: from_edges(k, [], labels=vals).labels.tolist(),
     "write_radii labels": lambda vals, k: write_radii(RadiusAssignment.uniform(k, 1), labels=vals),
     "RadiusAssignment": lambda vals, k: RadiusAssignment(vals).r.tolist(),
     "ball_arrays sources": lambda vals, k: [col.tolist() for col in ball_arrays(_PATH8, vals, 2)],
@@ -203,8 +226,9 @@ def test_every_entry_point_takes_integer_sequences_by_one_rule(entry):
                 take(vals, len(want))
             continue
         assert take(vals, len(want)) == take(np.array(want, dtype=np.int64), len(want)), (entry, vals)
-    assert from_edges(3, [], labels=[0, 5, 3]).labels == (0, 5, 3)
-    assert all(type(x) is int for x in from_edges(3, [], labels=np.array([0, 5, 3])).labels)
+    assert from_edges(3, [], labels=[0, 5, 3]).labels.tolist() == [0, 5, 3]
+    label = from_edges(3, [], labels=np.array([0, 5, 3])).labels
+    assert label.dtype == np.int64 and not label.flags.writeable
     assert RadiusAssignment(np.array([4, 1], dtype=np.uint8)).r.tolist() == [4, 1]
     for edges in (5, np.int64(5), None):  # neither triples nor columns
         with pytest.raises(GraphError, match=r"\(u, v, w\) triple$"):
@@ -451,7 +475,7 @@ def test_graph_is_immutable():
 
 def test_ids_must_fit_int64():
     g = parse_edge_list(f"{2**63 - 1} 1 5\n")
-    assert g.labels == (2**63 - 1, 1)
+    assert g.labels.tolist() == [2**63 - 1, 1]
     with pytest.raises(EdgeListParseError, match=r"vertex ids must be below 2\*\*63") as err:
         parse_edge_list(f"0 1 5\n# note\n1 {2**64} 5\n")
     assert err.value.lineno == 3
@@ -537,7 +561,7 @@ def _same(got, want):
     if got[0] != "ok" or want[0] != "ok":
         return got == want
     g, h = got[1], want[1]
-    return g == h and g.labels == h.labels
+    return g == h and np.array_equal(g.labels, h.labels)
 
 
 @pytest.mark.parametrize("seed", [9001, 9005, 74536])
@@ -557,7 +581,7 @@ def test_fast_reader_equals_line_reader(seed):
                 continue
             taken += uniform
             want = graph._line_columns(text)
-            assert cols[0] == want[0] and cols[4] == want[4], (case, text)
+            assert cols[0] == want[0] and np.array_equal(cols[4], want[4]), (case, text)
             for got_col, want_col in zip(cols[1:4], want[1:4]):
                 assert np.array_equal(got_col, want_col), (case, text)
     assert taken >= 350  # about half the uniform cases exercise the loadtxt reader
@@ -567,11 +591,11 @@ def old_write_edge_list(g):
     """write_edge_list as one formatted row per edge: the oracle."""
     rows = []
     for u, v, w in undirected_edges(g):
-        lu, lv = g.label_of(u), g.label_of(v)
+        lu, lv = int(g.labels[u]), int(g.labels[v])
         if lu > lv:
             lu, lv = lv, lu
         rows.append((lu, lv, w))
-    rows.extend((g.label_of(u), 0, 0) for u in np.flatnonzero(np.diff(g.indptr) == 0).tolist())
+    rows.extend((int(g.labels[u]), 0, 0) for u in np.flatnonzero(np.diff(g.indptr) == 0).tolist())
     rows.sort()
     return "".join(f"{u} {v} {w}\n" if w else f"{u}\n" for u, v, w in rows)
 
@@ -618,7 +642,7 @@ def test_writers_equal_per_row_formatting():
         g = from_edges(n, edges, labels=_writer_labels(rng, n))
         text = write_edge_list(g)
         assert text == old_write_edge_list(g), case
-        if g.labels is None or min(g.labels) >= 0:
+        if g.labels.min() >= 0:
             assert write_edge_list(parse_edge_list(text)) == text, case
         else:  # negative labels are written, but no edge list reads them
             with pytest.raises(EdgeListParseError, match="vertex ids must be nonnegative"):

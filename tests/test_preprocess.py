@@ -94,7 +94,7 @@ def test_build_k_rho_without_shortcuts_returns_the_input():
     complete = from_edges(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
     for g, k, rho in ((sparse, 1, 1), (complete, 1, 4), (complete, 2, 3)):
         aug, _, added = build_k_rho(g, k, rho)
-        assert aug is g and aug.labels == g.labels
+        assert aug is g and np.array_equal(aug.labels, g.labels)
         assert added == 0
 
 
@@ -679,6 +679,11 @@ def test_parse_radii_rejects_lines_without_two_fields_and_empty_files():
     for text in ("", "\n", "# only a comment\n", "  \r\n"):
         with pytest.raises(GraphError, match="^empty radii file$"):
             parse_radii(text)
+
+
+def test_parse_radii_takes_crlf_and_a_bare_cr_ending():
+    assert parse_radii("0 5\r\n1 inf\r\n") == {0: 5, 1: 2**62}
+    assert parse_radii("# note\r\n0 5\r\n1 inf\r") == {0: 5, 1: 2**62}
 
 
 def test_radii_inf_roundtrip():
