@@ -143,16 +143,6 @@ def step_records_csv(res: SsspResult) -> str:
     return "i,d_i,active_count,substeps,settled_prefix\n" + body
 
 
-def _check_inputs(g: Graph, radii: RadiusAssignment, s: int) -> None:
-    _check_vertex(g, s)
-    _check_size(g, radii)
-    if len(radii.r) and int(radii.r.min()) < 0:
-        raise GraphError("radii must be nonnegative")
-    # delta + r must fit in int64 for every finite delta < UNREACHED.
-    if len(radii.r) and int(radii.r.max()) > UNREACHED:
-        raise GraphError(f"radii must be at most {UNREACHED} (2**62, no cap)")
-
-
 def relax_batch(
     g: Graph, delta: np.ndarray, active: np.ndarray, settled: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -238,8 +228,9 @@ class _Threshold(NamedTuple):
 
     offset is nonnegative per vertex (None: 0 everywhere) and end is
     nondecreasing with end(x) >= x, so the least offer is end of the least
-    delta + offset.  The radius engines offset by r; Delta-stepping ends
-    each distance's bucket.  The caller keeps every offer within int64.
+    delta + offset.  The radius engines offset by r, which RadiusAssignment
+    keeps in [0, 2**62], so their offers stay within int64; Delta-stepping
+    ends each distance's bucket, and its caller keeps that within int64.
     """
 
     offset: np.ndarray | None
@@ -252,7 +243,8 @@ class _Threshold(NamedTuple):
 
 def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """Literal stepping loop scanning every unsettled vertex per step."""
-    _check_inputs(g, radii, s)
+    _check_vertex(g, s)
+    _check_size(g, radii)
     return _reference(g, s, _Threshold(radii.r))
 
 
@@ -368,8 +360,6 @@ def _stepping(g: Graph, s: int, rule: _Threshold) -> SsspResult:
     """
     delta, settled, F = _start(g, s)
     rounds = []
-    if not F.size:  # s has no edge, and the graph may have none to gather from
-        return _finish(g, delta, settled, s, rounds)
     r = rule.offsets(g.n)
     # At most n - 1 vertices ever enter F.  Each round sums dcol with both
     # rows of off at once; rcol and wcol are its rows.
@@ -465,7 +455,8 @@ def _stepping(g: Graph, s: int, rule: _Threshold) -> SsspResult:
 
 def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """The stepping loop with min-combined relaxation, for any positive weights."""
-    _check_inputs(g, radii, s)
+    _check_vertex(g, s)
+    _check_size(g, radii)
     return _stepping(g, s, _Threshold(radii.r))
 
 

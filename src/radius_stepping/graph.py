@@ -11,12 +11,13 @@ is bounded: n*max(n, 2*edges) < 2**63.
 
 Edge-list text is read by np.loadtxt, numpy's C text reader, wherever its
 columns must equal the line-by-line reader's: every data line holds 2
-fields or every one holds 3, ids are nonnegative, weights lie in
-[1, 2**62), '#' starts only comment lines, and loadtxt neither warns nor
-fails.  Any other text goes to the line reader, which decides it and
-names the line of every error.  Ids must be below 2**63, so labels fit
-int64, and the writer formats every row through one %-template.  Every
-Graph keeps its labels as a read-only int64 array (0..n-1 if none given).
+fields or every one holds 3, weights lie in [1, 2**62), '#' starts only
+comment lines, and loadtxt neither warns nor fails.  Any other text goes
+to the line reader, which decides it and names the line of every error.
+Ids are any int64, as labels are everywhere, so every edge list the
+writer makes reads back; it formats each row through one %-template.
+Every Graph keeps its labels as a read-only int64 array (0..n-1 if none
+given).
 
 Every integer sequence the package takes (edge columns and triples,
 labels, radii, ball sources) is taken exactly by _int64_array, or refused.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -141,7 +141,7 @@ class Graph:
 
     @property
     def is_unit_weight(self) -> bool:
-        return self.max_weight == 1 or self.m == 0
+        return self.max_weight == 1
 
 
 def from_edges(
@@ -222,10 +222,9 @@ def from_edges(
 def _edge_columns(n: object, edges: object) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """from_edges' n and int64 (u, v, w) columns, or GraphError for input
     that cannot be taken exactly; nothing of size n is allocated here."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise GraphError(f"vertex count must be an integer, got {n!r}") from None
+    if not _is_int(n):
+        raise GraphError(f"vertex count must be an integer, got {n!r}")
+    n = int(n)
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
     if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
@@ -327,18 +326,17 @@ def parse_edge_list(text: str) -> Graph:
     '#' starts a comment line; blank lines are skipped; missing weights
     default to 1.  A line "u" alone names a vertex, which keeps a vertex
     with no edge (as write_edge_list writes one) in the graph.  Vertex ids
-    must be below 2**63; they are compacted to 0..n-1 in first-appearance
-    order, with the original ids kept as the graph's labels (so labels
-    fit int64).
+    are any int64; they are compacted to 0..n-1 in first-appearance order,
+    with the original ids kept as the graph's labels.
 
     Text goes first to np.loadtxt, which is several times faster than
     reading line by line in Python.  Its columns are kept only where they
     must equal the line reader's: all data lines hold 2 fields or all
-    hold 3, no id is negative, every weight lies in [1, 2**62), no '#'
-    follows a field, and loadtxt neither raises nor warns.  Any other text
-    (a lone "u" line, mixed field counts, a token loadtxt cannot read as
-    int64, anything rejected) goes whole to the line-by-line reader,
-    which decides it and reports every parse error with its line number.
+    hold 3, every weight lies in [1, 2**62), no '#' follows a field, and
+    loadtxt neither raises nor warns.  Any other text (a lone "u" line,
+    mixed field counts, a token loadtxt cannot read as int64, anything
+    rejected) goes whole to the line-by-line reader, which decides it and
+    reports every parse error with its line number.
     Both give the same columns, which go to from_edges.
     """
     cols = _loadtxt_columns(text)
@@ -377,10 +375,8 @@ def _line_columns(text: str) -> _Columns:
             w = int(parts[2]) if len(parts) == 3 else 1
         except ValueError:
             raise EdgeListParseError(lineno, f"malformed token in {line!r}") from None
-        if u < 0 or v < 0:
-            raise EdgeListParseError(lineno, "vertex ids must be nonnegative")
-        if u >= 2**63 or v >= 2**63:
-            raise EdgeListParseError(lineno, "vertex ids must be below 2**63")
+        if not (-(2**63) <= u < 2**63 and -(2**63) <= v < 2**63):
+            raise EdgeListParseError(lineno, "vertex ids must be below 2**63 and at least -2**63")
         if len(parts) == 1:
             compact(u)
             continue
@@ -415,7 +411,7 @@ def _loadtxt_columns(text: str) -> _Columns | None:
         return None
     ids = rows[:, :2].ravel()
     w = rows[:, 2] if rows.shape[1] == 3 else np.ones(len(rows), dtype=np.int64)
-    if (ids < 0).any() or (w < 1).any() or (w >= UNREACHED).any():
+    if (w < 1).any() or (w >= UNREACHED).any():
         return None
     raw, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     order = np.argsort(first)

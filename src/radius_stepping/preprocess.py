@@ -325,14 +325,19 @@ def _ball_premise(g: Graph, r: np.ndarray, sources, rho: int) -> tuple[np.ndarra
 class RadiusAssignment:
     """Per-vertex step radii.
 
-    r is an integer sequence as graph._int64_array takes one, stored as a
-    read-only int64 copy.  Its range is checked where it is used.
+    r is an integer sequence as graph._int64_array takes one, each radius
+    in [0, UNREACHED] (UNREACHED: no cap), or GraphError; it is stored as
+    a read-only int64 copy.  parse_radii reads back what write_radii writes.
     """
 
     r: np.ndarray
 
     def __post_init__(self) -> None:
         r = _int64_array("radii", self.r).copy()
+        if len(r) and r.min() < 0:
+            raise GraphError("radii must be nonnegative")
+        if len(r) and r.max() > UNREACHED:
+            raise GraphError(f"radii must be at most {UNREACHED} (2**62, no cap)")
         r.flags.writeable = False
         object.__setattr__(self, "r", r)
 
@@ -580,7 +585,7 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment, k: int, rho: int) -> Valid
     best = np.full(min(step, n) * n, _EMPTY, dtype=np.int64)
     for lo in range(0, n, step):
         src = np.arange(lo, min(lo + step, n))
-        key = (np.arange(len(src)) * n + src)[r[src] >= 0]  # each source at distance 0
+        key = np.arange(len(src)) * n + src  # each source at distance 0
         best[key] = 0
         val = np.zeros(len(key), dtype=np.int64)
         seen = [key]

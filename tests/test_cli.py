@@ -302,6 +302,27 @@ def test_sssp_source_is_a_label_in_every_file(tmp_path, capsys):
         assert err == f"error: source {missing} is not a vertex label in {grid}\n"
 
 
+def test_negative_ids_survive_preprocess_sssp_and_validate(tmp_path, capsys):
+    # Ids are any int64: the augmented edge list and the radii file carry
+    # negative labels, and both read back.
+    src, aug, rad = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt"))
+    src.write_text("-5 7 4\n7 -1 1\n-1 0 6\n-5 0 2\n0 7 9\n")
+    code, _, err = run(
+        capsys, "preprocess", "-i", str(src), "--k", "1", "--rho", "2", "-o", str(aug), "--radii", str(rad)
+    )
+    assert code == 0, err
+    g = parse_edge_list(src.read_text())
+    expected = {str(g.labels[v]): str(d) for v, d in enumerate(dijkstra(g, g.labels.tolist().index(-5)).dist.tolist())}
+    code, out, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "-5")
+    assert code == 0, err
+    assert dict(line.split() for line in out.splitlines()) == expected
+    code, out, err = run(capsys, "validate", "-i", str(aug), "--radii", str(rad), "--k", "1", "--rho", "2")
+    assert code == 0, err
+    code, out, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: source 3 is not a vertex label in {aug}\n"
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [

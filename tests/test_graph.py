@@ -20,6 +20,8 @@ from radius_stepping import (
     from_edges,
     generate,
     parse_edge_list,
+    parse_radii,
+    radii_for_graph,
     write_edge_list,
     write_radii,
 )
@@ -333,6 +335,8 @@ def _cols(*cols):
         (3, _cols([0], [1], np.array([2**63], dtype=np.uint64)), None, "edge values must fit int64"),
         (3, [(0, 1, 2)], (5, 6), "vertex labels must be 3 distinct ids"),
         (3, [(0, 1, 2)], (5, 6, 5), "vertex labels must be 3 distinct ids"),
+        (True, [], None, "vertex count must be an integer, got True"),
+        (False, [], None, "vertex count must be an integer, got False"),
     ],
 )
 def test_from_edges_rejects_inexact_input(n, edges, labels, message):
@@ -476,6 +480,10 @@ def test_graph_is_immutable():
 def test_ids_must_fit_int64():
     g = parse_edge_list(f"{2**63 - 1} 1 5\n")
     assert g.labels.tolist() == [2**63 - 1, 1]
+    assert parse_edge_list(f"{-(2**63)} 1 5\n").labels.tolist() == [-(2**63), 1]
+    with pytest.raises(EdgeListParseError, match=r"vertex ids must be below 2\*\*63") as err:
+        parse_edge_list(f"0 1 5\n# note\n{-(2**63) - 1} 1 5\n")
+    assert err.value.lineno == 3
     with pytest.raises(EdgeListParseError, match=r"vertex ids must be below 2\*\*63") as err:
         parse_edge_list(f"0 1 5\n# note\n1 {2**64} 5\n")
     assert err.value.lineno == 3
@@ -642,12 +650,10 @@ def test_writers_equal_per_row_formatting():
         g = from_edges(n, edges, labels=_writer_labels(rng, n))
         text = write_edge_list(g)
         assert text == old_write_edge_list(g), case
-        if g.labels.min() >= 0:
-            assert write_edge_list(parse_edge_list(text)) == text, case
-        else:  # negative labels are written, but no edge list reads them
-            with pytest.raises(EdgeListParseError, match="vertex ids must be nonnegative"):
-                parse_edge_list(text)
-        r = np.array([rng.choice([0, 3, rng.randrange(UNREACHED), UNREACHED, UNREACHED + 5]) for _ in range(n)])
+        assert write_edge_list(parse_edge_list(text)) == text, case
+        r = np.array([rng.choice([0, 3, rng.randrange(UNREACHED), UNREACHED]) for _ in range(n)])
         radii = RadiusAssignment(r=r)
-        assert write_radii(radii, g.labels) == old_write_radii(radii, g.labels), case
+        text = write_radii(radii, g.labels)
+        assert text == old_write_radii(radii, g.labels), case
+        assert radii_for_graph(parse_radii(text), g).tolist() == r.tolist(), case
         assert write_radii(radii) == old_write_radii(radii), case

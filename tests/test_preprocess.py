@@ -512,7 +512,7 @@ def _bruteforce_violations(g, radii, rho, rbar, dists):
 def test_validate_k_rho_equals_bruteforce_oracle(tie_inclusive):
     # Connected graphs and the tie-heavy corpus (isolated vertices, small
     # components), on g and on each augmented graph, with the radii as
-    # built, one less, one more, and one vertex uncapped.
+    # built, one less (where positive), one more, and one vertex uncapped.
     graphs = [random_graph(seed, n_hi=30, m_cap=80)[0] for seed in range(4)] + _tie_heavy_corpus()[::8]
     assert any(np.diff(g.indptr).min(initial=1) == 0 for g in graphs)
     kinds = set()
@@ -524,7 +524,7 @@ def test_validate_k_rho_equals_bruteforce_oracle(tie_inclusive):
                 on_aug = on_g if aug is g else (k_radius_bruteforce(aug, k), [dijkstra(aug, v) for v in range(g.n)])
                 uncapped = np.where(np.arange(g.n) == g.n // 2, UNREACHED, radii.r)
                 for h, oracle in ((g, on_g), (aug, on_aug)):
-                    for r in (radii.r, radii.r - 1, radii.r + 1, uncapped):
+                    for r in (radii.r, np.maximum(radii.r - 1, 0), radii.r + 1, uncapped):
                         checked = RadiusAssignment(r)
                         got = validate_k_rho(h, checked, k, rho).violations
                         assert got == _bruteforce_violations(h, checked, rho, *oracle), (g.n, k, rho, r)
@@ -764,8 +764,12 @@ def test_radius_assignment_takes_only_integer_radii():
     radii = RadiusAssignment(mine)
     mine[0] = 9  # the assignment keeps its own read-only copy
     assert radii.r.tolist() == [1, 2, 3] and radii.r.dtype == np.int64 and not radii.r.flags.writeable
-    # Ranges are checked where radii are used: validate_k_rho takes these.
-    assert RadiusAssignment([-1, UNREACHED + 5, 0]).r.tolist() == [-1, UNREACHED + 5, 0]
+    # Radii lie in [0, UNREACHED], as parse_radii and the engines take them.
+    with pytest.raises(GraphError, match="^radii must be nonnegative$"):
+        RadiusAssignment([-1, 0])
+    with pytest.raises(GraphError, match=r"^radii must be at most 4611686018427387904 \(2\*\*62, no cap\)$"):
+        RadiusAssignment([UNREACHED + 1, 0])
+    assert RadiusAssignment([0, UNREACHED]).r.tolist() == [0, UNREACHED]
 
 
 def test_uniform_radii_must_be_integers():
