@@ -463,7 +463,8 @@ def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
 def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """radius_step_fast restricted to unit-weight graphs, where distances are BFS hop counts."""
     if not g.is_unit_weight:
-        raise GraphError("unweighted engine requires all edge weights == 1")
+        fix = "shortcut edges are weighted: run it on the graph preprocess read, with the same radii"
+        raise GraphError(f"unweighted engine requires all edge weights == 1 ({fix})")
     return radius_step_fast(g, radii, s)
 
 

@@ -10,7 +10,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, _check_graph_size, _check_seed, _is_int, from_edges
+import numpy as np
+
+from .graph import Graph, GraphError, _check_graph_size, _check_seed, _int64_array, _is_int, from_edges
 
 # The ladder construction places its designated start vertex at id 0.
 ADVERSARIAL_START = 0
@@ -137,9 +139,9 @@ def generate(spec: GeneratorSpec) -> Graph:
         n, edges = _random_connected_edges(spec.n, spec.m, int(spec.seed))
 
     canonical = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    if spec.weights is None:
-        triples = [(u, v, 1) for u, v in canonical]
-    else:
+    rows = np.ones((len(canonical), 3), dtype=np.int64)
+    rows[:, :2] = np.array(canonical, dtype=np.int64).reshape(-1, 2)
+    if spec.weights is not None:
         wrng = random.Random(int(spec.weights.seed))
-        triples = [(u, v, wrng.randint(spec.weights.lo, spec.weights.hi)) for u, v in canonical]
-    return from_edges(n, triples)
+        rows[:, 2] = _int64_array("edge values", [wrng.randint(spec.weights.lo, spec.weights.hi) for _ in canonical])
+    return from_edges(n, rows)

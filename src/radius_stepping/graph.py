@@ -15,12 +15,14 @@ fields or every one holds 3, weights lie in [1, 2**62), '#' starts only
 comment lines, and loadtxt neither warns nor fails.  Any other text goes
 to the line reader, which decides it and names the line of every error.
 Ids are any int64, as labels are everywhere, so every edge list the
-writer makes reads back; it formats each row through one %-template.
-Every Graph keeps its labels as a read-only int64 array (0..n-1 if none
-given).
+writer makes reads back but the 0-vertex graph's empty text; it formats
+each row through one %-template.  Every Graph keeps its labels as a
+read-only int64 array (0..n-1 if none given).
 
-Every integer sequence the package takes (edge columns and triples,
-labels, radii, ball sources) is taken exactly by _int64_array, or refused.
+Edges travel as (u, v, w) rows, an (m, 3) int64 array, from the readers
+through from_edges and augmentation to the writer.  Every integer
+sequence the package takes (edge rows and triples, labels, radii, ball
+sources) is taken exactly by _int64_array, or refused.
 """
 from __future__ import annotations
 
@@ -146,28 +148,29 @@ class Graph:
 
 def from_edges(
     n: int,
-    edges: Iterable[tuple[int, int, int]] | tuple[np.ndarray, np.ndarray, np.ndarray],
+    edges: Iterable[Sequence[int]] | np.ndarray,
     labels: Sequence[int] | np.ndarray | None = None,
 ) -> Graph:
-    """Build a Graph from (u, v, w) triples or from three columns (u, v, w).
+    """Build a Graph from (u, v, w) rows: a sequence of triples or an (m, 3) array.
 
     Symmetrizes, drops self-loops, collapses parallel edges to the minimum
-    weight.  Input is taken only where it is exact: each column, the values
-    of the triples and the labels are integer sequences by _int64_array's
-    rule; columns must have equal lengths and triples three values each;
-    and n must be a nonnegative int with n*max(n, 2*len(edges)) < 2**63,
-    the bound on the packed sort keys.  Weights must be >= 1, and shortest
+    weight.  Input is taken only where it is exact: an (m, 3) array by its
+    dtype, and each triple (a list, tuple, range or 1-D array of three
+    values) value by value, by _int64_array's rule, as are the labels; and
+    n must be a nonnegative int with n*max(n, 2*len(edges)) < 2**63, the
+    bound on the packed sort keys.  Weights must be >= 1, and shortest
     paths must stay below UNREACHED (see _check_distance_bound).  Labels,
     if given, must be n distinct ids, which the edge-list and radii writers
     rely on; the graph keeps a read-only copy (the caller may own them),
     or 0..n-1 if none are given.  All this is checked before anything of
-    size n is allocated.
+    size n is allocated.  An int64 row array is read, never written.
 
     Both sorts are unstable argsorts of packed int64 keys, each below
     n*max(n, 2*len(edges)): one groups parallel edges, two give the CSR
     order (src, weight, dst).
     """
-    n, us, vs, ws = _edge_columns(n, edges)
+    n, rows = _edge_table(n, edges)
+    us, vs, ws = rows.T
     if len(us) and ((us < 0).any() or (vs < 0).any() or (us >= n).any() or (vs >= n).any()):
         raise GraphError("vertex id out of range")
     if len(ws) and ws.min() < 1:
@@ -219,29 +222,36 @@ def from_edges(
     return Graph(n=n, m=m, max_weight=max_weight, indptr=indptr, nbr=dst, wt=w2, labels=labels)
 
 
-def _edge_columns(n: object, edges: object) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """from_edges' n and int64 (u, v, w) columns, or GraphError for input
+# The containers a triple may be: a set, bytes or dict iterates as integers
+# too, but not as (u, v, w).
+_TRIPLE = (list, tuple, range, np.ndarray)
+
+
+def _edge_table(n: object, edges: object) -> tuple[int, np.ndarray]:
+    """from_edges' n and its (m, 3) int64 rows, or GraphError for input
     that cannot be taken exactly; nothing of size n is allocated here."""
     if not _is_int(n):
         raise GraphError(f"vertex count must be an integer, got {n!r}")
     n = int(n)
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    if isinstance(edges, tuple) and len(edges) == 3 and isinstance(edges[0], np.ndarray):
-        us, vs, ws = (_int64_array("edge values", col) for col in edges)
-        if not len(us) == len(vs) == len(ws):
-            raise GraphError("edge columns must be 1-D arrays of equal length")
+    if isinstance(edges, np.ndarray):
+        if edges.ndim != 2 or edges.shape[1] != 3:
+            raise GraphError(f"edge rows must be an (m, 3) array, got shape {edges.shape}")
+        values = edges.ravel()
     else:
         try:
             triples = list(edges)
-            sizes = set(map(len, triples))
+            kinds = set(map(type, triples))
+            sizes = set(map(len, triples)) if all(issubclass(t, _TRIPLE) for t in kinds) else {None}
         except TypeError:
             sizes = {None}
         if sizes - {3}:
             raise GraphError("each edge must be a (u, v, w) triple")
-        us, vs, ws = _int64_array("edge values", list(itertools.chain.from_iterable(triples))).reshape(-1, 3).T
-    _check_graph_size(n, len(us))
-    return n, us, vs, ws
+        values = list(itertools.chain.from_iterable(triples))
+    rows = _int64_array("edge values", values).reshape(-1, 3)
+    _check_graph_size(n, len(rows))
+    return n, rows
 
 
 def _int64_array(what: str, values: object) -> np.ndarray:
@@ -337,31 +347,18 @@ def parse_edge_list(text: str) -> Graph:
     mixed field counts, a token loadtxt cannot read as int64, anything
     rejected) goes whole to the line-by-line reader, which decides it and
     reports every parse error with its line number.
-    Both give the same columns, which go to from_edges.
+    Both give the same (u, v, w) rows, which go to from_edges.
     """
-    cols = _loadtxt_columns(text)
-    n, us, vs, ws, labels = cols if cols is not None else _line_columns(text)
-    return from_edges(n, (us, vs, ws), labels=labels)
+    read = _loadtxt_columns(text)
+    n, rows, labels = read if read is not None else _line_columns(text)
+    return from_edges(n, rows, labels=labels)
 
 
-_Columns = tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _line_columns(text: str) -> _Columns:
-    """parse_edge_list's (n, u, v, w, labels) one line at a time: the reader
+def _line_columns(text: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """parse_edge_list's (n, rows, labels) one line at a time: the reader
     that decides every input."""
     id_map: dict[int, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[int] = []
-
-    def compact(raw: int) -> int:
-        idx = id_map.get(raw)
-        if idx is None:
-            idx = len(id_map)
-            id_map[raw] = idx
-        return idx
-
+    flat: list[int] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -378,25 +375,23 @@ def _line_columns(text: str) -> _Columns:
         if not (-(2**63) <= u < 2**63 and -(2**63) <= v < 2**63):
             raise EdgeListParseError(lineno, "vertex ids must be below 2**63 and at least -2**63")
         if len(parts) == 1:
-            compact(u)
+            id_map.setdefault(u, len(id_map))
             continue
         if w <= 0:
             raise EdgeListParseError(lineno, f"weight must be >= 1, got {w}")
         if w >= UNREACHED:
             raise EdgeListParseError(lineno, f"weight must be below 2**62, got {w}")
-        us.append(compact(u))
-        vs.append(compact(v))
-        ws.append(w)
+        flat += (id_map.setdefault(u, len(id_map)), id_map.setdefault(v, len(id_map)), w)
 
     if not id_map:
         raise GraphError("empty edge list")
-    cols = [np.asarray(col, dtype=np.int64) for col in (us, vs, ws)]
-    return (len(id_map), *cols, np.fromiter(id_map, dtype=np.int64, count=len(id_map)))
+    return len(id_map), np.array(flat, dtype=np.int64).reshape(-1, 3), np.fromiter(id_map, dtype=np.int64)
 
 
-def _loadtxt_columns(text: str) -> _Columns | None:
+def _loadtxt_columns(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
     """_line_columns by np.loadtxt, or None wherever the two could differ,
-    leaving the text to _line_columns."""
+    leaving the text to _line_columns.  A ones column gives 2-column text
+    its weights, and the dense ids overwrite the raw ones in place."""
     if "#" in text and text.count("#") != len(re.findall(r"(?m)^\s*#", text)):
         return None  # loadtxt drops a '#' after a field and the rest of its line
     # A StringIO, not text.splitlines(): splitlines also breaks lines at
@@ -407,25 +402,23 @@ def _loadtxt_columns(text: str) -> _Columns | None:
             rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
     except (ValueError, Warning):
         return None
-    if rows.shape[1] not in (2, 3):
+    if rows.shape[1] == 2:
+        rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
+    if rows.shape[1] != 3 or (rows[:, 2] < 1).any() or (rows[:, 2] >= UNREACHED).any():
         return None
-    ids = rows[:, :2].ravel()
-    w = rows[:, 2] if rows.shape[1] == 3 else np.ones(len(rows), dtype=np.int64)
-    if (w < 1).any() or (w >= UNREACHED).any():
-        return None
-    raw, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    raw, first, inverse = np.unique(rows[:, :2], return_index=True, return_inverse=True)
     order = np.argsort(first)
     dense = np.empty(len(order), dtype=np.int64)
     dense[order] = np.arange(len(order))
-    dense = dense[inverse]
-    return len(raw), dense[0::2], dense[1::2], w, raw[order]
+    rows[:, :2] = dense[inverse].reshape(-1, 2)
+    return len(raw), rows, raw[order]
 
 
-def _half_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each undirected edge once as columns (u, v, w), u < v, sorted by u."""
+def _half_edges(g: Graph) -> np.ndarray:
+    """Each undirected edge once as an (m, 3) row (u, v, w), u < v, sorted by u."""
     src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
     mask = src < g.nbr
-    return src[mask], g.nbr[mask], g.wt[mask]
+    return np.column_stack((src[mask], g.nbr[mask], g.wt[mask]))
 
 
 def _edge_slots(g: Graph, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,7 +461,8 @@ def write_edge_list(g: Graph) -> str:
     among the edge lines.  Ids are the graph's labels (its read-only int64
     array of distinct ids), so the text is a pure function of the labeled
     value: parsing it back and re-writing reproduces the same bytes, which
-    makes parse/write idempotent after the first parse.
+    makes parse/write idempotent after the first parse.  The one text that
+    does not read back is the 0-vertex graph's "", an empty edge list.
     """
     rows = _edge_rows(g)
     return _render(rows, rows[:, 2] == 0, "%d %d %d\n", "%d%.0s%.0s\n")
@@ -478,7 +472,7 @@ def _edge_rows(g: Graph) -> np.ndarray:
     """write_edge_list's rows (lesser label, greater label, weight) in
     order, with (label, any, 0) for a vertex with no edge.  A function of
     its own, so its scratch arrays are freed before the text is built."""
-    u, v, w = _half_edges(g)
+    u, v, w = _half_edges(g).T
     lone = np.flatnonzero(np.diff(g.indptr) == 0)
     by_rank = np.argsort(g.labels)
     rank = np.empty(g.n, dtype=np.int64)

@@ -357,7 +357,8 @@ def write_radii(radii: RadiusAssignment, labels: np.ndarray | None = None) -> st
     """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap.
 
     Labels, if given, must be as from_edges takes them: one distinct id
-    per radius, by graph._int64_array's rule.
+    per radius, by graph._int64_array's rule.  No radii give "", which
+    parse_radii refuses as an empty radii file.
     """
     label = np.arange(len(radii.r), dtype=np.int64) if labels is None else _int64_array("vertex labels", labels)
     if len(label) != len(radii.r):
@@ -474,13 +475,12 @@ def shortcut_dp(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
     return _shortcuts(ball, k, "dp")
 
 
-def _augment(g: Graph, extra: list[list[np.ndarray]]) -> Graph:
-    """g with the (center, vertex, distance) shortcut columns unioned in;
+def _augment(g: Graph, extra: list[np.ndarray]) -> Graph:
+    """g with the (center, vertex, distance) shortcut rows unioned in;
     g itself when there are none, since rebuilding would change nothing."""
-    if not sum(len(part[0]) for part in extra):
+    if not sum(map(len, extra)):
         return g
-    cols = tuple(np.concatenate([col, *parts]) for col, parts in zip(_half_edges(g), zip(*extra)))
-    return from_edges(g.n, cols, labels=g.labels)
+    return from_edges(g.n, np.concatenate([_half_edges(g), *extra]), labels=g.labels)
 
 
 def build_k_rho(
@@ -504,11 +504,11 @@ def build_k_rho(
     _check_count("k", k)
     _check_count("rho", rho)
     radius: list[np.ndarray] = []
-    extra: list[list[np.ndarray]] = []
+    extra: list[np.ndarray] = []
     for r_rho, _, (center, vertex, dist, parent, depth) in _ball_chunks(g, np.arange(g.n), rho, tie_inclusive):
         cut = _shortcut_targets(parent, depth, k, heuristic)
         radius.append(r_rho)
-        extra.append([center[cut], vertex[cut], dist[cut]])
+        extra.append(np.column_stack((center[cut], vertex[cut], dist[cut])))
     aug = _augment(g, extra)
     return aug, RadiusAssignment(r=np.concatenate(radius)), aug.m - g.m
 

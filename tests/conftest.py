@@ -18,9 +18,8 @@ def drop_planned_shortcut(monkeypatch, index=MUTANT_DROP):
     real = preprocess._augment
 
     def augment(g, extra):
-        cols = [np.concatenate(col) for col in zip(*extra)]
-        keep = np.arange(len(cols[0])) != index
-        return real(g, [[col[keep] for col in cols]])
+        rows = np.concatenate(extra)
+        return real(g, [rows[np.arange(len(rows)) != index]])
 
     monkeypatch.setattr(preprocess, "_augment", augment)
 

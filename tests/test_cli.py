@@ -1,4 +1,6 @@
 import json
+import runpy
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -189,12 +191,34 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["--ks", "x"], ["--ks", "1,0"], ["--heuristics", "dp,nope"]])
+def test_run_trends_rejects_bad_list_flags_before_it_runs(tmp_path, argv):
+    main_of_script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_trends.py"))["main"]
+    with pytest.raises(SystemExit) as exc:
+        main_of_script([*argv, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2 and not (tmp_path / "out").exists()
+
+
 def test_unweighted_engine_on_weighted_input_fails(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text(PATH_TEXT)
     code, _, err = run(capsys, "sssp", "-i", str(f), "-s", "0", "--engine", "unweighted", "--radii", _radii(tmp_path))
     assert code == 1
     assert "error:" in err
+
+
+def test_unweighted_engine_runs_on_the_graph_preprocess_read(tmp_path, capsys):
+    src, aug, rad = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt"))
+    assert run(capsys, "gen", "--kind", "grid2d", "--w", "12", "--h", "12", "-o", str(src))[0] == 0
+    code, _, err = run(capsys, "preprocess", "-i", str(src), "--k", "1", "--rho", "4",
+                       "-o", str(aug), "--radii", str(rad))
+    assert code == 0 and "augmented with 0 edges" not in err
+    code, _, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "0", "--engine", "unweighted")
+    assert code == 1 and "run it on the graph preprocess read, with the same radii" in err
+    code, out, err = run(capsys, "sssp", "-i", str(src), "--radii", str(rad), "-s", "0", "--engine", "unweighted")
+    assert code == 0, err
+    g = parse_edge_list(src.read_text())
+    assert out == "".join(f"{lab} {d}\n" for lab, d in zip(g.labels.tolist(), dijkstra(g, 0).dist.tolist()))
 
 
 def _radii(tmp_path):

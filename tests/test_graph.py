@@ -167,9 +167,6 @@ def test_every_graph_has_read_only_int64_labels():
 # back what it made of them in a form that compares with ==.
 _PATH8 = from_edges(8, [(v, v + 1, 1) for v in range(7)])
 _ENTRY_POINTS = {
-    "from_edges column": lambda vals, k: write_edge_list(
-        from_edges(8, (np.array([7, 6, 5][:k]), vals, np.array([1, 2, 3][:k])))
-    ),
     "from_edges triples": lambda vals, k: write_edge_list(from_edges(8, [vals])),
     "from_edges labels": lambda vals, k: from_edges(k, [], labels=vals).labels.tolist(),
     "write_radii labels": lambda vals, k: write_radii(RadiusAssignment.uniform(k, 1), labels=vals),
@@ -232,7 +229,7 @@ def test_every_entry_point_takes_integer_sequences_by_one_rule(entry):
     label = from_edges(3, [], labels=np.array([0, 5, 3])).labels
     assert label.dtype == np.int64 and not label.flags.writeable
     assert RadiusAssignment(np.array([4, 1], dtype=np.uint8)).r.tolist() == [4, 1]
-    for edges in (5, np.int64(5), None):  # neither triples nor columns
+    for edges in (5, np.int64(5), None):  # neither triples nor an array of rows
         with pytest.raises(GraphError, match=r"\(u, v, w\) triple$"):
             from_edges(3, edges)
 
@@ -305,38 +302,38 @@ def test_from_edges_rejects_bad_ids_and_weights():
         from_edges(3, [(0, 1, 2**61), (1, 2, 2**61)])
 
 
-def _cols(*cols):
-    return tuple(np.asarray(col) for col in cols)
-
-
 @pytest.mark.parametrize(
     "n, edges, labels, message",
     [
-        (3, _cols([0, 1], [1, 2], [1.5, 2.7]), None, "^edge values must be integers, got float64$"),
+        (3, np.array([[0, 1, 1.5], [1, 2, 2.7]]), None, "^edge values must be integers, got float64$"),
         (3, [(0, 1, 1.5), (1, 2, 2.7)], None, "must be integers, got float"),
         (3, [(0.9, 1, 2)], None, "must be integers, got float"),
         (3, [(0, 1, "5")], None, "must be integers, got str"),
         (3, [(0, 1, True), (1, 2, 3)], None, "must be integers, got bool"),
-        (3, _cols([0], [1], [True]), None, "^edge values must be integers, got bool$"),
-        (3, _cols([0], [1], ["5"]), None, "^edge values must be integers, got <U1$"),
-        (3, _cols([0], [1], np.array([5], dtype=object)), None, "^edge values must be integers, got object$"),
+        (3, np.array([[False, True, True]]), None, "^edge values must be integers, got bool$"),
+        (3, np.array([["0", "1", "5"]]), None, "^edge values must be integers, got <U1$"),
+        (3, np.array([[0, 1, 5]], dtype=object), None, "^edge values must be integers, got object$"),
         (3, [(0, 1, np.float64(2))], None, "must be integers, got float64"),
         (-1, [], None, "vertex count must be nonnegative, got -1"),
         (3.0, [(0, 1, 2)], None, "vertex count must be an integer, got 3.0"),
         (2**62, [], None, r"graph too large: n\*max\(n, 2\*edges\)"),
         (2**62 + 5, [(0, 1, 1)], None, "graph too large"),
-        (3, _cols([0, 1], [1, 2], [4]), None, "1-D arrays of equal length"),
-        (3, _cols([[0]], [[1]], [[4]]), None, r"^edge values must be a 1-D sequence, got shape \(1, 1\)$"),
+        (3, np.zeros((2, 4), dtype=np.int64), None, r"^edge rows must be an \(m, 3\) array, got shape \(2, 4\)$"),
+        (3, np.zeros(3, dtype=np.int64), None, r"^edge rows must be an \(m, 3\) array, got shape \(3,\)$"),
         (3, [(0, 1)], None, r"\(u, v, w\) triple"),
         (3, [(0, 1, 2), (0, 1, 2, 3)], None, r"\(u, v, w\) triple"),
         (3, [7], None, r"\(u, v, w\) triple"),
         (3, [(0, 1, 2**70)], None, "edge values must fit int64"),
         (3, [(0, 1, -(2**63) - 1)], None, "edge values must fit int64"),
-        (3, _cols([0], [1], np.array([2**63], dtype=np.uint64)), None, "edge values must fit int64"),
+        (3, np.array([[0, 1, 2**63]], dtype=np.uint64), None, "edge values must fit int64"),
         (3, [(0, 1, 2)], (5, 6), "vertex labels must be 3 distinct ids"),
         (3, [(0, 1, 2)], (5, 6, 5), "vertex labels must be 3 distinct ids"),
         (True, [], None, "vertex count must be an integer, got True"),
         (False, [], None, "vertex count must be an integer, got False"),
+        # A set, bytes or dict iterates as three integers, but is no triple.
+        (6, [{5, 0, 1}], None, r"^each edge must be a \(u, v, w\) triple$"),
+        (6, [b"\x00\x01\x05"], None, r"^each edge must be a \(u, v, w\) triple$"),
+        (6, [{0: "a", 1: "b", 5: "c"}], None, r"^each edge must be a \(u, v, w\) triple$"),
     ],
 )
 def test_from_edges_rejects_inexact_input(n, edges, labels, message):
@@ -347,10 +344,18 @@ def test_from_edges_rejects_inexact_input(n, edges, labels, message):
 def test_from_edges_takes_every_integer_type():
     want = from_edges(3, [(0, 1, 2), (1, 2, 5)])
     assert from_edges(np.int32(3), [(np.int16(0), np.uint8(1), 2), [1, 2, np.int64(5)]]) == want
-    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
-        cols = (np.array([0, 1], dtype=dtype), np.array([1, 2], dtype=dtype), np.array([2, 5], dtype=dtype))
-        assert from_edges(3, cols) == want
     assert from_edges(0, []).n == 0
+    # Three rows are three rows in every container, never three columns.
+    rows = [(0, 3, 1), (1, 2, 1), (2, 3, 5)]
+    want = write_edge_list(from_edges(4, rows))
+    assert want == "0 3 1\n1 2 1\n2 3 5\n"
+    frozen = np.array(rows, dtype=np.int64)
+    frozen.flags.writeable = False  # an int64 row array is read, never written
+    forms = [tuple(np.array(t) for t in rows), [np.array(t) for t in rows], tuple(rows), frozen]
+    dtypes = (np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32, np.uint64)
+    forms += [np.array(rows, dtype=dtype) for dtype in dtypes]
+    for edges in forms:
+        assert write_edge_list(from_edges(4, edges)) == want, edges
 
 
 def _reference_csr(n, triples):
@@ -405,8 +410,7 @@ def test_from_edges_equals_python_reference():
     for case in range(400):
         n, triples = _csr_corpus(rng)
         want = _reference_csr(n, triples)
-        columns = _cols(*zip(*triples)) if triples else _cols([], [], [])
-        for edges in (triples, tuple(col.astype(np.int64) for col in columns)):
+        for edges in (triples, np.array(triples, dtype=np.int64).reshape(-1, 3)):
             g = from_edges(n, edges)
             got = g.indptr.tolist(), g.nbr.tolist(), g.wt.tolist(), g.m, g.max_weight
             assert got == want, (case, n, triples)
@@ -452,8 +456,8 @@ def test_from_edges_equals_lexsort_on_benchmark_inputs(spec, k, rho, count, monk
     monkeypatch.setattr(preprocess, "from_edges", recording)
     build_k_rho(parse_edge_list(text), k, rho, heuristic="dp")
     assert len(calls) == count
-    for n, cols, g in calls:
-        want = _lexsort_csr(n, *cols)
+    for n, rows, g in calls:
+        want = _lexsort_csr(n, *rows.T)
         for got_arr, want_arr in zip((g.indptr, g.nbr, g.wt), want):
             assert got_arr.dtype == np.int64 and np.array_equal(got_arr, want_arr)
 
@@ -554,8 +558,8 @@ def _edge_text(rng, width=None):
 
 
 def _by_lines(text):
-    n, us, vs, ws, labels = graph._line_columns(text)
-    return from_edges(n, (us, vs, ws), labels=labels)
+    n, rows, labels = graph._line_columns(text)
+    return from_edges(n, rows, labels=labels)
 
 
 def _outcome(read, text):
@@ -584,14 +588,14 @@ def test_fast_reader_equals_line_reader(seed):
         for case in range(800):
             text = _edge_text(rng, rng.choice([2, 3]) if uniform else None)
             assert _same(_outcome(parse_edge_list, text), _outcome(_by_lines, text)), (case, text)
-            cols = graph._loadtxt_columns(text)
-            if cols is None:
+            got = graph._loadtxt_columns(text)
+            if got is None:
                 continue
             taken += uniform
             want = graph._line_columns(text)
-            assert cols[0] == want[0] and np.array_equal(cols[4], want[4]), (case, text)
-            for got_col, want_col in zip(cols[1:4], want[1:4]):
-                assert np.array_equal(got_col, want_col), (case, text)
+            assert got[0] == want[0], (case, text)
+            for got_arr, want_arr in zip(got[1:], want[1:]):
+                assert got_arr.dtype == np.int64 and np.array_equal(got_arr, want_arr), (case, text)
     assert taken >= 350  # about half the uniform cases exercise the loadtxt reader
 
 
@@ -635,6 +639,14 @@ def _writer_labels(rng, n):
     else:
         pool.sort(reverse=order == "decreasing")
     return tuple(pool)
+
+
+def test_zero_vertex_graph_writes_empty_text_the_readers_refuse():
+    assert write_edge_list(from_edges(0, [])) == "" and write_radii(RadiusAssignment([]), []) == ""
+    with pytest.raises(GraphError, match="^empty edge list$"):
+        parse_edge_list("")
+    with pytest.raises(GraphError, match="^empty radii file$"):
+        parse_radii("")
 
 
 def test_writers_equal_per_row_formatting():
