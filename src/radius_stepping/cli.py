@@ -97,6 +97,12 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_sssp(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
+    if args.engine == "unweighted" and not g.is_unit_weight:
+        raise GraphError(
+            f"unweighted engine requires all edge weights == 1, and {args.input} has weights up to"
+            f" {g.max_weight} (use --engine fast; for a file preprocess wrote, run it on the graph"
+            " preprocess read, with the same radii)"
+        )
     (hit,) = (g.labels == args.source).nonzero()
     if not len(hit):
         raise GraphError(f"source {args.source} is not a vertex label in {args.input}")

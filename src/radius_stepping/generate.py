@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphError, _check_graph_size, _check_seed, _int64_array, _is_int, from_edges
+from .graph import UNREACHED, Graph, GraphError, _check_graph_size, _check_seed, _int64_array, _is_int, from_edges
 
 # The ladder construction places its designated start vertex at id 0.
 ADVERSARIAL_START = 0
@@ -29,6 +29,8 @@ class WeightSpec:
     def validate(self) -> None:
         if not (_is_int(self.lo) and _is_int(self.hi)) or self.lo < 1 or self.hi < self.lo:
             raise GraphError(f"need integers 1 <= lo <= hi, got [{self.lo!r}, {self.hi!r}]")
+        if self.hi >= UNREACHED:  # from_edges takes no weight at or above the no-path sentinel
+            raise GraphError(f"weights must be below 2**62, got hi={self.hi}")
         _check_seed(self.seed)
 
 

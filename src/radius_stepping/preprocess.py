@@ -7,12 +7,13 @@ member sits within k hops.  Shortcut weights are exact ball distances, so
 augmentation never changes any shortest-path distance.
 
 ball_arrays runs that search for many vertices at once in lockstep numpy
-rounds: each source keeps a dense pool row of candidates, and every round
-pops each row's nearest candidate, so rho rounds (plus one step for the
-tie-inclusive tail) find every ball of a chunk.  Sources are chunked so
-that a chunk's pool holds at most about 2**18 entries, and at large rho
-the pool rows are compacted to one candidate per vertex as they fill;
-_pool_plan and _lockstep show why the balls and trees are exact.
+rounds, one pop per source per round, so rho rounds (plus one step for
+the tie-inclusive tail) find every ball of a chunk.  Each member popped
+opens a block, its CSR row cut to its scan budget; rows are sorted by
+(weight, id), so each block is sorted by (distance, id) and a ball's next
+pop is the least of its blocks' heads.  Sources are chunked so that a
+chunk's blocks hold at most about 2**18 slots; _pool_plan and _lockstep
+show why the balls and trees are exact.
 compute_ball is the one-ball view of ball_arrays.  build_k_rho plans each
 chunk's shortcuts as it comes, and _ball_premise (the premise of
 check_bounds and of validate_k_rho) keeps two counts per ball.  Both
@@ -72,33 +73,33 @@ def compute_ball(g: Graph, v: int, rho: int, tie_inclusive: bool = True) -> Ball
     at exactly r_rho.  A component smaller than rho is taken whole.
 
     Each call is a whole ball_arrays search for one source: _pool_plan's
-    pass over every vertex of g, then rho lockstep rounds.  At rho=10 a
-    call took about 1.2 ms on weighted 10x10 and 100x100 grids, where one
-    ball_arrays call over 100 sources took 2 ms (CPython 3.11.7, numpy
-    2.4.6, 2-core Xeon).  Find many vertices' balls with one ball_arrays
-    call, not a loop of this."""
+    pass over every vertex of g, then up to rho rounds of a few dozen numpy
+    calls each.  At rho=10 a call took about 0.9 ms on weighted 10x10 and
+    100x100 grids, where one ball_arrays call over 100 sources took
+    1.6-2.0 ms (CPython 3.11.7, numpy 2.4.6, 2-core sandbox).  Find many
+    vertices' balls with one ball_arrays call, not a loop of this."""
     _check_count("rho", rho)
     _check_vertex(g, v, "vertex")
     center, vertex, dist, parent, depth = (col.tolist() for col in ball_arrays(g, [v], rho, tie_inclusive))
     return Ball(center[0], tuple(zip(vertex, dist)), dist[-1], tuple(parent), tuple(depth))
 
 
-# Pool entries one chunk of the batched search may hold: sources per chunk
-# is min(1024, _POOL_ENTRIES // width).  On a 100x100 grid at rho=10,
-# chunks of 1,024 sources ran as fast as larger ones; the entry cap keeps
-# peak RSS flat where the pool is wide (1,601-vertex ladder at rho=10:
-# width 721, 363 sources per chunk).
+# Slots one chunk of the batched search may hold: a source and the rho - 1
+# blocks it opens hold at most 1 + (rho - 1) * widest slots, where widest
+# is the largest scan budget, so sources per chunk is min(1024,
+# _POOL_ENTRIES // that).  The tie-inclusive tail reads a chunk's blocks
+# from their heads at once, so this bounds its arrays; it also bounds the
+# slots _skip_members moves at once, since at most min(deg(v), rho - 1)
+# <= widest heads of a row sit on one vertex v.  On a 100x100 grid
+# at rho=10, chunks of 1,024 sources ran as fast as larger ones; the cap
+# keeps peak RSS flat where blocks are wide (1,601-vertex ladder at
+# rho=10: widest 80, 363 sources per chunk).
 _POOL_ENTRIES = 2**18
-_EMPTY = np.iinfo(np.int64).max  # distance of an empty pool slot
-# A compaction pays off only if enough rounds are left to scan the
-# narrower pool: on 100x100 grids and a 1,601-vertex ladder it was a net
-# loss at rho=10 and a gain from rho=25 up (1.7x at rho=50 on a grid
-# augmented at k=2).
-_COMPACT_ROUNDS = 10
+_EMPTY = np.iinfo(np.int64).max  # distance of an exhausted block's head
 
 
-def _pool_plan(g: Graph, rho: int) -> tuple[np.ndarray, int, int]:
-    """Per-vertex scan budgets, the widest of them, and sources per chunk.
+def _pool_plan(g: Graph, rho: int) -> tuple[np.ndarray, int]:
+    """Per-vertex scan budgets and sources per chunk (see _POOL_ENTRIES).
 
     A vertex's budget is its lightest rho edges, extended through ties
     with the rho-th weight; adjacency is sorted by weight, so the ties
@@ -118,32 +119,8 @@ def _pool_plan(g: Graph, rho: int) -> tuple[np.ndarray, int, int]:
         row = np.repeat(np.arange(len(heavy)), past)
         slot = np.repeat(kth + 1 - (np.cumsum(past) - past), past) + np.arange(len(row))
         budget[heavy] += np.bincount(row[g.wt[slot] == g.wt[kth][row]], minlength=len(heavy))
-    widest = int(budget.max(initial=0))
-    width = 1 + (rho - 1) * widest
-    return budget, widest, max(1, min(1024, _POOL_ENTRIES // width))
-
-
-def _tags(r, p, member, mdepth, n):
-    """Depth and parent tag of slots in rows r written from ball position p.
-
-    The tag is the writing member's (depth, id), compared as depth * n +
-    id; the source's own slot (p = -1) has depth 0 and the least tag.
-    """
-    dep = np.where(p >= 0, mdepth[r, p] + 1, 0)
-    return dep, dep * n + np.where(p >= 0, member[r, p], -1)
-
-
-def _by_tag(r, c, vert, owner, member, mdepth, n):
-    """Pool slots (rows r, columns c) sorted by (row, vertex, parent tag).
-
-    Returns rows, vertices, parent positions and depths.
-    """
-    v, p = vert[r, c], owner[r, c]
-    dep, tag = _tags(r, p, member, mdepth, n)
-    if not (r[1:] == r[:-1]).any():  # one slot per row: nothing to order
-        return r, v, p, dep
-    order = np.lexsort((tag, v, r))
-    return r[order], v[order], p[order], dep[order]
+    width = 1 + (rho - 1) * int(budget.max(initial=0))
+    return budget, max(1, min(1024, _POOL_ENTRIES // width))
 
 
 def _firsts(*keys: np.ndarray) -> np.ndarray:
@@ -153,129 +130,136 @@ def _firsts(*keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _compact(dist, vert, owner, member, mdepth, used, n) -> int:
-    """Pack each pool row to the left, keeping one slot per vertex.
-
-    A pop of a vertex takes only its slot with the least (distance,
-    parent tag), so every other slot of it (and every empty slot) goes.
-    Returns the new width.
-    """
-    r, c = np.nonzero(dist[:, :used] < _EMPTY)
-    key = r * n + vert[r, c]
-    order = np.argsort(key)
-    r, c, key = r[order], c[order], key[order]
-    starts = np.flatnonzero(_firsts(key))
-    runs = np.diff(np.append(starts, len(key)))
-    d = dist[r, c]
-    best = d == np.repeat(np.minimum.reduceat(d, starts), runs)
-    tag = np.where(best, _tags(r, owner[r, c], member, mdepth, n)[1], _EMPTY)
-    keep = tag == np.repeat(np.minimum.reduceat(tag, starts), runs)  # a vertex's tags differ
-    r, c = r[keep], c[keep]
-    count = np.bincount(r, minlength=len(dist))
-    at = np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count)
-    cols = dist[r, c], vert[r, c], owner[r, c]
-    for col, fill, got in zip((dist, vert, owner), (_EMPTY, -1, -1), cols):
-        col[:, :used] = fill
-        col[r, at] = got
-    return int(count.max(initial=1))
+def _skip_members(g: Graph, member: np.ndarray, r: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Each slot s moved to the first slot in [s, e) whose vertex is not in
+    the ball of row r (a column of member), or to e.  No slot is looked at
+    twice."""
+    s = s.copy()
+    todo = np.flatnonzero(s < e)
+    while len(todo):
+        dead = (member.take(r[todo], axis=1) == g.nbr[s[todo]]).any(axis=0)
+        todo = todo[dead]
+        s[todo] += 1
+        todo = todo[s[todo] < e[todo]]
+    return s
 
 
-def _lockstep(
-    g: Graph, budget: np.ndarray, widest: int, src: np.ndarray, rho: int, tie_inclusive: bool
-) -> list[np.ndarray]:
+def _lockstep(g: Graph, budget: np.ndarray, src: np.ndarray, rho: int, tie_inclusive: bool) -> list[np.ndarray]:
     """The balls of every source at once, one pop per source per round.
 
-    Row i of the pool holds source i's candidates: slot 0 the source, then
-    one block of `widest` slots per expanded pop, holding that member's
-    budget edges with the vertices already in the ball left empty; owner
-    holds the ball position of the member that wrote a slot (-1 for slot 0).
-    A pop takes the row's (distance, id) minimum and, of that vertex's
-    slots, the one with the smallest parent tag; then it empties every slot
-    of that vertex.  Once the written width is four times what the last
-    compaction left (plus two blocks), and at least _COMPACT_ROUNDS rounds
-    remain, _compact drops the empty slots and the duplicates no pop can
-    take, so a round scans about the distinct candidates, not every slot
-    written so far (on a 1,601-vertex ladder at rho=50, about 110 against
-    3,900).  After rho pops every member that can write a slot at r_rho
-    has been expanded, so the tie-inclusive tail is every pool vertex at
-    exactly r_rho, in id order.  Parent tags give the min-hop tree, strict
-    mode included: for a member u, each w with d(w) + wt(w, u) = d(u) has
-    d(w) < d(u) <= r_rho (weights are >= 1), so it is among the first
-    rho-1 members, the ones expanded, with its depth final (its own
-    predecessors are closer); and (w, u) is in w's budget (_pool_plan).
-    So u's slots at d(u) carry every shortest-path predecessor's
-    (depth, id), the pop takes the least, and depths are fewest-hop in g.
-    Returns the vertices, distances, ball-local parent positions and depths
-    of every ball entry, in ball order.
+    Popping member j of a ball (j < rho - 1) opens block j: the CSR slice
+    [indptr[u], indptr[u] + budget[u]) of that member u.  from_edges sorts
+    each row by (weight, neighbour id), and a block's distances are d(u)
+    plus its weights, so every block is sorted by (distance, id).  Each
+    block keeps a head, its first slot whose vertex is not in the ball.
+    The candidates of a ball are the non-members of its open blocks, so
+    the next pop, their (distance, id) minimum, is the least of at most
+    rho - 1 heads.  Once v is popped at d(v), the heads sitting on v (at
+    any distance) move past it and past every other member, as does the
+    block v opens; _skip_members looks at each slot once.  Each of v's
+    slots at d(v) is a head: a block's slots before it hold members or
+    candidates below (d(v), v), and no candidate is below the pop.  Of
+    these the pop takes the one with the least parent tag, the opening
+    member's (depth + 1) * n + id.  After rho pops every member that can
+    offer a slot at r_rho has opened its block, so the tie-inclusive tail
+    is each non-member at exactly r_rho in a block whose head is there,
+    read from the head on, with its least tag, in id order.  Parent tags
+    give the min-hop tree, strict mode included: for a member u, each w
+    with d(w) + wt(w, u) = d(u) has d(w) < d(u) <= r_rho (weights are
+    >= 1), so it is among the first rho - 1 members, the ones expanded,
+    with its depth final (its own predecessors are closer); and (w, u) is
+    in w's budget (_pool_plan).  So u's slots at d(u) carry every
+    shortest-path predecessor's (depth, id), the pop takes the least, and
+    depths are fewest-hop in g.  Returns the vertices, distances,
+    ball-local parent positions and depths of every ball entry, in ball
+    order.
     """
     n, rows = g.n, np.arange(len(src))
-    dist = np.full((len(src), 1 + (rho - 1) * widest), _EMPTY, dtype=np.int64)
-    vert = np.full(dist.shape, -1, dtype=np.int64)
-    owner = np.full(dist.shape, -1, dtype=np.int32)  # ball positions, below rho
-    dist[:, 0] = 0
-    vert[:, 0] = src
-    member = np.full((len(src), rho), n, dtype=np.int64)  # n: no member
-    mdist, mparent, mdepth = (np.zeros((len(src), rho), dtype=np.int64) for _ in range(3))
+    # Ball position j of row i is [j, i], and block j of row i is [j, i]
+    # (flat: j * len(src) + i): a round's reductions over a row's blocks
+    # then run along axis 0, as whole-array passes, not per short row.
+    member = np.full((rho, len(src)), n, dtype=np.int64)  # n: no member
+    mdist, mparent, mdepth = (np.zeros((rho, len(src)), dtype=np.int64) for _ in range(3))
     count = np.zeros(len(src), dtype=np.int64)
-    budget = np.append(budget, 0)
-    slots = np.arange(widest)
-    used = packed = 1  # slots written so far; width after the last compaction
-    for j in range(rho):
-        if rho - j >= _COMPACT_ROUNDS and used >= 4 * packed + 2 * widest:
-            used = packed = _compact(dist, vert, owner, member, mdepth, used, n)
-        D, V = dist[:, :used], vert[:, :used]
-        d = D.min(axis=1)
-        live = d < _EMPTY  # a row whose pool is empty holds a whole component
-        if not live.any():
-            break
-        at_d = D == np.where(live, d, -1)[:, None]
-        v = np.where(at_d, V, n).min(axis=1)
-        same = V == v[:, None]
-        r, _, p, dep = _by_tag(*np.nonzero(at_d & same), V, owner, member, mdepth, n)
-        first = _firsts(r)
-        r, p, dep = r[first], p[first], dep[first]
-        if (member[r, :j] == v[r, None]).any():
-            raise GraphError("ball search popped a vertex already in its ball")
-        member[r, j], mdist[r, j], mparent[r, j], mdepth[r, j] = v[r], d[r], p, dep
+    # Per block: next and end slot, the member's distance and parent tag,
+    # and the head's distance and vertex (_EMPTY and n once exhausted).
+    nxt, end, base, tag = (np.zeros((rho - 1) * len(src), dtype=np.int64) for _ in range(4))
+    hd = np.full(len(nxt), _EMPTY, dtype=np.int64)
+    hv = np.full(len(nxt), n, dtype=np.int64)
+    HD, HV, TAG = (col.reshape(rho - 1, len(src)) for col in (hd, hv, tag))
+    v, d, p, dep = src, np.zeros(len(src), dtype=np.int64), np.full(len(src), -1), np.zeros(len(src), dtype=np.int64)
+    f = rows[:0]  # heads on the popped vertex
+    for j in range(rho):  # round 0 pops each source
+        if j:
+            H, V = HD[:j], HV[:j]
+            d = H.min(axis=0)
+            live = d < _EMPTY  # a row with no head left holds a whole component
+            if not live.any():
+                break
+            at = H == d
+            v = np.where(live, np.where(at, V, n).min(axis=0), -1)  # -1: the row pops nothing
+            on = V == v
+            f = np.flatnonzero(on)
+            t = np.where(at & on, TAG[:j], _EMPTY)
+            p = t.argmin(axis=0)
+            dep = t[p, rows] // n
+            if (member[:j] == v).any():
+                raise GraphError("ball search popped a vertex already in its ball")
+        r = np.flatnonzero(v >= 0)
+        v, d = v[r], d[r]
+        member[j, r], mdist[j, r], mparent[j, r], mdepth[j, r] = v, d, p[r], dep[r]
         count[r] += 1
-        D[same] = _EMPTY
-        if j < rho - 1:
-            ok = slots < budget[v][:, None]
-            edge = np.where(ok, g.indptr[v][:, None] + slots, 0)
-            nbr = g.nbr[edge]
-            for k in range(j + 1):  # leave out the vertices already in the ball
-                ok &= nbr != member[:, k, None]
-            dist[:, used : used + widest] = np.where(ok, mdist[:, j, None] + g.wt[edge], _EMPTY)
-            vert[:, used : used + widest] = nbr
-            owner[:, used : used + widest] = j
-            used += widest
+        s, e = nxt[f] + 1, end[f]
+        if j < rho - 1:  # open block j
+            new = j * len(src) + r
+            f, s, e = np.append(f, new), np.append(s, g.indptr[v]), np.append(e, g.indptr[v] + budget[v])
+            base[new], tag[new] = d, (dep[r] + 1) * n + v
+        s = nxt[f] = _skip_members(g, member[: j + 1], f % len(src), s, e)
+        end[f] = e
+        ok = s < e
+        hd[f] = np.where(ok, base[f] + g.wt.take(s, mode="clip"), _EMPTY)
+        hv[f] = np.where(ok, g.nbr.take(s, mode="clip"), n)
     keep = np.arange(rho) < count[:, None]
-    cols = [np.repeat(rows, count), member[keep], mdist[keep], mparent[keep], mdepth[keep]]
+    cols = [np.repeat(rows, count), member.T[keep], mdist.T[keep], mparent.T[keep], mdepth.T[keep]]
     if tie_inclusive:
-        r_rho = mdist[rows, count - 1]
-        r, v, p, dep = _by_tag(*np.nonzero(dist[:, :used] == r_rho[:, None]), vert, owner, member, mdepth, n)
-        first = _firsts(r, v)
-        tail = [r[first], v[first], r_rho[r[first]], p[first], dep[first]]
-        order = np.argsort(np.concatenate([cols[0], tail[0]]), kind="stable")
+        r_rho = mdist[count - 1, rows]
+        f = np.flatnonzero(HD == r_rho)
+        size = end[f] - nxt[f]
+        slot = np.repeat(nxt[f] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        f = np.repeat(f, size)
+        r, v = f % len(src), g.nbr[slot]
+        ok = base[f] + g.wt[slot] == r_rho[r]
+        for k in range(int(count.max(initial=0))):  # leave out the members
+            ok &= member[k, r] != v
+        key = r[ok] * n + v[ok]
+        order = np.argsort(key, kind="stable")  # cheap: each block's run is in id order
+        f, key = f[ok][order], key[order]
+        t = tag[f]
+        starts = np.flatnonzero(_firsts(key))
+        least = t == np.repeat(np.minimum.reduceat(t, starts), np.diff(np.append(starts, len(t))))
+        f, key, t = f[least], key[least], t[least]  # a row's tags differ
+        r = f % len(src)
+        tail = [r, key - r * n, r_rho[r], f // len(src), t // n]
+        order = np.argsort(np.concatenate([cols[0], r]), kind="stable")
         cols = [np.concatenate(pair)[order] for pair in zip(cols, tail)]
     return cols[1:]
 
 
 def _ball_chunks(g: Graph, src: np.ndarray, rho: int, tie_inclusive: bool):
-    """The balls of src, one pool-sized chunk of sources at a time.
+    """The balls of src, one chunk of sources (_pool_plan) at a time.
 
     Yields each chunk's r_rho and size per ball and its ball_arrays
     columns, parent positions counted from the chunk's first entry.
     """
     rho = min(rho, max(g.n, 1))  # a ball holds at most n vertices, in both tie modes
-    if rho == 1:  # every ball is its center alone
+    if rho == 1 or not g.m:  # every ball is its center alone
         zero = np.zeros_like(src)
         yield zero, zero + 1, (src, src.copy(), zero.copy(), zero - 1, zero.copy())
         return
-    budget, widest, step = _pool_plan(g, rho)
+    budget, step = _pool_plan(g, rho)
     for lo in range(0, max(len(src), 1), step):  # no source: one empty chunk
         chunk = src[lo : lo + step]
-        vertex, dist, parent, depth = _lockstep(g, budget, widest, chunk, rho, tie_inclusive)
+        vertex, dist, parent, depth = _lockstep(g, budget, chunk, rho, tie_inclusive)
         starts = np.flatnonzero(parent < 0)
         size = np.diff(np.append(starts, len(parent)))
         parent = np.where(parent >= 0, parent + np.repeat(starts, size), -1)  # ball-local -> flat
@@ -300,8 +284,8 @@ def ball_arrays(
     member: the balls in the order of sources, each with its members in
     (distance, id) order (see Ball).  parent is a position in these
     columns, -1 for a center.  The sources are searched in lockstep chunks
-    (see _lockstep), sized so that a chunk's pool holds at most about
-    _POOL_ENTRIES candidates.
+    (see _lockstep), sized so that a chunk's blocks hold at most about
+    _POOL_ENTRIES slots.
     """
     parts = [cols for _, _, cols in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive)]
     sizes = [len(cols[0]) for cols in parts]

@@ -221,6 +221,19 @@ def test_unweighted_engine_runs_on_the_graph_preprocess_read(tmp_path, capsys):
     assert out == "".join(f"{lab} {d}\n" for lab, d in zip(g.labels.tolist(), dijkstra(g, 0).dist.tolist()))
 
 
+def test_unweighted_engine_names_a_weighted_input_before_radii(tmp_path, capsys, monkeypatch):
+    # A weighted -i graph holds no shortcut edge, so the engine's hint about
+    # them would mislead; sssp refuses the input itself, naming the file,
+    # before it reads a radii file (here there is none) or builds radii.
+    src = tmp_path / "grid.txt"
+    assert run(capsys, "gen", "--kind", "grid2d", "--w", "9", "--h", "7", "--weights", "1:9", "-o", str(src))[0] == 0
+    monkeypatch.setattr(preprocess, "_lockstep", None)  # building radii would call it
+    for radii in (["--radii", str(tmp_path / "missing.txt")], ["--rho", "4"]):
+        code, out, err = run(capsys, "sssp", "-i", str(src), *radii, "-s", "0", "--engine", "unweighted")
+        assert code == 1 and out == ""
+        assert f"{src} has weights up to 9" in err and "shortcut edges are weighted" not in err
+
+
 def _radii(tmp_path):
     rad = tmp_path / "r.txt"
     rad.write_text("0 0\n1 0\n2 0\n")

@@ -125,6 +125,19 @@ def test_sizes_and_weights_must_be_integers(spec, message):
         generate(spec)
 
 
+def test_validate_refuses_weights_no_graph_can_hold():
+    # from_edges takes no weight at or above 2**62; validate says so before
+    # generate builds the 300x300 grid and draws its weights.
+    spec = GeneratorSpec("grid2d", dims=(300, 300), weights=WeightSpec(2**62, 2**70, seed=1))
+    with pytest.raises(GraphError, match=re.escape(f"weights must be below 2**62, got hi={2**70}")):
+        spec.validate()
+    with pytest.raises(GraphError, match="below 2"):
+        WeightSpec(1, 2**62).validate()
+    WeightSpec(2**62 - 1, 2**62 - 1).validate()
+    g = generate(GeneratorSpec("grid2d", dims=(2, 1), weights=WeightSpec(2**62 - 1, 2**62 - 1)))
+    assert g.max_weight == 2**62 - 1
+
+
 @pytest.mark.parametrize(
     "spec, sizes",
     [

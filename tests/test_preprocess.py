@@ -334,7 +334,7 @@ def test_build_k_rho_chunks_equal_per_vertex_plans(heuristic, monkeypatch):
     # batched plan: a weighted grid and the tie-heavy corpus, both tie modes.
     grid = generate(GeneratorSpec("grid2d", dims=(20, 15), weights=WeightSpec(1, 3, seed=7)))
     monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 1000)
-    assert grid.n > preprocess._pool_plan(grid, 6)[2]
+    assert grid.n > preprocess._pool_plan(grid, 6)[1]
     corpus = _tie_heavy_corpus()
     cases = [(grid, [(2, 6)])] + [(g, [(1, 3), (2, 5), (3, 16)]) for g in corpus[::3] + corpus[-2:]]
     pick = shortcut_dp if heuristic == "dp" else shortcut_greedy
@@ -406,16 +406,8 @@ def _tie_heavy_corpus():
 RHOS = (1, 2, 3, 5, 8, 16)
 
 
-@pytest.mark.parametrize("compact_always", [False, True])
 @pytest.mark.parametrize("tie_inclusive", [True, False])
-def test_ball_arrays_equal_compute_ball_on_tie_heavy_corpus(tie_inclusive, compact_always, monkeypatch):
-    # compact_always lets the pool be compacted however few rounds remain,
-    # so the small graphs of the corpus go through _compact too.
-    compactions = []
-    if compact_always:
-        monkeypatch.setattr(preprocess, "_COMPACT_ROUNDS", 1)
-        real = preprocess._compact
-        monkeypatch.setattr(preprocess, "_compact", lambda *a: compactions.append(1) or real(*a))
+def test_ball_arrays_equal_compute_ball_on_tie_heavy_corpus(tie_inclusive):
     isolated = small = 0
     for g in _tie_heavy_corpus():
         lex = [_lex_dijkstra(g, v) for v in range(g.n)]
@@ -426,8 +418,6 @@ def test_ball_arrays_equal_compute_ball_on_tie_heavy_corpus(tie_inclusive, compa
             isolated += sum(len(b.members) == 1 for b in want) if rho > 1 else 0
             small += sum(1 < len(b.members) < rho for b in want)
     assert isolated > 0 and small > 0  # the corpus covers both cases
-    if compact_always:
-        assert compactions  # the lowered gate let _compact run
 
 
 @pytest.mark.parametrize("tie_inclusive", [True, False])
@@ -438,8 +428,71 @@ def test_ball_arrays_across_chunks(tie_inclusive, monkeypatch):
     sources = [47, 3, 3, 20, *range(30), 0]
     want = [ball_bruteforce(g, v, 5, tie_inclusive) for v in sources]
     monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 3 * (1 + 4 * 4))
-    assert preprocess._pool_plan(g, 5)[2] == 3
+    assert preprocess._pool_plan(g, 5)[1] == 3
     assert _split_balls(ball_arrays(g, sources, 5, tie_inclusive)) == want
+
+
+def _head_search_cases():
+    """Graphs where the block-head search is hardest: unit ladders, whose
+    heads skip long runs of members; a unit star of 60 vertices, whose
+    tie-inclusive tail is most of each ball; and an 8-cycle with weights
+    1-3 beside an isolated vertex and a 2-vertex component, smaller than
+    most rho."""
+    ladders = [generate(GeneratorSpec("adversarial", ladder=d)) for d in range(4, 9)]
+    star = from_edges(60, [(0, leaf, 1) for leaf in range(1, 60)])
+    split = from_edges(11, [(i, (i + 1) % 8, 1 + i % 3) for i in range(8)] + [(0, 4, 2), (9, 10, 1)])
+    return ladders + [star, split]
+
+
+@pytest.mark.parametrize("tie_inclusive", [True, False])
+def test_ball_arrays_equal_bruteforce_where_heads_skip_far(tie_inclusive, monkeypatch):
+    skipped = []
+    real = preprocess._skip_members
+
+    def skip(g, member, r, s, e):
+        out = real(g, member, r, s, e)
+        skipped.append(int((out - s).max(initial=0)))
+        return out
+
+    monkeypatch.setattr(preprocess, "_skip_members", skip)
+    tails = 0
+    for g in _head_search_cases():
+        lex = [_lex_dijkstra(g, v) for v in range(g.n)]
+        for rho in (2, 3, 7, 20, 100):
+            # _POOL_ENTRIES set so that a chunk holds a third of the sources.
+            widest = int(preprocess._pool_plan(g, min(rho, g.n))[0].max())
+            monkeypatch.setattr(preprocess, "_POOL_ENTRIES", (1 + (min(rho, g.n) - 1) * widest) * (g.n // 3))
+            assert preprocess._pool_plan(g, min(rho, g.n))[1] == g.n // 3
+            want = [ball_bruteforce(g, v, rho, tie_inclusive, lex[v]) for v in range(g.n)]
+            assert _split_balls(ball_arrays(g, range(g.n), rho, tie_inclusive)) == want, (g.n, rho)
+            tails += sum(len(b.members) > 2 * rho for b in want)
+    assert max(skipped) >= 8  # some head passed a long run of members
+    assert (tails > 0) == tie_inclusive  # star leaves: the tail outgrows the pops
+
+
+def _unit_lex(g, s):
+    """_lex_dijkstra(g, s) on a unit-weight graph, by numpy BFS levels: there
+    the least weight and the fewest hops of a shortest path are both the
+    level."""
+    dist = np.full(g.n, UNREACHED, dtype=np.int64)
+    dist[s], front, level = 0, np.array([s]), 0
+    while len(front):
+        level += 1
+        size = g.indptr[front + 1] - g.indptr[front]
+        nbr = g.nbr[np.repeat(g.indptr[front] - np.cumsum(size) + size, size) + np.arange(size.sum())]
+        front = np.unique(nbr[dist[nbr] == UNREACHED])
+        dist[front] = level
+    return dist.tolist(), dist.tolist()
+
+
+def test_ball_arrays_equal_bruteforce_on_the_bench_ladder():
+    # ladder-u's own graph at its rho: the search runs in chunks of 363
+    # sources, each member opening a block of 80 slots.
+    g = generate(GeneratorSpec("adversarial", ladder=40))
+    assert preprocess._pool_plan(g, 10)[1] == 363 and preprocess._pool_plan(g, 10)[0].max() == 80
+    got = _split_balls(ball_arrays(g, range(g.n), 10))
+    for v in random.Random(40).sample(range(g.n), 100):
+        assert got[v] == ball_bruteforce(g, v, 10, True, _unit_lex(g, v)), v
 
 
 def test_ball_arrays_edge_cases():
@@ -567,7 +620,7 @@ def test_premise_verdicts_agree_across_chunks(monkeypatch):
     monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 256)
     chunks = []
     real = preprocess._lockstep
-    monkeypatch.setattr(preprocess, "_lockstep", lambda g, *rest: chunks.append(len(rest[2])) or real(g, *rest))
+    monkeypatch.setattr(preprocess, "_lockstep", lambda g, *rest: chunks.append(len(rest[1])) or real(g, *rest))
     verdicts, spread = set(), 0
     for aug, rho, res, checked in cases:
         before = len(chunks)
@@ -624,9 +677,9 @@ def test_rho_above_n_searches_as_rho_n(monkeypatch):
     chunks = []
     real = preprocess._lockstep
 
-    def lockstep(g, budget, widest, src, *rest):
+    def lockstep(g, budget, src, *rest):
         chunks.append(len(src))
-        return real(g, budget, widest, src, *rest)
+        return real(g, budget, src, *rest)
 
     monkeypatch.setattr(preprocess, "_lockstep", lockstep)
     for tie_inclusive in (True, False):
