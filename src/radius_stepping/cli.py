@@ -12,22 +12,11 @@ from .bench import ExperimentConfig, config_from_json, emit_csv, emit_summary, r
 from .engine import radius_step_fast, radius_step_reference, radius_step_unweighted, step_records_csv
 from .generate import GeneratorSpec, WeightSpec, generate
 from .graph import Graph, GraphError, _read_text, _render_labeled, parse_edge_list, write_edge_list
-from .preprocess import (
-    RadiusAssignment,
-    build_k_rho,
-    parse_radii,
-    radii_for_graph,
-    validate_k_rho,
-    write_radii,
-)
+from .preprocess import build_k_rho, read_radii, validate_k_rho, write_radii
 
 
 def _read_graph(path: str) -> Graph:
     return parse_edge_list(_read_text(path))
-
-
-def _read_radii(path: str, g: Graph) -> RadiusAssignment:
-    return RadiusAssignment(r=radii_for_graph(parse_radii(_read_text(path)), g))
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -108,9 +97,9 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
         raise GraphError(f"source {args.source} is not a vertex label in {args.input}")
     source = int(hit[0])
     if args.radii is not None:
-        radii = _read_radii(args.radii, g)
+        radii = read_radii(_read_text(args.radii), g)
     else:
-        aug, radii, _ = build_k_rho(g, 1, args.rho, heuristic="dp")
+        aug, radii, _ = build_k_rho(g, 1, 1 if args.rho is None else args.rho, heuristic="dp")
         if args.engine != "unweighted":
             # The unweighted engine keeps the original unit-weight graph;
             # the others run on the graph the radii were built for.
@@ -153,7 +142,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    report = validate_k_rho(g, _read_radii(args.radii, g), args.k, args.rho)
+    report = validate_k_rho(g, read_radii(_read_text(args.radii), g), args.k, args.rho)
     if report.ok:
         print(f"ok: {report.checked} vertices satisfy the ({args.k},{args.rho}) ball property")
         return 0
@@ -194,8 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ss = sub.add_parser("sssp", help="single-source shortest paths")
     ss.add_argument("-i", "--input", required=True)
-    ss.add_argument("--radii")
-    ss.add_argument("--rho", type=int, default=1, help="build radii on the fly when no file given")
+    radii = ss.add_mutually_exclusive_group()
+    radii.add_argument("--radii")
+    radii.add_argument("--rho", type=int, help="build radii on the fly (default 1) when no file given")
     ss.add_argument("-s", "--source", type=int, required=True, help="source vertex label, as in the input file")
     ss.add_argument("--engine", choices=["ref", "fast", "unweighted"], default="fast")
     ss.add_argument("--stats", help="write per-step CSV here")

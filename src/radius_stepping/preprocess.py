@@ -20,7 +20,8 @@ check_bounds and of validate_k_rho) keeps two counts per ball.  Both
 heuristics run on the tree's parent and depth arrays alone: build_k_rho
 hands them a chunk's flat columns, and _shortcuts (behind shortcut_dp)
 hands them one Ball's.  validate_k_rho checks the (k, rho) property of
-any radii exactly, at any graph size.
+any radii exactly, at any graph size.  write_radii and read_radii keep
+radii in a "v r" file keyed by the graph's labels.
 
 Ball counting includes the center: the first "closest vertex" of v is v
 itself at distance 0, so rho=1 always yields the trivial ball {v} with
@@ -121,13 +122,6 @@ def _pool_plan(g: Graph, rho: int) -> tuple[np.ndarray, int]:
         budget[heavy] += np.bincount(row[g.wt[slot] == g.wt[kth][row]], minlength=len(heavy))
     width = 1 + (rho - 1) * int(budget.max(initial=0))
     return budget, max(1, min(1024, _POOL_ENTRIES // width))
-
-
-def _firsts(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal keys."""
-    first = np.ones(len(keys[0]), dtype=bool)
-    first[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
-    return first
 
 
 def _skip_members(g: Graph, member: np.ndarray, r: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -235,7 +229,7 @@ def _lockstep(g: Graph, budget: np.ndarray, src: np.ndarray, rho: int, tie_inclu
         order = np.argsort(key, kind="stable")  # cheap: each block's run is in id order
         f, key = f[ok][order], key[order]
         t = tag[f]
-        starts = np.flatnonzero(_firsts(key))
+        starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
         least = t == np.repeat(np.minimum.reduceat(t, starts), np.diff(np.append(starts, len(t))))
         f, key, t = f[least], key[least], t[least]  # a row's tags differ
         r = f % len(src)
@@ -311,7 +305,7 @@ class RadiusAssignment:
 
     r is an integer sequence as graph._int64_array takes one, each radius
     in [0, UNREACHED] (UNREACHED: no cap), or GraphError; it is stored as
-    a read-only int64 copy.  parse_radii reads back what write_radii writes.
+    a read-only int64 copy.  read_radii reads back what write_radii writes.
     """
 
     r: np.ndarray
@@ -337,14 +331,14 @@ def _check_size(g: Graph, radii: RadiusAssignment) -> None:
         raise GraphError("radius assignment does not match graph size")
 
 
-def write_radii(radii: RadiusAssignment, labels: np.ndarray | None = None) -> str:
+def write_radii(radii: RadiusAssignment, labels: np.ndarray) -> str:
     """One "v r\\n" line per vertex, keyed by label (sorted), "inf" for no cap.
 
-    Labels, if given, must be as from_edges takes them: one distinct id
-    per radius, by graph._int64_array's rule.  No radii give "", which
-    parse_radii refuses as an empty radii file.
+    Labels must be as from_edges takes them: one distinct id per radius,
+    by graph._int64_array's rule.  No radii give "", which read_radii
+    refuses as an empty radii file.
     """
-    label = np.arange(len(radii.r), dtype=np.int64) if labels is None else _int64_array("vertex labels", labels)
+    label = _int64_array("vertex labels", labels)
     if len(label) != len(radii.r):
         raise GraphError(f"{len(label)} labels for {len(radii.r)} radii")
     _check_labels(label, len(radii.r))
@@ -352,7 +346,9 @@ def write_radii(radii: RadiusAssignment, labels: np.ndarray | None = None) -> st
     return _render_labeled(label[order], radii.r[order])
 
 
-def parse_radii(text: str) -> dict[int, int]:
+def read_radii(text: str, g: Graph) -> RadiusAssignment:
+    """write_radii's "v r" lines as g's radii, by dense id.  The first error
+    wins: a line's, in file order; an empty file; a missing vertex; extra labels."""
     pairs: dict[int, int] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -375,18 +371,13 @@ def parse_radii(text: str) -> dict[int, int]:
         pairs[v] = r
     if not pairs:
         raise GraphError("empty radii file")
-    return pairs
-
-
-def radii_for_graph(pairs: dict[int, int], g: Graph) -> np.ndarray:
-    """Align parsed (label, radius) pairs to a graph's dense vertex ids."""
     # Radii are >= 0, so -1 marks a label the file does not list.
     arr = np.array([pairs.get(lab, -1) for lab in g.labels.tolist()], dtype=np.int64)
     if (arr < 0).any():
         raise GraphError(f"radii file is missing vertex {g.labels[np.argmax(arr < 0)]}")
     if len(pairs) != g.n:
         raise GraphError(f"radii file covers {len(pairs)} vertices, graph has {g.n}")
-    return arr
+    return RadiusAssignment(r=arr)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,25 @@ def test_sssp_with_radii_file(tmp_path, capsys):
     assert "steps" in err
 
 
+def test_validate_names_the_vertex_a_radii_file_lacks(tmp_path, capsys):
+    src = tmp_path / "g.txt"
+    src.write_text("7 3 2\n3 9 5\n")
+    rad = tmp_path / "radii.txt"
+    rad.write_text("3 0\n9 0\n")
+    code, out, err = run(capsys, "validate", "-i", str(src), "--radii", str(rad), "--k", "1", "--rho", "2")
+    assert (code, out, err) == (1, "", "error: radii file is missing vertex 7\n")
+
+
+@pytest.mark.parametrize("rho", ["5", "1"])
+def test_sssp_radii_and_rho_are_a_usage_error(tmp_path, capsys, rho):
+    # --rho only builds radii when no file is given, so the pair is refused
+    # rather than --rho being ignored; "1", the value used without either
+    # flag, is refused too.
+    with pytest.raises(SystemExit) as exc:
+        main(["sssp", "-i", str(tmp_path / "g.txt"), "-s", "0", "--radii", _radii(tmp_path), "--rho", rho])
+    assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "bad",
     ["0 x", "y 3", "0 1.5", f"0 {2**62 + 1}", "0 99999999999999999999", "0 0\n1 0\n2 0\n0 99"],

@@ -23,9 +23,8 @@ from radius_stepping import (
     generate,
     min_hop_ball_tree,
     parse_edge_list,
-    parse_radii,
-    radii_for_graph,
     radius_step_fast,
+    read_radii,
     shortcut_dp,
     validate_k_rho,
     write_edge_list,
@@ -695,56 +694,93 @@ def test_rho_above_n_searches_as_rho_n(monkeypatch):
 def test_radii_roundtrip():
     g, _ = random_graph(5, n_hi=30, m_cap=60)
     _, radii = build_1_rho(g, 3)
-    arr = radii_for_graph(parse_radii(write_radii(radii)), g)
-    assert np.array_equal(arr, radii.r)
+    assert np.array_equal(read_radii(write_radii(radii, g.labels), g).r, radii.r)
 
 
 def test_radii_align_by_labels():
     g = parse_edge_list("7 3 2\n3 9 5\n")  # labels 7,3,9 -> compact 0,1,2
-    pairs = parse_radii("3 10\n7 20\n9 30\n")
-    assert radii_for_graph(pairs, g).tolist() == [20, 10, 30]
+    assert read_radii("3 10\n7 20\n9 30\n", g).r.tolist() == [20, 10, 30]
 
 
 def test_radii_for_graph_rejects_gaps():
     g = from_edges(3, PATH)
     with pytest.raises(GraphError):
-        radii_for_graph(parse_radii("0 1\n2 4\n"), g)
-
-
-def test_radii_for_graph_ids_beyond_int64_name_no_vertex():
-    g = parse_edge_list("7 3 2\n3 9 5\n")
-    with pytest.raises(GraphError, match="radii file covers 4 vertices, graph has 3"):
-        radii_for_graph({3: 1, 7: 2, 9: 3, 2**70: 4}, g)
-    with pytest.raises(GraphError, match="radii file is missing vertex 7"):
-        radii_for_graph({3: 1, -(2**64): 2, 9: 3}, g)
+        read_radii("0 1\n2 4\n", g)
 
 
 def test_parse_radii_rejects_ids_beyond_int64():
-    assert parse_radii(f"{-(2**63)} 1\n{2**63 - 1} inf\n") == {-(2**63): 1, 2**63 - 1: UNREACHED}
+    g = from_edges(2, [], labels=(-(2**63), 2**63 - 1))
+    assert read_radii(f"{-(2**63)} 1\n{2**63 - 1} inf\n", g).r.tolist() == [1, UNREACHED]
     with pytest.raises(GraphError, match=r"radii line 3: vertex ids must fit int64, got 18446744073709551616"):
-        parse_radii(f"0 1\n# note\n{2**64} 2\n")
+        read_radii(f"0 1\n# note\n{2**64} 2\n", g)
 
 
 def test_parse_radii_rejects_lines_without_two_fields_and_empty_files():
+    g = from_edges(2, [])
     for text in ("0 1\n1\n", "0 1\n1 2 3\n"):
         with pytest.raises(GraphError, match="^radii line 2: expected 'v r'$"):
-            parse_radii(text)
+            read_radii(text, g)
     for text in ("", "\n", "# only a comment\n", "  \r\n"):
         with pytest.raises(GraphError, match="^empty radii file$"):
-            parse_radii(text)
+            read_radii(text, g)
 
 
 def test_parse_radii_takes_crlf_and_a_bare_cr_ending():
-    assert parse_radii("0 5\r\n1 inf\r\n") == {0: 5, 1: 2**62}
-    assert parse_radii("# note\r\n0 5\r\n1 inf\r") == {0: 5, 1: 2**62}
+    g = from_edges(2, [])
+    assert read_radii("0 5\r\n1 inf\r\n", g).r.tolist() == [5, 2**62]
+    assert read_radii("# note\r\n0 5\r\n1 inf\r", g).r.tolist() == [5, 2**62]
 
 
 def test_radii_inf_roundtrip():
     g = from_edges(2, [(0, 1, 3)])
     radii = RadiusAssignment.uniform(2, UNREACHED)
-    text = write_radii(radii)
+    text = write_radii(radii, g.labels)
     assert text == "0 inf\n1 inf\n"
-    assert radii_for_graph(parse_radii(text), g).tolist() == [UNREACHED, UNREACHED]
+    assert read_radii(text, g).r.tolist() == [UNREACHED, UNREACHED]
+
+
+# (graph labels, file text, radii by dense id or the exact GraphError message)
+READ_RADII_CASES = [
+    ((7, 3, 9), "3 10\n7 20\n9 30\n", [20, 10, 30]),
+    ((0, 1), "0 1\n1 inf\n", [1, UNREACHED]),
+    ((0, 1), "0 inf\n1 inf\n", [UNREACHED, UNREACHED]),
+    ((0, 1), "0 5\r\n1 inf\r\n", [5, UNREACHED]),
+    ((0, 1), "# note\r\n0 5\r\n1 inf\r", [5, UNREACHED]),
+    ((0, 1), "  # note\n\n 1 0 \n0 4611686018427387904\n", [UNREACHED, 0]),
+    ((-(2**63), 2**63 - 1), f"{-(2**63)} 1\n{2**63 - 1} inf\n", [1, UNREACHED]),
+    ((0, 1), "", "empty radii file"),
+    ((0, 1), "\n", "empty radii file"),
+    ((0, 1), "# only a comment\n", "empty radii file"),
+    ((0, 1), "  \r\n", "empty radii file"),
+    ((0, 1), "0 1\n1\n", "radii line 2: expected 'v r'"),
+    ((0, 1), "0 1\n1 2 3\n", "radii line 2: expected 'v r'"),
+    ((0, 1), "0 1.5\n", "radii line 1: expected integers 'v r', got '0 1.5'"),
+    ((0, 1), "# radii\ny 3\n", "radii line 2: expected integers 'v r', got 'y 3'"),
+    ((0, 1), "0 -1\n", "radii line 1: radius must be in [0, 2**62] or inf, got -1"),
+    ((0, 1), f"0 {2**62 + 1}\n", f"radii line 1: radius must be in [0, 2**62] or inf, got {2**62 + 1}"),
+    ((0, 1), f"0 1\n# note\n{2**64} 2\n", "radii line 3: vertex ids must fit int64, got 18446744073709551616"),
+    ((0, 1), f"{-(2**63) - 1} 2\n", f"radii line 1: vertex ids must fit int64, got {-(2**63) - 1}"),
+    ((0, 1), "0 1\n1 2\n0 3\n", "radii line 3: vertex 0 listed twice"),
+    # A line's errors come in file order: the first bad line is named.
+    ((0, 1), "0 1\n0 2\n1\n", "radii line 2: vertex 0 listed twice"),
+    ((0, 1), "0 1\nx 2\n0 3\n", "radii line 2: expected integers 'v r', got 'x 2'"),
+    # Then a missing vertex (the first by dense id), then labels beyond g's.
+    ((0, 1, 2), "0 1\n2 4\n", "radii file is missing vertex 1"),
+    ((7, 3, 9), "3 1\n9 3\n5 4\n6 5\n", "radii file is missing vertex 7"),
+    ((7, 3, 9), "3 1\n7 2\n9 3\n5 4\n", "radii file covers 4 vertices, graph has 3"),
+]
+
+
+def test_read_radii_gives_radii_or_the_first_error_in_file_order():
+    for labels, text, want in READ_RADII_CASES:
+        g = from_edges(len(labels), [], labels=labels)
+        if isinstance(want, str):
+            with pytest.raises(GraphError) as err:
+                read_radii(text, g)
+            assert str(err.value) == want, text
+        else:
+            radii = read_radii(text, g)
+            assert isinstance(radii, RadiusAssignment) and radii.r.tolist() == want, text
 
 
 def test_bad_arguments():
@@ -817,7 +853,7 @@ def test_radius_assignment_takes_only_integer_radii():
     radii = RadiusAssignment(mine)
     mine[0] = 9  # the assignment keeps its own read-only copy
     assert radii.r.tolist() == [1, 2, 3] and radii.r.dtype == np.int64 and not radii.r.flags.writeable
-    # Radii lie in [0, UNREACHED], as parse_radii and the engines take them.
+    # Radii lie in [0, UNREACHED], as read_radii and the engines take them.
     with pytest.raises(GraphError, match="^radii must be nonnegative$"):
         RadiusAssignment([-1, 0])
     with pytest.raises(GraphError, match=r"^radii must be at most 4611686018427387904 \(2\*\*62, no cap\)$"):
@@ -870,7 +906,7 @@ def test_write_radii_rejects_the_wrong_number_of_labels():
 
 def test_write_radii_takes_labels_as_from_edges_does():
     # (1.5, 2.7) wrote "1 3\n2 3\n", bools and strings were taken, (5, 5)
-    # wrote a file parse_radii rejects, and 2**63 raised a bare OverflowError.
+    # wrote a file read_radii rejects, and 2**63 raised a bare OverflowError.
     radii = RadiusAssignment.uniform(2, 3)
     cases = [
         ((1.5, 2.7), "vertex labels must be integers"),
