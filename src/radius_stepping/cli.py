@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .bench import ExperimentConfig, config_from_json, emit_csv, emit_summary, run_experiment
-from .engine import radius_step_fast, radius_step_reference, radius_step_unweighted, step_records_csv
+from .engine import radius_step_fast, radius_step_unweighted, step_records_csv
 from .generate import GeneratorSpec, WeightSpec, generate
 from .graph import Graph, GraphError, _read_text, _render_labeled, parse_edge_list, write_edge_list
 from .preprocess import build_k_rho, read_radii, validate_k_rho, write_radii
@@ -102,13 +102,9 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
         aug, radii, _ = build_k_rho(g, 1, 1 if args.rho is None else args.rho, heuristic="dp")
         if args.engine != "unweighted":
             # The unweighted engine keeps the original unit-weight graph;
-            # the others run on the graph the radii were built for.
+            # the fast engine runs on the graph the radii were built for.
             g = aug
-    engine = {
-        "ref": radius_step_reference,
-        "fast": radius_step_fast,
-        "unweighted": radius_step_unweighted,
-    }[args.engine]
+    engine = radius_step_unweighted if args.engine == "unweighted" else radius_step_fast
     res = engine(g, radii, source)
     sys.stdout.write(_render_labeled(g.labels, res.dist.dist))
     if args.stats is not None:
@@ -187,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     radii.add_argument("--radii")
     radii.add_argument("--rho", type=int, help="build radii on the fly (default 1) when no file given")
     ss.add_argument("-s", "--source", type=int, required=True, help="source vertex label, as in the input file")
-    ss.add_argument("--engine", choices=["ref", "fast", "unweighted"], default="fast")
+    ss.add_argument("--engine", choices=["fast", "unweighted"], default="fast")
     ss.add_argument("--stats", help="write per-step CSV here")
     ss.set_defaults(func=_cmd_sssp)
 

@@ -9,25 +9,22 @@ does not depend on edge processing order.  A vertex is relaxed again only
 when its distance has dropped since it was last relaxed: the candidates it
 would offer otherwise are already applied.
 
-Two loops implement that contract:
+One loop, _stepping, implements that contract.  It keeps touched
+unsettled vertices in columns by position (vertex, delta, threshold
+offset, w_min), writes only the positions of the vertices a relaxation
+moves, marks settled positions dead and compacts once dead ones outnumber
+live ones, so a round's upkeep follows the vertices it moves and settles.
+It settles runs of steps that cannot interact in a single relaxation.  It
+takes the threshold rule as an argument.  The radius engines pick
+min(delta + r); baselines.delta_stepping picks the end of the bucket of
+min(delta), so Delta-stepping runs on the same core.  Every substep of
+every engine is one relax_batch call, a scatter-min;
+radius_step_unweighted is radius_step_fast restricted to unit-weight
+graphs.  The literal loop, which scans every unsettled vertex each step,
+is a test oracle in tests/oracles.py; the tests hold this loop to it step
+by step, under both threshold rules.
 
-* radius_step_reference: the executable specification, scanning all
-  unsettled vertices each step; O(n) per step, intended for small graphs.
-  Its loop, _reference, takes the same threshold rule as _stepping, so
-  the tests hold Delta-stepping's batching to it too.
-* _stepping: keeps touched unsettled vertices in columns by position
-  (vertex, delta, threshold offset, w_min), writes only the positions of
-  the vertices a relaxation moves, marks settled positions dead and
-  compacts once dead ones outnumber live ones, so a round's upkeep follows
-  the vertices it moves and settles.  It settles runs of steps that cannot
-  interact in a single relaxation.  It takes the threshold rule as an
-  argument.  The radius engines pick min(delta + r);
-  baselines.delta_stepping picks the end of the bucket of min(delta), so
-  Delta-stepping runs on the same core.  Every substep of every engine is
-  one relax_batch call, a scatter-min; radius_step_unweighted is
-  radius_step_fast restricted to unit-weight graphs.
-
-Both loops append one entry per round to a list, and _step_log builds the
+The loop appends one entry per round to a list, and _step_log builds the
 StepLog from it once the run ends.  A StepLog keeps the records as int64
 columns plus one flat array of active sets; a StepRecord is built only when
 an element of the log is read.  All engines produce identical step logs and
@@ -241,41 +238,6 @@ class _Threshold(NamedTuple):
         return np.broadcast_to(np.int64(0), n) if self.offset is None else self.offset
 
 
-def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
-    """Literal stepping loop scanning every unsettled vertex per step."""
-    _check_vertex(g, s)
-    _check_size(g, radii)
-    return _reference(g, s, _Threshold(radii.r))
-
-
-def _reference(g: Graph, s: int, rule: _Threshold) -> SsspResult:
-    """The literal loop under _stepping's threshold rule: each step's
-    threshold is the least offer of the touched unsettled vertices."""
-    delta, settled, _ = _start(g, s)
-    r = rule.offsets(g.n)
-    relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
-    rounds = []
-    while True:
-        frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
-        if frontier.size == 0:
-            break
-        d_i = int(rule.end(delta[frontier] + r[frontier]).min())
-        substeps = step_relaxations = 0
-        while True:
-            substeps += 1
-            active = [v for v in frontier.tolist() if delta[v] <= d_i and relaxed_at[v] != delta[v]]
-            relaxed_at[active] = delta[active]
-            moved, scanned = relax_batch(g, delta, active, settled)
-            step_relaxations += scanned
-            frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
-            if not any(delta[v] <= d_i for v in moved.tolist()):
-                break
-        active = frontier[delta[frontier] <= d_i]
-        settled[active] = True
-        rounds.append(((d_i,), (active.size,), active, (substeps, step_relaxations)))
-    return _finish(g, delta, settled, s, rounds)
-
-
 def _compact(pos: np.ndarray, cols: tuple[np.ndarray, ...], m: int) -> int:
     """Move the live positions among F's first m, in order, to the front of
     its columns (ids and delta first) and repoint pos; returns their count."""
@@ -479,7 +441,6 @@ class BoundsReport:
     checkable: bool
     reason: str
     step_limit: int | None
-    window: int | None
     violations: tuple[str, ...]
 
     @property
@@ -519,7 +480,7 @@ def check_bounds(
         inside, need = _ball_premise(g, radii.r, np.arange(g.n), rho)
         short = np.flatnonzero(inside < need)
         if len(short):
-            return BoundsReport(False, f"premise fails: |B({short[0]}, r)| below {need[short[0]]}", None, None, ())
+            return BoundsReport(False, f"premise fails: |B({short[0]}, r)| below {need[short[0]]}", None, ())
     n_reach = res.dist.reached_count()
     t = 1 + _ceil_log2(int(rho) * g.max_weight)
     limit = -(-n_reach // rho) * t
@@ -541,4 +502,4 @@ def check_bounds(
         work = (k + 2) * 2 * g.m
         if res.total_relaxations > work:
             violations.append(f"{res.total_relaxations} relaxations exceed (k+2)*2m = {work}")
-    return BoundsReport(True, "", limit, t, tuple(violations))
+    return BoundsReport(True, "", limit, tuple(violations))

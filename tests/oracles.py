@@ -1,5 +1,13 @@
 """Brute-force oracles and one-call wrappers the tests check the package against.
 
+radius_step_reference is the literal stepping loop, the executable
+specification the engines are held to step by step: each step scans every
+unsettled vertex, O(n) per step, so it is meant for small graphs.  Its
+loop, reference_loop, takes the threshold rule of the package's stepping
+loop, so it holds baselines.delta_stepping to the literal rule too.  It
+builds its state and step log with the engine's own _start and _finish
+and relaxes through engine.relax_batch, looked up at call time.
+
 bellman_ford is an independent distance oracle for dijkstra and the
 engines, and bfs gives hop distances, rounds and the scan profile of
 unit-weight runs.  check_graph asserts every structural invariant of a
@@ -19,8 +27,10 @@ from typing import Iterator
 
 import numpy as np
 
+from radius_stepping import engine
+from radius_stepping.engine import SsspResult, _finish, _start, _Threshold
 from radius_stepping.graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex
-from radius_stepping.preprocess import Ball, RadiusAssignment, _shortcuts, build_k_rho
+from radius_stepping.preprocess import Ball, RadiusAssignment, _check_size, _shortcuts, build_k_rho
 
 # Brute-force helpers refuse graphs above this size.
 SMALL_GRAPH_CAP = 400
@@ -50,6 +60,41 @@ def bellman_ford(g: Graph, s: int) -> DistanceVector:
             break
     dist.flags.writeable = False
     return DistanceVector(source=s, dist=dist)
+
+
+def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
+    """Literal stepping loop scanning every unsettled vertex per step."""
+    _check_vertex(g, s)
+    _check_size(g, radii)
+    return reference_loop(g, s, _Threshold(radii.r))
+
+
+def reference_loop(g: Graph, s: int, rule: _Threshold) -> SsspResult:
+    """The literal loop under _stepping's threshold rule: each step's
+    threshold is the least offer of the touched unsettled vertices."""
+    delta, settled, _ = _start(g, s)
+    r = rule.offsets(g.n)
+    relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
+    rounds = []
+    while True:
+        frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
+        if frontier.size == 0:
+            break
+        d_i = int(rule.end(delta[frontier] + r[frontier]).min())
+        substeps = step_relaxations = 0
+        while True:
+            substeps += 1
+            active = [v for v in frontier.tolist() if delta[v] <= d_i and relaxed_at[v] != delta[v]]
+            relaxed_at[active] = delta[active]
+            moved, scanned = engine.relax_batch(g, delta, active, settled)
+            step_relaxations += scanned
+            frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
+            if not any(delta[v] <= d_i for v in moved.tolist()):
+                break
+        active = frontier[delta[frontier] <= d_i]
+        settled[active] = True
+        rounds.append(((d_i,), (active.size,), active, (substeps, step_relaxations)))
+    return _finish(g, delta, settled, s, rounds)
 
 
 def check_graph(g: Graph) -> None:

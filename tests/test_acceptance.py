@@ -22,14 +22,13 @@ from radius_stepping import (
     emit_csv,
     generate,
     radius_step_fast,
-    radius_step_reference,
     radius_step_unweighted,
     run_experiment,
     shortcut_dp,
     validate_k_rho,
 )
 from conftest import children, corpus, tree_ball
-from oracles import bellman_ford, bfs, build_1_rho, shortcut_greedy
+from oracles import bellman_ford, bfs, build_1_rho, radius_step_reference, shortcut_greedy
 
 
 class Budget:

@@ -18,7 +18,7 @@ from radius_stepping import (
     GeneratorSpec,
 )
 from conftest import random_graph
-from oracles import SizeCapError, bellman_ford, bfs, hop_matrix, k_radius_bruteforce
+from oracles import SizeCapError, bellman_ford, bfs, hop_matrix, k_radius_bruteforce, reference_loop
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 TRIANGLE = [(0, 1, 5), (0, 2, 1), (2, 1, 1)]
@@ -87,7 +87,7 @@ def test_delta_stepping_degenerate_single_bucket():
 
 def same_run(run, g, s, delta):
     """run equals the literal loop's under Delta-stepping's key for delta."""
-    ref = engine._reference(g, s, baselines._bucket_end(delta))
+    ref = reference_loop(g, s, baselines._bucket_end(delta))
     return list(run.steps) == list(ref.steps) and run.dist.same_as(ref.dist)
 
 
@@ -118,7 +118,7 @@ def test_delta_stepping_core_matches_the_literal_loop(seed, delta_kind):
     L = g.max_weight
     delta = {"1": 1, "L/3": -(-L // 3), "L": L, "nL": g.n * L}[delta_kind]
     key = baselines._bucket_end(delta)
-    fast, ref = engine._stepping(g, s, key), engine._reference(g, s, key)
+    fast, ref = engine._stepping(g, s, key), reference_loop(g, s, key)
     signature = [(rec.d, rec.active, rec.substeps, rec.relaxations) for rec in fast.steps]
     assert signature == [(rec.d, rec.active, rec.substeps, rec.relaxations) for rec in ref.steps]
     assert fast.dist.same_as(ref.dist) and fast.dist.same_as(dijkstra(g, s))

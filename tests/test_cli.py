@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import radius_stepping.preprocess as preprocess
-from radius_stepping import UNREACHED, dijkstra, parse_edge_list
+from radius_stepping import UNREACHED, dijkstra, parse_edge_list, read_radii, step_records_csv
 from radius_stepping.cli import main
+from oracles import radius_step_reference
 
 PATH_TEXT = "0 1 2\n1 2 3\n"
 
@@ -30,9 +31,20 @@ def test_sssp_prints_oracle_distances(tmp_path, capsys):
 def test_sssp_unreachable_prints_inf(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text("0 1 2\n2 3 1\n")
-    code, out, _ = run(capsys, "sssp", "-i", str(f), "-s", "0", "--engine", "ref")
+    code, out, _ = run(capsys, "sssp", "-i", str(f), "-s", "0")
     assert code == 0
     assert out.splitlines()[2] == "2 inf"
+
+
+def test_sssp_engine_ref_is_a_usage_error(tmp_path, capsys):
+    # The literal loop is a test oracle, not an engine the CLI offers.
+    f = tmp_path / "g.txt"
+    f.write_text(PATH_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["sssp", "-i", str(f), "-s", "0", "--engine", "ref"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "invalid choice: 'ref'" in out.err and out.out == ""
 
 
 def test_gen_grid3d_and_adversarial(tmp_path, capsys):
@@ -486,10 +498,8 @@ def edge_list_inputs(draw):
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    edge_list_inputs(), st.integers(1, 2), st.sampled_from([1, 2, 5]), st.sampled_from(["fast", "ref"]), st.data()
-)
-def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given_input, k, rho, engine, data):
+@given(edge_list_inputs(), st.integers(1, 2), st.sampled_from([1, 2, 5]), st.data())
+def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given_input, k, rho, data):
     src, aug, rad, stats = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt", "steps.csv"))
     if isinstance(given_input, list):
         code, _, _ = run(capsys, "gen", *given_input, "-o", str(src))
@@ -504,8 +514,7 @@ def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given
     g = parse_edge_list(src.read_text())
     source_label = data.draw(st.sampled_from(g.labels.tolist()))
     code, out, err = run(
-        capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", str(source_label),
-        "--engine", engine, "--stats", str(stats),
+        capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", str(source_label), "--stats", str(stats),
     )
     assert code == 0, err
     oracle = dijkstra(g, g.labels.tolist().index(source_label))
@@ -516,6 +525,11 @@ def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given
     rows = stats.read_text().splitlines()
     assert rows[0] == "i,d_i,active_count,substeps,settled_prefix"
     assert len(rows) == 1 + step_count
+    # The step records are the literal loop's on the files the test wrote.
+    aug_g = parse_edge_list(aug.read_text())
+    radii = read_radii(rad.read_text(), aug_g)
+    s = aug_g.labels.tolist().index(source_label)
+    assert stats.read_text() == step_records_csv(radius_step_reference(aug_g, radii, s))
 
 
 def test_huge_k_and_rho_preprocess_and_bench_as_n(tmp_path, capsys):

@@ -17,13 +17,12 @@ from radius_stepping import (
     from_edges,
     generate,
     radius_step_fast,
-    radius_step_reference,
     radius_step_unweighted,
     step_records_csv,
 )
 from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, _compact, relax_batch
 from conftest import corpus, random_graph
-from oracles import bellman_ford, bfs, build_1_rho, hop_matrix
+from oracles import bellman_ford, bfs, build_1_rho, hop_matrix, radius_step_reference
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 
