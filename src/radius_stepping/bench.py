@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, fields
 
 from .engine import check_bounds, radius_step_fast
 from .generate import GeneratorSpec, WeightSpec, generate
-from .graph import Graph, GraphError, _check_count, _check_seed, _is_int, _read_text, parse_edge_list
+from .graph import Graph, GraphError, _check_count, _check_seed, _read_text, parse_edge_list
 from .preprocess import build_k_rho, validate_k_rho
 
 CSV_HEADER = "graph,n,m,k,rho,heuristic,added_edge_factor,mean_steps,mean_substeps,reduction_factor"
@@ -61,6 +61,8 @@ class ExperimentConfig:
         _check_count("source_count", self.source_count)
         _check_seed(self.seed)
         _check_label(self.label)
+        if self.generator is not None:
+            self.generator.validate()
 
 
 def _check_label(label: str) -> None:
@@ -69,25 +71,13 @@ def _check_label(label: str) -> None:
         raise GraphError(f"label must be a string without a comma, double quote, CR or LF, got {label!r}")
 
 
-# JSON shape expected for each field annotation of the config dataclasses.
-_SHAPES = {
-    "str": ("a string", lambda x: isinstance(x, str)),
-    "str | None": ("a string", lambda x: isinstance(x, str)),
-    "int": ("an integer", _is_int),
-    "tuple[int, ...]": ("a list of integers", lambda x: isinstance(x, list) and all(map(_is_int, x))),
-    "tuple[str, ...]": (
-        "a list of strings",
-        lambda x: isinstance(x, list) and all(isinstance(y, str) for y in x),
-    ),
-}
-
-
 def _spec(cls: type, raw: object, path: str, **given: object) -> object:
-    """cls built from the JSON object `raw` at `path`, checking every field.
+    """cls built from the JSON object `raw` at `path`, its fields unchecked.
 
-    Keys must name fields of cls and values must have their field's shape; a
-    null value stands for the field's default.  Fields in `given` are taken
-    as they are.  Anything else raises GraphError naming the field.
+    Keys must name fields of cls and every required field must be present;
+    a null value stands for the field's default and a list becomes a tuple.
+    Fields in `given` are taken as they are.  A breach of these rules raises
+    GraphError naming the JSON path; the values are judged by validate().
     """
     where = f"config field {path!r}" if path else "config"
     if not isinstance(raw, dict):
@@ -100,21 +90,18 @@ def _spec(cls: type, raw: object, path: str, **given: object) -> object:
     for f in fields(cls):
         if f.name in given:
             continue
-        name = f"{path}.{f.name}" if path else f.name
         value = raw.get(f.name)
         if value is None:
             if f.default is MISSING:
+                name = f"{path}.{f.name}" if path else f.name
                 raise GraphError(f"config field {name!r} is required")
             continue
-        shape, ok = _SHAPES[f.type]
-        if not ok(value):
-            raise GraphError(f"config field {name!r} must be {shape}, got {value!r}")
         args[f.name] = tuple(value) if isinstance(value, list) else value
     return cls(**args)
 
 
 def config_from_json(text: str) -> ExperimentConfig:
-    """Parse a JSON experiment config; a malformed one raises GraphError."""
+    """Parse a JSON experiment config and validate() it; a malformed one raises GraphError."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -125,7 +112,9 @@ def config_from_json(text: str) -> ExperimentConfig:
         wraw = graw.get("weights") if isinstance(graw, dict) else None
         weights = _spec(WeightSpec, wraw, "generator.weights") if wraw is not None else None
         gen = _spec(GeneratorSpec, graw, "generator", weights=weights)
-    return _spec(ExperimentConfig, raw, "", generator=gen)
+    cfg = _spec(ExperimentConfig, raw, "", generator=gen)
+    cfg.validate()
+    return cfg
 
 
 @dataclass(frozen=True)

@@ -45,22 +45,14 @@ def _int_list(flag: str, arg: str) -> tuple[int, ...]:
 
 
 def _gen_spec(args: argparse.Namespace) -> GeneratorSpec:
-    weights = _parse_weights(args.weights, args.seed)
-    if args.kind == "grid2d":
-        if args.w is None or args.h is None:
-            raise GraphError("grid2d needs --w and --h")
-        return GeneratorSpec(kind="grid2d", dims=(args.w, args.h), weights=weights)
-    if args.kind == "grid3d":
-        if None in (args.x, args.y, args.z):
-            raise GraphError("grid3d needs --x, --y and --z")
-        return GeneratorSpec(kind="grid3d", dims=(args.x, args.y, args.z), weights=weights)
-    if args.kind == "adversarial":
-        if args.d is None:
-            raise GraphError("adversarial needs --d")
-        return GeneratorSpec(kind="adversarial", ladder=args.d, weights=weights)
-    if args.n is None or args.m is None:
-        raise GraphError("random needs --n and --m")
-    return GeneratorSpec(kind="random", n=args.n, m=args.m, seed=args.seed, weights=weights)
+    """The kind's flags as a spec; its validate() refuses a missing flag (None)."""
+    flags = {
+        "grid2d": dict(dims=(args.w, args.h)),
+        "grid3d": dict(dims=(args.x, args.y, args.z)),
+        "adversarial": dict(ladder=args.d),
+        "random": dict(n=args.n, m=args.m, seed=args.seed),
+    }[args.kind]
+    return GeneratorSpec(kind=args.kind, weights=_parse_weights(args.weights, args.seed), **flags)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -114,13 +106,9 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.config is not None and args.input is not None:
-        raise GraphError("--config and --input are mutually exclusive")
     if args.config is not None:
         cfg = config_from_json(_read_text(args.config, "utf-8"))
     else:
-        if args.input is None:
-            raise GraphError("bench needs --config or --input")
         cfg = ExperimentConfig(
             label=args.label,
             rhos=_int_list("--rhos", args.rhos),
@@ -188,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     ss.set_defaults(func=_cmd_sssp)
 
     b = sub.add_parser("bench", help="run a (k, rho) sweep and emit CSV")
-    b.add_argument("--config", help="JSON experiment config")
-    b.add_argument("-i", "--input", help="edge-list file (flag-style config)")
+    graph = b.add_mutually_exclusive_group(required=True)
+    graph.add_argument("--config", help="JSON experiment config")
+    graph.add_argument("-i", "--input", help="edge-list file (flag-style config)")
     b.add_argument("--label", default="graph")
     b.add_argument("--rhos", default="1,2,4")
     b.add_argument("--ks", default="1")

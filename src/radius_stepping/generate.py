@@ -52,8 +52,9 @@ class GeneratorSpec:
     weights: WeightSpec | None = None
 
     def validate(self) -> None:
-        """Check the spec, and that from_edges can take the graph's size,
-        before generate builds any edge."""
+        """Check every field, and that from_edges can take the graph's size,
+        before generate builds any edge: the kind's fields and the size
+        first, then dims, ladder, n and m are well typed whatever the kind."""
         axes = {"grid2d": "(w, h)", "grid3d": "(x, y, z)"}.get(self.kind) if isinstance(self.kind, str) else None
         if axes is not None:
             dims = self.dims if isinstance(self.dims, (list, tuple)) else ()
@@ -76,6 +77,11 @@ class GeneratorSpec:
         else:
             raise GraphError(f"unknown generator kind {self.kind!r}")
         _check_graph_size(n, edges)
+        if not isinstance(self.dims, (list, tuple)) or not all(map(_is_int, self.dims)):
+            raise GraphError(f"dims must be a list or tuple of integers, got {self.dims!r}")
+        for name in ("ladder", "n", "m"):
+            if not _is_int(getattr(self, name)):
+                raise GraphError(f"{name} must be an integer, got {getattr(self, name)!r}")
         _check_seed(self.seed)
         if not isinstance(self.weights, (WeightSpec, type(None))):
             raise GraphError(f"weights must be None or a WeightSpec, got {self.weights!r}")
@@ -114,7 +120,7 @@ def _adversarial_edges(d: int) -> tuple[int, list[tuple[int, int]]]:
     return d * d + 1, edges
 
 
-def _random_connected_edges(n: int, m: int, seed: int) -> tuple[int, list[tuple[int, int]]]:
+def _random_connected_edges(n: int, m: int, seed: int) -> tuple[int, set[tuple[int, int]]]:
     rng = random.Random(seed)
     edges = set()
     for v in range(1, n):
@@ -127,7 +133,7 @@ def _random_connected_edges(n: int, m: int, seed: int) -> tuple[int, list[tuple[
         if u > v:
             u, v = v, u
         edges.add((u, v))
-    return n, sorted(edges)
+    return n, edges
 
 
 def generate(spec: GeneratorSpec) -> Graph:
@@ -140,10 +146,11 @@ def generate(spec: GeneratorSpec) -> Graph:
     else:
         n, edges = _random_connected_edges(spec.n, spec.m, int(spec.seed))
 
-    canonical = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    rows = np.ones((len(canonical), 3), dtype=np.int64)
-    rows[:, :2] = np.array(canonical, dtype=np.int64).reshape(-1, 2)
+    # Every builder emits u < v; sorting is what makes the order canonical.
+    edges = sorted(edges)
+    rows = np.ones((len(edges), 3), dtype=np.int64)
+    rows[:, :2] = np.array(edges, dtype=np.int64).reshape(-1, 2)
     if spec.weights is not None:
         wrng = random.Random(int(spec.weights.seed))
-        rows[:, 2] = _int64_array("edge values", [wrng.randint(spec.weights.lo, spec.weights.hi) for _ in canonical])
+        rows[:, 2] = _int64_array("edge values", [wrng.randint(spec.weights.lo, spec.weights.hi) for _ in edges])
     return from_edges(n, rows)

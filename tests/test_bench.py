@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -14,6 +15,7 @@ from radius_stepping import (
     config_from_json,
     emit_csv,
     emit_summary,
+    generate,
     run_experiment,
 )
 import radius_stepping.bench as bench
@@ -183,6 +185,46 @@ def test_config_fields_are_checked_by_type_before_anything_is_opened(monkeypatch
             run_experiment(small_cfg(**overrides))
     assert cells == []
     small_cfg(rhos=[2], ks=[1], heuristics=["dp", "greedy"]).validate()  # a list serves as a tuple does
+
+
+BAD_FIELDS = [
+    # Fields the kind does not read must still be well typed.
+    (GeneratorSpec(kind="grid2d", dims=(3, 3), n="x"), {}, "n must be an integer, got 'x'"),
+    (GeneratorSpec(kind="random", n=5, m=6, dims="abc"), {}, "dims must be a list or tuple of integers, got 'abc'"),
+    (GeneratorSpec(kind="grid3d", dims=(2, 2, 2), ladder=2.5), {}, "ladder must be an integer, got 2.5"),
+    (GeneratorSpec(kind="adversarial", ladder=3, m=True), {}, "m must be an integer, got True"),
+    # Fields it reads, and the sweep's own fields.
+    (GeneratorSpec(kind="grid2d", dims=(3,)), {}, "grid2d needs integer dims (w, h) >= 1, got (3,)"),
+    (GeneratorSpec(kind="grid2d", dims=(3, 3), weights=WeightSpec("1", 10)), {}, "need integers 1 <= lo <= hi, got ['1', 10]"),
+    (None, dict(rhos=(0,)), "rho must be >= 1, got 0"),
+    (None, dict(ks=(1.5,)), "k must be an integer, got 1.5"),
+    (None, dict(source_count="3"), "source_count must be an integer, got '3'"),
+    (None, dict(label=5), "label must be a string without a comma, double quote, CR or LF, got 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, overrides, message",
+    BAD_FIELDS,
+    ids=["n-on-grid2d", "dims-on-random", "ladder-on-grid3d", "m-on-adversarial",
+         "dims-on-grid2d", "weights-lo", "rhos", "ks", "source_count", "label"],
+)
+def test_python_json_and_generate_refuse_a_bad_field_alike(spec, overrides, message, monkeypatch):
+    # One rule, validate(), judges a spec however it arrives, before any cell runs.
+    cells = []
+    monkeypatch.setattr(bench, "_run_cell", lambda *args: cells.append(args))
+    cfg = small_cfg(**overrides) if spec is None else small_cfg(generator=spec)
+    doors = [
+        lambda: run_experiment(cfg),
+        lambda: config_from_json(json.dumps(dataclasses.asdict(cfg))),
+    ]
+    if spec is not None:
+        doors.append(lambda: generate(spec))
+    for door in doors:
+        with pytest.raises(GraphError) as exc:
+            door()
+        assert str(exc.value) == message
+    assert cells == []
 
 
 def test_source_count_must_be_an_integer():

@@ -82,15 +82,30 @@ def test_gen_missing_dims_is_domain_error(capsys):
     "argv, message",
     [
         (("gen", "--kind", "grid2d", "--w", "2", "--h", "2", "--weights", "5"), "--weights expects lo:hi, got '5'"),
-        (("gen", "--kind", "grid3d", "--x", "2", "--y", "2"), "grid3d needs --x, --y and --z"),
-        (("gen", "--kind", "adversarial"), "adversarial needs --d"),
-        (("gen", "--kind", "random", "--m", "5"), "random needs --n and --m"),
-        (("bench", "--config", "X", "--input", "Y"), "--config and --input are mutually exclusive"),
-        (("bench",), "bench needs --config or --input"),
+        (("gen", "--kind", "grid3d", "--x", "2", "--y", "2"), "grid3d needs integer dims (x, y, z) >= 1, got (2, 2, None)"),
+        (("gen", "--kind", "adversarial"), "adversarial needs an integer d >= 2, got None"),
+        (("gen", "--kind", "random", "--m", "5"), "random graph needs an integer n >= 1, got None"),
     ],
 )
 def test_missing_or_clashing_flags_are_domain_errors(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bench", "--config", "X", "--input", "Y"), "argument -i/--input: not allowed with argument --config"),
+        (("bench",), "one of the arguments --config -i/--input is required"),
+    ],
+    ids=["both", "neither"],
+)
+def test_bench_needs_exactly_one_of_config_and_input(capsys, argv, message):
+    # A clash or a gap in the flags is a usage error, which argparse reports.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert message in out.err and out.out == ""
 
 
 def test_gen_then_sssp_roundtrip(tmp_path, capsys):
@@ -413,7 +428,7 @@ def test_bench_rejects_non_integer_list_flags(tmp_path, capsys, argv, field):
         ('{"label": "x", "rhos": [1]', "not valid JSON"),
         ('{"rhos": [1], "generator": {"kind": "grid2d", "dims": [3, 3]}}', "'label'"),
         ('{"label": "x", "rhos": [1], "generator": {"kind": "grid2d", "size": 3}}', "'size'"),
-        ('{"label": "x", "rhos": 5, "generator": {"kind": "grid2d", "dims": [3, 3]}}', "'rhos'"),
+        ('{"label": "x", "rhos": 5, "generator": {"kind": "grid2d", "dims": [3, 3]}}', "rhos must be a nonempty list"),
     ],
     ids=["not-json", "no-label", "unknown-generator-key", "rhos-not-a-list"],
 )
