@@ -9,10 +9,10 @@ import argparse
 import sys
 
 from .bench import ExperimentConfig, config_from_json, emit_csv, emit_summary, run_experiment
-from .engine import radius_step_fast, radius_step_unweighted, step_records_csv
+from .engine import radius_step_fast, step_records_csv
 from .generate import GeneratorSpec, WeightSpec, generate
 from .graph import Graph, GraphError, _read_text, _render_labeled, parse_edge_list, write_edge_list
-from .preprocess import build_k_rho, read_radii, validate_k_rho, write_radii
+from .preprocess import RadiusAssignment, build_k_rho, read_radii, validate_k_rho, write_radii
 
 
 def _read_graph(path: str) -> Graph:
@@ -44,8 +44,16 @@ def _int_list(flag: str, arg: str) -> tuple[int, ...]:
         raise GraphError(f"{flag} expects comma-separated integers, got {arg!r}") from None
 
 
+# The size flags each kind reads; gen refuses the others.
+_SIZE_FLAGS = {"grid2d": "wh", "grid3d": "xyz", "adversarial": "d", "random": "nm"}
+
+
 def _gen_spec(args: argparse.Namespace) -> GeneratorSpec:
-    """The kind's flags as a spec; its validate() refuses a missing flag (None)."""
+    """The kind's flags as a spec; its validate() refuses a missing flag (None),
+    and a size flag the kind does not read is a usage error."""
+    for flag in "".join(_SIZE_FLAGS.values()):
+        if getattr(args, flag) is not None and flag not in _SIZE_FLAGS[args.kind]:
+            args.usage_error(f"argument --{flag}: not allowed with argument --kind {args.kind}")
     flags = {
         "grid2d": dict(dims=(args.w, args.h)),
         "grid3d": dict(dims=(args.x, args.y, args.z)),
@@ -78,26 +86,11 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_sssp(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    if args.engine == "unweighted" and not g.is_unit_weight:
-        raise GraphError(
-            f"unweighted engine requires all edge weights == 1, and {args.input} has weights up to"
-            f" {g.max_weight} (use --engine fast; for a file preprocess wrote, run it on the graph"
-            " preprocess read, with the same radii)"
-        )
     (hit,) = (g.labels == args.source).nonzero()
     if not len(hit):
         raise GraphError(f"source {args.source} is not a vertex label in {args.input}")
-    source = int(hit[0])
-    if args.radii is not None:
-        radii = read_radii(_read_text(args.radii), g)
-    else:
-        aug, radii, _ = build_k_rho(g, 1, 1 if args.rho is None else args.rho, heuristic="dp")
-        if args.engine != "unweighted":
-            # The unweighted engine keeps the original unit-weight graph;
-            # the fast engine runs on the graph the radii were built for.
-            g = aug
-    engine = radius_step_unweighted if args.engine == "unweighted" else radius_step_fast
-    res = engine(g, radii, source)
+    radii = RadiusAssignment.uniform(g.n, 0) if args.radii is None else read_radii(_read_text(args.radii), g)
+    res = radius_step_fast(g, radii, int(hit[0]))
     sys.stdout.write(_render_labeled(g.labels, res.dist.dist))
     if args.stats is not None:
         _write_out(args.stats, step_records_csv(res))
@@ -105,19 +98,22 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
     return 0
 
 
+# bench -i's sweep flags by their ExperimentConfig field; a flag left out
+# (None) takes the field's default, except the two -i supplies.
+_SWEEP_FLAGS = {"label": "--label", "rhos": "--rhos", "ks": "--ks", "heuristics": "--heuristics",
+                "source_count": "--sources", "seed": "--seed"}
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
+    given = {field: getattr(args, field) for field in _SWEEP_FLAGS if getattr(args, field) is not None}
     if args.config is not None:
+        for field in given:
+            args.usage_error(f"argument {_SWEEP_FLAGS[field]}: not allowed with argument --config")
         cfg = config_from_json(_read_text(args.config, "utf-8"))
     else:
-        cfg = ExperimentConfig(
-            label=args.label,
-            rhos=_int_list("--rhos", args.rhos),
-            ks=_int_list("--ks", args.ks),
-            heuristics=tuple(args.heuristics.split(",")),
-            source_count=args.sources,
-            seed=args.seed,
-            graph_path=args.input,
-        )
+        sweep = {"label": "graph", "rhos": "1,2,4", **given}
+        sweep.update({f: _int_list(_SWEEP_FLAGS[f], sweep[f]) for f in ("rhos", "ks") if f in sweep})
+        cfg = ExperimentConfig(**sweep, graph_path=args.input)
     rows = run_experiment(cfg)
     _write_out(args.output, emit_csv(rows))
     print(emit_summary(rows), file=sys.stderr, end="")
@@ -153,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--weights", help="lo:hi uniform random integer weights")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen)
+    g.set_defaults(func=_cmd_gen, usage_error=g.error)
 
     pp = sub.add_parser("preprocess", help="add shortcut edges and emit radii")
     pp.add_argument("-i", "--input", required=True)
@@ -165,13 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--radii", required=True)
     pp.set_defaults(func=_cmd_preprocess)
 
-    ss = sub.add_parser("sssp", help="single-source shortest paths")
+    ss = sub.add_parser("sssp", help="shortest paths from one source, on the graph and radii given")
     ss.add_argument("-i", "--input", required=True)
-    radii = ss.add_mutually_exclusive_group()
-    radii.add_argument("--radii")
-    radii.add_argument("--rho", type=int, help="build radii on the fly (default 1) when no file given")
+    ss.add_argument("--radii", help="radii file, as preprocess writes it (default: every radius 0)")
     ss.add_argument("-s", "--source", type=int, required=True, help="source vertex label, as in the input file")
-    ss.add_argument("--engine", choices=["fast", "unweighted"], default="fast")
     ss.add_argument("--stats", help="write per-step CSV here")
     ss.set_defaults(func=_cmd_sssp)
 
@@ -179,14 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     graph = b.add_mutually_exclusive_group(required=True)
     graph.add_argument("--config", help="JSON experiment config")
     graph.add_argument("-i", "--input", help="edge-list file (flag-style config)")
-    b.add_argument("--label", default="graph")
-    b.add_argument("--rhos", default="1,2,4")
-    b.add_argument("--ks", default="1")
-    b.add_argument("--heuristics", default="dp")
-    b.add_argument("--sources", type=int, default=20)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--label")
+    b.add_argument("--rhos")
+    b.add_argument("--ks")
+    b.add_argument("--heuristics", type=lambda arg: tuple(arg.split(",")))
+    b.add_argument("--sources", dest="source_count", type=int)
+    b.add_argument("--seed", type=int)
     b.add_argument("-o", "--output")
-    b.set_defaults(func=_cmd_bench)
+    b.set_defaults(func=_cmd_bench, usage_error=b.error)
 
     v = sub.add_parser("validate", help="check the (k, rho) ball property")
     v.add_argument("-i", "--input", required=True)

@@ -158,9 +158,11 @@ def from_edges(
     dtype, and each triple (a list, tuple, range or 1-D array of three
     values) value by value, by _int64_array's rule, as are the labels; and
     n must be a nonnegative int with n*max(n, 2*len(edges)) < 2**63, the
-    bound on the packed sort keys.  Weights must be >= 1, and shortest
-    paths must stay below UNREACHED (see _check_distance_bound).  Labels,
-    if given, must be n distinct ids, which the edge-list and radii writers
+    bound on the packed sort keys.  Every row's weight, self-loops and
+    parallel edges included, must lie in [1, 2**62), as the parser
+    requires; and shortest paths must stay below UNREACHED (see
+    _check_distance_bound).  Labels, if
+    given, must be n distinct ids, which the edge-list and radii writers
     rely on; the graph keeps a read-only copy (the caller may own them),
     or 0..n-1 if none are given.  All this is checked before anything of
     size n is allocated.  An int64 row array is read, never written.
@@ -175,6 +177,8 @@ def from_edges(
         raise GraphError("vertex id out of range")
     if len(ws) and ws.min() < 1:
         raise GraphError("edge weight must be a positive integer")
+    if len(ws) and (L := int(ws.max())) >= UNREACHED:
+        raise GraphError(f"edge weight {L} is not below 2**62")
     if labels is not None:
         labels = _check_labels(labels, n)
 
@@ -301,12 +305,7 @@ def _check_distance_bound(n: int, a: np.ndarray, b: np.ndarray, ws: np.ndarray) 
     augmented graphs acceptable: a shortcut weighs the distance between its
     ends, which adding it does not change, so it never raises B.
     """
-    if not len(ws):
-        return
-    L = int(ws.max())
-    if L >= UNREACHED:
-        raise GraphError(f"edge weight {L} is not below 2**62")
-    if (n - 1) * L < UNREACHED:
+    if not len(ws) or (n - 1) * int(ws.max()) < UNREACHED:
         return
     root = list(range(n))
 

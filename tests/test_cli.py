@@ -7,8 +7,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import radius_stepping.preprocess as preprocess
-from radius_stepping import UNREACHED, dijkstra, parse_edge_list, read_radii, step_records_csv
+from radius_stepping import (
+    UNREACHED,
+    RadiusAssignment,
+    dijkstra,
+    parse_edge_list,
+    radius_step_fast,
+    radius_step_unweighted,
+    read_radii,
+    step_records_csv,
+)
 from radius_stepping.cli import main
+from radius_stepping.graph import _render_labeled
 from oracles import radius_step_reference
 
 PATH_TEXT = "0 1 2\n1 2 3\n"
@@ -23,7 +33,7 @@ def run(capsys, *argv):
 def test_sssp_prints_oracle_distances(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text(PATH_TEXT)
-    code, out, _ = run(capsys, "sssp", "-i", str(f), "-s", "0", "--rho", "1")
+    code, out, _ = run(capsys, "sssp", "-i", str(f), "-s", "0")
     assert code == 0
     assert out == "0 0\n1 2\n2 5\n"
 
@@ -37,14 +47,69 @@ def test_sssp_unreachable_prints_inf(tmp_path, capsys):
 
 
 def test_sssp_engine_ref_is_a_usage_error(tmp_path, capsys):
-    # The literal loop is a test oracle, not an engine the CLI offers.
+    # The literal loop is a test oracle, and sssp has no engine to choose.
     f = tmp_path / "g.txt"
     f.write_text(PATH_TEXT)
     with pytest.raises(SystemExit) as exc:
         main(["sssp", "-i", str(f), "-s", "0", "--engine", "ref"])
     out = capsys.readouterr()
     assert exc.value.code == 2
-    assert "invalid choice: 'ref'" in out.err and out.out == ""
+    assert "unrecognized arguments: --engine ref" in out.err and out.out == ""
+
+
+NEGATIVE_LABELS_TEXT = "-5 7 4\n7 -1 1\n-1 0 6\n-5 0 2\n0 7 9\n-8 -5 3\n"
+
+
+@pytest.mark.parametrize(
+    "gen_or_text, k, rho, source",
+    [
+        (("--kind", "grid2d", "--w", "8", "--h", "7"), 1, 4, 9),
+        (("--kind", "grid2d", "--w", "7", "--h", "6", "--weights", "1:9", "--seed", "2"), 2, 5, 3),
+        (NEGATIVE_LABELS_TEXT, 1, 3, -5),
+    ],
+    ids=["unit-grid", "weighted-grid", "negative-labels"],
+)
+def test_sssp_runs_the_fast_engine_on_the_files_it_is_given(tmp_path, capsys, gen_or_text, k, rho, source):
+    # A unit-weight graph is queried as it is (its shortcuts are weighted),
+    # a weighted one on the augmented file; both with preprocess's radii.
+    src, aug, rad, stats = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt", "steps.csv"))
+    if isinstance(gen_or_text, str):
+        src.write_text(gen_or_text)
+    else:
+        assert run(capsys, "gen", *gen_or_text, "-o", str(src))[0] == 0
+    argv = ("preprocess", "-i", str(src), "--k", str(k), "--rho", str(rho), "-o", str(aug), "--radii", str(rad))
+    assert run(capsys, *argv)[0] == 0
+    unit = parse_edge_list(src.read_text()).is_unit_weight
+    f = src if unit else aug
+    g = parse_edge_list(f.read_text())
+    s = g.labels.tolist().index(source)
+    engine = radius_step_unweighted if unit else radius_step_fast
+    for radii_argv, radii in (
+        (("--radii", str(rad)), read_radii(rad.read_text(), g)),
+        ((), RadiusAssignment.uniform(g.n, 0)),
+    ):
+        code, out, err = run(capsys, "sssp", "-i", str(f), *radii_argv, "-s", str(source), "--stats", str(stats))
+        assert code == 0, err
+        res = engine(g, radii, s)
+        assert out == _render_labeled(g.labels, res.dist.dist)
+        assert stats.read_text() == step_records_csv(res)
+        assert err == f"{res.step_count} steps, {res.total_substeps()} substeps\n"
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--engine", "fast"], ["--engine", "unweighted"], ["--rho", "4"]],
+    ids=["engine-fast", "engine-unweighted", "rho-4"],
+)
+def test_sssp_removed_flags_are_usage_errors(tmp_path, capsys, flag):
+    # sssp runs one engine on the radii it is given; only preprocess builds radii.
+    f = tmp_path / "g.txt"
+    f.write_text(PATH_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["sssp", "-i", str(f), "-s", "0", *flag])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in out.err and out.out == ""
 
 
 def test_gen_grid3d_and_adversarial(tmp_path, capsys):
@@ -108,11 +173,61 @@ def test_bench_needs_exactly_one_of_config_and_input(capsys, argv, message):
     assert message in out.err and out.out == ""
 
 
+GEN_SIZE_FLAGS = {
+    "grid2d": ("--w", "3", "--h", "3"),
+    "grid3d": ("--x", "2", "--y", "2", "--z", "2"),
+    "adversarial": ("--d", "3"),
+    "random": ("--n", "5", "--m", "6"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [(kind, flag) for kind, own in GEN_SIZE_FLAGS.items() for flag in "whxyzdnm" if f"--{flag}" not in own],
+)
+def test_gen_refuses_the_size_flags_of_other_kinds(tmp_path, capsys, kind, flag):
+    # gen --kind grid2d --w 5 --h 5 --n 7 wrote the 5x5 grid and dropped --n.
+    out_file = tmp_path / "g.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", kind, *GEN_SIZE_FLAGS[kind], f"--{flag}", "3", "-o", str(out_file)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and not out_file.exists()
+    assert f"argument --{flag}: not allowed with argument --kind {kind}" in out.err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--label", "zz"), ("--rhos", "7"), ("--ks", "2"), ("--heuristics", "greedy"),
+     ("--sources", "1"), ("--seed", "3")],
+)
+def test_bench_config_refuses_the_sweep_flags(tmp_path, capsys, flag, value):
+    # The config holds the whole sweep; a sweep flag beside it was dropped.
+    src, cfg, rows = tmp_path / "g.txt", tmp_path / "c.json", tmp_path / "rows.csv"
+    src.write_text(PATH_TEXT)
+    cfg.write_text(json.dumps({"label": "c", "rhos": [1, 2], "graph_path": str(src)}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", str(cfg), flag, value, "-o", str(rows)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and not rows.exists()
+    assert f"argument {flag}: not allowed with argument --config" in out.err
+
+
+def test_bench_input_flags_left_out_take_the_config_defaults(tmp_path, capsys):
+    src, cfg = tmp_path / "g.txt", tmp_path / "c.json"
+    src.write_text(PATH_TEXT)
+    cfg.write_text(json.dumps({"label": "graph", "rhos": [1, 2, 4], "graph_path": str(src)}))
+    explicit = ("--label", "graph", "--rhos", "1,2,4", "--ks", "1", "--heuristics", "dp",
+                "--sources", "20", "--seed", "0")
+    argvs = (("-i", str(src)), ("-i", str(src), *explicit), ("--config", str(cfg)))
+    outputs = [run(capsys, "bench", *argv) for argv in argvs]
+    assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3
+
+
 def test_gen_then_sssp_roundtrip(tmp_path, capsys):
     f = tmp_path / "grid.txt"
     code, _, _ = run(capsys, "gen", "--kind", "grid2d", "--w", "3", "--h", "3", "-o", str(f))
     assert code == 0
-    code, out, _ = run(capsys, "sssp", "-i", str(f), "-s", "0", "--engine", "unweighted")
+    code, out, _ = run(capsys, "sssp", "-i", str(f), "-s", "0")
     assert code == 0
     assert out.splitlines()[0] == "0 0"
     assert len(out.splitlines()) == 9
@@ -173,12 +288,11 @@ def test_validate_names_the_vertex_a_radii_file_lacks(tmp_path, capsys):
 
 @pytest.mark.parametrize("rho", ["5", "1"])
 def test_sssp_radii_and_rho_are_a_usage_error(tmp_path, capsys, rho):
-    # --rho only builds radii when no file is given, so the pair is refused
-    # rather than --rho being ignored; "1", the value used without either
-    # flag, is refused too.
+    # Only preprocess builds radii; sssp has no --rho, with a radii file or
+    # without one (see test_sssp_removed_flags_are_usage_errors).
     with pytest.raises(SystemExit) as exc:
         main(["sssp", "-i", str(tmp_path / "g.txt"), "-s", "0", "--radii", _radii(tmp_path), "--rho", rho])
-    assert exc.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+    assert exc.value.code == 2 and f"unrecognized arguments: --rho {rho}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -243,41 +357,6 @@ def test_run_trends_rejects_bad_list_flags_before_it_runs(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main_of_script([*argv, "--out-dir", str(tmp_path / "out")])
     assert exc.value.code == 2 and not (tmp_path / "out").exists()
-
-
-def test_unweighted_engine_on_weighted_input_fails(tmp_path, capsys):
-    f = tmp_path / "g.txt"
-    f.write_text(PATH_TEXT)
-    code, _, err = run(capsys, "sssp", "-i", str(f), "-s", "0", "--engine", "unweighted", "--radii", _radii(tmp_path))
-    assert code == 1
-    assert "error:" in err
-
-
-def test_unweighted_engine_runs_on_the_graph_preprocess_read(tmp_path, capsys):
-    src, aug, rad = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt"))
-    assert run(capsys, "gen", "--kind", "grid2d", "--w", "12", "--h", "12", "-o", str(src))[0] == 0
-    code, _, err = run(capsys, "preprocess", "-i", str(src), "--k", "1", "--rho", "4",
-                       "-o", str(aug), "--radii", str(rad))
-    assert code == 0 and "augmented with 0 edges" not in err
-    code, _, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "0", "--engine", "unweighted")
-    assert code == 1 and "run it on the graph preprocess read, with the same radii" in err
-    code, out, err = run(capsys, "sssp", "-i", str(src), "--radii", str(rad), "-s", "0", "--engine", "unweighted")
-    assert code == 0, err
-    g = parse_edge_list(src.read_text())
-    assert out == "".join(f"{lab} {d}\n" for lab, d in zip(g.labels.tolist(), dijkstra(g, 0).dist.tolist()))
-
-
-def test_unweighted_engine_names_a_weighted_input_before_radii(tmp_path, capsys, monkeypatch):
-    # A weighted -i graph holds no shortcut edge, so the engine's hint about
-    # them would mislead; sssp refuses the input itself, naming the file,
-    # before it reads a radii file (here there is none) or builds radii.
-    src = tmp_path / "grid.txt"
-    assert run(capsys, "gen", "--kind", "grid2d", "--w", "9", "--h", "7", "--weights", "1:9", "-o", str(src))[0] == 0
-    monkeypatch.setattr(preprocess, "_lockstep", None)  # building radii would call it
-    for radii in (["--radii", str(tmp_path / "missing.txt")], ["--rho", "4"]):
-        code, out, err = run(capsys, "sssp", "-i", str(src), *radii, "-s", "0", "--engine", "unweighted")
-        assert code == 1 and out == ""
-        assert f"{src} has weights up to 9" in err and "shortcut edges are weighted" not in err
 
 
 def _radii(tmp_path):
@@ -375,7 +454,7 @@ def test_sssp_source_is_a_label_in_every_file(tmp_path, capsys):
     g = parse_edge_list(grid.read_text())
     assert (g.labels[2], parse_edge_list(aug.read_text()).labels[2]) == (4, 2)
     expected = {str(g.labels[v]): str(d) for v, d in enumerate(dijkstra(g, g.labels.tolist().index(2)).dist.tolist())}
-    for argv in (("-i", str(grid), "--rho", "1"), ("-i", str(aug), "--radii", str(rad))):
+    for argv in (("-i", str(grid)), ("-i", str(aug), "--radii", str(rad))):
         code, out, err = run(capsys, "sssp", *argv, "-s", "2")
         assert code == 0, err
         assert dict(line.split() for line in out.splitlines()) == expected
@@ -473,7 +552,7 @@ def test_cr_and_crlf_line_ends_read_as_newlines(tmp_path, capsys):
     f = tmp_path / "g.txt"
     for text in (b"0 1 2\r1 2 3\r", b"0 1 2\r\n1 2 3\r\n"):
         f.write_bytes(text)
-        assert run(capsys, "sssp", "-i", str(f), "-s", "0", "--rho", "1")[:2] == (0, "0 0\n1 2\n2 5\n")
+        assert run(capsys, "sssp", "-i", str(f), "-s", "0")[:2] == (0, "0 0\n1 2\n2 5\n")
 
 
 def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):

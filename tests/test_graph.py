@@ -302,6 +302,22 @@ def test_from_edges_rejects_bad_ids_and_weights():
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [[(0, 1, 1), (0, 1, 2**62)], [(0, 1, 1), (1, 0, 2**62)], [(0, 1, 1), (1, 1, 2**62)]],
+    ids=["parallel", "reversed", "self-loop"],
+)
+def test_from_edges_checks_every_row_weight_as_the_parser_does(rows):
+    # The minimum of a parallel pair (or no edge, for a self-loop) is all
+    # that survives the collapse, so a heavy row was dropped unchecked.
+    message = r"^edge weight 4611686018427387904 is not below 2\*\*62$"
+    for edges in (rows, np.array(rows, dtype=np.int64)):
+        with pytest.raises(GraphError, match=message):
+            from_edges(2, edges)
+    with pytest.raises(EdgeListParseError, match="line 2: weight must be below 2"):
+        parse_edge_list("".join(f"{u} {v} {w}\n" for u, v, w in rows))
+
+
+@pytest.mark.parametrize(
     "n, edges, labels, message",
     [
         (3, np.array([[0, 1, 1.5], [1, 2, 2.7]]), None, "^edge values must be integers, got float64$"),
