@@ -41,51 +41,48 @@ def geometry(scale, weighted, seed):
     yield f"random-{tag}", GeneratorSpec(kind="random", n=rn, m=rm, seed=seed, weights=w), rhos
 
 
-def ks_arg(arg):
-    ks = arg.split(",")
-    if not all(k.isdecimal() and int(k) >= 1 for k in ks):
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {arg!r}")
-    return tuple(map(int, ks))
-
-
-def heuristics_arg(arg):
-    heuristics = tuple(arg.split(","))
-    if not set(heuristics) <= {"dp", "greedy"}:
-        raise argparse.ArgumentTypeError(f"expected comma-separated dp or greedy, got {arg!r}")
-    return heuristics
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--scale", choices=sorted(SCALES), default="medium")
     ap.add_argument("--sources", type=int, default=20)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--ks", type=ks_arg, default="1", help="comma-separated k sweep for the added-edge table")
-    ap.add_argument("--heuristics", type=heuristics_arg, default="dp", help="comma-separated: dp, greedy")
+    ap.add_argument("--ks", default="1", help="comma-separated k sweep for the added-edge table")
+    ap.add_argument("--heuristics", default="dp", help="comma-separated: dp, greedy")
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args(argv)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    for weighted in (False, True):
-        for label, gen, rhos in geometry(args.scale, weighted, args.seed):
-            cfg = ExperimentConfig(
+    # Every sweep is built and validated before anything runs or is written.
+    try:
+        ks = tuple(int(k) for k in args.ks.split(","))
+        configs = [
+            ExperimentConfig(
                 label=label,
                 rhos=rhos,
-                ks=args.ks,
-                heuristics=args.heuristics,
+                ks=ks,
+                heuristics=tuple(args.heuristics.split(",")),
                 source_count=args.sources,
                 seed=args.seed,
                 generator=gen,
             )
-            t0 = time.time()
-            rows = run_experiment(cfg)
-            path = out_dir / f"{label}.csv"
-            path.write_text(emit_csv(rows), encoding="utf-8")
-            print(f"# {label} ({time.time() - t0:.1f}s) -> {path}", file=sys.stderr)
-            print(emit_summary(rows), end="")
-            print()
+            for weighted in (False, True)
+            for label, gen, rhos in geometry(args.scale, weighted, args.seed)
+        ]
+        for cfg in configs:
+            cfg.validate()
+    except ValueError as exc:  # int()'s, or validate()'s GraphError
+        ap.error(str(exc))
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    for cfg in configs:
+        t0 = time.time()
+        rows = run_experiment(cfg)
+        path = out_dir / f"{cfg.label}.csv"
+        path.write_text(emit_csv(rows), encoding="utf-8")
+        print(f"# {cfg.label} ({time.time() - t0:.1f}s) -> {path}", file=sys.stderr)
+        print(emit_summary(rows), end="")
+        print()
     return 0
 
 

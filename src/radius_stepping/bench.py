@@ -6,8 +6,9 @@ augmented graph, checked with the cell's k.  A unit-weight graph runs on
 the original graph with no k, which is all radius_step_unweighted does;
 its radii come from the same ball construction, and the rho=1 baseline
 then degenerates to plain BFS rounds.  Added-edge factors are reported
-for both.  Every cell's augmentation must pass validate_k_rho, at any graph size, and every
-run must pass check_bounds; a failure raises BenchError.  Everything is
+for both.  Every cell's augmentation must pass validate_k_rho, at any graph
+size; every run must pass check_bounds and match dijkstra from its source
+on the original graph; a failure raises BenchError.  Everything is
 deterministic in the config seed: equal configs produce byte-identical
 CSV.
 """
@@ -17,16 +18,17 @@ import json
 import random
 from dataclasses import MISSING, dataclass, fields
 
+from .baselines import dijkstra
 from .engine import check_bounds, radius_step_fast
 from .generate import GeneratorSpec, WeightSpec, generate
-from .graph import Graph, GraphError, _check_count, _check_seed, _read_text, parse_edge_list
+from .graph import DistanceVector, Graph, GraphError, _check_count, _check_seed, _read_text, parse_edge_list
 from .preprocess import build_k_rho, validate_k_rho
 
 CSV_HEADER = "graph,n,m,k,rho,heuristic,added_edge_factor,mean_steps,mean_substeps,reduction_factor"
 
 
 class BenchError(RuntimeError):
-    """A harness-level failure: validation or bound check did not pass."""
+    """A harness-level failure: validation, bound check or distance check did not pass."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,9 @@ def _load_graph(cfg: ExperimentConfig) -> Graph:
     return parse_edge_list(_read_text(cfg.graph_path))
 
 
-def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) -> tuple[int, float, float]:
-    """Edges added, and mean steps and substeps over the sources, of one cell."""
+def _run_cell(g: Graph, k: int, rho: int, heuristic: str, truth: list[DistanceVector]) -> tuple[int, float, float]:
+    """Edges added, and mean steps and substeps over the sources of `truth`
+    (dijkstra's distances on g, one vector per source), of one cell."""
     aug, radii, added = build_k_rho(g, k, rho, heuristic=heuristic)
     report = validate_k_rho(aug, radii, k, rho)
     if not report.ok:
@@ -147,8 +150,11 @@ def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) ->
     h, hk = (g, None) if g.is_unit_weight else (aug, k)
     steps = 0
     substeps = 0
-    for s in sources:
+    for want in truth:
+        s = want.source
         res = radius_step_fast(h, radii, s)
+        if not res.dist.same_as(want):
+            raise BenchError(f"(k={k}, rho={rho}, {heuristic}, s={s}) distances differ from dijkstra's")
         bounds = check_bounds(res, h, rho, k=hk, radii=radii, assume_premise=True)
         if not bounds.ok:
             raise BenchError(
@@ -156,7 +162,7 @@ def _run_cell(g: Graph, k: int, rho: int, heuristic: str, sources: list[int]) ->
             )
         steps += res.step_count
         substeps += res.total_substeps()
-    return added, steps / len(sources), substeps / len(sources)
+    return added, steps / len(truth), substeps / len(truth)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -164,18 +170,20 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
 
     The rho=1 cell (run even when absent from the sweep) is the reduction
     baseline; its augmentation is empty, so it runs once, first, and serves
-    every k and heuristic.  Rows come in (k, rho, heuristic) order.
+    every k and heuristic.  Every run is checked against one dijkstra per
+    source.  Rows come in (k, rho, heuristic) order.
     """
     cfg.validate()
     g = _load_graph(cfg)
     rng = random.Random(int(cfg.seed))
     sources = sorted(rng.sample(range(g.n), min(cfg.source_count, g.n)))
-    baseline = _run_cell(g, 1, 1, "dp", sources)
+    truth = [dijkstra(g, s) for s in sources]
+    baseline = _run_cell(g, 1, 1, "dp", truth)
     rows = []
     for k in sorted(set(cfg.ks)):
         for rho in sorted(set(cfg.rhos)):
             for heuristic in sorted(set(cfg.heuristics)):
-                added, steps, substeps = baseline if rho == 1 else _run_cell(g, k, rho, heuristic, sources)
+                added, steps, substeps = baseline if rho == 1 else _run_cell(g, k, rho, heuristic, truth)
                 rows.append(
                     ExperimentRow(
                         graph=cfg.label,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import ExperimentConfig, config_from_json, emit_csv, emit_summary, run_experiment
+from .bench import config_from_json, emit_csv, emit_summary, run_experiment
 from .engine import radius_step_fast, step_records_csv
 from .generate import GeneratorSpec, WeightSpec, generate
 from .graph import Graph, GraphError, _read_text, _render_labeled, parse_edge_list, write_edge_list
@@ -35,13 +35,6 @@ def _parse_weights(arg: str | None, seed: int) -> WeightSpec | None:
     except ValueError:
         raise GraphError(f"--weights expects lo:hi, got {arg!r}") from None
     return WeightSpec(lo=lo, hi=hi, seed=seed)
-
-
-def _int_list(flag: str, arg: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in arg.split(","))
-    except ValueError:
-        raise GraphError(f"{flag} expects comma-separated integers, got {arg!r}") from None
 
 
 # The size flags each kind reads; gen refuses the others.
@@ -98,23 +91,8 @@ def _cmd_sssp(args: argparse.Namespace) -> int:
     return 0
 
 
-# bench -i's sweep flags by their ExperimentConfig field; a flag left out
-# (None) takes the field's default, except the two -i supplies.
-_SWEEP_FLAGS = {"label": "--label", "rhos": "--rhos", "ks": "--ks", "heuristics": "--heuristics",
-                "source_count": "--sources", "seed": "--seed"}
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    given = {field: getattr(args, field) for field in _SWEEP_FLAGS if getattr(args, field) is not None}
-    if args.config is not None:
-        for field in given:
-            args.usage_error(f"argument {_SWEEP_FLAGS[field]}: not allowed with argument --config")
-        cfg = config_from_json(_read_text(args.config, "utf-8"))
-    else:
-        sweep = {"label": "graph", "rhos": "1,2,4", **given}
-        sweep.update({f: _int_list(_SWEEP_FLAGS[f], sweep[f]) for f in ("rhos", "ks") if f in sweep})
-        cfg = ExperimentConfig(**sweep, graph_path=args.input)
-    rows = run_experiment(cfg)
+    rows = run_experiment(config_from_json(_read_text(args.config, "utf-8")))
     _write_out(args.output, emit_csv(rows))
     print(emit_summary(rows), file=sys.stderr, end="")
     return 0
@@ -169,17 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     ss.set_defaults(func=_cmd_sssp)
 
     b = sub.add_parser("bench", help="run a (k, rho) sweep and emit CSV")
-    graph = b.add_mutually_exclusive_group(required=True)
-    graph.add_argument("--config", help="JSON experiment config")
-    graph.add_argument("-i", "--input", help="edge-list file (flag-style config)")
-    b.add_argument("--label")
-    b.add_argument("--rhos")
-    b.add_argument("--ks")
-    b.add_argument("--heuristics", type=lambda arg: tuple(arg.split(",")))
-    b.add_argument("--sources", dest="source_count", type=int)
-    b.add_argument("--seed", type=int)
+    b.add_argument("--config", required=True, help="JSON experiment config")
     b.add_argument("-o", "--output")
-    b.set_defaults(func=_cmd_bench, usage_error=b.error)
+    b.set_defaults(func=_cmd_bench)
 
     v = sub.add_parser("validate", help="check the (k, rho) ball property")
     v.add_argument("-i", "--input", required=True)

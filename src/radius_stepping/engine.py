@@ -462,8 +462,9 @@ def check_bounds(
     vertices inside radius r(v); unless assume_premise is set, that premise
     is verified by preprocess._ball_premise (validate_k_rho's check too)
     over all vertices, and a run on a non-qualifying assignment comes back
-    "not checkable" rather than failed.  Pass k=None to skip the substep
-    cap and the work bound (no k applies, e.g. unweighted runs).
+    "not checkable" (naming the first short vertex by label) rather than
+    failed.  Pass k=None to skip the substep cap and the work bound (no k
+    applies, e.g. unweighted runs).
 
     With k given, total_relaxations must also stay within (k+2)*2m.  An
     engine relaxes a vertex only in substeps of the step that settles it,
@@ -480,7 +481,7 @@ def check_bounds(
         inside, need = _ball_premise(g, radii.r, np.arange(g.n), rho)
         short = np.flatnonzero(inside < need)
         if len(short):
-            return BoundsReport(False, f"premise fails: |B({short[0]}, r)| below {need[short[0]]}", None, ())
+            return BoundsReport(False, f"premise fails: |B({g.labels[short[0]]}, r)| below {need[short[0]]}", None, ())
     n_reach = res.dist.reached_count()
     t = 1 + _ceil_log2(int(rho) * g.max_weight)
     limit = -(-n_reach // rho) * t

@@ -490,7 +490,7 @@ def build_k_rho(
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the (k, rho) ball-property check, one line per violation."""
+    """Outcome of the (k, rho) ball-property check: one line per violation, naming the vertex's label."""
 
     rho: int
     k: int
@@ -579,8 +579,9 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment, k: int, rho: int) -> Valid
     inside[search], need[search] = _ball_premise(g, r, search, rho)
     violations: list[str] = []
     for v in np.flatnonzero(over | (inside < need)).tolist():
+        label = int(g.labels[v])
         if over[v]:
-            violations.append(f"vertex {v}: r={int(r[v])} exceeds k-radius {int(kradius[v])}")
+            violations.append(f"vertex {label}: r={int(r[v])} exceeds k-radius {int(kradius[v])}")
         if inside[v] < need[v]:
-            violations.append(f"vertex {v}: |B(v,{int(r[v])})|={int(inside[v])} below {int(need[v])}")
+            violations.append(f"vertex {label}: |B(v,{int(r[v])})|={int(inside[v])} below {int(need[v])}")
     return ValidationReport(rho=rho, k=k, checked=n, violations=tuple(violations))

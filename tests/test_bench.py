@@ -7,6 +7,7 @@ import pytest
 
 from radius_stepping import (
     BenchError,
+    DistanceVector,
     ExperimentConfig,
     ExperimentRow,
     GeneratorSpec,
@@ -318,3 +319,27 @@ def test_every_cell_is_validated_above_the_old_cap(monkeypatch):
     drop_planned_shortcut(monkeypatch)
     with pytest.raises(BenchError, match=r"\(k=1, rho=10, dp\) failed validation: \('vertex 0: r=149 exceeds"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("weights", [WeightSpec(1, 1000, seed=2), None], ids=["weighted", "unit"])
+@pytest.mark.parametrize("call, rho", [(1, 1), (6, 4)], ids=["baseline", "rho4"])
+def test_every_run_is_checked_against_dijkstra(monkeypatch, weights, call, rho):
+    # _run_cell dropped each run's distances, so a run that got one wrong
+    # still made its row.  Runs go baseline sources first, then rho=4's.
+    cfg = small_cfg(rhos=(1, 4), generator=GeneratorSpec(kind="grid2d", dims=(12, 12), weights=weights))
+    assert run_experiment(cfg)
+    real, calls = bench.radius_step_fast, []
+
+    def one_distance_moved(g, radii, s):
+        res = real(g, radii, s)
+        calls.append(s)
+        if len(calls) != call:
+            return res
+        dist = res.dist.dist.copy()
+        dist[(s + 1) % g.n] += 1
+        return dataclasses.replace(res, dist=DistanceVector(source=s, dist=dist))
+
+    monkeypatch.setattr(bench, "radius_step_fast", one_distance_moved)
+    with pytest.raises(BenchError) as exc:
+        run_experiment(cfg)
+    assert str(exc.value) == f"(k=1, rho={rho}, dp, s={calls[call - 1]}) distances differ from dijkstra's"

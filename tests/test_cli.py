@@ -30,6 +30,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _config(tmp_path, **fields):
+    """A JSON config file holding `fields`, and its path as a string."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    return str(cfg)
+
+
 def test_sssp_prints_oracle_distances(tmp_path, capsys):
     f = tmp_path / "g.txt"
     f.write_text(PATH_TEXT)
@@ -156,21 +163,13 @@ def test_missing_or_clashing_flags_are_domain_errors(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("bench", "--config", "X", "--input", "Y"), "argument -i/--input: not allowed with argument --config"),
-        (("bench",), "one of the arguments --config -i/--input is required"),
-    ],
-    ids=["both", "neither"],
-)
-def test_bench_needs_exactly_one_of_config_and_input(capsys, argv, message):
-    # A clash or a gap in the flags is a usage error, which argparse reports.
+def test_bench_needs_a_config(capsys):
+    # The sweep is read only from a JSON config; argparse reports its absence.
     with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+        main(["bench"])
     out = capsys.readouterr()
     assert exc.value.code == 2
-    assert message in out.err and out.out == ""
+    assert "the following arguments are required: --config" in out.err and out.out == ""
 
 
 GEN_SIZE_FLAGS = {
@@ -198,29 +197,18 @@ def test_gen_refuses_the_size_flags_of_other_kinds(tmp_path, capsys, kind, flag)
 @pytest.mark.parametrize(
     "flag, value",
     [("--label", "zz"), ("--rhos", "7"), ("--ks", "2"), ("--heuristics", "greedy"),
-     ("--sources", "1"), ("--seed", "3")],
+     ("--sources", "1"), ("--seed", "3"), ("-i", "g.txt")],
 )
 def test_bench_config_refuses_the_sweep_flags(tmp_path, capsys, flag, value):
-    # The config holds the whole sweep; a sweep flag beside it was dropped.
-    src, cfg, rows = tmp_path / "g.txt", tmp_path / "c.json", tmp_path / "rows.csv"
+    # The config holds the whole sweep; bench has no flag that could change it.
+    src, rows = tmp_path / "g.txt", tmp_path / "rows.csv"
     src.write_text(PATH_TEXT)
-    cfg.write_text(json.dumps({"label": "c", "rhos": [1, 2], "graph_path": str(src)}))
+    cfg = _config(tmp_path, label="c", rhos=[1, 2], graph_path=str(src))
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--config", str(cfg), flag, value, "-o", str(rows)])
+        main(["bench", "--config", cfg, flag, value, "-o", str(rows)])
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == "" and not rows.exists()
-    assert f"argument {flag}: not allowed with argument --config" in out.err
-
-
-def test_bench_input_flags_left_out_take_the_config_defaults(tmp_path, capsys):
-    src, cfg = tmp_path / "g.txt", tmp_path / "c.json"
-    src.write_text(PATH_TEXT)
-    cfg.write_text(json.dumps({"label": "graph", "rhos": [1, 2, 4], "graph_path": str(src)}))
-    explicit = ("--label", "graph", "--rhos", "1,2,4", "--ks", "1", "--heuristics", "dp",
-                "--sources", "20", "--seed", "0")
-    argvs = (("-i", str(src)), ("-i", str(src), *explicit), ("--config", str(cfg)))
-    outputs = [run(capsys, "bench", *argv) for argv in argvs]
-    assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3
+    assert f"unrecognized arguments: {flag} {value}" in out.err
 
 
 def test_gen_then_sssp_roundtrip(tmp_path, capsys):
@@ -277,6 +265,24 @@ def test_sssp_with_radii_file(tmp_path, capsys):
     assert "steps" in err
 
 
+def test_validate_names_vertices_by_their_labels(tmp_path, capsys):
+    # validate printed dense ids ("vertex 3: r=99 ...", "vertex 0" to "vertex 4"),
+    # which are in neither file.  Violations keep the graph's vertex order.
+    src, rad = tmp_path / "g.txt", tmp_path / "radii.txt"
+    src.write_text("100 200 3\n200 300 4\n300 400 5\n400 500 6\n")
+    rad.write_text("500 0\n400 99\n300 0\n200 0\n100 0\n")
+    code, out, err = run(capsys, "validate", "-i", str(src), "--radii", str(rad), "--k", "1", "--rho", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "vertex 100: |B(v,0)|=1 below 2\n"
+        "vertex 200: |B(v,0)|=1 below 2\n"
+        "vertex 300: |B(v,0)|=1 below 2\n"
+        "vertex 400: r=99 exceeds k-radius 9\n"
+        "vertex 500: |B(v,0)|=1 below 2\n"
+        "5 violations\n"
+    )
+
+
 def test_validate_names_the_vertex_a_radii_file_lacks(tmp_path, capsys):
     src = tmp_path / "g.txt"
     src.write_text("7 3 2\n3 9 5\n")
@@ -322,7 +328,7 @@ def test_validate_rejects_rho_below_one(tmp_path, capsys, rho):
     assert f"rho must be >= 1, got {rho}" in err
 
 
-def test_bench_flags_csv(tmp_path, capsys):
+def test_bench_config_csv(tmp_path, capsys):
     src = tmp_path / "g.txt"
     code, _, _ = run(
         capsys, "gen", "--kind", "random", "--n", "25", "--m", "50",
@@ -330,9 +336,8 @@ def test_bench_flags_csv(tmp_path, capsys):
     )
     assert code == 0
     out_csv = tmp_path / "rows.csv"
-    code, _, err = run(
-        capsys, "bench", "-i", str(src), "--rhos", "1,2", "--sources", "3", "-o", str(out_csv)
-    )
+    cfg = _config(tmp_path, label="graph", rhos=[1, 2], source_count=3, graph_path=str(src))
+    code, _, err = run(capsys, "bench", "--config", cfg, "-o", str(out_csv))
     assert code == 0
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("graph,n,m,k,rho")
@@ -351,7 +356,7 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [["--ks", "x"], ["--ks", "1,0"], ["--heuristics", "dp,nope"]])
+@pytest.mark.parametrize("argv", [["--ks", "x"], ["--ks", "1,0"], ["--heuristics", "dp,nope"], ["--sources", "0"]])
 def test_run_trends_rejects_bad_list_flags_before_it_runs(tmp_path, argv):
     main_of_script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_trends.py"))["main"]
     with pytest.raises(SystemExit) as exc:
@@ -486,30 +491,16 @@ def test_negative_ids_survive_preprocess_sssp_and_validate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, field",
-    [
-        (["--rhos", "1,x"], "--rhos"),
-        (["--ks", "1,x"], "--ks"),
-    ],
-)
-def test_bench_rejects_non_integer_list_flags(tmp_path, capsys, argv, field):
-    src = tmp_path / "g.txt"
-    src.write_text(PATH_TEXT)
-    code, out, err = run(capsys, "bench", "-i", str(src), *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and field in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
     "text, field",
     [
         ('{"label": "x", "rhos": [1]', "not valid JSON"),
         ('{"rhos": [1], "generator": {"kind": "grid2d", "dims": [3, 3]}}', "'label'"),
         ('{"label": "x", "rhos": [1], "generator": {"kind": "grid2d", "size": 3}}', "'size'"),
         ('{"label": "x", "rhos": 5, "generator": {"kind": "grid2d", "dims": [3, 3]}}', "rhos must be a nonempty list"),
+        ('{"label": "x", "rhos": [1, "x"], "generator": {"kind": "grid2d", "dims": [3, 3]}}', "rho must be an integer, got 'x'"),
+        ('{"label": "x", "rhos": [1], "ks": [1, "x"], "generator": {"kind": "grid2d", "dims": [3, 3]}}', "k must be an integer, got 'x'"),
     ],
-    ids=["not-json", "no-label", "unknown-generator-key", "rhos-not-a-list"],
+    ids=["not-json", "no-label", "unknown-generator-key", "rhos-not-a-list", "rho-not-an-integer", "k-not-an-integer"],
 )
 def test_bench_rejects_malformed_config(tmp_path, capsys, text, field):
     cfg = tmp_path / "cfg.json"
@@ -539,7 +530,6 @@ def test_input_files_that_are_not_ascii_name_the_file_and_line(tmp_path, capsys,
         ("sssp", "-i", str(good), "--radii", str(f), "-s", "0"),
         ("validate", "-i", str(good), "--radii", str(f), "--k", "1", "--rho", "1"),
         ("preprocess", "-i", str(f), "--rho", "2", "-o", str(tmp_path / "a"), "--radii", str(tmp_path / "r")),
-        ("bench", "-i", str(f)),
         ("bench", "--config", str(cfg)),
     ]
     for argv in runs:
@@ -566,7 +556,8 @@ def test_config_that_is_not_utf8_names_the_file(tmp_path, capsys):
 def test_bench_rejects_a_label_that_would_break_the_csv(tmp_path, capsys):
     src = tmp_path / "g.txt"
     src.write_text(PATH_TEXT)
-    code, out, err = run(capsys, "bench", "-i", str(src), "--label", "a,b")
+    cfg = _config(tmp_path, label="a,b", rhos=[1], graph_path=str(src))
+    code, out, err = run(capsys, "bench", "--config", cfg)
     assert (code, out) == (1, "")
     assert "label must be a string without a comma" in err
 
@@ -627,8 +618,8 @@ def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given
 
 
 def test_huge_k_and_rho_preprocess_and_bench_as_n(tmp_path, capsys):
-    # preprocess --k 2**70 and bench --rhos 2**70 exited with an
-    # OverflowError traceback; k or rho above n acts as n.
+    # preprocess --k 2**70 and a bench config with rhos [2**70] exited with
+    # an OverflowError traceback; k or rho above n acts as n.
     src, aug, rad = tmp_path / "g.txt", tmp_path / "aug.txt", tmp_path / "radii.txt"
     code, _, _ = run(capsys, "gen", "--kind", "grid2d", "--w", "6", "--h", "6", "--weights", "1:50", "--seed", "5", "-o", str(src))
     assert code == 0
@@ -639,18 +630,20 @@ def test_huge_k_and_rho_preprocess_and_bench_as_n(tmp_path, capsys):
         assert code == 0, err
         return aug.read_text(), rad.read_text()
 
-    def bench_rows(flag, value):
-        code, out, err = run(capsys, "bench", "-i", str(src), flag, str(value), "--sources", "4")
+    def bench_rows(field, value):
+        cfg = _config(tmp_path, **{"label": "graph", "rhos": [1, 2, 4], "source_count": 4,
+                                   "graph_path": str(src), field: [value]})
+        code, out, err = run(capsys, "bench", "--config", cfg)
         assert code == 0, err
         rows = [line.split(",") for line in out.splitlines()]
-        col = rows[0].index(flag[2:-1])  # the column that holds the value itself
+        col = rows[0].index(field[:-1])  # the column that holds the value itself
         return [row[:col] + row[col + 1 :] for row in rows]
 
     for huge in (2**62, 2**70):
         for heuristic in ("dp", "greedy"):
             assert preprocess_files(huge, heuristic) == preprocess_files(36, heuristic)
-        assert bench_rows("--rhos", huge) == bench_rows("--rhos", 36)
-        assert bench_rows("--ks", huge) == bench_rows("--ks", 36)
+        assert bench_rows("rhos", huge) == bench_rows("rhos", 36)
+        assert bench_rows("ks", huge) == bench_rows("ks", 36)
 
 
 def test_validate_stops_once_a_round_lowers_nothing(tmp_path, capsys, monkeypatch):

@@ -689,6 +689,16 @@ def test_check_bounds_verifies_premise_on_a_large_grid():
     assert report.reason == f"premise fails: |B({g.n - 1}, r)| below 10"
 
 
+def test_check_bounds_premise_names_the_vertex_label():
+    g = from_edges(3, [(0, 1, 1), (1, 2, 1)], labels=[70, -5, 900])
+    radii = RadiusAssignment.uniform(3, 1)
+    radii_short_at_900 = RadiusAssignment(r=np.array([1, 1, 0]))
+    res = radius_step_fast(g, radii, 0)
+    assert check_bounds(res, g, 2, 1, radii=radii).checkable
+    report = check_bounds(res, g, 2, 1, radii=radii_short_at_900)
+    assert report.reason == "premise fails: |B(900, r)| below 2"
+
+
 def test_check_bounds_rejects_non_integer_counts():
     # rho=2.5 must raise GraphError, not AttributeError from the step limit's bit_length.
     g = from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
