@@ -102,19 +102,34 @@ def _spec(cls: type, raw: object, path: str, **given: object) -> object:
     return cls(**args)
 
 
-def config_from_json(text: str) -> ExperimentConfig:
-    """Parse a JSON experiment config and validate() it; a malformed one raises GraphError."""
+def _decode(text: str) -> object:
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"config is not valid JSON: {exc}") from None
-    gen = None
-    if isinstance(raw, dict) and raw.get("generator") is not None:
-        graw = raw["generator"]
-        wraw = graw.get("weights") if isinstance(graw, dict) else None
-        weights = _spec(WeightSpec, wraw, "generator.weights") if wraw is not None else None
-        gen = _spec(GeneratorSpec, graw, "generator", weights=weights)
-    cfg = _spec(ExperimentConfig, raw, "", generator=gen)
+
+
+def _generator(raw: object, path: str) -> GeneratorSpec:
+    """_spec's GeneratorSpec from `raw` at `path`, its weights object a
+    WeightSpec; null weights mean unweighted."""
+    wraw = raw.get("weights") if isinstance(raw, dict) else None
+    weights = None if wraw is None else _spec(WeightSpec, wraw, f"{path}.weights".lstrip("."))
+    return _spec(GeneratorSpec, raw, path, weights=weights)
+
+
+def generator_from_json(text: str) -> GeneratorSpec:
+    """Parse a JSON GeneratorSpec, the object a config holds under
+    "generator", and validate() it; a malformed one raises GraphError."""
+    spec = _generator(_decode(text), "")
+    spec.validate()
+    return spec
+
+
+def config_from_json(text: str) -> ExperimentConfig:
+    """Parse a JSON experiment config and validate() it; a malformed one raises GraphError."""
+    raw = _decode(text)
+    graw = raw.get("generator") if isinstance(raw, dict) else None
+    cfg = _spec(ExperimentConfig, raw, "", generator=None if graw is None else _generator(graw, "generator"))
     cfg.validate()
     return cfg
 
@@ -154,11 +169,11 @@ def _run_cell(g: Graph, k: int, rho: int, heuristic: str, truth: list[DistanceVe
         s = want.source
         res = radius_step_fast(h, radii, s)
         if not res.dist.same_as(want):
-            raise BenchError(f"(k={k}, rho={rho}, {heuristic}, s={s}) distances differ from dijkstra's")
+            raise BenchError(f"(k={k}, rho={rho}, {heuristic}, s={g.labels[s]}) distances differ from dijkstra's")
         bounds = check_bounds(res, h, rho, k=hk, radii=radii, assume_premise=True)
         if not bounds.ok:
             raise BenchError(
-                f"(k={k}, rho={rho}, {heuristic}, s={s}) bound check: {bounds.violations[:3]}"
+                f"(k={k}, rho={rho}, {heuristic}, s={g.labels[s]}) bound check: {bounds.violations[:3]}"
             )
         steps += res.step_count
         substeps += res.total_substeps()

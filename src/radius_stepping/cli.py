@@ -1,16 +1,18 @@
 """Command-line front end: gen, preprocess, sssp, bench, validate.
 
-Data goes to stdout (or -o files); diagnostics go to stderr.  Exit codes:
-0 success, 1 domain error (bad input, failed validation), 2 usage error.
+gen and bench each read one JSON file through --config: a GeneratorSpec and
+an ExperimentConfig, parsed by bench's loader.  Data goes to stdout (or -o
+files); diagnostics go to stderr.  Exit codes: 0 success, 1 domain error
+(bad input, failed validation), 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .bench import config_from_json, emit_csv, emit_summary, run_experiment
+from .bench import config_from_json, emit_csv, emit_summary, generator_from_json, run_experiment
 from .engine import radius_step_fast, step_records_csv
-from .generate import GeneratorSpec, WeightSpec, generate
+from .generate import generate
 from .graph import Graph, GraphError, _read_text, _render_labeled, parse_edge_list, write_edge_list
 from .preprocess import RadiusAssignment, build_k_rho, read_radii, validate_k_rho, write_radii
 
@@ -27,39 +29,11 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _parse_weights(arg: str | None, seed: int) -> WeightSpec | None:
-    if arg is None:
-        return None
-    try:
-        lo, hi = (int(part) for part in arg.split(":"))
-    except ValueError:
-        raise GraphError(f"--weights expects lo:hi, got {arg!r}") from None
-    return WeightSpec(lo=lo, hi=hi, seed=seed)
-
-
-# The size flags each kind reads; gen refuses the others.
-_SIZE_FLAGS = {"grid2d": "wh", "grid3d": "xyz", "adversarial": "d", "random": "nm"}
-
-
-def _gen_spec(args: argparse.Namespace) -> GeneratorSpec:
-    """The kind's flags as a spec; its validate() refuses a missing flag (None),
-    and a size flag the kind does not read is a usage error."""
-    for flag in "".join(_SIZE_FLAGS.values()):
-        if getattr(args, flag) is not None and flag not in _SIZE_FLAGS[args.kind]:
-            args.usage_error(f"argument --{flag}: not allowed with argument --kind {args.kind}")
-    flags = {
-        "grid2d": dict(dims=(args.w, args.h)),
-        "grid3d": dict(dims=(args.x, args.y, args.z)),
-        "adversarial": dict(ladder=args.d),
-        "random": dict(n=args.n, m=args.m, seed=args.seed),
-    }[args.kind]
-    return GeneratorSpec(kind=args.kind, weights=_parse_weights(args.weights, args.seed), **flags)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    g = generate(_gen_spec(args))
+    spec = generator_from_json(_read_text(args.config, "utf-8"))
+    g = generate(spec)
     _write_out(args.output, write_edge_list(g))
-    print(f"generated {args.kind}: n={g.n} m={g.m} L={g.max_weight}", file=sys.stderr)
+    print(f"generated {spec.kind}: n={g.n} m={g.m} L={g.max_weight}", file=sys.stderr)
     return 0
 
 
@@ -114,20 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="radius-stepping")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a graph and write its edge list")
-    g.add_argument("--kind", required=True, choices=["grid2d", "grid3d", "adversarial", "random"])
-    g.add_argument("--w", type=int)
-    g.add_argument("--h", type=int)
-    g.add_argument("--x", type=int)
-    g.add_argument("--y", type=int)
-    g.add_argument("--z", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--m", type=int)
-    g.add_argument("--weights", help="lo:hi uniform random integer weights")
-    g.add_argument("--seed", type=int, default=0)
+    # No abbreviations: `--h 30` would be read as --help, print the help and exit 0.
+    g = sub.add_parser("gen", help="generate a graph and write its edge list", allow_abbrev=False)
+    g.add_argument("--config", required=True, help="JSON GeneratorSpec")
     g.add_argument("-o", "--output")
-    g.set_defaults(func=_cmd_gen, usage_error=g.error)
+    g.set_defaults(func=_cmd_gen)
 
     pp = sub.add_parser("preprocess", help="add shortcut edges and emit radii")
     pp.add_argument("-i", "--input", required=True)

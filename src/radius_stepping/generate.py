@@ -36,11 +36,10 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate.
-
-    kind: "grid2d" (dims=(w, h)), "grid3d" (dims=(x, y, z)),
-    "adversarial" (ladder=d), or "random" (n, m, seed).
-    weights=None means unweighted (all weights 1).
+    """What to generate: "grid2d" reads dims=(w, h), "grid3d" dims=(x, y, z),
+    "adversarial" ladder=d, and "random" n, m and seed; every kind reads
+    weights (None: unweighted, all weights 1).  validate() refuses a field
+    the kind does not read unless it holds its default (empty dims, or 0).
     """
 
     kind: str
@@ -54,7 +53,8 @@ class GeneratorSpec:
     def validate(self) -> None:
         """Check every field, and that from_edges can take the graph's size,
         before generate builds any edge: the kind's fields and the size
-        first, then dims, ladder, n and m are well typed whatever the kind."""
+        first, then every field's type whatever the kind, then that each
+        field the kind does not read holds its default."""
         axes = {"grid2d": "(w, h)", "grid3d": "(x, y, z)"}.get(self.kind) if isinstance(self.kind, str) else None
         if axes is not None:
             dims = self.dims if isinstance(self.dims, (list, tuple)) else ()
@@ -87,6 +87,10 @@ class GeneratorSpec:
             raise GraphError(f"weights must be None or a WeightSpec, got {self.weights!r}")
         if self.weights is not None:
             self.weights.validate()
+        reads = {"adversarial": ("ladder",), "random": ("n", "m", "seed")}.get(self.kind, ("dims",))
+        for name in ("dims", "ladder", "n", "m", "seed"):  # well typed, so falsy is the default
+            if name not in reads and getattr(self, name):
+                raise GraphError(f"{self.kind} does not read {name}, got {getattr(self, name)!r}")
 
 
 def _grid_edges(dims: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:

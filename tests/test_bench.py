@@ -7,6 +7,7 @@ import pytest
 
 from radius_stepping import (
     BenchError,
+    BoundsReport,
     DistanceVector,
     ExperimentConfig,
     ExperimentRow,
@@ -343,3 +344,35 @@ def test_every_run_is_checked_against_dijkstra(monkeypatch, weights, call, rho):
     with pytest.raises(BenchError) as exc:
         run_experiment(cfg)
     assert str(exc.value) == f"(k=1, rho={rho}, dp, s={calls[call - 1]}) distances differ from dijkstra's"
+
+
+def test_bench_errors_name_the_source_by_its_label(tmp_path, monkeypatch):
+    # Both messages named the dense id, which is in no file of a graph
+    # labelled 100, 200, ...; sources are still sampled from the dense ids.
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{100 * v} {100 * (v + 1)} {v % 3 + 1}\n" for v in range(1, 12)))
+    cfg = small_cfg(rhos=(1, 2), generator=None, graph_path=str(path))
+    real_run, runs = bench.radius_step_fast, []
+
+    def one_distance_moved(g, radii, s):
+        res = real_run(g, radii, s)
+        runs.append(s)
+        if len(runs) != 1:
+            return res
+        dist = res.dist.dist.copy()
+        dist[(s + 1) % g.n] += 1
+        return dataclasses.replace(res, dist=DistanceVector(source=s, dist=dist))
+
+    monkeypatch.setattr(bench, "radius_step_fast", one_distance_moved)
+    with pytest.raises(BenchError) as exc:
+        run_experiment(cfg)
+    label = 100 * (runs[0] + 1)  # the path's vertices appear in label order
+    assert str(exc.value) == f"(k=1, rho=1, dp, s={label}) distances differ from dijkstra's"
+
+    failed = BoundsReport(checkable=True, reason="", step_limit=None, violations=("step bound",))
+    monkeypatch.setattr(bench, "check_bounds", lambda *args, **kwargs: failed)
+    runs.clear()
+    monkeypatch.setattr(bench, "radius_step_fast", lambda g, radii, s: runs.append(s) or real_run(g, radii, s))
+    with pytest.raises(BenchError) as exc:
+        run_experiment(cfg)
+    assert str(exc.value) == f"(k=1, rho=1, dp, s={100 * (runs[0] + 1)}) bound check: ('step bound',)"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -9,13 +11,18 @@ from hypothesis import HealthCheck, given, settings
 import radius_stepping.preprocess as preprocess
 from radius_stepping import (
     UNREACHED,
+    GeneratorSpec,
+    GraphError,
     RadiusAssignment,
+    config_from_json,
     dijkstra,
+    generate,
     parse_edge_list,
     radius_step_fast,
     radius_step_unweighted,
     read_radii,
     step_records_csv,
+    write_edge_list,
 )
 from radius_stepping.cli import main
 from radius_stepping.graph import _render_labeled
@@ -35,6 +42,11 @@ def _config(tmp_path, **fields):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(fields))
     return str(cfg)
+
+
+def _gen(capsys, tmp_path, out, **spec):
+    """gen run on a spec file holding `spec`, writing to `out`: (exit code, stdout, stderr)."""
+    return run(capsys, "gen", "--config", _config(tmp_path, **spec), "-o", str(out))
 
 
 def test_sssp_prints_oracle_distances(tmp_path, capsys):
@@ -70,8 +82,8 @@ NEGATIVE_LABELS_TEXT = "-5 7 4\n7 -1 1\n-1 0 6\n-5 0 2\n0 7 9\n-8 -5 3\n"
 @pytest.mark.parametrize(
     "gen_or_text, k, rho, source",
     [
-        (("--kind", "grid2d", "--w", "8", "--h", "7"), 1, 4, 9),
-        (("--kind", "grid2d", "--w", "7", "--h", "6", "--weights", "1:9", "--seed", "2"), 2, 5, 3),
+        (dict(kind="grid2d", dims=[8, 7]), 1, 4, 9),
+        (dict(kind="grid2d", dims=[7, 6], weights=dict(lo=1, hi=9, seed=2)), 2, 5, 3),
         (NEGATIVE_LABELS_TEXT, 1, 3, -5),
     ],
     ids=["unit-grid", "weighted-grid", "negative-labels"],
@@ -83,7 +95,7 @@ def test_sssp_runs_the_fast_engine_on_the_files_it_is_given(tmp_path, capsys, ge
     if isinstance(gen_or_text, str):
         src.write_text(gen_or_text)
     else:
-        assert run(capsys, "gen", *gen_or_text, "-o", str(src))[0] == 0
+        assert _gen(capsys, tmp_path, src, **gen_or_text)[0] == 0
     argv = ("preprocess", "-i", str(src), "--k", str(k), "--rho", str(rho), "-o", str(aug), "--radii", str(rad))
     assert run(capsys, *argv)[0] == 0
     unit = parse_edge_list(src.read_text()).is_unit_weight
@@ -121,14 +133,13 @@ def test_sssp_removed_flags_are_usage_errors(tmp_path, capsys, flag):
 
 def test_gen_grid3d_and_adversarial(tmp_path, capsys):
     f3 = tmp_path / "g3.txt"
-    code, _, err = run(capsys, "gen", "--kind", "grid3d", "--x", "2", "--y", "2", "--z", "2", "-o", str(f3))
+    code, _, err = _gen(capsys, tmp_path, f3, kind="grid3d", dims=[2, 2, 2])
     assert code == 0 and "n=8" in err
     fa = tmp_path / "adv.txt"
-    code, _, err = run(capsys, "gen", "--kind", "adversarial", "--d", "3", "-o", str(fa))
+    code, _, err = _gen(capsys, tmp_path, fa, kind="adversarial", ladder=3)
     assert code == 0 and "n=10" in err
     fw = tmp_path / "gw.txt"
-    code, _, _ = run(capsys, "gen", "--kind", "grid2d", "--w", "2", "--h", "2",
-                     "--weights", "5:9", "--seed", "1", "-o", str(fw))
+    code, _, _ = _gen(capsys, tmp_path, fw, kind="grid2d", dims=[2, 2], weights=dict(lo=5, hi=9, seed=1))
     assert code == 0
     assert all(5 <= int(line.split()[2]) <= 9 for line in fw.read_text().splitlines())
 
@@ -145,22 +156,28 @@ def test_isolated_vertex_survives_preprocess_and_sssp(tmp_path, capsys):
     assert out == "10 0\n20 2\n30 5\n40 inf\n"
 
 
-def test_gen_missing_dims_is_domain_error(capsys):
-    code, _, err = run(capsys, "gen", "--kind", "grid2d", "--w", "3")
+def test_gen_missing_dims_is_domain_error(tmp_path, capsys):
+    code, _, err = _gen(capsys, tmp_path, tmp_path / "g.txt", kind="grid2d", dims=[3])
     assert code == 1 and "grid2d" in err
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "spec, message",
     [
-        (("gen", "--kind", "grid2d", "--w", "2", "--h", "2", "--weights", "5"), "--weights expects lo:hi, got '5'"),
-        (("gen", "--kind", "grid3d", "--x", "2", "--y", "2"), "grid3d needs integer dims (x, y, z) >= 1, got (2, 2, None)"),
-        (("gen", "--kind", "adversarial"), "adversarial needs an integer d >= 2, got None"),
-        (("gen", "--kind", "random", "--m", "5"), "random graph needs an integer n >= 1, got None"),
+        (dict(kind="grid2d", dims=[2, 2], weights=dict(lo=5, hi=1)), "need integers 1 <= lo <= hi, got [5, 1]"),
+        (dict(kind="grid2d", dims=[2, 2], weights=5), "config field 'weights' must be a JSON object"),
+        (dict(kind="grid2d", dims=[2, 2], weights=dict(hi=5)), "config field 'weights.lo' is required"),
+        (dict(kind="grid3d", dims=[2, 2]), "grid3d needs integer dims (x, y, z) >= 1, got (2, 2)"),
+        (dict(kind="adversarial"), "adversarial needs an integer d >= 2, got 0"),
+        (dict(kind="random", m=5), "random graph needs an integer n >= 1, got 0"),
     ],
+    ids=["weights-bounds", "weights-not-an-object", "weights-without-lo", "grid3d-two-dims",
+         "adversarial-no-ladder", "random-no-n"],
 )
-def test_missing_or_clashing_flags_are_domain_errors(capsys, argv, message):
-    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+def test_missing_or_clashing_spec_fields_are_domain_errors(tmp_path, capsys, spec, message):
+    out_file = tmp_path / "g.txt"
+    assert _gen(capsys, tmp_path, out_file, **spec) == (1, "", f"error: {message}\n")
+    assert not out_file.exists()
 
 
 def test_bench_needs_a_config(capsys):
@@ -172,26 +189,134 @@ def test_bench_needs_a_config(capsys):
     assert "the following arguments are required: --config" in out.err and out.out == ""
 
 
-GEN_SIZE_FLAGS = {
-    "grid2d": ("--w", "3", "--h", "3"),
-    "grid3d": ("--x", "2", "--y", "2", "--z", "2"),
-    "adversarial": ("--d", "3"),
-    "random": ("--n", "5", "--m", "6"),
+def test_gen_help_lists_only_config_and_output(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == {"-h", "--help", "--config", "-o", "--output"}
+
+
+@pytest.mark.parametrize("flag, value", [("--kind", "grid2d"), ("--weights", "1:9"), ("--seed", "3")])
+def test_gen_refuses_the_spec_flags(tmp_path, capsys, flag, value):
+    # The spec file holds the whole graph; gen has no flag that could change it.
+    # The size flags are checked on every kind below.
+    out_file = tmp_path / "g.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--config", _config(tmp_path, kind="grid2d", dims=[3, 3]), flag, value, "-o", str(out_file)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and not out_file.exists()
+    assert f"unrecognized arguments: {flag} {value}" in out.err
+
+
+def test_gen_needs_a_config(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "-o", "g.txt"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("text", ['{"kind": "grid2d", "dims": [3, 3]', "", '{"kind": "grid2d"} x', "[3, 3]", "null"])
+def test_gen_rejects_a_malformed_spec(tmp_path, capsys, text):
+    spec, out_file = tmp_path / "spec.json", tmp_path / "g.txt"
+    spec.write_text(text)
+    code, out, err = run(capsys, "gen", "--config", str(spec), "-o", str(out_file))
+    assert (code, out) == (1, "") and not out_file.exists()
+    assert err.startswith("error: config ") and "Traceback" not in err
+
+
+# The sha256 of the edge lists gen wrote from the flags it took before it read
+# a spec file: README's two grids, a ladder and a weighted random graph.
+GEN_DIGESTS = [
+    (dict(kind="grid2d", dims=[100, 100], weights=dict(lo=1, hi=10000, seed=7)),
+     "80b29beee71e110ce21438cdc7c4e4aec14b2d16841826da169e765687612881"),  # --w 100 --h 100 --weights 1:10000 --seed 7
+    (dict(kind="grid2d", dims=[30, 30]),
+     "b66f70a25b6575611848edeeaafd295cac406600894fae39edc26330a96ebbac"),  # --w 30 --h 30
+    (dict(kind="adversarial", ladder=5),
+     "824bf8ce311b3ecfc8bf4ff06a373dbca46c23a9a6d7fdc2f71b55e7af37b446"),  # --d 5
+    (dict(kind="random", n=300, m=900, seed=11, weights=dict(lo=1, hi=50, seed=11)),
+     "ab991cec7f9311f94f2ccfa111d196a0e1ee7df6d8344746fcd754d972008d07"),  # --n 300 --m 900 --weights 1:50 --seed 11
+]
+
+
+@pytest.mark.parametrize("spec, digest", GEN_DIGESTS, ids=["readme-grid", "readme-ugrid", "ladder", "random-w"])
+def test_gen_spec_writes_the_bytes_the_flags_wrote(tmp_path, capsys, spec, digest):
+    out_file = tmp_path / "g.txt"
+    code, out, err = _gen(capsys, tmp_path, out_file, **spec)
+    assert (code, out) == (0, ""), err
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+# A field each kind does not read, given a value other than its default.
+UNREAD_FIELDS = [
+    *((kind, field) for kind in ("grid2d", "grid3d") for field in ("ladder", "n", "m", "seed")),
+    *(("adversarial", field) for field in ("dims", "n", "m", "seed")),
+    ("random", "dims"),
+    ("random", "ladder"),
+]
+READ_FIELDS = {
+    "grid2d": dict(dims=(3, 3)),
+    "grid3d": dict(dims=(2, 2, 2)),
+    "adversarial": dict(ladder=3),
+    "random": dict(n=5, m=6, seed=1),
 }
+UNREAD_VALUES = {"dims": (3, 3), "ladder": 3, "n": 7, "m": 7, "seed": 3}
+
+
+# The size flags each kind read when gen took flags.
+GEN_SIZE_FLAGS = {"grid2d": "wh", "grid3d": "xyz", "adversarial": "d", "random": "nm"}
 
 
 @pytest.mark.parametrize(
     "kind, flag",
-    [(kind, flag) for kind, own in GEN_SIZE_FLAGS.items() for flag in "whxyzdnm" if f"--{flag}" not in own],
+    [(kind, flag) for kind, own in GEN_SIZE_FLAGS.items() for flag in "whxyzdnm" if flag not in own],
 )
 def test_gen_refuses_the_size_flags_of_other_kinds(tmp_path, capsys, kind, flag):
     # gen --kind grid2d --w 5 --h 5 --n 7 wrote the 5x5 grid and dropped --n.
+    # No size flag is left beside a spec file, and --h is no abbreviation of
+    # --help: it would print the help and exit 0.
     out_file = tmp_path / "g.txt"
+    cfg = _config(tmp_path, kind=kind, **READ_FIELDS[kind])
     with pytest.raises(SystemExit) as exc:
-        main(["gen", "--kind", kind, *GEN_SIZE_FLAGS[kind], f"--{flag}", "3", "-o", str(out_file)])
+        main(["gen", "--config", cfg, f"--{flag}", "3", "-o", str(out_file)])
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == "" and not out_file.exists()
-    assert f"argument --{flag}: not allowed with argument --kind {kind}" in out.err
+    assert f"unrecognized arguments: --{flag} 3" in out.err
+
+
+@pytest.mark.parametrize("kind, field", UNREAD_FIELDS, ids=[f"{field}-on-{kind}" for kind, field in UNREAD_FIELDS])
+def test_every_door_refuses_a_field_the_kind_does_not_read(tmp_path, capsys, kind, field):
+    # gen --kind grid2d --w 5 --h 5 --n 7 wrote the 5x5 grid and dropped
+    # --n, and a seed on a grid was dropped through every door.
+    raw = dict(kind=kind, **READ_FIELDS[kind], **{field: UNREAD_VALUES[field]})
+    message = f"{kind} does not read {field}, got {UNREAD_VALUES[field]!r}"
+    spec = GeneratorSpec(**raw)
+    for door in (lambda: generate(spec),
+                 lambda: config_from_json(json.dumps(dict(label="x", rhos=[1], generator=raw)))):
+        with pytest.raises(GraphError) as exc:
+            door()
+        assert str(exc.value) == message
+    out_file = tmp_path / "g.txt"
+    assert _gen(capsys, tmp_path, out_file, **raw) == (1, "", f"error: {message}\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, defaults",
+    [("grid2d", dict(seed=0, ladder=0, n=0, m=0)), ("grid3d", dict(seed=None, ladder=None)),
+     ("adversarial", dict(dims=(), n=0, m=0, seed=0)), ("random", dict(dims=(), ladder=0))],
+)
+def test_a_field_the_kind_does_not_read_may_hold_its_default(tmp_path, capsys, kind, defaults):
+    plain, explicit = tmp_path / "plain.txt", tmp_path / "explicit.txt"
+    assert _gen(capsys, tmp_path, plain, kind=kind, **READ_FIELDS[kind])[0] == 0
+    raw = dict(kind=kind, **READ_FIELDS[kind], **defaults)
+    code, _, err = _gen(capsys, tmp_path, explicit, **raw)
+    assert code == 0, err
+    assert explicit.read_bytes() == plain.read_bytes()
+    given = {name: v for name, v in raw.items() if v is not None}  # JSON null stands for the default
+    assert write_edge_list(generate(GeneratorSpec(**given))).encode() == plain.read_bytes()
+    assert config_from_json(json.dumps(dict(label="x", rhos=[1], generator=raw))).generator == GeneratorSpec(**given)
 
 
 @pytest.mark.parametrize(
@@ -213,7 +338,7 @@ def test_bench_config_refuses_the_sweep_flags(tmp_path, capsys, flag, value):
 
 def test_gen_then_sssp_roundtrip(tmp_path, capsys):
     f = tmp_path / "grid.txt"
-    code, _, _ = run(capsys, "gen", "--kind", "grid2d", "--w", "3", "--h", "3", "-o", str(f))
+    code, _, _ = _gen(capsys, tmp_path, f, kind="grid2d", dims=[3, 3])
     assert code == 0
     code, out, _ = run(capsys, "sssp", "-i", str(f), "-s", "0")
     assert code == 0
@@ -330,10 +455,7 @@ def test_validate_rejects_rho_below_one(tmp_path, capsys, rho):
 
 def test_bench_config_csv(tmp_path, capsys):
     src = tmp_path / "g.txt"
-    code, _, _ = run(
-        capsys, "gen", "--kind", "random", "--n", "25", "--m", "50",
-        "--weights", "1:100", "--seed", "3", "-o", str(src),
-    )
+    code, _, _ = _gen(capsys, tmp_path, src, kind="random", n=25, m=50, seed=3, weights=dict(lo=1, hi=100, seed=3))
     assert code == 0
     out_csv = tmp_path / "rows.csv"
     cfg = _config(tmp_path, label="graph", rhos=[1, 2], source_count=3, graph_path=str(src))
@@ -453,8 +575,7 @@ def test_sssp_source_is_a_label_in_every_file(tmp_path, capsys):
     # the generated one; read as a dense id, -s 2 named label 4 in the one
     # and label 2 in the other.
     grid, aug, rad = (tmp_path / name for name in ("grid.txt", "aug.txt", "radii.txt"))
-    gen = ("gen", "--kind", "grid2d", "--w", "4", "--h", "3", "--weights", "1:9", "--seed", "1")
-    assert run(capsys, *gen, "-o", str(grid))[0] == 0
+    assert _gen(capsys, tmp_path, grid, kind="grid2d", dims=[4, 3], weights=dict(lo=1, hi=9, seed=1))[0] == 0
     assert run(capsys, "preprocess", "-i", str(grid), "--rho", "4", "-o", str(aug), "--radii", str(rad))[0] == 0
     g = parse_edge_list(grid.read_text())
     assert (g.labels[2], parse_edge_list(aug.read_text()).labels[2]) == (4, 2)
@@ -564,7 +685,7 @@ def test_bench_rejects_a_label_that_would_break_the_csv(tmp_path, capsys):
 
 @st.composite
 def edge_list_inputs(draw):
-    """Edge-list text, either from `gen --kind random` or drawn directly over
+    """Edge-list text, either from `gen` on a random spec or drawn directly over
     sparse labels.  Every other drawn edge comes again reversed with another
     weight (parallel edges), and weights come from a narrow range (ties).
     Self-loops are drawn too, so a vertex with only self-loops is isolated."""
@@ -573,8 +694,7 @@ def edge_list_inputs(draw):
         n = draw(st.integers(2, 30))
         m = draw(st.integers(n - 1, min(3 * n, n * (n - 1) // 2)))
         seed = draw(st.integers(0, 10**6))
-        return ["--kind", "random", "--n", str(n), "--m", str(m), "--weights", f"1:{w_hi}",
-                "--seed", str(seed)]
+        return dict(kind="random", n=n, m=m, seed=seed, weights=dict(lo=1, hi=w_hi, seed=seed))
     labels = draw(st.lists(st.integers(0, 10**9), min_size=2, max_size=25, unique=True))
     pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
     edges = draw(st.lists(st.tuples(pairs, st.integers(1, w_hi)), min_size=1, max_size=60))
@@ -586,8 +706,8 @@ def edge_list_inputs(draw):
 @given(edge_list_inputs(), st.integers(1, 2), st.sampled_from([1, 2, 5]), st.data())
 def test_gen_preprocess_sssp_round_trip_matches_dijkstra(tmp_path, capsys, given_input, k, rho, data):
     src, aug, rad, stats = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt", "steps.csv"))
-    if isinstance(given_input, list):
-        code, _, _ = run(capsys, "gen", *given_input, "-o", str(src))
+    if isinstance(given_input, dict):
+        code, _, _ = _gen(capsys, tmp_path, src, **given_input)
         assert code == 0
     else:
         src.write_text(given_input)
@@ -621,7 +741,7 @@ def test_huge_k_and_rho_preprocess_and_bench_as_n(tmp_path, capsys):
     # preprocess --k 2**70 and a bench config with rhos [2**70] exited with
     # an OverflowError traceback; k or rho above n acts as n.
     src, aug, rad = tmp_path / "g.txt", tmp_path / "aug.txt", tmp_path / "radii.txt"
-    code, _, _ = run(capsys, "gen", "--kind", "grid2d", "--w", "6", "--h", "6", "--weights", "1:50", "--seed", "5", "-o", str(src))
+    code, _, _ = _gen(capsys, tmp_path, src, kind="grid2d", dims=[6, 6], weights=dict(lo=1, hi=50, seed=5))
     assert code == 0
 
     def preprocess_files(k, heuristic):
