@@ -15,9 +15,10 @@ fields or every one holds 3, weights lie in [1, 2**62), '#' starts only
 comment lines, and loadtxt neither warns nor fails.  Any other text goes
 to the line reader, which decides it and names the line of every error.
 Ids are any int64, as labels are everywhere, so every edge list the
-writer makes reads back but the 0-vertex graph's empty text; it formats
-each row through one %-template.  Every Graph keeps its labels as a
-read-only int64 array (0..n-1 if none given).
+writer makes reads back but the 0-vertex graph's empty text.  Every writer
+renders its rows with _render, a fixed block of values at a time, by digit
+tables in numpy.  Every Graph keeps its labels as a read-only int64 array
+(0..n-1 if none given).
 
 Edges travel as (u, v, w) rows, an (m, 3) int64 array, from the readers
 through from_edges and augmentation to the writer.  Every integer
@@ -288,10 +289,14 @@ def _check_labels(labels: object, n: int) -> np.ndarray:
     """Vertex labels, in their order, as int64: n distinct integers (not
     bool) that fit int64; anything else raises GraphError."""
     label = _int64_array("vertex labels", labels)
-    ordered = np.sort(label)
-    if len(label) != n or (ordered[1:] == ordered[:-1]).any():
-        raise GraphError(f"vertex labels must be {n} distinct ids")
+    _check_distinct(np.sort(label), n)
     return label
+
+
+def _check_distinct(ordered: np.ndarray, n: int) -> None:
+    """Sorted labels must be n distinct ids; anything else raises GraphError."""
+    if len(ordered) != n or (ordered[1:] == ordered[:-1]).any():
+        raise GraphError(f"vertex labels must be {n} distinct ids")
 
 
 def _check_distance_bound(n: int, a: np.ndarray, b: np.ndarray, ws: np.ndarray) -> None:
@@ -405,12 +410,21 @@ def _loadtxt_columns(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
         rows = np.column_stack((rows, np.ones(len(rows), dtype=np.int64)))
     if rows.shape[1] != 3 or (rows[:, 2] < 1).any() or (rows[:, 2] >= UNREACHED).any():
         return None
-    raw, first, inverse = np.unique(rows[:, :2], return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    dense = np.empty(len(order), dtype=np.int64)
-    dense[order] = np.arange(len(order))
-    rows[:, :2] = dense[inverse].reshape(-1, 2)
-    return len(raw), rows, raw[order]
+    # Ids in first-appearance order from one unstable sort: each run of equal
+    # ids gets its least position, whatever the order within the run.
+    ids = rows[:, :2].ravel()
+    by_id = np.argsort(ids)
+    ordered = ids[by_id]
+    run = np.empty(len(ids), dtype=bool)
+    run[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run[1:])
+    starts = np.flatnonzero(run)
+    by_first = np.argsort(np.minimum.reduceat(by_id, starts))
+    dense = np.empty(len(starts), dtype=np.int64)
+    dense[by_first] = np.arange(len(starts))
+    ids[by_id] = dense[np.cumsum(run) - 1]
+    rows[:, :2] = ids.reshape(-1, 2)
+    return len(starts), rows, ordered[starts[by_first]]
 
 
 def _half_edges(g: Graph) -> np.ndarray:
@@ -429,15 +443,66 @@ def _edge_slots(g: Graph, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(starts - ends + counts, counts) + np.arange(total), counts
 
 
-def _render(rows: np.ndarray, brief: np.ndarray, full: str, short: str) -> str:
-    """Integer rows through one %-template: `full` for each row, `short` where
-    brief.  Both take every column; "%.0s" takes one and prints nothing."""
-    return "".join(map((full, short).__getitem__, brief.tolist())) % tuple(rows.ravel().tolist())
+# Values per _render block: its scratch stays under 1 MB however long the
+# text.  On grid2d-w (seeds 1-3), one block for every value raised peak RSS
+# to 56.0-56.5 MB, against 53.0-53.7 MB with blocks of 8,192 values; of
+# 2,048 to 32,768 values a block, 8,192 also rendered fastest.
+_BLOCK = 8192
+
+# _render's word tables.  _WORD[g] is the four ASCII digits of g < 10**4 as
+# one 32-bit word, and _WORD[10**4 + g] the same with its leading zeros as
+# NUL (all NUL for 0).  _HEAD[sign + 1] is the word before a row's first
+# value and _HEAD[sign + 4] the word before any other: its separator ("\n",
+# which ends the row before, or " "), two NULs and its sign: "-" below zero,
+# "0" for zero (whose digit words are all NUL) and NUL above.
+_DIGITS = (np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10).astype(np.uint8)
+_DIGITS += ord("0")
+_LEADING = np.logical_and.accumulate(_DIGITS == ord("0"), axis=1)
+_WORD = np.concatenate((_DIGITS, _DIGITS * ~_LEADING)).view(np.uint32).ravel()
+_HEAD = np.frombuffer(b"\n\0\0-\n\0\x000\n\0\0\0 \0\0- \0\x000 \0\0\0", dtype=np.uint32)
+del _DIGITS, _LEADING
+
+
+def _render(rows: np.ndarray, brief: np.ndarray, tail: str) -> str:
+    """Int64 rows as text: each row's values in decimal, space-separated, and
+    "\\n"; a brief row prints only its first value and then `tail`.
+
+    A block of _BLOCK values at a time becomes fixed-width cells of 32-bit
+    words: a head word (separator and sign) and then one word per 4-digit
+    group, as wide as the block's widest number needs, looked up in _WORD.
+    The NUL bytes that pad every cell go in one bytes.translate.  Each head
+    holds the separator before its value, so the text's first newline goes
+    and one more ends it.
+    """
+    count, cols = rows.shape
+    step = max(1, _BLOCK // cols)
+    head = np.minimum(np.arange(cols), 1) * 3 + 1  # _HEAD's offset for each column
+    parts = []
+    for lo in range(0, count, step):
+        block = rows[lo : lo + step]
+        mag = np.abs(block).view(np.uint64).ravel()  # abs(-2**63) wraps to 2**63 as uint64
+        groups = -(-len(str(int(mag.max()))) // 4)
+        cells = np.empty((mag.size, 1 + groups), dtype=np.uint32)
+        cells[:, 0] = _HEAD.take(np.sign(block) + head).ravel()
+        for j in range(groups, 0, -1):
+            high = mag // 10**4
+            mag -= high * 10**4
+            np.add(mag, 10**4, out=mag, where=high == 0)  # no higher digit: NUL-padded
+            cells[:, j] = _WORD.take(mag)
+            mag = high
+        line = cells.view(np.uint8).reshape(len(block), -1)
+        if (short := brief[lo : lo + step]).any():
+            first = 4 * (1 + groups)
+            line[short, first:] = np.frombuffer(tail.encode().ljust(line.shape[1] - first, b"\0"), dtype=np.uint8)
+        if lo == 0:
+            line[0, 0] = 0
+        parts.append(line.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts) + "\n" if count else ""
 
 
 def _render_labeled(label: np.ndarray, value: np.ndarray) -> str:
     """One "label value\\n" line per entry, with "inf" for UNREACHED or more."""
-    return _render(np.column_stack((label, value)), value >= UNREACHED, "%d %d\n", "%d inf%.0s\n")
+    return _render(np.column_stack((label, value)), value >= UNREACHED, " inf")
 
 
 def _read_text(path: str, encoding: str = "ascii") -> str:
@@ -464,7 +529,7 @@ def write_edge_list(g: Graph) -> str:
     does not read back is the 0-vertex graph's "", an empty edge list.
     """
     rows = _edge_rows(g)
-    return _render(rows, rows[:, 2] == 0, "%d %d %d\n", "%d%.0s%.0s\n")
+    return _render(rows, rows[:, 2] == 0, "")
 
 
 def _edge_rows(g: Graph) -> np.ndarray:

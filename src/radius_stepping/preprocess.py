@@ -38,7 +38,7 @@ from .graph import (
     Graph,
     GraphError,
     _check_count,
-    _check_labels,
+    _check_distinct,
     _check_vertex,
     _edge_slots,
     _half_edges,
@@ -341,8 +341,8 @@ def write_radii(radii: RadiusAssignment, labels: np.ndarray) -> str:
     label = _int64_array("vertex labels", labels)
     if len(label) != len(radii.r):
         raise GraphError(f"{len(label)} labels for {len(radii.r)} radii")
-    _check_labels(label, len(radii.r))
-    order = np.argsort(label, kind="stable")
+    order = np.argsort(label)  # distinct labels have one sorted order
+    _check_distinct(label[order], len(radii.r))
     return _render_labeled(label[order], radii.r[order])
 
 

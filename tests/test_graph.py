@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -17,6 +18,7 @@ from radius_stepping import (
     WeightSpec,
     ball_arrays,
     build_k_rho,
+    dijkstra,
     from_edges,
     generate,
     parse_edge_list,
@@ -614,6 +616,22 @@ def test_fast_reader_equals_line_reader(seed):
     assert taken >= 350  # about half the uniform cases exercise the loadtxt reader
 
 
+@pytest.mark.parametrize("width", [2, 3])
+def test_fast_reader_compacts_ids_at_scale(width):
+    # 12,000 lines over 700 ids, each id on about 34 lines, that first
+    # appear out of sorted order, with negatives and both int64 ends.
+    rng = random.Random(width)
+    pool = [-(2**63), 2**63 - 1, -1, 0] + [rng.randrange(-(2**63), 2**63) for _ in range(696)]
+    rng.shuffle(pool)
+    lines = [[rng.choice(pool), rng.choice(pool), rng.randint(1, 2**62 - 1)][:width] for _ in range(12000)]
+    text = "".join(" ".join(map(str, line)) + "\n" for line in lines)
+    got, want = graph._loadtxt_columns(text), graph._line_columns(text)
+    assert got is not None and got[0] == want[0] == 700
+    assert got[2].tolist() != sorted(got[2].tolist())
+    for got_arr, want_arr in zip(got[1:], want[1:]):
+        assert got_arr.dtype == np.int64 and np.array_equal(got_arr, want_arr)
+
+
 def old_write_edge_list(g):
     """write_edge_list as one formatted row per edge: the oracle."""
     rows = []
@@ -682,3 +700,90 @@ def test_writers_equal_per_row_formatting():
         text = write_radii(radii, g.labels)
         assert text == old_write_radii(radii, g.labels), case
         assert read_radii(text, g).r.tolist() == r.tolist(), case
+
+
+# Every decimal width and both int64 ends: 10**j - 1 and 10**j for j = 0..18,
+# their negatives, and -2**63 and 2**63 - 1.
+EDGE_VALUES = sorted({s * x for j in range(19) for x in (10**j - 1, 10**j) for s in (1, -1)} | {-(2**63), 2**63 - 1})
+
+
+def _first_difference(got, want):
+    """None if the texts are equal, else the first line where they differ:
+    a short failure message where a diff of the whole texts would take long."""
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
+
+
+def _rows_text(rows, brief, tail):
+    """_render's text, one formatted row at a time: the oracle."""
+    return "".join(f"{row[0]}{tail}\n" if b else " ".join(map(str, row)) + "\n" for row, b in zip(rows.tolist(), brief.tolist()))
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 5, 7])
+def test_render_equals_per_row_formatting_across_blocks(monkeypatch, block):
+    # Each value in each column, next to values of every other width, over
+    # several blocks; a small block puts a boundary between most rows.
+    if block is not None:
+        monkeypatch.setattr(graph, "_BLOCK", block)
+    rng = random.Random(block or 0)
+    values = EDGE_VALUES * 3
+    for cols, tail in ((3, ""), (2, " inf")):
+        count = 2 * len(values) + 2 * (graph._BLOCK // cols + 1)
+        rows = np.array([rng.choice(values) for _ in range(count * cols)], dtype=np.int64).reshape(count, cols)
+        rows[: len(values), 0] = values
+        rows[len(values) : 2 * len(values), -1] = values
+        brief = np.array([rng.random() < 0.2 for _ in range(count)])
+        assert _first_difference(graph._render(rows, brief, tail), _rows_text(rows, brief, tail)) is None
+
+
+def test_writers_equal_per_row_formatting_past_one_block():
+    # More rows than a block, labels and radii of every width, and UNREACHED
+    # radii, which print as inf.  Weights stay below 10**15, so that paths
+    # stay below UNREACHED.
+    rng = random.Random(33)
+    n = graph._BLOCK // 2 + 500
+    weights = [v for v in EDGE_VALUES if 1 <= v < 10**15]
+    radius_values = [v for v in EDGE_VALUES if 0 <= v <= UNREACHED] + [UNREACHED]
+    for case in range(3):
+        edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights)) for _ in range(n)]
+        labels = rng.sample(EDGE_VALUES, len(EDGE_VALUES)) + [rng.randrange(-(2**63), 2**63) for _ in range(n)]
+        g = from_edges(n, edges, labels=list(dict.fromkeys(labels))[:n])
+        text = write_edge_list(g)
+        assert len(text.splitlines()) > graph._BLOCK // 3
+        assert _first_difference(text, old_write_edge_list(g)) is None, case
+        assert _first_difference(write_edge_list(parse_edge_list(text)), text) is None, case
+        r = np.array([rng.choice(radius_values) for _ in range(n)])
+        radii = RadiusAssignment(r=r)
+        text = write_radii(radii, g.labels)
+        assert _first_difference(text, old_write_radii(radii, g.labels)) is None, case
+        assert np.array_equal(read_radii(text, g).r, r), case
+
+
+@pytest.mark.parametrize("at", [-1, 0])
+def test_isolated_vertex_line_on_a_block_edge(at):
+    # Edge rows (3i, 10**12 + i, w) with two lone vertices 3j + 1 and 3j + 2
+    # between edge rows j and j + 1, so that the lone lines are the last two
+    # of a block (at=-1) or straddle its edge (at=0).
+    step = graph._BLOCK // 3
+    edges = 2 * step + 10
+    j = step - 2 + at
+    labels = [3 * i for i in range(edges)] + [10**12 + i for i in range(edges)] + [3 * j + 1, 3 * j + 2]
+    g = from_edges(len(labels), [(i, edges + i, i % 97 + 1) for i in range(edges)], labels=labels)
+    lines = write_edge_list(g).splitlines(keepends=True)
+    assert lines[j + 1 : j + 3] == [f"{3 * j + 1}\n", f"{3 * j + 2}\n"]
+    assert _first_difference("".join(lines), old_write_edge_list(g)) is None
+
+
+def test_render_labeled_prints_distances_as_sssp_does():
+    # Two components over more than one block: the far one is unreached.
+    n = graph._BLOCK // 2 + 300
+    rng = random.Random(5)
+    edges = [(i, i + 1, rng.randint(1, 10**9)) for i in range(n - 1) if i != n // 3]
+    labels = rng.sample(range(-(10**15), 10**15), n)
+    g = from_edges(n, edges, labels=labels)
+    dist = dijkstra(g, 0).dist
+    assert (dist == UNREACHED).sum() == n - n // 3 - 1
+    want = "".join(f"{lab} {d if d < UNREACHED else 'inf'}\n" for lab, d in zip(labels, dist.tolist()))
+    assert _first_difference(graph._render_labeled(g.labels, dist), want) is None
