@@ -1,9 +1,10 @@
 """Reference algorithms and baselines.
 
 dijkstra is the correctness oracle the engines are checked against.
-delta_stepping is the Delta rule (Meyer and Sanders) on the engine's
-stepping core, a baseline that differs from radius stepping only in how a
-step's threshold is picked.
+delta_stepping (Meyer and Sanders) is the engine's stepping core with
+zero radii and a bucket width of Delta, a baseline that differs from
+radius stepping only in how a step's threshold is picked: the end of the
+lowest bucket rather than min(delta + r).
 
 All functions are pure in (graph, arguments) and deterministic.  Distances
 are exact integers; dijkstra and delta_stepping must agree bit-for-bit on
@@ -15,7 +16,7 @@ import heapq
 
 import numpy as np
 
-from .engine import SsspResult, _Threshold, _stepping
+from .engine import SsspResult, _stepping
 from .graph import UNREACHED, DistanceVector, Graph, _check_count, _check_vertex
 
 
@@ -39,12 +40,6 @@ def dijkstra(g: Graph, s: int) -> DistanceVector:
     return DistanceVector(source=s, dist=dist)
 
 
-def _bucket_end(w: int) -> _Threshold:
-    """Delta-stepping's threshold rule: the last value of each distance's
-    bucket of width w <= UNREACHED."""
-    return _Threshold(None, lambda x: x // w * w + (w - 1))
-
-
 def delta_stepping(g: Graph, s: int, delta: int) -> SsspResult:
     """Fixed-width bucket SSSP on the engine's stepping core.
 
@@ -60,4 +55,4 @@ def delta_stepping(g: Graph, s: int, delta: int) -> SsspResult:
     _check_vertex(g, s)
     _check_count("delta", delta)
     # Every distance lies in bucket 0 of a delta wider than UNREACHED.
-    return _stepping(g, s, _bucket_end(min(delta, UNREACHED)))
+    return _stepping(g, s, np.zeros(g.n, dtype=np.int64), min(delta, UNREACHED))

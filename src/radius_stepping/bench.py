@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 
 from .baselines import dijkstra
 from .engine import check_bounds, radius_step_fast
 from .generate import GeneratorSpec, WeightSpec, generate
 from .graph import DistanceVector, Graph, GraphError, _check_count, _check_seed, _read_text, parse_edge_list
 from .preprocess import build_k_rho, validate_k_rho
-
-CSV_HEADER = "graph,n,m,k,rho,heuristic,added_edge_factor,mean_steps,mean_substeps,reduction_factor"
-
 
 class BenchError(RuntimeError):
     """A harness-level failure: validation, bound check or distance check did not pass."""
@@ -148,6 +145,9 @@ class ExperimentRow:
     reduction_factor: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
+
+
 def _load_graph(cfg: ExperimentConfig) -> Graph:
     if cfg.generator is not None:
         return generate(cfg.generator)
@@ -227,11 +227,7 @@ def emit_csv(rows: list[ExperimentRow]) -> str:
     lines = [CSV_HEADER + "\n"]
     for r in rows:
         _check_label(r.graph)
-        lines.append(
-            f"{r.graph},{r.n},{r.m},{r.k},{r.rho},{r.heuristic},"
-            f"{_fmt(r.added_edge_factor)},{_fmt(r.mean_steps)},"
-            f"{_fmt(r.mean_substeps)},{_fmt(r.reduction_factor)}\n"
-        )
+        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in astuple(r)) + "\n")
     return "".join(lines)
 
 

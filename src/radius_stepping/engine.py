@@ -10,19 +10,18 @@ when its distance has dropped since it was last relaxed: the candidates it
 would offer otherwise are already applied.
 
 One loop, _stepping, implements that contract.  It keeps touched
-unsettled vertices in columns by position (vertex, delta, threshold
-offset, w_min), writes only the positions of the vertices a relaxation
-moves, marks settled positions dead and compacts once dead ones outnumber
-live ones, so a round's upkeep follows the vertices it moves and settles.
-It settles runs of steps that cannot interact in a single relaxation.  It
-takes the threshold rule as an argument.  The radius engines pick
-min(delta + r); baselines.delta_stepping picks the end of the bucket of
-min(delta), so Delta-stepping runs on the same core.  Every substep of
-every engine is one relax_batch call, a scatter-min;
-radius_step_unweighted is radius_step_fast restricted to unit-weight
-graphs.  The literal loop, which scans every unsettled vertex each step,
-is a test oracle in tests/oracles.py; the tests hold this loop to it step
-by step, under both threshold rules.
+unsettled vertices in columns by position (vertex, delta, r, w_min),
+writes only the positions of the vertices a relaxation moves, marks
+settled positions dead and compacts once dead ones outnumber live ones, so
+a round's upkeep follows the vertices it moves and settles.  It settles
+runs of steps that cannot interact in a single relaxation.  A step's
+threshold is the least delta + r over the frontier, rounded up to the end
+of its bucket of a given width: the radius engines run at width 1, and
+baselines.delta_stepping at zero radii and width Delta.  Every substep is
+one relax_batch call, a scatter-min; radius_step_unweighted is
+radius_step_fast restricted to unit-weight graphs.  The tests hold this
+loop step by step to the literal loop in tests/oracles.py, which scans
+every unsettled vertex each step, at width 1 and at bucket widths.
 
 The loop appends one entry per round to a list, and _step_log builds the
 StepLog from it once the run ends.  A StepLog keeps the records as int64
@@ -35,12 +34,11 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex, _edge_slots
+from .graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex, _edge_slots, _render
 from .preprocess import RadiusAssignment, _ball_premise, _check_size
 
 _DEAD = np.iinfo(np.int64).max  # a settled frontier position
@@ -136,7 +134,7 @@ def step_records_csv(res: SsspResult) -> str:
     log = res.steps
     index = np.arange(1, len(log) + 1, dtype=np.int64)
     rows = np.column_stack((index, log.d, log.active_count, log.substeps, log.settled_prefix))
-    body = ("%d,%d,%d,%d,%d\n" * len(log)) % tuple(rows.ravel().tolist())
+    body = _render(rows, np.zeros(len(log), dtype=bool), "").replace(" ", ",")
     return "i,d_i,active_count,substeps,settled_prefix\n" + body
 
 
@@ -213,29 +211,11 @@ def _step_log(g: Graph, rounds: list[tuple]) -> StepLog:
 
 
 def _finish(g: Graph, delta: np.ndarray, settled: np.ndarray, s: int, rounds: list[tuple]) -> SsspResult:
-    """Unsettled vertices become UNREACHED; delta is frozen into the result."""
-    delta[~settled] = UNREACHED
+    """delta frozen into the result; a reached vertex left unsettled raises GraphError."""
+    if (delta[~settled] < UNREACHED).any():
+        raise GraphError("a reached vertex never settled")
     delta.flags.writeable = False
     return SsspResult(dist=DistanceVector(source=s, dist=delta), steps=_step_log(g, rounds))
-
-
-class _Threshold(NamedTuple):
-    """A step-threshold rule: each touched unsettled vertex v offers
-    end(delta(v) + offset[v]), and a step's threshold is the least offer.
-
-    offset is nonnegative per vertex (None: 0 everywhere) and end is
-    nondecreasing with end(x) >= x, so the least offer is end of the least
-    delta + offset.  The radius engines offset by r, which RadiusAssignment
-    keeps in [0, 2**62], so their offers stay within int64; Delta-stepping
-    ends each distance's bucket, and its caller keeps that within int64.
-    """
-
-    offset: np.ndarray | None
-    end: Callable[[Any], Any] = lambda x: x
-
-    def offsets(self, n: int) -> np.ndarray:
-        """The offsets of all n vertices, read by index."""
-        return np.broadcast_to(np.int64(0), n) if self.offset is None else self.offset
 
 
 def _compact(pos: np.ndarray, cols: tuple[np.ndarray, ...], m: int) -> int:
@@ -249,16 +229,18 @@ def _compact(pos: np.ndarray, cols: tuple[np.ndarray, ...], m: int) -> int:
     return keep.size
 
 
-def _stepping(g: Graph, s: int, rule: _Threshold) -> SsspResult:
+def _stepping(g: Graph, s: int, r: np.ndarray, width: int = 1) -> SsspResult:
     """Column-frontier stepping loop that settles runs of non-interacting steps at once.
 
-    `rule` gives each frontier vertex v its threshold candidate
-    key(v) = end(delta(v) + offset(v)): delta + r for radius stepping, the
-    end of delta's bucket for Delta-stepping.  The batching below needs only
-    key(v) >= delta(v).  The caller checks s and keeps key within int64.
-    Every substep is one relax_batch call, looked up at call time.  Each
-    round, one ordinary step or one batch of steps, appends one entry to the
-    list that _step_log turns into the run's StepLog.
+    Each frontier vertex v offers key(v) = end(delta(v) + r(v)), where
+    end(x) = x // width * width + width - 1 ends x's bucket of `width` (the
+    identity at width 1).  The batching below needs only key(v) >= delta(v),
+    which r >= 0 gives.  The caller checks s and keeps key within int64: a
+    live delta is below 2**62, and r is at most 2**62 at width 1 and 0 at a
+    width of at most UNREACHED.  Every substep is one relax_batch call,
+    looked up at call time.  Each round, one ordinary step or one batch of
+    steps, appends one entry to the list that _step_log turns into the run's
+    StepLog.
 
     F holds the touched unsettled vertices.  Each round computes the next
     threshold d = min key over F and the relaxation floor
@@ -293,18 +275,18 @@ def _stepping(g: Graph, s: int, rule: _Threshold) -> SsspResult:
     is min{key(v) : v in F, delta(v) > d} with delta as it is now, a
     suffix minimum over F[delta < C] sorted by delta.  Since end is
     nondecreasing, that suffix minimum is end of the suffix minimum of
-    delta + offset.  Steps are read off it while it stays below C; their
+    delta + r.  Steps are read off it while it stays below C; their
     active sets are final, so relaxing their union in one call yields the
     distances and relaxation count of relaxing them one step at a time.
 
     F is kept as columns indexed by position: ids (the vertex), dcol
-    (delta), rcol (offset) and wcol (w_min), and pos maps a vertex to its
+    (delta), rcol (r) and wcol (w_min), and pos maps a vertex to its
     position.  A vertex takes the next free position when a relaxation
     first touches it, with rcol and wcol read from r and its CSR row then;
     near(v) and the second weight are read from the row when a batch moves
     v.  A relaxation writes delta only at the positions of the vertices it
     moves.  A settled position is dead: dcol holds _DEAD (INT64_MAX) and
-    rcol and wcol hold 0.  A live delta is below 2**62 and a live offset or
+    rcol and wcol hold 0.  A live delta is below 2**62 and a live r or
     w_min at most 2**62, so a live dcol + rcol or dcol + wcol is at most
     INT64_MAX, which a dead position's sums equal: both minima are those of
     the live positions.  A dead dcol fails every dcol < C test, C being at
@@ -322,7 +304,6 @@ def _stepping(g: Graph, s: int, rule: _Threshold) -> SsspResult:
     """
     delta, settled, F = _start(g, s)
     rounds = []
-    r = rule.offsets(g.n)
     # At most n - 1 vertices ever enter F.  Each round sums dcol with both
     # rows of off at once; rcol and wcol are its rows.
     pos = np.full(g.n, -1, dtype=np.int64)
@@ -330,6 +311,10 @@ def _stepping(g: Graph, s: int, rule: _Threshold) -> SsspResult:
     off = np.empty((2, g.n - 1), dtype=np.int64)
     rcol, wcol = off
     m = live = 0  # positions in use, and how many of them are live
+
+    def end(x):
+        """The last value of x's bucket of `width`: x itself at width 1."""
+        return x if width == 1 else x // width * width + (width - 1)
 
     def write(vs: np.ndarray) -> np.ndarray:
         """Copy delta of vs into F's columns, entering the vertices not yet
@@ -372,13 +357,13 @@ def _stepping(g: Graph, s: int, rule: _Threshold) -> SsspResult:
     raise_floor(F, write(F))
     while live:
         base, floor = (dcol[:m] + off[:, :m]).min(1).tolist()
-        d = rule.end(base)
+        d = end(base)
         if d < floor:
             low = (dcol[:m] < floor).nonzero()[0]
             dists = dcol[low]
             order = dists.argsort()
             low, dists = low[order], dists[order]
-            suffix = rule.end(np.minimum.accumulate((dists + rcol[low])[::-1])[::-1])
+            suffix = end(np.minimum.accumulate((dists + rcol[low])[::-1])[::-1])
             # A step with threshold suffix[p] starting at position p settles
             # positions p .. nxt[p] - 1; steps start at 0 and run while the
             # threshold stays below the floor, that is before position cut.
@@ -419,7 +404,7 @@ def radius_step_fast(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
     """The stepping loop with min-combined relaxation, for any positive weights."""
     _check_vertex(g, s)
     _check_size(g, radii)
-    return _stepping(g, s, _Threshold(radii.r))
+    return _stepping(g, s, radii.r)
 
 
 def radius_step_unweighted(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:

@@ -3,10 +3,11 @@
 radius_step_reference is the literal stepping loop, the executable
 specification the engines are held to step by step: each step scans every
 unsettled vertex, O(n) per step, so it is meant for small graphs.  Its
-loop, reference_loop, takes the threshold rule of the package's stepping
-loop, so it holds baselines.delta_stepping to the literal rule too.  It
-builds its state and step log with the engine's own _start and _finish
-and relaxes through engine.relax_batch, looked up at call time.
+loop, reference_loop, takes the radii and bucket width of the package's
+stepping loop, so with zero radii and a width of Delta it holds
+baselines.delta_stepping to the literal loop too.  It builds its state and
+step log with the engine's own _start and _finish and relaxes through
+engine.relax_batch, looked up at call time.
 
 bellman_ford is an independent distance oracle for dijkstra and the
 engines, and bfs gives hop distances, rounds and the scan profile of
@@ -28,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from radius_stepping import engine
-from radius_stepping.engine import SsspResult, _finish, _start, _Threshold
+from radius_stepping.engine import SsspResult, _finish, _start
 from radius_stepping.graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex
 from radius_stepping.preprocess import Ball, RadiusAssignment, _check_size, _shortcuts, build_k_rho
 
@@ -66,21 +67,22 @@ def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResu
     """Literal stepping loop scanning every unsettled vertex per step."""
     _check_vertex(g, s)
     _check_size(g, radii)
-    return reference_loop(g, s, _Threshold(radii.r))
+    return reference_loop(g, s, radii.r)
 
 
-def reference_loop(g: Graph, s: int, rule: _Threshold) -> SsspResult:
-    """The literal loop under _stepping's threshold rule: each step's
-    threshold is the least offer of the touched unsettled vertices."""
+def reference_loop(g: Graph, s: int, r: np.ndarray, width: int = 1) -> SsspResult:
+    """The literal loop: each touched unsettled vertex offers delta + r
+    rounded up to the last value of its bucket of `width`, and a step's
+    threshold is the least offer."""
     delta, settled, _ = _start(g, s)
-    r = rule.offsets(g.n)
     relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
     rounds = []
     while True:
         frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
         if frontier.size == 0:
             break
-        d_i = int(rule.end(delta[frontier] + r[frontier]).min())
+        offer = delta[frontier] + r[frontier]
+        d_i = int((offer - offer % width + (width - 1)).min())
         substeps = step_relaxations = 0
         while True:
             substeps += 1

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -16,6 +17,9 @@ from radius_stepping import (
     from_edges,
     generate,
     GeneratorSpec,
+    RadiusAssignment,
+    StepLog,
+    radius_step_fast,
 )
 from conftest import random_graph
 from oracles import SizeCapError, bellman_ford, bfs, hop_matrix, k_radius_bruteforce, reference_loop
@@ -86,8 +90,8 @@ def test_delta_stepping_degenerate_single_bucket():
 
 
 def same_run(run, g, s, delta):
-    """run equals the literal loop's under Delta-stepping's key for delta."""
-    ref = reference_loop(g, s, baselines._bucket_end(delta))
+    """run equals the literal loop's at zero radii and bucket width delta."""
+    ref = reference_loop(g, s, np.zeros(g.n, dtype=np.int64), delta)
     return list(run.steps) == list(ref.steps) and run.dist.same_as(ref.dist)
 
 
@@ -117,11 +121,22 @@ def test_delta_stepping_core_matches_the_literal_loop(seed, delta_kind):
     g, s = random_graph(seed, n_hi=60, m_cap=180)
     L = g.max_weight
     delta = {"1": 1, "L/3": -(-L // 3), "L": L, "nL": g.n * L}[delta_kind]
-    key = baselines._bucket_end(delta)
-    fast, ref = engine._stepping(g, s, key), reference_loop(g, s, key)
+    zeros = np.zeros(g.n, dtype=np.int64)
+    fast, ref = engine._stepping(g, s, zeros, delta), reference_loop(g, s, zeros, delta)
     signature = [(rec.d, rec.active, rec.substeps, rec.relaxations) for rec in fast.steps]
     assert signature == [(rec.d, rec.active, rec.substeps, rec.relaxations) for rec in ref.steps]
     assert fast.dist.same_as(ref.dist) and fast.dist.same_as(dijkstra(g, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_delta_stepping_at_width_1_is_radius_stepping_at_zero_radii(seed):
+    # One formula, end(delta + r): at width 1 and r = 0 both are min(delta).
+    g, s = random_graph(seed, n_hi=60, m_cap=180)
+    bucket, radius = delta_stepping(g, s, 1), radius_step_fast(g, RadiusAssignment.uniform(g.n, 0), s)
+    for column in StepLog.__slots__:
+        assert np.array_equal(getattr(bucket.steps, column), getattr(radius.steps, column)), column
+    assert bucket.dist.same_as(radius.dist)
 
 
 @pytest.mark.parametrize(

@@ -250,23 +250,25 @@ def test_gen_spec_writes_the_bytes_the_flags_wrote(tmp_path, capsys, spec, diges
 
 # The sha256 of what preprocess at (k, rho) = (2, 5) and sssp from vertex 17
 # wrote for one random graph with weights up to 10**9, recorded when every
-# row went through a %-template.  Each output spans more than one render block.
+# row went through a %-template.  Each output but the 18-step stats spans
+# more than one render block; test_engine crosses a block with the stats.
 PIPELINE_SPEC = dict(kind="random", n=5000, m=15000, seed=5, weights=dict(lo=1, hi=10**9, seed=5))
 PIPELINE_DIGESTS = {
     "augmented": "5fe195c11420f3e4e92ac07ac5d5b59b65d656b535f02be077a1bc68446338b5",
     "radii": "f42394e69b518fcb8455fa6063ef277db8a3ba5d6e8a0a8f65fa8f7edd319662",
     "sssp": "c922fb3c2f9764b569be199638043fa2a73426d5d07dc39c3ce55262b5d71fcb",
+    "stats": "20194967adaa0e706699a7d1b05224faf62c2a4b0fbc4098bae1c31787e3846d",
 }
 
 
 def test_preprocess_and_sssp_write_the_recorded_bytes(tmp_path, capsys):
-    src, aug, rad = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt"))
+    src, aug, rad, stats = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt", "stats.csv"))
     assert _gen(capsys, tmp_path, src, **PIPELINE_SPEC)[0] == 0
     argv = ("preprocess", "-i", str(src), "--k", "2", "--rho", "5", "-o", str(aug), "--radii", str(rad))
     assert run(capsys, *argv)[0] == 0
-    code, out, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "17")
+    code, out, err = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "17", "--stats", str(stats))
     assert code == 0, err
-    got = {"augmented": aug.read_bytes(), "radii": rad.read_bytes(), "sssp": out.encode()}
+    got = {"augmented": aug.read_bytes(), "radii": rad.read_bytes(), "sssp": out.encode(), "stats": stats.read_bytes()}
     assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == PIPELINE_DIGESTS
 
 

@@ -20,7 +20,16 @@ from radius_stepping import (
     radius_step_unweighted,
     step_records_csv,
 )
-from radius_stepping.engine import SsspResult, StepLog, StepRecord, _ceil_log2, _compact, relax_batch
+from radius_stepping.engine import (
+    SsspResult,
+    StepLog,
+    StepRecord,
+    _ceil_log2,
+    _compact,
+    _finish,
+    _start,
+    relax_batch,
+)
 from conftest import corpus, random_graph
 from oracles import bellman_ford, bfs, build_1_rho, hop_matrix, radius_step_reference
 
@@ -513,6 +522,26 @@ def test_step_records_csv_shape():
     assert lines[0] == "i,d_i,active_count,substeps,settled_prefix"
     assert lines[1] == "1,4,1,1,2"
     assert lines[2] == "2,8,1,1,3"
+
+
+def test_step_records_csv_across_render_blocks():
+    # A render block holds 8,192 // 5 = 1,638 rows; a path at zero radii
+    # settles one vertex a step, so its 2,000 steps span two blocks.
+    n = 2001
+    g = from_edges(n, [(i, i + 1, 1 + 7919 * i % 10**6) for i in range(n - 1)])
+    res = radius_step_fast(g, RadiusAssignment.uniform(n, 0), 0)
+    log = res.steps
+    assert len(log) == n - 1
+    rows = zip(range(1, n), *(c.tolist() for c in (log.d, log.active_count, log.substeps, log.settled_prefix)))
+    body = "".join("%d,%d,%d,%d,%d\n" % row for row in rows)
+    assert step_records_csv(res) == "i,d_i,active_count,substeps,settled_prefix\n" + body
+
+
+def test_finish_raises_on_a_reached_vertex_left_unsettled():
+    g = from_edges(3, PATH)
+    delta, settled, _ = _start(g, 0)  # vertex 1 is reached at 2 and unsettled
+    with pytest.raises(GraphError, match="^a reached vertex never settled$"):
+        _finish(g, delta, settled, 0, [])
 
 
 def records_from_columns(log):
