@@ -19,7 +19,10 @@ chunk's shortcuts as it comes, and _ball_premise (the premise of
 check_bounds and of validate_k_rho) keeps two counts per ball.  Both
 heuristics run on the tree's parent and depth arrays alone: build_k_rho
 hands them a chunk's flat columns, and _shortcuts (behind shortcut_dp)
-hands them one Ball's.  validate_k_rho checks the (k, rho) property of
+hands them one Ball's.  dp runs one numpy pass per tree depth level,
+from depth 2 down: it never shortcuts a node at depth 0 or 1, so a chunk
+of trees no deeper than 1 (every ball of a unit ladder at rho=10) costs
+it nothing.  validate_k_rho checks the (k, rho) property of
 any radii exactly, at any graph size.  write_radii and read_radii keep
 radii in a "v r" file keyed by the graph's labels.
 
@@ -157,7 +160,9 @@ def _lockstep(g: Graph, budget: np.ndarray, src: np.ndarray, rho: int, tie_inclu
     member's (depth + 1) * n + id.  After rho pops every member that can
     offer a slot at r_rho has opened its block, so the tie-inclusive tail
     is each non-member at exactly r_rho in a block whose head is there,
-    read from the head on, with its least tag, in id order.  Parent tags
+    read from the head on, with its least tag, in id order; a slot's
+    vertex is told from the members by one lookup of its (row, vertex)
+    key among the sorted keys of the entries popped.  Parent tags
     give the min-hop tree, strict mode included: for a member u, each w
     with d(w) + wt(w, u) = d(u) has d(w) < d(u) <= r_rho (weights are
     >= 1), so it is among the first rho - 1 members, the ones expanded,
@@ -221,11 +226,12 @@ def _lockstep(g: Graph, budget: np.ndarray, src: np.ndarray, rho: int, tie_inclu
         size = end[f] - nxt[f]
         slot = np.repeat(nxt[f] - np.cumsum(size) + size, size) + np.arange(size.sum())
         f = np.repeat(f, size)
-        r, v = f % len(src), g.nbr[slot]
+        r = f % len(src)
+        key = r * n + g.nbr[slot]
+        known = np.sort(cols[0] * n + cols[1])  # the members, as keys
         ok = base[f] + g.wt[slot] == r_rho[r]
-        for k in range(int(count.max(initial=0))):  # leave out the members
-            ok &= member[k, r] != v
-        key = r[ok] * n + v[ok]
+        ok &= known.take(np.searchsorted(known, key), mode="clip") != key  # leave out the members
+        key = key[ok]
         order = np.argsort(key, kind="stable")  # cheap: each block's run is in id order
         f, key = f[ok][order], key[order]
         t = tag[f]
@@ -413,22 +419,33 @@ def _shortcut_targets(parent: np.ndarray, depth: np.ndarray, k: int, heuristic: 
     forced (children restart at 1); below k it is the cheaper of
     shortcutting u or letting the subtree ride at t+1, ties going to the
     shortcut.  Costs go up the depth levels, choices come back down.
-    Neither shortcuts a node within k hops, so k above the deepest node
-    acts as that depth.
+
+    Two things hold.  greedy shortcuts only nodes deeper than k, so k
+    above the deepest node acts as that depth.  dp never shortcuts a node
+    at depth 0 or 1 (it may at depth 2 <= k): a depth-1 node's parent is
+    its root, at t = 0 < k hops, and shortcutting it costs
+    1 + below(u, 1), more than riding at below(u, 1); and its cost feeds
+    only its root's, which nothing reads.  So dp's levels start at depth
+    2, and only depth 3 and deeper send costs up.
     """
-    k = min(k, max(1, depth.max(initial=0)))
+    deepest = depth.max(initial=0)
+    k = min(k, max(1, deepest))
     if heuristic == "greedy":
         return (depth > k) & ((depth - 1) % k == 0)
-    levels = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])[1:]
+    target = np.zeros(len(depth), dtype=bool)
+    if deepest < 2:
+        return target
+    deep = np.flatnonzero(depth >= 2)
+    # A level's order changes no sum and no comparison, so the sort may be unstable.
+    levels = np.split(deep[np.argsort(depth[deep])], np.cumsum(np.bincount(depth[deep]))[2:-1])
     below = np.zeros((len(depth), k + 1), dtype=np.int64)  # children's summed cost(., t)
-    for idx in reversed(levels):
+    for idx in reversed(levels[1:]):
         kids = below[idx]
         cost = np.empty_like(kids)
         cost[:, k] = 1 + kids[:, 1]  # shortcut u: its children restart at 1 hop
         np.minimum(cost[:, k : k + 1], kids[:, 1:], out=cost[:, :k])
         np.add.at(below, parent[idx], cost)
-    hops = np.zeros(len(depth), dtype=np.int64)  # hops from the root once shortcuts are in
-    target = np.zeros(len(depth), dtype=bool)
+    hops = np.minimum(depth, 1)  # hops from the root once shortcuts are in
     for idx in levels:
         t = hops[parent[idx]]
         target[idx] = cut = (t == k) | (1 + below[idx, 1] <= below[idx, np.minimum(t + 1, k)])

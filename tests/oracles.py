@@ -18,6 +18,8 @@ k_radius_bruteforce run one per vertex, so they refuse graphs above
 SMALL_GRAPH_CAP vertices.  build_1_rho and shortcut_greedy call the
 package's build_k_rho and shortcut planner in one fixed way, and
 undirected_edges lists a graph's edges in write_edge_list's row order.
+shortcut_targets_all_levels is the shortcut planner with dp's passes over
+every tree level.
 """
 from __future__ import annotations
 
@@ -269,3 +271,27 @@ def undirected_edges(g: Graph) -> Iterator[tuple[int, int, int]]:
         out.sort()
         for v, w in out:
             yield u, v, w
+
+
+def shortcut_targets_all_levels(parent: np.ndarray, depth: np.ndarray, k: int, heuristic: str) -> np.ndarray:
+    """preprocess._shortcut_targets as it was before its levels started at
+    depth 2: both of dp's passes run over every level from depth 1, with a
+    stable level order."""
+    k = min(k, max(1, depth.max(initial=0)))
+    if heuristic == "greedy":
+        return (depth > k) & ((depth - 1) % k == 0)
+    levels = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])[1:]
+    below = np.zeros((len(depth), k + 1), dtype=np.int64)  # children's summed cost(., t)
+    for idx in reversed(levels):
+        kids = below[idx]
+        cost = np.empty_like(kids)
+        cost[:, k] = 1 + kids[:, 1]  # shortcut u: its children restart at 1 hop
+        np.minimum(cost[:, k : k + 1], kids[:, 1:], out=cost[:, :k])
+        np.add.at(below, parent[idx], cost)
+    hops = np.zeros(len(depth), dtype=np.int64)  # hops from the root once shortcuts are in
+    target = np.zeros(len(depth), dtype=bool)
+    for idx in levels:
+        t = hops[parent[idx]]
+        target[idx] = cut = (t == k) | (1 + below[idx, 1] <= below[idx, np.minimum(t + 1, k)])
+        hops[idx] = np.where(cut, 1, t + 1)
+    return target

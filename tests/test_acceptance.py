@@ -4,6 +4,7 @@ One test per criterion; each prints a PASS/FAIL line with its elapsed time
 and enforces the stated runtime budget.  Run with `pytest -s
 tests/test_acceptance.py` to see the lines as they complete.
 """
+import hashlib
 import itertools
 import random
 import time
@@ -199,6 +200,9 @@ def test_criterion_06_weighted_trend(tmp_path):
         assert all(a > b for a, b in zip(means, means[1:])), means
         assert by_rho[10].reduction_factor >= 10, by_rho[10]
         assert f",{by_rho[10].rho}," in csv_text  # the factor is recorded
+        assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+            "6b743aebdcca8566c89e2172aba04a01f4caeb599fb7bea2eb91d2937a9db525"
+        )
 
 
 def test_criterion_07_unweighted_trend():
@@ -238,7 +242,7 @@ def test_criterion_09_augmentation_budget(acceptance_corpus):
 
 
 def test_criterion_10_bench_determinism():
-    with Budget(10, "byte-identical CSV on repeated bench runs", 120):
+    with Budget(10, "byte-identical CSV on repeated bench runs, as recorded", 120):
         weighted = ExperimentConfig(
             label="det-w",
             rhos=(1, 2, 5),
@@ -259,7 +263,12 @@ def test_criterion_10_bench_determinism():
             seed=99,
             generator=GeneratorSpec(kind="grid2d", dims=(20, 20)),
         )
+        digests = {
+            "det-w": "89d46b34329b2cb7bf1b03dfbdb47998b69712cc3cc2635ef424ec272c12f783",
+            "det-u": "d1af88d3cc3b96da6e178d255ede7b3ff1706425101a2e240ea51f0964be55d2",
+        }
         for cfg in (weighted, unweighted):
             first = emit_csv(run_experiment(cfg))
             second = emit_csv(run_experiment(cfg))
             assert first == second
+            assert hashlib.sha256(first.encode()).hexdigest() == digests[cfg.label]

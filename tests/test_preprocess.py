@@ -32,7 +32,15 @@ from radius_stepping import (
 )
 import radius_stepping.preprocess as preprocess
 from conftest import MUTANT_GRID, children, drop_planned_shortcut, random_graph, tree_ball
-from oracles import _lex_dijkstra, ball_bruteforce, build_1_rho, check_graph, k_radius_bruteforce, shortcut_greedy
+from oracles import (
+    _lex_dijkstra,
+    ball_bruteforce,
+    build_1_rho,
+    check_graph,
+    k_radius_bruteforce,
+    shortcut_greedy,
+    shortcut_targets_all_levels,
+)
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 STAR = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1)]
@@ -283,6 +291,60 @@ def test_dp_plan_is_feasible(data):
         for plan in (shortcut_dp(tree, k), shortcut_greedy(tree, k)):
             assert _tree_reach_within_k(tree, {t for t, _ in plan}, k)
         assert sorted(t for t, _ in shortcut_dp(tree, k)) == _dp_targets_loop(tree, k)
+
+
+def test_dp_cuts_at_depth_2_within_k():
+    # root 0 - 1 - 2, then 2 -> 3, 4 at depth 3 and 3 -> 5, 4 -> 6 at depth
+    # 4: one shortcut to 2 brings 5 and 6 to 3 hops, where greedy takes both.
+    parent = {1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 4}
+    depth = {0: 0, 1: 1, 2: 2, 3: 3, 4: 3, 5: 4, 6: 4}
+    tree = tree_ball(parent, depth)
+    assert shortcut_dp(tree, 3) == ((2, 2),)
+    assert shortcut_greedy(tree, 3) == ((5, 4), (6, 4))
+    assert _dp_targets_loop(tree, 3) == [2]
+
+
+def _chunk_trees(g, rhos):
+    """(parent, depth) of every _ball_chunks chunk of g at each rho, both tie modes."""
+    return [
+        (parent, depth)
+        for rho, tie_inclusive in itertools.product(rhos, (True, False))
+        for _, _, (_, _, _, parent, depth) in preprocess._ball_chunks(g, np.arange(g.n), rho, tie_inclusive)
+    ]
+
+
+def _seeded_forest(rng):
+    """parent and depth of many trees laid end to end, each node after its
+    parent: lone roots, stars (depth <= 1), paths and bushes up to depth 40."""
+    parent, depth = [], []
+    kind = rng.choice(["lone", "stars", "mixed", "mixed"])
+    for _ in range(rng.randint(0, 30)):
+        size = 1 if kind == "lone" else rng.randint(1, 41)
+        reach = rng.choice([1, 2, 5, size])  # a node's parent is among the last `reach` nodes
+        root = len(parent)
+        for i in range(size):
+            p = -1 if i == 0 else root if kind == "stars" else root + rng.randint(max(0, i - reach), i - 1)
+            parent.append(p)
+            depth.append(0 if p < 0 else depth[p] + 1)
+    return np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64)
+
+
+def test_level_skipping_plan_equals_full_level_plan():
+    rng = random.Random(35)
+    trees = [_seeded_forest(rng) for _ in range(300)]
+    assert {int(d.max(initial=0)) for _, d in trees} >= {0, 1, 40}
+    trees += _chunk_trees(generate(GeneratorSpec("adversarial", ladder=10)), (5, 10, 30))
+    trees += _chunk_trees(generate(GeneratorSpec("grid2d", dims=(30, 30), weights=WeightSpec(1, 100, seed=30))), (5, 10, 30))
+    trees += [t for g in _tie_heavy_corpus() for t in _chunk_trees(g, RHOS)]
+    trees += _chunk_trees(generate(GeneratorSpec("adversarial", ladder=40)), [10])  # the bench ladder
+    dp_at_2 = 0
+    for (parent, depth), k, heuristic in itertools.product(trees, (1, 2, 3, 4, 7, 50), ("dp", "greedy")):
+        want = shortcut_targets_all_levels(parent, depth, k, heuristic)
+        assert np.array_equal(preprocess._shortcut_targets(parent, depth, k, heuristic), want), (k, heuristic)
+        if heuristic == "dp":  # the premise of the level skip: dp never cuts depth 0 or 1
+            assert not (want & (depth <= 1)).any()
+            dp_at_2 += int((want & (depth == 2)).sum())
+    assert dp_at_2 > 0
 
 
 @settings(max_examples=30, deadline=None)
