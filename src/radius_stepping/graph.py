@@ -20,8 +20,10 @@ renders its rows with _render, a fixed block of values at a time, by digit
 tables in numpy.  Every Graph keeps its labels as a read-only int64 array
 (0..n-1 if none given).
 
-Edges travel as (u, v, w) rows, an (m, 3) int64 array, from the readers
-through from_edges and augmentation to the writer.  Every integer
+Edges come as (u, v, w) rows, an (m, 3) int64 array, from the readers
+and from augmentation into from_edges, which builds the CSR.  The writer
+reads the CSR itself: each edge's row is its half-edge out of the end
+with the lesser label.  Every integer
 sequence the package takes (edge rows and triples, labels, radii, ball
 sources) is taken exactly by _int64_array, or refused.
 """
@@ -427,13 +429,6 @@ def _loadtxt_columns(text: str) -> tuple[int, np.ndarray, np.ndarray] | None:
     return len(starts), rows, ordered[starts[by_first]]
 
 
-def _half_edges(g: Graph) -> np.ndarray:
-    """Each undirected edge once as an (m, 3) row (u, v, w), u < v, sorted by u."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-    mask = src < g.nbr
-    return np.column_stack((src[mask], g.nbr[mask], g.wt[mask]))
-
-
 def _edge_slots(g: Graph, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR slots of every edge out of `act`, row by row, and the row lengths."""
     starts = g.indptr[act]
@@ -534,26 +529,27 @@ def write_edge_list(g: Graph) -> str:
 
 def _edge_rows(g: Graph) -> np.ndarray:
     """write_edge_list's rows (lesser label, greater label, weight) in
-    order, with (label, any, 0) for a vertex with no edge.  A function of
+    order, with (label, any, 0) for a vertex with no edge.  An edge's row
+    is its half-edge out of the end with the lesser label.  A function of
     its own, so its scratch arrays are freed before the text is built."""
-    u, v, w = _half_edges(g).T
-    lone = np.flatnonzero(np.diff(g.indptr) == 0)
     by_rank = np.argsort(g.labels)
     rank = np.empty(g.n, dtype=np.int64)
     rank[by_rank] = np.arange(g.n)
-    label = g.labels[by_rank]
+    deg = np.diff(g.indptr)
+    lo, hi = np.repeat(rank, deg), rank[g.nbr]
+    keep = lo < hi
     # Labels are distinct, so ordering by label rank is ordering by label.
     # Rows sort by (lesser rank, greater rank) packed as lo*n + hi, and a
     # vertex with no edge as rank*n, which no edge row shares: the graph is
     # simple, so the keys are distinct and the unstable sort is exact.
-    u, v = rank[u], rank[v]
-    key = np.concatenate((np.minimum(u, v), rank[lone]))
+    key = np.concatenate((lo[keep], rank[deg == 0]))
     key *= g.n
-    key[: len(u)] += np.maximum(u, v)
+    key[: g.m] += hi[keep]
+    del lo, hi
     order = np.argsort(key)
     rows = np.zeros((len(key), 3), dtype=np.int64)
     lo, hi = np.divmod(key[order], g.n)
+    label = g.labels[by_rank]
     rows[:, 0], rows[:, 1] = label[lo], label[hi]
-    rows[:, 2] = np.concatenate((w, np.zeros(len(lone), dtype=np.int64)))[order]
+    rows[:, 2] = np.concatenate((g.wt[keep], np.zeros(len(key) - g.m, dtype=np.int64)))[order]
     return rows
-

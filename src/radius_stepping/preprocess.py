@@ -16,10 +16,10 @@ chunk's blocks hold at most about 2**18 slots; _pool_plan and _lockstep
 show why the balls and trees are exact.
 compute_ball is the one-ball view of ball_arrays.  build_k_rho plans each
 chunk's shortcuts as it comes, and _ball_premise (the premise of
-check_bounds and of validate_k_rho) keeps two counts per ball.  Both
+check_bounds and of validate_k_rho) keeps two counts per strict ball.  Both
 heuristics run on the tree's parent and depth arrays alone: build_k_rho
-hands them a chunk's flat columns, and _shortcuts (behind shortcut_dp)
-hands them one Ball's.  dp runs one numpy pass per tree depth level,
+hands them a chunk's flat columns, and shortcut_dp hands them one Ball's.
+dp runs one numpy pass per tree depth level,
 from depth 2 down: it never shortcuts a node at depth 0 or 1, so a chunk
 of trees no deeper than 1 (every ball of a unit ladder at rho=10) costs
 it nothing.  validate_k_rho checks the (k, rho) property of
@@ -44,7 +44,6 @@ from .graph import (
     _check_distinct,
     _check_vertex,
     _edge_slots,
-    _half_edges,
     _int64_array,
     _is_int,
     _render_labeled,
@@ -296,12 +295,15 @@ def ball_arrays(
 
 def _ball_premise(g: Graph, r: np.ndarray, sources, rho: int) -> tuple[np.ndarray, np.ndarray]:
     """|B(v, r(v))| and min(rho, component size) of each source v; the
-    paper's bounds assume the first is at least the second.  Counted chunk
-    by chunk, so no column outlives its chunk; |B| is exact where short."""
+    paper's bounds assume the first is at least the second.  Both come
+    from v's strict ball, whose size is the second: where |B| falls short,
+    r(v) is below r_rho, so every vertex within r(v) is a member and |B|
+    is exact.
+    Counted chunk by chunk, so no column outlives its chunk."""
     inside, need = [], []
-    for _, size, (center, _, dist, _, _) in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive=True):
+    for _, size, (center, _, dist, _, _) in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive=False):
         inside.append(np.add.reduceat(dist <= r[center], np.cumsum(size) - size))
-        need.append(np.minimum(size, min(rho, g.n)))  # size <= n, and rho may exceed int64
+        need.append(size)
     return np.concatenate(inside), np.concatenate(need)
 
 
@@ -453,26 +455,24 @@ def _shortcut_targets(parent: np.ndarray, depth: np.ndarray, k: int, heuristic: 
     return target
 
 
-def _shortcuts(ball: Ball, k: int, heuristic: str) -> tuple[tuple[int, int], ...]:
-    _check_count("k", k)
-    parent = np.array(ball.parent, dtype=np.int64)
-    depth = np.array(ball.depth, dtype=np.int64)
-    target = _shortcut_targets(parent, depth, k, heuristic)
-    return tuple(ball.members[i] for i in np.flatnonzero(target).tolist())
-
-
 def shortcut_dp(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
     """The fewest (target, ball distance) edges from the center that bring
     every member within k hops of its min-hop tree, in member order."""
-    return _shortcuts(ball, k, "dp")
+    _check_count("k", k)
+    target = _shortcut_targets(np.array(ball.parent, dtype=np.int64), np.array(ball.depth, dtype=np.int64), k, "dp")
+    return tuple(ball.members[i] for i in np.flatnonzero(target).tolist())
 
 
 def _augment(g: Graph, extra: list[np.ndarray]) -> Graph:
     """g with the (center, vertex, distance) shortcut rows unioned in;
-    g itself when there are none, since rebuilding would change nothing."""
+    g itself when there are none, since rebuilding would change nothing.
+    g's own edges go in once each, as the half-edges u -> v with u < v."""
     if not sum(map(len, extra)):
         return g
-    return from_edges(g.n, np.concatenate([_half_edges(g), *extra]), labels=g.labels)
+    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    once = src < g.nbr
+    own = np.column_stack((src[once], g.nbr[once], g.wt[once]))
+    return from_edges(g.n, np.concatenate([own, *extra]), labels=g.labels)
 
 
 def build_k_rho(

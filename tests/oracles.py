@@ -33,7 +33,7 @@ import numpy as np
 from radius_stepping import engine
 from radius_stepping.engine import SsspResult, _finish, _start
 from radius_stepping.graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex
-from radius_stepping.preprocess import Ball, RadiusAssignment, _check_size, _shortcuts, build_k_rho
+from radius_stepping.preprocess import Ball, RadiusAssignment, _check_size, _shortcut_targets, build_k_rho
 
 # Brute-force helpers refuse graphs above this size.
 SMALL_GRAPH_CAP = 400
@@ -256,7 +256,9 @@ def build_1_rho(g: Graph, rho: int, tie_inclusive: bool = True) -> tuple[Graph, 
 def shortcut_greedy(ball: Ball, k: int) -> tuple[tuple[int, int], ...]:
     """(target, ball distance) edges from the center to every member at hop
     depth k+1, 2k+1, 3k+1, ... of its min-hop tree, in member order."""
-    return _shortcuts(ball, k, "greedy")
+    _check_count("k", k)
+    target = _shortcut_targets(np.array(ball.parent, dtype=np.int64), np.array(ball.depth, dtype=np.int64), k, "greedy")
+    return tuple(ball.members[i] for i in np.flatnonzero(target).tolist())
 
 
 def undirected_edges(g: Graph) -> Iterator[tuple[int, int, int]]:

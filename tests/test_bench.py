@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,3 +378,23 @@ def test_bench_errors_name_the_source_by_its_label(tmp_path, monkeypatch):
     with pytest.raises(BenchError) as exc:
         run_experiment(cfg)
     assert str(exc.value) == f"(k=1, rho=1, dp, s={100 * (runs[0] + 1)}) bound check: ('step bound',)"
+
+
+def test_readme_experiments_numbers_are_run_trends_rows():
+    # README's Experiments section quotes the medium-scale 2D grid rows of
+    # scripts/run_trends.py (seed 42, 20 sources, k=1, dp) at rho 1, 10, 50.
+    root = Path(__file__).parents[1]
+    geometry = runpy.run_path(str(root / "scripts" / "run_trends.py"))["geometry"]
+    steps = {}
+    for weighted in (True, False):
+        label, spec, rhos = next(geometry("medium", weighted, 42))
+        assert label.startswith("grid2d-") and {1, 10, 50} <= set(rhos)
+        rows = run_experiment(ExperimentConfig(label=label, rhos=(1, 10, 50), source_count=20, seed=42, generator=spec))
+        steps[weighted] = [round(row.mean_steps) for row in rows]
+    assert steps == {True: [9844, 83, 29], False: [159, 53, 27]}
+    (w1, w10, w50), (u1, u10, u50) = steps[True], steps[False]
+    said = (
+        f"the weighted 100x100 grid's mean step count falls from {w1:,} at `rho=1` to {w10} at `rho=10` "
+        f"and {w50} at `rho=50`; the unit-weight grid's falls from {u1} to {u10} and {u50}."
+    )
+    assert said in " ".join((root / "README.md").read_text().split())

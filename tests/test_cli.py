@@ -387,6 +387,34 @@ def test_preprocess_then_validate_ok(tmp_path, capsys):
     assert out.startswith("ok:")
 
 
+STAR_TEXT = "".join(f"0 {v}\n" for v in range(1, 40))
+
+
+@pytest.mark.parametrize("text, k, rho", [
+    (STAR_TEXT, 1, 3),
+    (write_edge_list(generate(GeneratorSpec(kind="grid2d", dims=(30, 30)))), 1, 4),
+], ids=["unit-star", "unit-grid"])
+def test_preprocess_strict_then_validate_and_sssp(tmp_path, capsys, text, k, rho):
+    # Strict balls keep exactly rho members, so each center plans at most
+    # rho - 1 shortcuts; tie-inclusive balls keep every tie at r_rho too.
+    src = tmp_path / "g.txt"
+    src.write_text(text)
+    g = parse_edge_list(text)
+    added = {}
+    for mode in ("default", "--strict"):
+        aug, rad = tmp_path / f"aug{mode}.txt", tmp_path / f"radii{mode}.txt"
+        argv = ["preprocess", "-i", str(src), "--k", str(k), "--rho", str(rho), "-o", str(aug), "--radii", str(rad)]
+        code, _, err = run(capsys, *argv, *([mode] if mode == "--strict" else []))
+        assert code == 0, err
+        added[mode] = int(re.match(r"augmented with (\d+) edges", err).group(1))
+    assert 0 < added["--strict"] <= min(added["default"], g.n * (rho - 1))
+    code, out, _ = run(capsys, "validate", "-i", str(aug), "--radii", str(rad), "--k", str(k), "--rho", str(rho))
+    assert code == 0 and out.startswith("ok:")
+    code, out, _ = run(capsys, "sssp", "-i", str(aug), "--radii", str(rad), "-s", "0")
+    assert code == 0
+    assert sorted(out.splitlines()) == sorted(_render_labeled(g.labels, dijkstra(g, 0).dist).splitlines())
+
+
 def test_validate_flags_bad_radii(tmp_path, capsys):
     src = tmp_path / "g.txt"
     src.write_text(PATH_TEXT)

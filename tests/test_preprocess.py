@@ -696,6 +696,76 @@ def test_premise_verdicts_agree_across_chunks(monkeypatch):
     assert verdicts == {True, False} and spread > 0
 
 
+def _tie_inclusive_premise(g, r, rho):
+    """_ball_premise's counts from tie-inclusive balls: |B(v, r(v))| over the
+    whole tie-inclusive ball and min(rho, that ball's size)."""
+    center, _, dist, parent, _ = ball_arrays(g, range(g.n), rho, tie_inclusive=True)
+    starts = np.flatnonzero(parent < 0)
+    size = np.diff(np.append(starts, len(parent)))
+    return np.add.reduceat(dist <= r[center], starts), np.minimum(size, min(rho, g.n))
+
+
+def test_premise_on_strict_balls_decides_as_tie_inclusive_balls_do():
+    # A member tied at r_rho cannot turn a short count into an enough one:
+    # where the count is short, r(v) < r_rho.  So the strict ball gives the
+    # same verdicts, and the same counts where they fall short.
+    rng = np.random.default_rng(36)
+    shorts = enough = 0
+    for g in _tie_heavy_corpus():
+        for rho in RHOS:
+            r_rho = np.array([b.r_rho for b in _split_balls(ball_arrays(g, range(g.n), rho))], dtype=np.int64)
+            for r in (r_rho, np.maximum(r_rho - 1, 0), rng.integers(0, r_rho.max(initial=0) + 2, g.n), 0 * r_rho):
+                inside, need = preprocess._ball_premise(g, r, range(g.n), rho)
+                want_inside, want_need = _tie_inclusive_premise(g, r, rho)
+                short = want_inside < want_need
+                assert np.array_equal(inside < need, short), (g.n, rho)
+                assert np.array_equal(inside[short], want_inside[short]) and np.array_equal(need, want_need)
+                shorts, enough = shorts + short.sum(), enough + (~short).sum()
+    assert shorts > 0 and enough > 0
+
+
+def test_premise_never_runs_the_tie_tail(monkeypatch):
+    # On a unit star every leaf is tied with every other leaf, so a
+    # tie-inclusive premise searched the whole star from each leaf.
+    g = from_edges(300, [(0, v, 1) for v in range(1, 300)])
+    modes = []
+    real = preprocess._lockstep
+    monkeypatch.setattr(preprocess, "_lockstep", lambda *args: modes.append(args[-1]) or real(*args))
+    r_rho = np.full(g.n, 2)
+    r_rho[0] = 1
+    inside, need = preprocess._ball_premise(g, r_rho, range(g.n), 3)
+    assert need.tolist() == inside.tolist() == [3] * g.n  # the strict ball's members, all within r_rho
+    zero = RadiusAssignment.uniform(g.n, 0)
+    assert check_bounds(radius_step_fast(g, zero, 0), g, 3, None, zero).reason == "premise fails: |B(0, r)| below 3"
+    assert modes and not any(modes)
+
+
+def test_validation_hands_no_row_to_the_premise_over_correct_builds(monkeypatch):
+    # validate_k_rho falls back on _ball_premise, the build's own ball
+    # search, only for a row its hop rounds leave with fewer than rho pairs.
+    # On a correct build of a connected graph no row is left so.
+    rows = []
+    real = preprocess._ball_premise
+    monkeypatch.setattr(preprocess, "_ball_premise", lambda g, r, src, rho: rows.append(len(src)) or real(g, r, src, rho))
+    graphs = [
+        generate(GeneratorSpec("grid2d", dims=(12, 12), weights=WeightSpec(1, 100, seed=2))),
+        generate(GeneratorSpec("grid2d", dims=(12, 12))),
+        generate(GeneratorSpec("adversarial", ladder=6)),
+        generate(GeneratorSpec("random", n=200, m=600, seed=5, weights=WeightSpec(1, 100, seed=5))),
+    ]
+    for g in graphs:
+        for k, rho in ((1, 2), (1, 10), (2, 10)):
+            for tie_inclusive in (True, False):
+                aug, radii, _ = build_k_rho(g, k, rho, tie_inclusive=tie_inclusive)
+                assert validate_k_rho(aug, radii, k, rho).ok
+    assert len(rows) == 24 and sum(rows) == 0
+    # Radii cut to 0 keep only each source: every row goes to the premise.
+    g = graphs[0]
+    aug = build_k_rho(g, 1, 10)[0]
+    assert not validate_k_rho(aug, RadiusAssignment.uniform(g.n, 0), 1, 10).ok
+    assert rows[-1] == g.n
+
+
 def test_validate_k_rho_flags_a_dropped_shortcut_above_the_old_cap(monkeypatch):
     g = generate(MUTANT_GRID)
     assert g.n > 400
