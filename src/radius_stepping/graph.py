@@ -5,9 +5,9 @@ lengths are exact and every distance comparison is integer arithmetic.
 Parallel edges collapse to the minimum weight and self-loops are dropped:
 a Graph is always simple and symmetric.  Per-vertex adjacency is sorted
 ascending by (weight, neighbor id), which the ball-building code relies on
-to scan only the lightest edges of each vertex.  Both that order and the
-writer's row order come from unstable argsorts of packed int64 keys, so n
-is bounded: n*max(n, 2*edges) < 2**63.
+to scan only the lightest edges of each vertex.  That order, the dedupe
+of parallel edges and the writer's row order come from argsorts of packed
+int64 keys, so n is bounded: n*max(n, 2*edges) < 2**63.
 
 Edge-list text is read by np.loadtxt, numpy's C text reader, wherever its
 columns must equal the line-by-line reader's: every data line holds 2
@@ -93,7 +93,9 @@ def _check_vertex(g: Graph, v: object, what: str = "source") -> None:
 
 
 def _check_graph_size(n: int, edges: int) -> None:
-    """The bound of from_edges' packed sort keys: n*max(n, 2*edges) < 2**63."""
+    """The bound of the packed sort keys, n*max(n, 2*edges) < 2**63: from_edges'
+    dedupe key min*n + max < n**2 and CSR key src*R + weight rank < n*edges
+    (R distinct weights), and the writer's key lo*n + hi < n**2."""
     if n * max(n, 2 * edges) > _INT64_MAX:
         raise GraphError(f"graph too large: n*max(n, 2*edges) = {n}*{max(n, 2 * edges)} must stay below 2**63")
 
@@ -170,9 +172,9 @@ def from_edges(
     or 0..n-1 if none are given.  All this is checked before anything of
     size n is allocated.  An int64 row array is read, never written.
 
-    Both sorts are unstable argsorts of packed int64 keys, each below
-    n*max(n, 2*len(edges)): one groups parallel edges, two give the CSR
-    order (src, weight, dst).
+    An unstable argsort by min*n + max < n**2 groups parallel edges, and a
+    stable one by src*R + weight rank < n*len(edges), with R distinct
+    weights, gives the CSR order (src, weight, dst).
     """
     n, rows = _edge_table(n, edges)
     us, vs, ws = rows.T
@@ -202,27 +204,22 @@ def from_edges(
     m = len(a)
     _check_distance_bound(n, a, b, ws)
 
-    # Half-edge i < m runs a[i] -> b[i], and m + i runs back.  Sort them by
-    # (weight rank, dst), then by (src, position in that order).  Within one
-    # src the pairs (weight, dst) are distinct, so the first sort's ties fall
-    # only between rows; the second sort's keys are distinct and separate
-    # them, so its unstable order is the one (src, weight, dst) order.
-    key = np.concatenate((np.unique(ws, return_inverse=True)[1],) * 2)
-    key *= n
-    key[:m] += b
-    key[m:] += a
-    order = np.argsort(key)
-    key[order] = np.arange(2 * m)
-    key[:m] += a * (2 * m)
-    key[m:] += b * (2 * m)
-    order = np.argsort(key)
-    del key
-    dst = np.concatenate((b, a))[order]
+    # Half-edge i < m runs b[i] -> a[i], and m + i runs back.  The pairs come
+    # sorted with a < b, so each src lists its lesser neighbours and then its
+    # greater ones, both ascending: a stable sort by (src, weight rank) keeps
+    # dst ascending within a tie, which is the (src, weight, dst) order.
+    weights, rank = np.unique(ws, return_inverse=True)
+    key = np.concatenate((b, a))
+    key *= len(weights)
+    key += np.concatenate((rank, rank))
+    order = np.argsort(key, kind="stable")
+    del key, rank
+    dst = np.concatenate((a, b))[order]
     w2 = np.concatenate((ws, ws))[order]
     del order
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n), out=indptr[1:])
-    max_weight = int(ws.max()) if m else 1
+    max_weight = int(weights[-1]) if m else 1
     labels = np.arange(n, dtype=np.int64) if labels is None else labels.copy()
     for arr in (indptr, dst, w2, labels):
         arr.flags.writeable = False

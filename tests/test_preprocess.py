@@ -991,6 +991,10 @@ def test_radius_assignment_takes_only_integer_radii():
     with pytest.raises(GraphError, match=r"^radii must be at most 4611686018427387904 \(2\*\*62, no cap\)$"):
         RadiusAssignment([UNREACHED + 1, 0])
     assert RadiusAssignment([0, UNREACHED]).r.tolist() == [0, UNREACHED]
+    # So is the vertex count of a uniform assignment.
+    for n in (-1, True, 2.5):
+        with pytest.raises(GraphError, match=rf"^vertex count must be a nonnegative integer, got {n!r}$"):
+            RadiusAssignment.uniform(n, 1)
 
 
 def test_uniform_radii_must_be_integers():
