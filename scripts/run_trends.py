@@ -76,11 +76,11 @@ def main(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for cfg in configs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rows = run_experiment(cfg)
         path = out_dir / f"{cfg.label}.csv"
         path.write_text(emit_csv(rows), encoding="utf-8")
-        print(f"# {cfg.label} ({time.time() - t0:.1f}s) -> {path}", file=sys.stderr)
+        print(f"# {cfg.label} ({time.perf_counter() - t0:.1f}s) -> {path}", file=sys.stderr)
         print(emit_summary(rows), end="")
         print()
     return 0

@@ -1,8 +1,9 @@
 """Synthetic graph generators: grids, a hard-for-BFS ladder, random connected.
 
-All generators are deterministic in their seeds.  Structure is generated
-first; the weight mode is applied last over the canonically sorted edge
-list, so two specs that differ only in weights share a topology.
+All generators are deterministic in their seeds.  Each builder emits its
+edges as packed int64 keys u*n + v with u < v; generate sorts them once,
+which is the canonical edge order, and draws the weights last in that
+order, so two specs that differ only in weights share a topology.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHED, Graph, GraphError, _check_graph_size, _check_seed, _int64_array, _is_int, from_edges
+from .graph import UNREACHED, Graph, GraphError, _check_graph_size, _check_seed, _is_int, from_edges
 
 # The ladder construction places its designated start vertex at id 0.
 ADVERSARIAL_START = 0
@@ -93,68 +94,62 @@ class GeneratorSpec:
                 raise GraphError(f"{self.kind} does not read {name}, got {getattr(self, name)!r}")
 
 
-def _grid_edges(dims: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
-    # Vertex (x0, x1, ...) is x0 + d0*(x1 + d1*(...)), so a unit step along
-    # axis a adds stride = d0*...*d(a-1).  Ids fall in blocks of stride*d_a
-    # sharing the higher coordinates; all but the block's last stride ids
-    # (x_a = d_a - 1) have the step.
+def _grid_keys(dims: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    # Vertex (x0, x1, ...) is x0 + d0*(x1 + d1*(...)), so ids laid out as
+    # shape dims[::-1] put axis a at array axis ndim-1-a, and a unit step
+    # along it adds stride = d0*...*d(a-1).  Every id but those with
+    # x_a = d_a - 1 has the step.
     n = math.prod(dims)
-    edges = []
-    stride = 1
-    for d in dims:
-        block = stride * d
-        edges.extend((v, v + stride) for lo in range(0, n, block) for v in range(lo, lo + block - stride))
-        stride = block
-    return n, edges
+    ids = np.arange(n, dtype=np.int64).reshape(dims[::-1])
+    keys, stride = [], 1
+    for a, d in enumerate(dims):
+        u = np.delete(ids, d - 1, axis=ids.ndim - 1 - a).ravel()
+        keys.append(u * n + u + stride)
+        stride *= d
+    return n, np.concatenate(keys)
 
 
-def _adversarial_edges(d: int) -> tuple[int, list[tuple[int, int]]]:
+def _adversarial_keys(d: int) -> tuple[int, np.ndarray]:
     # d columns of d vertices; consecutive columns completely joined; the
     # start vertex 0 hangs off column 1.  Any search from the start must
     # cross a d-by-d biclique, i.e. scan Theta(d^2) edges, before it can
     # settle 3d vertices.
-    def col(c: int, j: int) -> int:
-        return 1 + c * d + j
-
-    edges = [(ADVERSARIAL_START, col(0, j)) for j in range(d)]
-    for c in range(d - 1):
-        for i in range(d):
-            for j in range(d):
-                edges.append((col(c, i), col(c + 1, j)))
-    return d * d + 1, edges
+    n = d * d + 1
+    col = 1 + np.arange(d * d, dtype=np.int64).reshape(d, d)
+    biclique = col[:-1, :, None] * n + col[1:, None, :]
+    return n, np.concatenate([ADVERSARIAL_START * n + col[0], biclique.ravel()])
 
 
-def _random_connected_edges(n: int, m: int, seed: int) -> tuple[int, set[tuple[int, int]]]:
+def _random_connected_keys(n: int, m: int, seed: int) -> tuple[int, np.ndarray]:
+    # A random tree (each v joins an earlier vertex) keeps it connected.
     rng = random.Random(seed)
-    edges = set()
-    for v in range(1, n):
-        edges.add((rng.randrange(v), v))
-    while len(edges) < m:
+    keys = {rng.randrange(v) * n + v for v in range(1, n)}
+    while len(keys) < m:
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        edges.add((u, v))
-    return n, edges
+        if u != v:
+            keys.add(u * n + v if u < v else v * n + u)
+    return n, np.fromiter(keys, dtype=np.int64, count=len(keys))
 
 
 def generate(spec: GeneratorSpec) -> Graph:
     """Build the graph described by spec; deterministic in all seeds."""
     spec.validate()
     if spec.kind in ("grid2d", "grid3d"):
-        n, edges = _grid_edges(spec.dims)
+        n, keys = _grid_keys(spec.dims)
     elif spec.kind == "adversarial":
-        n, edges = _adversarial_edges(spec.ladder)
+        n, keys = _adversarial_keys(spec.ladder)
     else:
-        n, edges = _random_connected_edges(spec.n, spec.m, int(spec.seed))
+        n, keys = _random_connected_keys(spec.n, spec.m, int(spec.seed))
 
-    # Every builder emits u < v; sorting is what makes the order canonical.
-    edges = sorted(edges)
-    rows = np.ones((len(edges), 3), dtype=np.int64)
-    rows[:, :2] = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    # Every builder emits each edge once as u*n + v with u < v, which fits
+    # int64 by validate's size bound; sorting is what makes the order
+    # canonical, and the weights are drawn in that order.
+    keys = np.sort(keys)
+    rows = np.ones((len(keys), 3), dtype=np.int64)
+    rows[:, 0], rows[:, 1] = np.divmod(keys, n)
     if spec.weights is not None:
         wrng = random.Random(int(spec.weights.seed))
-        rows[:, 2] = _int64_array("edge values", [wrng.randint(spec.weights.lo, spec.weights.hi) for _ in edges])
+        lo, hi = spec.weights.lo, spec.weights.hi
+        rows[:, 2] = np.fromiter((wrng.randint(lo, hi) for _ in range(len(keys))), dtype=np.int64, count=len(keys))
     return from_edges(n, rows)

@@ -19,11 +19,15 @@ SMALL_GRAPH_CAP vertices.  build_1_rho and shortcut_greedy call the
 package's build_k_rho and shortcut planner in one fixed way, and
 undirected_edges lists a graph's edges in write_edge_list's row order.
 shortcut_targets_all_levels is the shortcut planner with dp's passes over
-every tree level.
+every tree level.  generate_rows is generate's byte reference: it builds
+each family as a Python list of (u, v) tuples, sorts the tuples and draws
+the weights over them, which generate does from packed edge keys.
 """
 from __future__ import annotations
 
 import heapq
+import math
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -32,6 +36,7 @@ import numpy as np
 
 from radius_stepping import engine
 from radius_stepping.engine import SsspResult, _finish, _start
+from radius_stepping.generate import ADVERSARIAL_START, GeneratorSpec
 from radius_stepping.graph import UNREACHED, DistanceVector, Graph, GraphError, _check_count, _check_vertex
 from radius_stepping.preprocess import Ball, RadiusAssignment, _check_size, _shortcut_targets, build_k_rho
 
@@ -297,3 +302,67 @@ def shortcut_targets_all_levels(parent: np.ndarray, depth: np.ndarray, k: int, h
         target[idx] = cut = (t == k) | (1 + below[idx, 1] <= below[idx, np.minimum(t + 1, k)])
         hops[idx] = np.where(cut, 1, t + 1)
     return target
+
+
+def grid_edges(dims: tuple[int, ...]) -> tuple[int, list[tuple[int, int]]]:
+    # Vertex (x0, x1, ...) is x0 + d0*(x1 + d1*(...)), so a unit step along
+    # axis a adds stride = d0*...*d(a-1).  Ids fall in blocks of stride*d_a
+    # sharing the higher coordinates; all but the block's last stride ids
+    # (x_a = d_a - 1) have the step.
+    n = math.prod(dims)
+    edges = []
+    stride = 1
+    for d in dims:
+        block = stride * d
+        edges.extend((v, v + stride) for lo in range(0, n, block) for v in range(lo, lo + block - stride))
+        stride = block
+    return n, edges
+
+
+def adversarial_edges(d: int) -> tuple[int, list[tuple[int, int]]]:
+    # d columns of d vertices; consecutive columns completely joined; the
+    # start vertex 0 hangs off column 1.
+    def col(c: int, j: int) -> int:
+        return 1 + c * d + j
+
+    edges = [(ADVERSARIAL_START, col(0, j)) for j in range(d)]
+    for c in range(d - 1):
+        for i in range(d):
+            for j in range(d):
+                edges.append((col(c, i), col(c + 1, j)))
+    return d * d + 1, edges
+
+
+def random_connected_edges(n: int, m: int, seed: int) -> tuple[int, set[tuple[int, int]]]:
+    rng = random.Random(seed)
+    edges = set()
+    for v in range(1, n):
+        edges.add((rng.randrange(v), v))
+    while len(edges) < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        if u > v:
+            u, v = v, u
+        edges.add((u, v))
+    return n, edges
+
+
+def generate_rows(spec: GeneratorSpec) -> tuple[int, np.ndarray]:
+    """(n, (m, 3) rows) of the graph spec describes: the sorted (u, v)
+    tuples of the builders above, with weights drawn in that order."""
+    spec.validate()
+    if spec.kind in ("grid2d", "grid3d"):
+        n, edges = grid_edges(spec.dims)
+    elif spec.kind == "adversarial":
+        n, edges = adversarial_edges(spec.ladder)
+    else:
+        n, edges = random_connected_edges(spec.n, spec.m, int(spec.seed))
+    edges = sorted(edges)
+    rows = np.ones((len(edges), 3), dtype=np.int64)
+    rows[:, :2] = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if spec.weights is not None:
+        wrng = random.Random(int(spec.weights.seed))
+        rows[:, 2] = [wrng.randint(spec.weights.lo, spec.weights.hi) for _ in edges]
+    return n, rows

@@ -237,10 +237,29 @@ GEN_DIGESTS = [
      "824bf8ce311b3ecfc8bf4ff06a373dbca46c23a9a6d7fdc2f71b55e7af37b446"),  # --d 5
     (dict(kind="random", n=300, m=900, seed=11, weights=dict(lo=1, hi=50, seed=11)),
      "ab991cec7f9311f94f2ccfa111d196a0e1ee7df6d8344746fcd754d972008d07"),  # --n 300 --m 900 --weights 1:50 --seed 11
+    # Recorded from the tuple-list builders that tests/oracles.py keeps.
+    (dict(kind="grid3d", dims=[5, 1, 3]),
+     "bc316bc5e3cf4fbf221ec121a1f59f7c8bf70ee247785490d867f3a5a2f5036a"),
+    (dict(kind="grid3d", dims=[4, 3, 5], weights=dict(lo=1, hi=100, seed=3)),
+     "648df57531642a1b8e0d4270df7fd5dfcaa6182a581700ad4be0ea8f8a616071"),
+    (dict(kind="adversarial", ladder=2, weights=dict(lo=1, hi=9, seed=4)),
+     "e455011671b72a6216d3820b93e541ac260e72127eb3dedc71b78ca88799ed43"),
+    (dict(kind="adversarial", ladder=5, weights=dict(lo=1, hi=1000, seed=5)),
+     "28e72233e35fc02fd28fdf4eb04d8c512a12515850a7e6e2499b2224702fb872"),
+    (dict(kind="random", n=200, m=500, seed=6),
+     "175e644ead45117d323f986f4e0b95eaadf40044aa4d4f26cfa3d08977eaf14b"),
+    (dict(kind="random", n=50, m=49, seed=7, weights=dict(lo=1, hi=20, seed=7)),
+     "63bc8cbda04fa37b4dcb083519ffb3ec0e665ee34d025eb03085ec2f34b0cfff"),  # m = n-1: a tree
+    (dict(kind="random", n=20, m=190, seed=8, weights=dict(lo=1, hi=20, seed=8)),
+     "0470e55e61c1b0d2a7fb717f5355d4c80dc728fba1f1858c083b60e64e8ac81e"),  # m = n(n-1)/2: complete
+    (dict(kind="random", n=1, m=0, seed=9),
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
 ]
+GEN_IDS = ["readme-grid", "readme-ugrid", "ladder", "random-w", "grid3d-flat", "grid3d-w", "ladder2-w", "ladder5-w",
+           "random-u", "random-tree", "random-complete", "random-n1"]
 
 
-@pytest.mark.parametrize("spec, digest", GEN_DIGESTS, ids=["readme-grid", "readme-ugrid", "ladder", "random-w"])
+@pytest.mark.parametrize("spec, digest", GEN_DIGESTS, ids=GEN_IDS)
 def test_gen_spec_writes_the_bytes_the_flags_wrote(tmp_path, capsys, spec, digest):
     out_file = tmp_path / "g.txt"
     code, out, err = _gen(capsys, tmp_path, out_file, **spec)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import random
 import re
 
 import numpy as np
@@ -10,10 +11,11 @@ from radius_stepping import (
     GeneratorSpec,
     GraphError,
     WeightSpec,
+    from_edges,
     generate,
     write_edge_list,
 )
-from oracles import bfs, check_graph, undirected_edges
+from oracles import bfs, check_graph, generate_rows, undirected_edges
 
 
 def test_grid2d_counts():
@@ -148,8 +150,9 @@ def test_validate_refuses_weights_no_graph_can_hold():
     ],
 )
 def test_validate_bounds_the_graph_size(spec, sizes):
-    # Only validate runs: generate would build a Python edge list of this
-    # size before from_edges could reject it.
+    # Only validate runs: generate's packed keys u*n + v fit int64 only
+    # below this bound, and it would build them before from_edges could
+    # reject the graph.
     message = f"graph too large: n*max(n, 2*edges) = {sizes} must stay below 2**63"
     with pytest.raises(GraphError, match=re.escape(message)):
         spec.validate()
@@ -197,3 +200,44 @@ def test_integer_seeds_generate_the_same_bytes():
         spec = GeneratorSpec(kind="random", n=30, m=40, seed=seed, weights=WeightSpec(1, 9, seed=wseed))
         text = write_edge_list(generate(spec))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _reference_corpus(count=60, seed=7):
+    """Seeded specs of every kind, edge cases first: 1-wide axes, the
+    smallest ladder, a single vertex, a tree and a complete graph."""
+    rng = random.Random(seed)
+    specs = [
+        GeneratorSpec("grid2d", dims=(1, 1)),
+        GeneratorSpec("grid2d", dims=(1, 7)),
+        GeneratorSpec("grid3d", dims=(5, 1, 3)),
+        GeneratorSpec("grid3d", dims=(1, 1, 4), weights=WeightSpec(1, 3, seed=2)),
+        GeneratorSpec("adversarial", ladder=2),
+        GeneratorSpec("random", n=1, m=0, seed=1),
+        GeneratorSpec("random", n=2, m=1, seed=2, weights=WeightSpec(1, 2**62 - 1, seed=2)),
+        GeneratorSpec("random", n=30, m=29, seed=3),
+        GeneratorSpec("random", n=12, m=66, seed=4, weights=WeightSpec(1, 10**9, seed=4)),
+    ]
+    while len(specs) < count:
+        weights = WeightSpec(1, rng.choice([1, 9, 10**4, 2**40]), seed=rng.randrange(100)) if rng.random() < 0.5 else None
+        kind = rng.choice(["grid2d", "grid3d", "adversarial", "random"])
+        if kind == "grid2d":
+            spec = GeneratorSpec(kind, dims=(rng.randint(1, 12), rng.randint(1, 12)), weights=weights)
+        elif kind == "grid3d":
+            spec = GeneratorSpec(kind, dims=tuple(rng.randint(1, 6) for _ in range(3)), weights=weights)
+        elif kind == "adversarial":
+            spec = GeneratorSpec(kind, ladder=rng.randint(2, 7), weights=weights)
+        else:
+            n = rng.randint(1, 40)
+            m = rng.randint(n - 1, n * (n - 1) // 2)
+            spec = GeneratorSpec(kind, n=n, m=m, seed=rng.randrange(1000), weights=weights)
+        specs.append(spec)
+    return specs
+
+
+def test_generate_matches_the_tuple_list_reference():
+    # generate builds packed keys; the reference sorts (u, v) tuples.  Both
+    # must give the same graph and the same edge-list bytes.
+    for spec in _reference_corpus():
+        g, ref = generate(spec), from_edges(*generate_rows(spec))
+        assert g == ref, spec
+        assert write_edge_list(g) == write_edge_list(ref), spec
