@@ -25,8 +25,9 @@ every unsettled vertex each step, at width 1 and at bucket widths.
 
 The loop appends one entry per round to a list, and _step_log builds the
 StepLog from it once the run ends.  A StepLog keeps the records as int64
-columns plus one flat array of active sets; a StepRecord is built only when
-an element of the log is read.  All engines produce identical step logs and
+columns, and a StepRecord is built only when an element of the log is read.
+A step's active set is not stored: it follows from the distances and the
+thresholds (see StepLog).  All engines produce identical step logs and
 relaxation counts.
 """
 from __future__ import annotations
@@ -46,14 +47,13 @@ _DEAD = np.iinfo(np.int64).max  # a settled frontier position
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One outer step: threshold, what settled, how many passes and edge scans it took."""
+    """One outer step: threshold, how many settled, how many passes and edge scans it took."""
 
     index: int
     d: int
     active_count: int
     substeps: int
     settled_prefix: int
-    active: tuple[int, ...]
     relaxations: int
 
 
@@ -62,30 +62,27 @@ class StepLog(Sequence[StepRecord]):
 
     Step i (0-based, record index i + 1) has threshold d[i], settled
     active_count[i] vertices in substeps[i] passes that scanned
-    relaxations[i] edges.  Its active set, sorted by id, is
-    active[offsets[i]:offsets[i + 1]], and settled_prefix[i] counts the
-    source and every vertex settled up to it.  Reading an element builds
-    its StepRecord.
+    relaxations[i] edges, and settled_prefix[i] counts the source and every
+    vertex settled up to it.  Reading an element builds its StepRecord.
+
+    The log does not store which vertices a step settled: with d_0 = 0,
+    step i settles exactly {v : d_{i-1} < dist(v) <= d_i, dist(v) <
+    UNREACHED}.  Each step ends with every touched vertex at delta <= d_i
+    holding its true distance and settles them all, thresholds strictly
+    increase, s settles before step 1 and weights are at least 1.
     """
 
-    __slots__ = ("d", "active_count", "substeps", "relaxations", "active", "offsets")
+    __slots__ = ("d", "active_count", "substeps", "relaxations", "offsets")
 
-    def __init__(
-        self,
-        d: ArrayLike,
-        active_count: ArrayLike,
-        substeps: ArrayLike,
-        relaxations: ArrayLike,
-        active: ArrayLike,
-    ) -> None:
-        cols = [np.array(c, dtype=np.int64) for c in (d, active_count, substeps, relaxations, active)]
+    def __init__(self, d: ArrayLike, active_count: ArrayLike, substeps: ArrayLike, relaxations: ArrayLike) -> None:
+        cols = [np.array(c, dtype=np.int64) for c in (d, active_count, substeps, relaxations)]
+        if len({len(c) for c in cols}) != 1:
+            raise GraphError("step log columns disagree in length")
         offsets = np.zeros(len(cols[1]) + 1, dtype=np.int64)
         np.cumsum(cols[1], out=offsets[1:])
-        if len({len(c) for c in cols[:4]}) != 1 or offsets[-1] != len(cols[4]):
-            raise GraphError("step log columns disagree in length")
         for c in cols + [offsets]:
             c.flags.writeable = False
-        self.d, self.active_count, self.substeps, self.relaxations, self.active = cols
+        self.d, self.active_count, self.substeps, self.relaxations = cols
         self.offsets = offsets
 
     @property
@@ -101,14 +98,12 @@ class StepLog(Sequence[StepRecord]):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("step index out of range")
-        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         return StepRecord(
             i + 1,
             int(self.d[i]),
-            hi - lo,
+            int(self.active_count[i]),
             int(self.substeps[i]),
-            hi + 1,
-            tuple(self.active[lo:hi].tolist()),
+            int(self.offsets[i + 1]) + 1,
             int(self.relaxations[i]),
         )
 
@@ -191,23 +186,20 @@ def _step_log(g: Graph, rounds: list[tuple]) -> StepLog:
     each step's in any order.  An ordinary step is one-element tuples with
     work (substeps, relaxations).  A batch has work None: each of its steps
     took one substep and relaxed each vertex it settles once, so its
-    relaxations are the sum of their degrees.
+    relaxations are the sum of their degrees.  The settled vertices serve
+    only that sum; StepLog says how a step's set follows from the result.
     """
     if not rounds:
-        return StepLog((), (), (), (), ())
-    d, counts, active, work = zip(*rounds)
+        return StepLog((), (), (), ())
+    d, counts, settled, work = zip(*rounds)
     last = np.cumsum([len(c) for c in counts]) - 1  # each round's last step
-    d, counts = np.concatenate(d), np.concatenate(counts)
-    # Sort by (step, id) through one key; steps number at most n.  Each vertex
-    # settles in one step, so the keys are distinct and need no stable sort.
-    step_base = np.repeat(np.arange(counts.size, dtype=np.int64) * g.n, counts)
-    active = np.sort(step_base + np.concatenate(active)) - step_base
-    relaxations = np.add.reduceat(g.indptr[active + 1] - g.indptr[active], np.cumsum(counts) - counts)
+    d, counts, settled = np.concatenate(d), np.concatenate(counts), np.concatenate(settled)
+    relaxations = np.add.reduceat(g.indptr[settled + 1] - g.indptr[settled], np.cumsum(counts) - counts)
     substeps = np.ones(counts.size, dtype=np.int64)
     index = [i for i, w in zip(last.tolist(), work) if w is not None]
     if index:
         substeps[index], relaxations[index] = zip(*(w for w in work if w is not None))
-    return StepLog(d, counts, substeps, relaxations, active)
+    return StepLog(d, counts, substeps, relaxations)
 
 
 def _finish(g: Graph, delta: np.ndarray, settled: np.ndarray, s: int, rounds: list[tuple]) -> SsspResult:
@@ -324,13 +316,13 @@ def _stepping(g: Graph, s: int, r: np.ndarray, width: int = 1) -> SsspResult:
         fresh = (p < 0).nonzero()[0]
         if fresh.size:
             new = vs[fresh]
-            end = m + fresh.size
-            p[fresh] = pos[new] = np.arange(m, end)
-            ids[m:end] = new
-            rcol[m:end] = r[new]
-            wcol[m:end] = g.wt[g.indptr[new]]
-            live += end - m
-            m = end
+            stop = m + fresh.size
+            p[fresh] = pos[new] = np.arange(m, stop)
+            ids[m:stop] = new
+            rcol[m:stop] = r[new]
+            wcol[m:stop] = g.wt[g.indptr[new]]
+            live += stop - m
+            m = stop
         dcol[p] = delta[vs]
         return p
 

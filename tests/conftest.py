@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import radius_stepping.preprocess as preprocess
-from radius_stepping import Ball, GeneratorSpec, WeightSpec, generate
+from radius_stepping import Ball, GeneratorSpec, WeightSpec, from_edges, generate
 
 # A 900-vertex weighted grid, above the old 400-vertex brute-force cap.  At
 # (k=1, rho=10) build_k_rho plans shortcut MUTANT_DROP from vertex 0, and
@@ -62,6 +62,22 @@ def children(ball):
         if p >= 0:
             kids[verts[p]].append(u)
     return {u: sorted(c) for u, c in kids.items()}
+
+
+def tie_heavy_corpus():
+    """Seeded sparse graphs with weights 1-3 (or all 1): many ties, isolated
+    vertices, and components smaller than most rho; plus a weighted grid and
+    a small ladder."""
+    rng = random.Random(20261018)
+    graphs = []
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        w_hi = rng.choice([1, 3])
+        m = rng.randint(0, 2 * n)
+        graphs.append(from_edges(n, [(rng.randrange(n), rng.randrange(n), rng.randint(1, w_hi)) for _ in range(m)]))
+    graphs.append(generate(GeneratorSpec("grid2d", dims=(9, 7), weights=WeightSpec(1, 3, seed=3))))
+    graphs.append(generate(GeneratorSpec("adversarial", ladder=4)))
+    return graphs
 
 
 def corpus(count, seed, **kw):

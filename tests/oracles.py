@@ -7,7 +7,11 @@ loop, reference_loop, takes the radii and bucket width of the package's
 stepping loop, so with zero radii and a width of Delta it holds
 baselines.delta_stepping to the literal loop too.  It builds its state and
 step log with the engine's own _start and _finish and relaxes through
-engine.relax_batch, looked up at call time.
+engine.relax_batch, looked up at call time.  It returns a ReferenceRun,
+an SsspResult that also holds the vertex set each step settled, as the
+loop found it.  step_sets derives the same sets from any run's distances
+and thresholds, by the rule StepLog states, so a test can hold an engine's
+result to the sets the literal loop settled.
 
 bellman_ford is an independent distance oracle for dijkstra and the
 engines, and bfs gives hop distances, rounds and the scan profile of
@@ -70,20 +74,40 @@ def bellman_ford(g: Graph, s: int) -> DistanceVector:
     return DistanceVector(source=s, dist=dist)
 
 
-def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> SsspResult:
+@dataclass(frozen=True)
+class ReferenceRun(SsspResult):
+    """A literal-loop run and the vertices each of its steps settled, by id."""
+
+    sets: tuple[tuple[int, ...], ...]
+
+
+def step_sets(res: SsspResult) -> tuple[tuple[int, ...], ...]:
+    """Each step's settled vertices by id, from the result alone: with
+    d_0 = 0, step i settles {v : d_{i-1} < dist(v) <= d_i} among the
+    reached vertices."""
+    dist = res.dist.dist
+    reached = dist < UNREACHED
+    sets, lo = [], 0
+    for hi in res.steps.d.tolist():
+        sets.append(tuple(np.flatnonzero((dist > lo) & (dist <= hi) & reached).tolist()))
+        lo = hi
+    return tuple(sets)
+
+
+def radius_step_reference(g: Graph, radii: RadiusAssignment, s: int) -> ReferenceRun:
     """Literal stepping loop scanning every unsettled vertex per step."""
     _check_vertex(g, s)
     _check_size(g, radii)
     return reference_loop(g, s, radii.r)
 
 
-def reference_loop(g: Graph, s: int, r: np.ndarray, width: int = 1) -> SsspResult:
+def reference_loop(g: Graph, s: int, r: np.ndarray, width: int = 1) -> ReferenceRun:
     """The literal loop: each touched unsettled vertex offers delta + r
     rounded up to the last value of its bucket of `width`, and a step's
     threshold is the least offer."""
     delta, settled, _ = _start(g, s)
     relaxed_at = np.full(g.n, -1, dtype=np.int64)  # delta each vertex was last relaxed at
-    rounds = []
+    rounds, sets = [], []
     while True:
         frontier = np.nonzero(~settled & (delta < UNREACHED))[0]
         if frontier.size == 0:
@@ -103,7 +127,9 @@ def reference_loop(g: Graph, s: int, r: np.ndarray, width: int = 1) -> SsspResul
         active = frontier[delta[frontier] <= d_i]
         settled[active] = True
         rounds.append(((d_i,), (active.size,), active, (substeps, step_relaxations)))
-    return _finish(g, delta, settled, s, rounds)
+        sets.append(tuple(active.tolist()))
+    res = _finish(g, delta, settled, s, rounds)
+    return ReferenceRun(res.dist, res.steps, tuple(sets))
 
 
 def check_graph(g: Graph) -> None:

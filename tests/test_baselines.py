@@ -22,7 +22,7 @@ from radius_stepping import (
     radius_step_fast,
 )
 from conftest import random_graph
-from oracles import SizeCapError, bellman_ford, bfs, hop_matrix, k_radius_bruteforce, reference_loop
+from oracles import SizeCapError, bellman_ford, bfs, hop_matrix, k_radius_bruteforce, reference_loop, step_sets
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 TRIANGLE = [(0, 1, 5), (0, 2, 1), (2, 1, 1)]
@@ -92,7 +92,7 @@ def test_delta_stepping_degenerate_single_bucket():
 def same_run(run, g, s, delta):
     """run equals the literal loop's at zero radii and bucket width delta."""
     ref = reference_loop(g, s, np.zeros(g.n, dtype=np.int64), delta)
-    return list(run.steps) == list(ref.steps) and run.dist.same_as(ref.dist)
+    return list(run.steps) == list(ref.steps) and step_sets(run) == ref.sets and run.dist.same_as(ref.dist)
 
 
 def test_delta_stepping_unit_path_buckets():
@@ -123,8 +123,9 @@ def test_delta_stepping_core_matches_the_literal_loop(seed, delta_kind):
     delta = {"1": 1, "L/3": -(-L // 3), "L": L, "nL": g.n * L}[delta_kind]
     zeros = np.zeros(g.n, dtype=np.int64)
     fast, ref = engine._stepping(g, s, zeros, delta), reference_loop(g, s, zeros, delta)
-    signature = [(rec.d, rec.active, rec.substeps, rec.relaxations) for rec in fast.steps]
-    assert signature == [(rec.d, rec.active, rec.substeps, rec.relaxations) for rec in ref.steps]
+    signature = [(rec.d, rec.substeps, rec.relaxations) for rec in fast.steps]
+    assert signature == [(rec.d, rec.substeps, rec.relaxations) for rec in ref.steps]
+    assert step_sets(fast) == ref.sets
     assert fast.dist.same_as(ref.dist) and fast.dist.same_as(dijkstra(g, s))
 
 

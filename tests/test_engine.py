@@ -30,14 +30,20 @@ from radius_stepping.engine import (
     _start,
     relax_batch,
 )
-from conftest import corpus, random_graph
-from oracles import bellman_ford, bfs, build_1_rho, hop_matrix, radius_step_reference
+from conftest import corpus, random_graph, tie_heavy_corpus
+from oracles import ReferenceRun, bellman_ford, bfs, build_1_rho, hop_matrix, radius_step_reference, step_sets
 
 PATH = [(0, 1, 2), (1, 2, 3)]
 
 
+def settled_sets(res):
+    """The sets a reference run recorded as it settled them, or those an
+    engine run's distances and thresholds give."""
+    return res.sets if isinstance(res, ReferenceRun) else step_sets(res)
+
+
 def step_signature(res):
-    return [(rec.d, rec.active, rec.substeps) for rec in res.steps]
+    return list(zip(res.steps.d.tolist(), settled_sets(res), res.steps.substeps.tolist()))
 
 
 def test_reference_spec_trace():
@@ -96,7 +102,8 @@ def test_floor_steps_past_edges_into_settled_vertices(monkeypatch):
     radii = RadiusAssignment.uniform(6, 0)
     fast = radius_step_fast(g, radii, 0)
     assert len(calls) == 3
-    assert list(fast.steps) == list(radius_step_reference(g, radii, 0).steps)
+    ref = radius_step_reference(g, radii, 0)
+    assert list(fast.steps) == list(ref.steps) and step_sets(fast) == ref.sets
     assert fast.dist.dist.tolist() == [0, 1, 5, 11, 35, 51]
     # No edge at all: the floor has no row to read.
     empty = from_edges(3, [])
@@ -123,10 +130,11 @@ def test_step_log_of_batched_and_ordinary_rounds_equals_the_reference(monkeypatc
     for col in StepLog.__slots__:
         assert np.array_equal(getattr(fast.steps, col), getattr(ref.steps, col)), col
     assert list(fast.steps) == list(ref.steps) == [
-        StepRecord(1, 6, 2, 2, 3, (1, 5), 10),
-        StepRecord(2, 9, 2, 1, 5, (2, 4), 2),
-        StepRecord(3, 12, 1, 1, 6, (3,), 1),
+        StepRecord(1, 6, 2, 2, 3, 10),
+        StepRecord(2, 9, 2, 1, 5, 2),
+        StepRecord(3, 12, 1, 1, 6, 1),
     ]
+    assert step_sets(fast) == ref.sets == ((1, 5), (2, 4), (3,))
     assert fast.dist.same_as(ref.dist) and fast.dist.dist.tolist() == [0, 1, 9, 12, 9, 5]
 
 
@@ -161,30 +169,39 @@ def test_engines_equivalent(seed, rho):
     aug, radii = build_1_rho(g, rho)
     ref = radius_step_reference(aug, radii, s)
     fast = radius_step_fast(aug, radii, s)
+    assert ref.sets == step_sets(fast)
     assert step_signature(ref) == step_signature(fast)
     assert ref.dist.same_as(fast.dist)
     assert ref.total_relaxations == fast.total_relaxations
     assert ref.dist.same_as(dijkstra(aug, s))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_monotone_settlement_and_active_union(seed):
-    g, s = random_graph(seed, n_hi=50, m_cap=150)
-    _, radii = build_1_rho(g, 4)
-    res = radius_step_fast(g, radii, s)
-    ds = [rec.d for rec in res.steps]
-    assert all(a < b for a, b in zip(ds, ds[1:]))
-    prefix = 1
-    settled = {s}
-    for rec in res.steps:
-        assert rec.substeps >= 1
-        assert rec.active_count == len(rec.active)
-        prefix += rec.active_count
-        assert rec.settled_prefix == prefix
-        assert not settled & set(rec.active)
-        settled |= set(rec.active)
-    assert settled == set(np.flatnonzero(bfs(g, s).dist.dist < UNREACHED).tolist())
+def test_monotone_settlement_and_active_union(acceptance_corpus):
+    # step_sets reads each step's set off the distances and thresholds.  On
+    # every run, radius engines at two rho and at inf radii and delta_stepping
+    # at several Delta, the sets are disjoint, sized as active_count says,
+    # and together with s they are the vertices bfs reaches.
+    graphs = acceptance_corpus + [(g, g.n // 2) for g in tie_heavy_corpus()]
+    for g, s in graphs:
+        runs = [radius_step_fast(g, RadiusAssignment.uniform(g.n, UNREACHED), s)]
+        for rho in (1, 4):
+            aug, radii = build_1_rho(g, rho)
+            runs.append(radius_step_fast(aug, radii, s))
+        runs += [delta_stepping(g, s, delta) for delta in (1, 3, g.max_weight, g.n * g.max_weight)]
+        reached = set(np.flatnonzero(bfs(g, s).dist.dist < UNREACHED).tolist())
+        for res in runs:
+            ds = res.steps.d.tolist()
+            assert all(a < b for a, b in zip(ds, ds[1:]))
+            prefix = 1
+            settled = {s}
+            for rec, step in zip(res.steps, step_sets(res), strict=True):
+                assert rec.substeps >= 1
+                assert rec.active_count == len(step)
+                prefix += rec.active_count
+                assert rec.settled_prefix == prefix
+                assert not settled & set(step)
+                settled |= set(step)
+            assert settled == reached
 
 
 def test_steps_independent_of_k():
@@ -193,7 +210,7 @@ def test_steps_independent_of_k():
     for k in (1, 2, 3):
         aug, radii, _ = build_k_rho(g, k, 4, heuristic="dp")
         res = radius_step_fast(aug, radii, s)
-        signatures.append([(rec.d, rec.active) for rec in res.steps])
+        signatures.append((res.steps.d.tolist(), step_sets(res)))
         assert max(rec.substeps for rec in res.steps) <= k + 2
     assert signatures[0] == signatures[1] == signatures[2]
 
@@ -305,6 +322,7 @@ def test_compaction_runs_and_leaves_the_step_log_as_the_reference(monkeypatch, r
         ref = radius_step_reference(aug, radii, s)
         for col in StepLog.__slots__:
             assert np.array_equal(getattr(fast.steps, col), getattr(ref.steps, col)), col
+        assert step_sets(fast) == ref.sets
         assert fast.dist.same_as(dijkstra(g, s))
         calls.clear()
         assert delta_stepping(aug, s, 2_000).dist.same_as(dijkstra(aug, s))
@@ -320,8 +338,9 @@ def test_a_threshold_at_int64_max_leaves_settled_positions_dead():
     g = from_edges(4, [(0, 1, b), (1, 2, b), (2, 3, b), (1, 3, 2 * b)])
     radii = RadiusAssignment(np.array([0, 0, 0, UNREACHED]))
     fast = radius_step_fast(g, radii, 0)
-    assert list(fast.steps) == list(radius_step_reference(g, radii, 0).steps)
-    assert [(rec.d, rec.active) for rec in fast.steps] == [(b, (1,)), (2 * b, (2,)), (2**63 - 1, (3,))]
+    ref = radius_step_reference(g, radii, 0)
+    assert list(fast.steps) == list(ref.steps) and step_sets(fast) == ref.sets
+    assert list(zip(fast.steps.d.tolist(), step_sets(fast))) == [(b, (1,)), (2 * b, (2,)), (2**63 - 1, (3,))]
     assert fast.dist.dist.tolist() == [0, b, 2 * b, 3 * b]
 
 
@@ -412,7 +431,7 @@ def test_disconnected_terminates_with_unreached():
             res = engine(g, radii, 0)
             assert res.dist[2] == UNREACHED
             assert {v: res.dist[v] for v in reached} == reached
-            assert {v for rec in res.steps for v in rec.active} == set(reached)
+            assert {v for step in settled_sets(res) for v in step} == set(reached)
 
 
 def test_fast_engine_exact_at_scale(monkeypatch):
@@ -454,7 +473,7 @@ def test_check_bounds_flags_work_beyond_k_plus_2_per_edge():
     log = res.steps
     relaxations = log.relaxations.copy()
     relaxations[-1] += limit + 1 - res.total_relaxations
-    doctored = SsspResult(res.dist, StepLog(log.d, log.active_count, log.substeps, relaxations, log.active))
+    doctored = SsspResult(res.dist, StepLog(log.d, log.active_count, log.substeps, relaxations))
     report = check_bounds(doctored, aug, 4, 2, radii=radii)
     assert report.violations == (f"{limit + 1} relaxations exceed (k+2)*2m = {limit}",)
     assert check_bounds(doctored, aug, 4, None, radii=radii).ok
@@ -469,7 +488,7 @@ def test_check_bounds_flags_steps_beyond_the_step_limit():
     res = radius_step_fast(g, radii, 0)
     assert check_bounds(res, g, 1, 1, radii=radii).ok
     log = res.steps
-    twice = [np.concatenate((c, c)) for c in (log.d, log.active_count, log.substeps, log.relaxations, log.active)]
+    twice = [np.concatenate((c, c)) for c in (log.d, log.active_count, log.substeps, log.relaxations)]
     report = check_bounds(SsspResult(res.dist, StepLog(*twice)), g, 1, 1, radii=radii)
     assert (res.step_count, report.step_limit) == (3, 4)
     assert report.violations == ("6 steps exceed limit 4",)
@@ -549,12 +568,11 @@ def records_from_columns(log):
     records = []
     prefix = 1
     for i in range(len(log.d)):
-        lo, hi = int(log.offsets[i]), int(log.offsets[i + 1])
-        active = tuple(int(v) for v in log.active[lo:hi])
-        assert list(active) == sorted(active) and len(active) == log.active_count[i]
-        prefix += len(active)
+        count = int(log.active_count[i])
+        assert count == int(log.offsets[i + 1] - log.offsets[i])
+        prefix += count
         substeps, relaxations = int(log.substeps[i]), int(log.relaxations[i])
-        records.append(StepRecord(i + 1, int(log.d[i]), len(active), substeps, prefix, active, relaxations))
+        records.append(StepRecord(i + 1, int(log.d[i]), count, substeps, prefix, relaxations))
     return records
 
 
@@ -604,8 +622,10 @@ def check_step_logs(g, radii, s):
         assert step_records_csv(res) == csv_by_records(res)
         assert int(log.relaxations.sum()) == res.total_relaxations
         assert res.total_substeps() == sum(rec.substeps for rec in records)
+        assert [len(step) for step in settled_sets(res)] == log.active_count.tolist()
     for res in runs[1:]:
         assert list(res.steps) == list(runs[0].steps)
+        assert step_sets(res) == runs[0].sets
 
 
 @settings(max_examples=40, deadline=None)
@@ -631,15 +651,15 @@ def test_step_log_is_a_read_only_sequence():
     g = from_edges(3, PATH)
     _, radii = build_1_rho(g, 2)
     log = radius_step_fast(g, radii, 0).steps
-    assert log[-1] == StepRecord(2, 8, 1, 1, 3, (2,), 1)
+    assert log[-1] == StepRecord(2, 8, 1, 1, 3, 1)
     assert log[0].relaxations == 2
     with pytest.raises(TypeError):
         log[0:1]
     with pytest.raises(ValueError):
         log.d[0] = 5
     with pytest.raises(GraphError, match="disagree"):
-        StepLog([1, 2], [1, 1], [1], [1, 1], [4, 5])
-    empty = StepLog((), (), (), (), ())
+        StepLog([1, 2], [1, 1], [1], [1, 1])
+    empty = StepLog((), (), (), ())
     assert len(empty) == 0 and list(empty) == []
 
 
@@ -648,12 +668,12 @@ def doctored_logs(log, k, t):
     emptied into the step after it; both keep the same vertices."""
     substeps = log.substeps.copy()
     substeps[len(log) // 2] = k + 3
-    yield StepLog(log.d, log.active_count, substeps, log.relaxations, log.active)
+    yield StepLog(log.d, log.active_count, substeps, log.relaxations)
     if len(log) >= t + 2:
         counts = log.active_count.copy()
         counts[t + 1] += counts[1 : t + 1].sum()
         counts[1 : t + 1] = 0
-        yield StepLog(log.d, counts, log.substeps, log.relaxations, log.active)
+        yield StepLog(log.d, counts, log.substeps, log.relaxations)
 
 
 def test_check_bounds_columns_match_record_loop():

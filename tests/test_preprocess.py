@@ -31,7 +31,7 @@ from radius_stepping import (
     write_radii,
 )
 import radius_stepping.preprocess as preprocess
-from conftest import MUTANT_GRID, children, drop_planned_shortcut, random_graph, tree_ball
+from conftest import MUTANT_GRID, children, drop_planned_shortcut, random_graph, tie_heavy_corpus, tree_ball
 from oracles import (
     _lex_dijkstra,
     ball_bruteforce,
@@ -335,7 +335,7 @@ def test_level_skipping_plan_equals_full_level_plan():
     assert {int(d.max(initial=0)) for _, d in trees} >= {0, 1, 40}
     trees += _chunk_trees(generate(GeneratorSpec("adversarial", ladder=10)), (5, 10, 30))
     trees += _chunk_trees(generate(GeneratorSpec("grid2d", dims=(30, 30), weights=WeightSpec(1, 100, seed=30))), (5, 10, 30))
-    trees += [t for g in _tie_heavy_corpus() for t in _chunk_trees(g, RHOS)]
+    trees += [t for g in tie_heavy_corpus() for t in _chunk_trees(g, RHOS)]
     trees += _chunk_trees(generate(GeneratorSpec("adversarial", ladder=40)), [10])  # the bench ladder
     dp_at_2 = 0
     for (parent, depth), k, heuristic in itertools.product(trees, (1, 2, 3, 4, 7, 50), ("dp", "greedy")):
@@ -396,7 +396,7 @@ def test_build_k_rho_chunks_equal_per_vertex_plans(heuristic, monkeypatch):
     grid = generate(GeneratorSpec("grid2d", dims=(20, 15), weights=WeightSpec(1, 3, seed=7)))
     monkeypatch.setattr(preprocess, "_POOL_ENTRIES", 1000)
     assert grid.n > preprocess._pool_plan(grid, 6)[1]
-    corpus = _tie_heavy_corpus()
+    corpus = tie_heavy_corpus()
     cases = [(grid, [(2, 6)])] + [(g, [(1, 3), (2, 5), (3, 16)]) for g in corpus[::3] + corpus[-2:]]
     pick = shortcut_dp if heuristic == "dp" else shortcut_greedy
     grid_added = 0
@@ -448,29 +448,13 @@ def _split_balls(columns):
     return balls
 
 
-def _tie_heavy_corpus():
-    """Seeded sparse graphs with weights 1-3 (or all 1): many ties, isolated
-    vertices, and components smaller than most rho; plus a weighted grid and
-    a small ladder."""
-    rng = random.Random(20261018)
-    graphs = []
-    for _ in range(60):
-        n = rng.randint(1, 40)
-        w_hi = rng.choice([1, 3])
-        m = rng.randint(0, 2 * n)
-        graphs.append(from_edges(n, [(rng.randrange(n), rng.randrange(n), rng.randint(1, w_hi)) for _ in range(m)]))
-    graphs.append(generate(GeneratorSpec("grid2d", dims=(9, 7), weights=WeightSpec(1, 3, seed=3))))
-    graphs.append(generate(GeneratorSpec("adversarial", ladder=4)))
-    return graphs
-
-
 RHOS = (1, 2, 3, 5, 8, 16)
 
 
 @pytest.mark.parametrize("tie_inclusive", [True, False])
 def test_ball_arrays_equal_compute_ball_on_tie_heavy_corpus(tie_inclusive):
     isolated = small = 0
-    for g in _tie_heavy_corpus():
+    for g in tie_heavy_corpus():
         lex = [_lex_dijkstra(g, v) for v in range(g.n)]
         for rho in RHOS:
             got = _split_balls(ball_arrays(g, range(g.n), rho, tie_inclusive))
@@ -627,7 +611,7 @@ def test_validate_k_rho_equals_bruteforce_oracle(tie_inclusive):
     # Connected graphs and the tie-heavy corpus (isolated vertices, small
     # components), on g and on each augmented graph, with the radii as
     # built, one less (where positive), one more, and one vertex uncapped.
-    graphs = [random_graph(seed, n_hi=30, m_cap=80)[0] for seed in range(4)] + _tie_heavy_corpus()[::8]
+    graphs = [random_graph(seed, n_hi=30, m_cap=80)[0] for seed in range(4)] + tie_heavy_corpus()[::8]
     assert any(np.diff(g.indptr).min(initial=1) == 0 for g in graphs)
     kinds = set()
     for g in graphs:
@@ -651,7 +635,7 @@ def test_validate_k_rho_across_chunks_and_slices(monkeypatch):
     # round's pairs a few at a time, so two slices of one round lower the
     # same pair; the report must not change.
     cases = []
-    for g in [random_graph(seed, n_hi=30, m_cap=80, w_hi=3)[0] for seed in range(3)] + _tie_heavy_corpus()[::12]:
+    for g in [random_graph(seed, n_hi=30, m_cap=80, w_hi=3)[0] for seed in range(3)] + tie_heavy_corpus()[::12]:
         for k, rho in ((1, 4), (3, 9)):
             aug, radii, _ = build_k_rho(g, k, rho)
             for r in (radii.r + 1, np.full(g.n, UNREACHED)):
@@ -669,7 +653,7 @@ def test_premise_verdicts_agree_across_chunks(monkeypatch):
     # failing exactly where validate_k_rho reports a |B( line, and name the
     # same first vertex and the same need.
     cases = []
-    for g in _tie_heavy_corpus():
+    for g in tie_heavy_corpus():
         for rho in (3, 8):
             aug, radii, _ = build_k_rho(g, 1, rho)
             lowered = radii.r.copy()
@@ -711,7 +695,7 @@ def test_premise_on_strict_balls_decides_as_tie_inclusive_balls_do():
     # same verdicts, and the same counts where they fall short.
     rng = np.random.default_rng(36)
     shorts = enough = 0
-    for g in _tie_heavy_corpus():
+    for g in tie_heavy_corpus():
         for rho in RHOS:
             r_rho = np.array([b.r_rho for b in _split_balls(ball_arrays(g, range(g.n), rho))], dtype=np.int64)
             for r in (r_rho, np.maximum(r_rho - 1, 0), rng.integers(0, r_rho.max(initial=0) + 2, g.n), 0 * r_rho):
