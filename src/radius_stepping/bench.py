@@ -148,12 +148,6 @@ class ExperimentRow:
 CSV_HEADER = ",".join(f.name for f in fields(ExperimentRow))
 
 
-def _load_graph(cfg: ExperimentConfig) -> Graph:
-    if cfg.generator is not None:
-        return generate(cfg.generator)
-    return parse_edge_list(_read_text(cfg.graph_path))
-
-
 def _run_cell(g: Graph, k: int, rho: int, heuristic: str, truth: list[DistanceVector]) -> tuple[int, float, float]:
     """Edges added, and mean steps and substeps over the sources of `truth`
     (dijkstra's distances on g, one vector per source), of one cell."""
@@ -189,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     source.  Rows come in (k, rho, heuristic) order.
     """
     cfg.validate()
-    g = _load_graph(cfg)
+    g = generate(cfg.generator) if cfg.generator is not None else parse_edge_list(_read_text(cfg.graph_path))
     rng = random.Random(int(cfg.seed))
     sources = sorted(rng.sample(range(g.n), min(cfg.source_count, g.n)))
     truth = [dijkstra(g, s) for s in sources]
@@ -217,17 +211,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
-
-
 def emit_csv(rows: list[ExperimentRow]) -> str:
     if not rows:
         raise GraphError("no rows to emit")
     lines = [CSV_HEADER + "\n"]
     for r in rows:
         _check_label(r.graph)
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in astuple(r)) + "\n")
+        lines.append(",".join(format(x, ".6g") if isinstance(x, float) else str(x) for x in astuple(r)) + "\n")
     return "".join(lines)
 
 

@@ -3,47 +3,48 @@
 gen and bench each read one JSON file through --config: a GeneratorSpec and
 an ExperimentConfig, parsed by bench's loader.  Data goes to stdout (or -o
 files); diagnostics go to stderr.  Exit codes: 0 success, 1 domain error
-(bad input, failed validation), 2 usage error.
+(bad input, failed validation), 2 usage error.  A run that exits 1 writes
+no data (see _write_out).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .bench import config_from_json, emit_csv, emit_summary, generator_from_json, run_experiment
 from .engine import radius_step_fast, step_records_csv
 from .generate import generate
-from .graph import Graph, GraphError, _read_text, _render_labeled, parse_edge_list, write_edge_list
+from .graph import GraphError, _read_text, _render_labeled, parse_edge_list, write_edge_list
 from .preprocess import RadiusAssignment, build_k_rho, read_radii, validate_k_rho, write_radii
 
 
-def _read_graph(path: str) -> Graph:
-    return parse_edge_list(_read_text(path))
-
-
-def _write_out(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_out(*outputs: tuple[str | None, str]) -> None:
+    """Each (path, text) pair's text in order to path (stdout for None or "-"; a
+    path named twice takes both), every file opened before any text is written."""
+    with contextlib.ExitStack() as stack:
+        files = {None: sys.stdout, "-": sys.stdout}
+        for path, _ in outputs:
+            if path not in files:
+                files[path] = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+        for path, text in outputs:
+            files[path].write(text)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec = generator_from_json(_read_text(args.config, "utf-8"))
     g = generate(spec)
-    _write_out(args.output, write_edge_list(g))
+    _write_out((args.output, write_edge_list(g)))
     print(f"generated {spec.kind}: n={g.n} m={g.m} L={g.max_weight}", file=sys.stderr)
     return 0
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input)
+    g = parse_edge_list(_read_text(args.input))
     aug, radii, added = build_k_rho(
         g, args.k, args.rho, heuristic=args.heuristic, tie_inclusive=not args.strict
     )
-    _write_out(args.output, write_edge_list(aug))
-    _write_out(args.radii, write_radii(radii, labels=g.labels))
+    _write_out((args.output, write_edge_list(aug)), (args.radii, write_radii(radii, labels=g.labels)))
     print(
         f"augmented with {added} edges ({added / g.m:.3f}x of m={g.m})" if g.m else "no edges",
         file=sys.stderr,
@@ -52,31 +53,30 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_sssp(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input)
+    g = parse_edge_list(_read_text(args.input))
     (hit,) = (g.labels == args.source).nonzero()
     if not len(hit):
         raise GraphError(f"source {args.source} is not a vertex label in {args.input}")
     radii = RadiusAssignment.uniform(g.n, 0) if args.radii is None else read_radii(_read_text(args.radii), g)
     res = radius_step_fast(g, radii, int(hit[0]))
-    sys.stdout.write(_render_labeled(g.labels, res.dist.dist))
-    if args.stats is not None:
-        _write_out(args.stats, step_records_csv(res))
+    stats = [] if args.stats is None else [(args.stats, step_records_csv(res))]
+    _write_out((None, _render_labeled(g.labels, res.dist.dist)), *stats)
     print(f"{res.step_count} steps, {res.total_substeps()} substeps", file=sys.stderr)
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rows = run_experiment(config_from_json(_read_text(args.config, "utf-8")))
-    _write_out(args.output, emit_csv(rows))
+    _write_out((args.output, emit_csv(rows)))
     print(emit_summary(rows), file=sys.stderr, end="")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input)
+    g = parse_edge_list(_read_text(args.input))
     report = validate_k_rho(g, read_radii(_read_text(args.radii), g), args.k, args.rho)
     if report.ok:
-        print(f"ok: {report.checked} vertices satisfy the ({args.k},{args.rho}) ball property")
+        print(f"ok: {g.n} vertices satisfy the ({args.k},{args.rho}) ball property")
         return 0
     for line in report.violations:
         print(line, file=sys.stderr)
@@ -133,7 +133,3 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def console_entry() -> None:
-    raise SystemExit(main())

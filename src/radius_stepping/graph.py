@@ -185,7 +185,8 @@ def from_edges(
     if len(ws) and (L := int(ws.max())) >= UNREACHED:
         raise GraphError(f"edge weight {L} is not below 2**62")
     if labels is not None:
-        labels = _check_labels(labels, n)
+        labels = _int64_array("vertex labels", labels)
+        _check_distinct(np.sort(labels), n)
 
     # Parallel edges share the key min(u,v)*n + max(u,v); the minimum over a
     # run of equal keys does not depend on the order within it.
@@ -282,14 +283,6 @@ def _int64_array(what: str, values: object) -> np.ndarray:
         return np.fromiter(values, dtype=np.int64, count=len(values))
     except OverflowError:
         raise GraphError(f"{what} must fit int64") from None
-
-
-def _check_labels(labels: object, n: int) -> np.ndarray:
-    """Vertex labels, in their order, as int64: n distinct integers (not
-    bool) that fit int64; anything else raises GraphError."""
-    label = _int64_array("vertex labels", labels)
-    _check_distinct(np.sort(label), n)
-    return label
 
 
 def _check_distinct(ordered: np.ndarray, n: int) -> None:

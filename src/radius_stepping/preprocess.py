@@ -81,7 +81,6 @@ def compute_ball(g: Graph, v: int, rho: int, tie_inclusive: bool = True) -> Ball
     100x100 grids, where one ball_arrays call over 100 sources took
     1.6-2.0 ms (CPython 3.11.7, numpy 2.4.6, 2-core sandbox).  Find many
     vertices' balls with one ball_arrays call, not a loop of this."""
-    _check_count("rho", rho)
     _check_vertex(g, v, "vertex")
     center, vertex, dist, parent, depth = (col.tolist() for col in ball_arrays(g, [v], rho, tie_inclusive))
     return Ball(center[0], tuple(zip(vertex, dist)), dist[-1], tuple(parent), tuple(depth))
@@ -265,15 +264,6 @@ def _ball_chunks(g: Graph, src: np.ndarray, rho: int, tie_inclusive: bool):
         yield dist[starts + size - 1], size, (np.repeat(chunk, size), vertex, dist, parent, depth)
 
 
-def _sources(g: Graph, sources, rho: int) -> np.ndarray:
-    """The sources as a 1-D int64 array, checked against g and rho."""
-    _check_count("rho", rho)
-    src = _int64_array("sources", sources)
-    if len(src) and (src.min() < 0 or src.max() >= g.n):
-        raise GraphError(f"vertex out of range for n={g.n}")
-    return src
-
-
 def ball_arrays(
     g: Graph, sources, rho: int, tie_inclusive: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -286,22 +276,26 @@ def ball_arrays(
     (see _lockstep), sized so that a chunk's blocks hold at most about
     _POOL_ENTRIES slots.
     """
-    parts = [cols for _, _, cols in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive)]
+    _check_count("rho", rho)
+    src = _int64_array("sources", sources)
+    if len(src) and (src.min() < 0 or src.max() >= g.n):
+        raise GraphError(f"vertex out of range for n={g.n}")
+    parts = [cols for _, _, cols in _ball_chunks(g, src, rho, tie_inclusive)]
     sizes = [len(cols[0]) for cols in parts]
     shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
     center, vertex, dist, parent, depth = (np.concatenate(col) for col in zip(*parts))
     return center, vertex, dist, np.where(parent >= 0, parent + shift, -1), depth
 
 
-def _ball_premise(g: Graph, r: np.ndarray, sources, rho: int) -> tuple[np.ndarray, np.ndarray]:
-    """|B(v, r(v))| and min(rho, component size) of each source v; the
-    paper's bounds assume the first is at least the second.  Both come
-    from v's strict ball, whose size is the second: where |B| falls short,
-    r(v) is below r_rho, so every vertex within r(v) is a member and |B|
-    is exact.
-    Counted chunk by chunk, so no column outlives its chunk."""
+def _ball_premise(g: Graph, r: np.ndarray, src: np.ndarray, rho: int) -> tuple[np.ndarray, np.ndarray]:
+    """|B(v, r(v))| and min(rho, component size) of each v in src, an int64
+    array (rho is checked by the caller); the paper's bounds assume the
+    first is at least the second.  Both come from v's strict ball, whose
+    size is the second: where |B| falls short, r(v) is below r_rho, so
+    every vertex within r(v) is a member and |B| is exact.  Counted chunk
+    by chunk, so no column outlives its chunk."""
     inside, need = [], []
-    for _, size, (center, _, dist, _, _) in _ball_chunks(g, _sources(g, sources, rho), rho, tie_inclusive=False):
+    for _, size, (center, _, dist, _, _) in _ball_chunks(g, src, rho, tie_inclusive=False):
         inside.append(np.add.reduceat(dist <= r[center], np.cumsum(size) - size))
         need.append(size)
     return np.concatenate(inside), np.concatenate(need)
@@ -509,9 +503,6 @@ def build_k_rho(
 class ValidationReport:
     """Outcome of the (k, rho) ball-property check: one line per violation, naming the vertex's label."""
 
-    rho: int
-    k: int
-    checked: int
     violations: tuple[str, ...]
 
     @property
@@ -601,4 +592,4 @@ def validate_k_rho(g: Graph, radii: RadiusAssignment, k: int, rho: int) -> Valid
             violations.append(f"vertex {label}: r={int(r[v])} exceeds k-radius {int(kradius[v])}")
         if inside[v] < need[v]:
             violations.append(f"vertex {label}: |B(v,{int(r[v])})|={int(inside[v])} below {int(need[v])}")
-    return ValidationReport(rho=rho, k=k, checked=n, violations=tuple(violations))
+    return ValidationReport(tuple(violations))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import runpy
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -853,3 +854,96 @@ def test_validate_stops_once_a_round_lowers_nothing(tmp_path, capsys, monkeypatc
         assert 1 <= len(calls) <= 4, (k, len(calls))
     assert outputs[0][0] == 1 and "vertex 1: |B(v,0)|=1 below 3" in outputs[0][2]
     assert outputs == [outputs[0]] * 3
+
+
+def test_validate_prints_one_line_on_success(tmp_path, capsys):
+    src, aug, rad = tmp_path / "g.txt", tmp_path / "aug.txt", tmp_path / "radii.txt"
+    assert _gen(capsys, tmp_path, src, kind="grid2d", dims=[8, 8], weights=dict(lo=1, hi=50, seed=4))[0] == 0
+    argv = ("preprocess", "-i", str(src), "--k", "2", "--rho", "6", "-o", str(aug), "--radii", str(rad))
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, "validate", "-i", str(aug), "--radii", str(rad), "--k", "2", "--rho", "6")
+    assert (code, out, err) == (0, "ok: 64 vertices satisfy the (2,6) ball property\n", "")
+
+
+def _output_holds_no_data(path):
+    return not path.exists() or path.stat().st_size == 0
+
+
+@pytest.mark.parametrize("command", ["gen", "preprocess-output", "preprocess-radii", "sssp", "bench"])
+def test_an_output_path_that_cannot_be_opened_leaves_no_output(tmp_path, capsys, command):
+    # sssp printed every distance and then failed on --stats, and preprocess
+    # wrote -o before it failed on --radii: each exited 1 with output behind.
+    src, aug, rad, stats = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt", "steps.csv"))
+    missing = str(tmp_path / "missing" / "out.txt")
+    assert _gen(capsys, tmp_path, src, kind="grid2d", dims=[5, 5], weights=dict(lo=1, hi=9, seed=3))[0] == 0
+    argv = {  # _config writes one file, so only the command run makes its config
+        "gen": lambda: ("gen", "--config", _config(tmp_path, kind="grid2d", dims=[3, 3]), "-o", missing),
+        "preprocess-output": lambda: ("preprocess", "-i", str(src), "--rho", "4", "-o", missing, "--radii", str(rad)),
+        "preprocess-radii": lambda: ("preprocess", "-i", str(src), "--rho", "4", "-o", str(aug), "--radii", missing),
+        "sssp": lambda: ("sssp", "-i", str(src), "-s", "0", "--stats", missing),
+        "bench": lambda: ("bench", "--config", _config(tmp_path, label="g", rhos=[1, 2], graph_path=str(src)),
+                          "-o", missing),
+    }[command]()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: [Errno 2]") and missing in err
+    assert all(map(_output_holds_no_data, (aug, rad, stats)))
+
+
+def test_outputs_sent_to_one_place_come_in_order(tmp_path, capsys):
+    # sssp --stats - prints the distances, then the step CSV; preprocess
+    # with -o and --radii naming one file writes the edge list, then the radii.
+    src, aug, rad, stats, both = (tmp_path / name for name in ("g.txt", "aug.txt", "radii.txt", "steps.csv", "both.txt"))
+    assert _gen(capsys, tmp_path, src, kind="grid2d", dims=[5, 5], weights=dict(lo=1, hi=9, seed=3))[0] == 0
+    code, dist, _ = run(capsys, "sssp", "-i", str(src), "-s", "0", "--stats", str(stats))
+    assert code == 0
+    assert run(capsys, "sssp", "-i", str(src), "-s", "0", "--stats", "-")[:2] == (0, dist + stats.read_text())
+    for out, radii in ((aug, rad), (both, both)):
+        assert run(capsys, "preprocess", "-i", str(src), "--rho", "4", "-o", str(out), "--radii", str(radii))[0] == 0
+    assert both.read_text() == aug.read_text() + rad.read_text()
+
+
+# The one-ball API and the unit-weight engine wrapper, kept for the tests.
+ONE_BALL_API = (
+    preprocess.compute_ball,
+    preprocess.min_hop_ball_tree,
+    preprocess.shortcut_dp,
+    preprocess.ball_arrays,
+    radius_step_unweighted,
+)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [dict(kind="grid2d", dims=[6, 6], weights=dict(lo=1, hi=50, seed=5)), dict(kind="adversarial", ladder=6)],
+    ids=["weighted-grid", "unit-ladder"],
+)
+def test_no_command_calls_the_one_ball_api(tmp_path, capsys, monkeypatch, spec):
+    # Every name a module of the package holds one of these functions under
+    # raises, so no command may reach them by any import.
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a command called the one-ball API")
+
+    patched = set()
+    for key, module in list(sys.modules.items()):
+        if key.partition(".")[0] != "radius_stepping":
+            continue
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in ONE_BALL_API):
+                monkeypatch.setattr(module, name, refuse)
+                patched.add((key, name))
+    assert {(f"radius_stepping.{fn.__module__.rpartition('.')[2]}", fn.__name__) for fn in ONE_BALL_API} <= patched
+    src, aug, rad = tmp_path / "g.txt", tmp_path / "aug.txt", tmp_path / "radii.txt"
+    assert _gen(capsys, tmp_path, src, **spec)[0] == 0
+    cfg = _config(tmp_path, label="g", rhos=[1, 5], ks=[1, 2], heuristics=["dp", "greedy"], source_count=3,
+                  graph_path=str(src))
+    for argv in (
+        ("preprocess", "-i", str(src), "--k", "2", "--rho", "5", "-o", str(aug), "--radii", str(rad)),
+        ("preprocess", "-i", str(src), "--k", "1", "--rho", "5", "--heuristic", "greedy", "--strict",
+         "-o", str(aug), "--radii", str(rad)),
+        ("sssp", "-i", str(aug), "--radii", str(rad), "-s", "0"),
+        ("sssp", "-i", str(src), "--radii", str(rad), "-s", "0"),
+        ("validate", "-i", str(aug), "--radii", str(rad), "--k", "1", "--rho", "5"),
+        ("bench", "--config", cfg),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -699,7 +699,7 @@ def test_premise_on_strict_balls_decides_as_tie_inclusive_balls_do():
         for rho in RHOS:
             r_rho = np.array([b.r_rho for b in _split_balls(ball_arrays(g, range(g.n), rho))], dtype=np.int64)
             for r in (r_rho, np.maximum(r_rho - 1, 0), rng.integers(0, r_rho.max(initial=0) + 2, g.n), 0 * r_rho):
-                inside, need = preprocess._ball_premise(g, r, range(g.n), rho)
+                inside, need = preprocess._ball_premise(g, r, np.arange(g.n), rho)
                 want_inside, want_need = _tie_inclusive_premise(g, r, rho)
                 short = want_inside < want_need
                 assert np.array_equal(inside < need, short), (g.n, rho)
@@ -717,7 +717,7 @@ def test_premise_never_runs_the_tie_tail(monkeypatch):
     monkeypatch.setattr(preprocess, "_lockstep", lambda *args: modes.append(args[-1]) or real(*args))
     r_rho = np.full(g.n, 2)
     r_rho[0] = 1
-    inside, need = preprocess._ball_premise(g, r_rho, range(g.n), 3)
+    inside, need = preprocess._ball_premise(g, r_rho, np.arange(g.n), 3)
     assert need.tolist() == inside.tolist() == [3] * g.n  # the strict ball's members, all within r_rho
     zero = RadiusAssignment.uniform(g.n, 0)
     assert check_bounds(radius_step_fast(g, zero, 0), g, 3, None, zero).reason == "premise fails: |B(0, r)| below 3"
