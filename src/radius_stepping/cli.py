@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .bench import config_from_json, emit_csv, emit_summary, generator_from_json, run_experiment
@@ -20,13 +21,21 @@ from .preprocess import RadiusAssignment, build_k_rho, read_radii, validate_k_rh
 
 
 def _write_out(*outputs: tuple[str | None, str]) -> None:
-    """Each (path, text) pair's text in order to path (stdout for None or "-"; a
-    path named twice takes both), every file opened before any text is written."""
+    """Each (path, text) pair's text in order to path (stdout for None or "-"),
+    every file opened before any text is written.  A file named twice takes
+    both texts in order, however it is spelled (x and ./x, a symlink, a hard
+    link): a handle whose (st_dev, st_ino) is open already is closed, and
+    its text goes through the first."""
     with contextlib.ExitStack() as stack:
         files = {None: sys.stdout, "-": sys.stdout}
+        opened = {}
         for path, _ in outputs:
             if path not in files:
-                files[path] = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                f = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                st = os.fstat(f.fileno())
+                files[path] = opened.setdefault((st.st_dev, st.st_ino), f)
+                if files[path] is not f:
+                    f.close()
         for path, text in outputs:
             files[path].write(text)
 

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import os
-import runpy
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,8 @@ from radius_stepping import (
 import radius_stepping.bench as bench
 from radius_stepping.bench import CSV_HEADER
 from conftest import MUTANT_GRID, drop_planned_shortcut
+
+EXPERIMENTS = Path(__file__).parents[1] / "experiments"
 
 
 def small_cfg(**overrides):
@@ -380,16 +381,33 @@ def test_bench_errors_name_the_source_by_its_label(tmp_path, monkeypatch):
     assert str(exc.value) == f"(k=1, rho=1, dp, s={100 * (runs[0] + 1)}) bound check: ('step bound',)"
 
 
-def test_readme_experiments_numbers_are_run_trends_rows():
-    # README's Experiments section quotes the medium-scale 2D grid rows of
-    # scripts/run_trends.py (seed 42, 20 sources, k=1, dp) at rho 1, 10, 50.
-    root = Path(__file__).parents[1]
-    geometry = runpy.run_path(str(root / "scripts" / "run_trends.py"))["geometry"]
+def test_committed_configs_are_what_readme_and_ci_run():
+    # README runs experiments/medium and CI experiments/small, each file
+    # through bench --config into results/<label>.csv.
+    labels = {}
+    for scale in ("small", "medium"):
+        paths = sorted((EXPERIMENTS / scale).glob("*.json"))
+        cfgs = [config_from_json(path.read_text(encoding="utf-8")) for path in paths]
+        assert [cfg.label for cfg in cfgs] == [path.stem for path in paths]
+        labels[scale] = {cfg.label for cfg in cfgs}
+        for cfg in cfgs:
+            assert cfg.seed == 42
+            if scale == "small":
+                assert (cfg.ks, set(cfg.heuristics)) == ((1, 2), {"dp", "greedy"})
+            else:
+                assert (cfg.source_count, cfg.ks) == (20, (1,))
+    assert labels["small"] == labels["medium"] == {f"{f}-{w}" for f in ("grid2d", "grid3d", "random") for w in "uw"}
+
+
+def test_readme_experiments_numbers_are_the_medium_config_rows():
+    # README's Experiments section quotes the grid2d rows of
+    # experiments/medium (seed 42, 20 sources, k=1, dp) at rho 1, 10, 50.
     steps = {}
     for weighted in (True, False):
-        label, spec, rhos = next(geometry("medium", weighted, 42))
-        assert label.startswith("grid2d-") and {1, 10, 50} <= set(rhos)
-        rows = run_experiment(ExperimentConfig(label=label, rhos=(1, 10, 50), source_count=20, seed=42, generator=spec))
+        path = EXPERIMENTS / "medium" / f"grid2d-{'w' if weighted else 'u'}.json"
+        cfg = config_from_json(path.read_text(encoding="utf-8"))
+        assert {1, 10, 50} <= set(cfg.rhos)
+        rows = run_experiment(dataclasses.replace(cfg, rhos=(1, 10, 50)))
         steps[weighted] = [round(row.mean_steps) for row in rows]
     assert steps == {True: [9844, 83, 29], False: [159, 53, 27]}
     (w1, w10, w50), (u1, u10, u50) = steps[True], steps[False]
@@ -397,4 +415,4 @@ def test_readme_experiments_numbers_are_run_trends_rows():
         f"the weighted 100x100 grid's mean step count falls from {w1:,} at `rho=1` to {w10} at `rho=10` "
         f"and {w50} at `rho=50`; the unit-weight grid's falls from {u1} to {u10} and {u50}."
     )
-    assert said in " ".join((root / "README.md").read_text().split())
+    assert said in " ".join((EXPERIMENTS.parent / "README.md").read_text().split())

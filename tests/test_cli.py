@@ -1,7 +1,7 @@
 import hashlib
 import json
+import os
 import re
-import runpy
 import sys
 from pathlib import Path
 
@@ -550,14 +550,6 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [["--ks", "x"], ["--ks", "1,0"], ["--heuristics", "dp,nope"], ["--sources", "0"]])
-def test_run_trends_rejects_bad_list_flags_before_it_runs(tmp_path, argv):
-    main_of_script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_trends.py"))["main"]
-    with pytest.raises(SystemExit) as exc:
-        main_of_script([*argv, "--out-dir", str(tmp_path / "out")])
-    assert exc.value.code == 2 and not (tmp_path / "out").exists()
-
-
 def _radii(tmp_path):
     rad = tmp_path / "r.txt"
     rad.write_text("0 0\n1 0\n2 0\n")
@@ -696,11 +688,11 @@ def test_negative_ids_survive_preprocess_sssp_and_validate(tmp_path, capsys):
     ids=["not-json", "no-label", "unknown-generator-key", "rhos-not-a-list", "rho-not-an-integer", "k-not-an-integer"],
 )
 def test_bench_rejects_malformed_config(tmp_path, capsys, text, field):
-    cfg = tmp_path / "cfg.json"
+    cfg, csv = tmp_path / "cfg.json", tmp_path / "rows.csv"
     cfg.write_text(text)
-    code, out, err = run(capsys, "bench", "--config", str(cfg))
+    code, out, err = run(capsys, "bench", "--config", str(cfg), "-o", str(csv))
     assert code == 1
-    assert out == ""
+    assert out == "" and not csv.exists()
     assert err.startswith("error:") and field in err and "Traceback" not in err
 
 
@@ -900,6 +892,24 @@ def test_outputs_sent_to_one_place_come_in_order(tmp_path, capsys):
     for out, radii in ((aug, rad), (both, both)):
         assert run(capsys, "preprocess", "-i", str(src), "--rho", "4", "-o", str(out), "--radii", str(radii))[0] == 0
     assert both.read_text() == aug.read_text() + rad.read_text()
+
+
+@pytest.mark.parametrize("spelling", ["dot-slash", "symlink", "hard-link"])
+def test_two_spellings_of_one_output_file_write_as_one(tmp_path, capsys, monkeypatch, spelling):
+    # -o same.txt --radii ./same.txt opened two handles on one file, so one
+    # text was written over the other, with exit 0.
+    monkeypatch.chdir(tmp_path)
+    assert _gen(capsys, tmp_path, "g.txt", kind="grid2d", dims=[5, 5], weights=dict(lo=1, hi=9, seed=3))[0] == 0
+    argv = ("preprocess", "-i", "g.txt", "--rho", "4", "-o")
+    assert run(capsys, *argv, "one.txt", "--radii", "one.txt")[0] == 0
+    Path("same.txt").touch()
+    other = {
+        "dot-slash": lambda: "./same.txt",
+        "symlink": lambda: os.symlink("same.txt", "link.txt") or "link.txt",
+        "hard-link": lambda: os.link("same.txt", "link.txt") or "link.txt",
+    }[spelling]()
+    assert run(capsys, *argv, "same.txt", "--radii", other)[0] == 0
+    assert Path("same.txt").read_bytes() == Path(other).read_bytes() == Path("one.txt").read_bytes()
 
 
 # The one-ball API and the unit-weight engine wrapper, kept for the tests.
